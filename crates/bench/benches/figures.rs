@@ -2,11 +2,12 @@
 //! full regeneration pipeline (simulate → trace → analyze). One bench per
 //! evaluation figure; the `fig*` binaries produce the actual numbers.
 
-use abdex::compare::{compare_policies, ComparisonConfig};
+use abdex::compare::ComparisonConfig;
 use abdex::dvs::EdvsConfig;
 use abdex::nepsim::Benchmark;
+use abdex::sweep::{power_surface, throughput_surface};
 use abdex::traffic::{DiurnalModel, TrafficLevel, TrafficSpec};
-use abdex::{sweep_tdvs, Experiment, PolicySpec, TdvsGrid};
+use abdex::{run_grid, Experiment, Grid, PolicySpec, Runner, TdvsGrid};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Reduced run length so `cargo bench` completes quickly; the binaries use
@@ -26,13 +27,14 @@ fn fig06_07_tdvs_cell(c: &mut Criterion) {
                 thresholds_mbps: vec![1000.0],
                 windows_cycles: vec![40_000],
             };
-            sweep_tdvs(
+            let grid = Grid::tdvs(
                 Benchmark::Ipfwdr,
                 &TrafficLevel::High.into(),
                 &grid,
                 CYCLES,
                 42,
-            )
+            );
+            run_grid(&Runner::new(), &grid, 1)
         });
     });
 }
@@ -44,17 +46,16 @@ fn fig08_09_surface(c: &mut Criterion) {
                 thresholds_mbps: vec![1000.0, 1400.0],
                 windows_cycles: vec![20_000, 80_000],
             };
-            let cells = sweep_tdvs(
+            let grid = Grid::tdvs(
                 Benchmark::Ipfwdr,
                 &TrafficLevel::High.into(),
                 &grid,
                 CYCLES,
                 42,
             );
-            (
-                abdex::sweep::power_surface(&cells),
-                abdex::sweep::throughput_surface(&cells),
-            )
+            let run = run_grid(&Runner::new(), &grid, 1);
+            let cells = run.plain().expect("one seed per cell");
+            (power_surface(cells), throughput_surface(cells))
         });
     });
 }
@@ -81,11 +82,12 @@ fn fig11_comparison(c: &mut Criterion) {
                 cycles: CYCLES,
                 ..ComparisonConfig::default()
             };
-            compare_policies(
+            let grid = Grid::compare(
                 &[Benchmark::Ipfwdr],
                 &[TrafficSpec::Level(TrafficLevel::High)],
                 &cfg,
-            )
+            );
+            run_grid(&Runner::new(), &grid, 1)
         });
     });
 }

@@ -1,9 +1,10 @@
 //! Ablation: the EDVS idle threshold. The paper picks 10 % from the idle
 //! distribution (§4.2); this sweep shows what 5–40 % would have done.
 
-use abdex::ablation::{render_ablation, sweep_edvs_idle_threshold};
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
+use abdex::{run_grid, Grid, Runner};
+use abdex_bench::ablation::{edvs_idle_thresholds, render_ablation};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
 fn main() {
@@ -13,16 +14,18 @@ fn main() {
         "abl_edvs_threshold: {} EDVS thresholds on ipfwdr/high at {cycles} cycles each...",
         thresholds.len()
     );
-    let cells = sweep_edvs_idle_threshold(
+    let grid = Grid::policies(
         Benchmark::Ipfwdr,
         &TrafficLevel::High.into(),
-        &thresholds,
-        40_000,
+        &edvs_idle_thresholds(&thresholds, 40_000),
         cycles,
         FIG_SEED,
     );
+    let run = run_grid(&Runner::new(), &grid, 1);
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let cells = run.plain().expect("one seed per cell");
     println!("EDVS idle-threshold ablation (ipfwdr, high traffic):\n");
-    println!("{}", render_ablation(&cells, "idle_threshold"));
+    println!("{}", render_ablation("idle_threshold", &thresholds, cells));
     println!(
         "paper's 10% choice sits where savings have saturated but the busy \
          windows still scale the MEs back up."

@@ -20,9 +20,8 @@
 use std::time::Instant;
 
 use abdex::nepsim::Benchmark;
-use abdex::replicate::try_replicated_sweep_tdvs;
 use abdex::traffic::TrafficLevel;
-use abdex::{Runner, TdvsGrid};
+use abdex::{run_grid, Grid, Runner, TdvsGrid};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -50,20 +49,17 @@ fn main() {
         dir.display()
     );
 
+    let sweep = Grid::tdvs(
+        Benchmark::Ipfwdr,
+        &TrafficLevel::High.into(),
+        &grid,
+        cycles,
+        42,
+    );
     let pass = || {
         let start = Instant::now();
-        let cells = try_replicated_sweep_tdvs(
-            &runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::High.into(),
-            &grid,
-            cycles,
-            42,
-            seeds,
-        );
-        for cell in &cells {
-            cell.as_ref().expect("no cell failed");
-        }
+        let run = run_grid(&runner, &sweep, seeds);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         start.elapsed().as_secs_f64()
     };
 

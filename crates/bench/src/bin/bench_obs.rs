@@ -19,9 +19,8 @@
 use std::time::Instant;
 
 use abdex::nepsim::Benchmark;
-use abdex::sweep::try_sweep_tdvs;
 use abdex::traffic::TrafficLevel;
-use abdex::{Runner, TdvsGrid};
+use abdex::{run_grid, Grid, Runner, TdvsGrid};
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -46,19 +45,17 @@ fn main() {
         runner.workers()
     );
 
+    let sweep = Grid::tdvs(
+        Benchmark::Ipfwdr,
+        &TrafficLevel::High.into(),
+        &grid,
+        cycles,
+        42,
+    );
     let pass = || {
         let start = Instant::now();
-        let cells = try_sweep_tdvs(
-            &runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::High.into(),
-            &grid,
-            cycles,
-            42,
-        );
-        for cell in &cells {
-            cell.as_ref().expect("no cell failed");
-        }
+        let run = run_grid(&runner, &sweep, 1);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         start.elapsed().as_secs_f64()
     };
 

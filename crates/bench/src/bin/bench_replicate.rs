@@ -18,10 +18,9 @@
 use std::time::Instant;
 
 use abdex::nepsim::Benchmark;
-use abdex::replicate::try_replicated_sweep_tdvs;
 use abdex::stats::ConfidenceLevel;
 use abdex::traffic::TrafficLevel;
-use abdex::{Runner, TdvsGrid};
+use abdex::{run_grid, Grid, Runner, TdvsGrid};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -45,26 +44,26 @@ fn main() {
     );
 
     let start = Instant::now();
-    let cells: Vec<_> = try_replicated_sweep_tdvs(
+    let run = run_grid(
         &runner,
-        Benchmark::Ipfwdr,
-        &TrafficLevel::High.into(),
-        &grid,
-        cycles,
-        42,
+        &Grid::tdvs(
+            Benchmark::Ipfwdr,
+            &TrafficLevel::High.into(),
+            &grid,
+            cycles,
+            42,
+        ),
         seeds,
-    )
-    .into_iter()
-    .map(|o| o.expect("no cell failed"))
-    .collect();
+    );
     let wall_s = start.elapsed().as_secs_f64();
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let cells = run.replicated().expect("replicated cells");
 
     // The noisiest interval anywhere in the grid, by relative width.
     let (cell, metric, ci) = cells
         .iter()
         .filter_map(|c| {
-            c.result
-                .metrics
+            c.metrics
                 .widest_relative_ci(level)
                 .map(|(metric, ci)| (c, metric, ci))
         })
@@ -74,6 +73,7 @@ fn main() {
                 .expect("relative widths are finite")
         })
         .expect("grid is non-empty");
+    let (threshold, window) = cell.experiment.tdvs_point().expect("a TDVS cell");
 
     let doc = format!(
         "{{\"bench\":\"replicate\",\"cells\":{},\"seeds\":{seeds},\"cycles_per_job\":{cycles},\
@@ -86,8 +86,8 @@ fn main() {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         runner.workers(),
         level.percent(),
-        cell.threshold_mbps,
-        cell.window_cycles,
+        threshold,
+        window,
         ci.mean,
         ci.half_width,
         ci.relative_half_width(),
@@ -97,8 +97,8 @@ fn main() {
         "{} jobs in {wall_s:.2}s; widest {level} CI: {metric} at threshold={} window={} \
          ({ci:.4}, relative {:.3}) -> {out}",
         cells.len() as u64 * seeds,
-        cell.threshold_mbps,
-        cell.window_cycles,
+        threshold,
+        window,
         ci.relative_half_width(),
     );
 }

@@ -4,7 +4,7 @@
 
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
-use abdex::{sweep_tdvs, Experiment, PolicySpec, TdvsGrid};
+use abdex::{run_grid, Experiment, Grid, PolicySpec, Runner, TdvsGrid};
 use abdex_bench::{bar, cycles_from_args, FIG_SEED};
 
 fn main() {
@@ -14,13 +14,19 @@ fn main() {
         "fig07: sweeping {} TDVS cells of ipfwdr/high at {cycles} cycles each...",
         grid.len()
     );
-    let cells = sweep_tdvs(
-        Benchmark::Ipfwdr,
-        &TrafficLevel::High.into(),
-        &grid,
-        cycles,
-        FIG_SEED,
+    let run = run_grid(
+        &Runner::new(),
+        &Grid::tdvs(
+            Benchmark::Ipfwdr,
+            &TrafficLevel::High.into(),
+            &grid,
+            cycles,
+            FIG_SEED,
+        ),
+        1,
     );
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let cells = run.plain().expect("one seed per cell");
     let baseline = Experiment {
         benchmark: Benchmark::Ipfwdr,
         traffic: TrafficLevel::High.into(),
@@ -43,9 +49,9 @@ fn main() {
             for &w in &grid.windows_cycles {
                 let cell = cells
                     .iter()
-                    .find(|c| c.threshold_mbps == threshold && c.window_cycles == w)
+                    .find(|c| c.experiment.tdvs_point() == Some((threshold, w)))
                     .expect("cell exists");
-                print!(" {:>8.3}", cell.result.throughput.fraction_ge(x));
+                print!(" {:>8.3}", cell.throughput.fraction_ge(x));
             }
             println!(" {:>8.3}", baseline.throughput.fraction_ge(x));
         }
@@ -55,15 +61,16 @@ fn main() {
         "\nsummary: p80 throughput (Mbps) per cell (noDVS {:.1}):",
         baseline.p80_throughput_mbps()
     );
-    for c in &cells {
-        let t = c.result.p80_throughput_mbps();
+    for c in cells {
+        let t = c.p80_throughput_mbps();
+        let (threshold, window) = c.experiment.tdvs_point().expect("a TDVS cell");
         println!(
             "  thr {:>5.0} win {:>5}k : {:>7.1}  {} ({} switches)",
-            c.threshold_mbps,
-            c.window_cycles / 1000,
+            threshold,
+            window / 1000,
             t,
             bar((t - 400.0) / 1000.0, 30),
-            c.result.sim.total_switches
+            c.sim.total_switches
         );
     }
 }

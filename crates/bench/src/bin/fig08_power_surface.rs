@@ -5,7 +5,7 @@ use abdex::nepsim::Benchmark;
 use abdex::sweep::power_surface;
 use abdex::tables::render_surface;
 use abdex::traffic::TrafficLevel;
-use abdex::{sweep_tdvs, TdvsGrid};
+use abdex::{run_grid, Grid, Runner, TdvsGrid};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
 fn main() {
@@ -15,15 +15,21 @@ fn main() {
         "fig08: sweeping {} cells at {cycles} cycles each...",
         grid.len()
     );
-    let cells = sweep_tdvs(
-        Benchmark::Ipfwdr,
-        &TrafficLevel::High.into(),
-        &grid,
-        cycles,
-        FIG_SEED,
+    let run = run_grid(
+        &Runner::new(),
+        &Grid::tdvs(
+            Benchmark::Ipfwdr,
+            &TrafficLevel::High.into(),
+            &grid,
+            cycles,
+            FIG_SEED,
+        ),
+        1,
     );
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let cells = run.plain().expect("one seed per cell");
     println!(
         "Fig. 8 — {}",
-        render_surface(&power_surface(&cells), "80th-percentile power (W)")
+        render_surface(&power_surface(cells), "80th-percentile power (W)")
     );
 }

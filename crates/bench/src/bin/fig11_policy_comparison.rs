@@ -1,11 +1,12 @@
 //! Paper Fig. 11: power-distribution comparison of noDVS / EDVS / TDVS
 //! across all four benchmarks and the three traffic levels (12 subplots).
 
-use abdex::compare::{compare_policies, ComparisonConfig};
+use abdex::compare::ComparisonConfig;
 use abdex::dvs::PolicyKind;
 use abdex::nepsim::Benchmark;
-use abdex::tables::render_comparison;
+use abdex::tables::render_grid;
 use abdex::traffic::{TrafficLevel, TrafficSpec};
+use abdex::{run_grid, ConfidenceLevel, Grid, Runner};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
 fn main() {
@@ -19,7 +20,10 @@ fn main() {
         "fig11: running {} cells at {cycles} cycles each...",
         Benchmark::ALL.len() * TrafficLevel::ALL.len() * 3
     );
-    let cmp = compare_policies(&Benchmark::ALL, &TrafficSpec::paper_levels(), &cfg);
+    let grid = Grid::compare(&Benchmark::ALL, &TrafficSpec::paper_levels(), &cfg);
+    let cmp = run_grid(&Runner::new(), &grid, 1);
+    assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+    let cells = cmp.plain().expect("one seed per cell");
 
     // The 12 subplots: per benchmark x traffic, a power CDF over the
     // paper's 0.4..1.8 W axis.
@@ -36,14 +40,14 @@ fn main() {
                 print!("{x:>8.1}");
                 for kind in [PolicyKind::NoDvs, PolicyKind::Edvs, PolicyKind::Tdvs] {
                     let row = cmp
-                        .row(benchmark, &traffic.into(), kind)
+                        .position(benchmark, &traffic.into(), kind)
                         .expect("row exists");
-                    print!(" {:>8.3}", row.result.power.fraction_le(x));
+                    print!(" {:>8.3}", cells[row].power.fraction_le(x));
                 }
                 println!();
             }
         }
     }
 
-    println!("\n{}", render_comparison(&cmp));
+    println!("\n{}", render_grid(&cmp, ConfidenceLevel::default()));
 }

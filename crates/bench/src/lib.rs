@@ -11,6 +11,8 @@
 
 #![warn(missing_docs)]
 
+pub mod ablation;
+
 use abdex::PAPER_RUN_CYCLES;
 
 /// Reads the per-configuration cycle budget from `argv[1]`, defaulting to

@@ -31,4 +31,4 @@ mod store;
 
 pub use key::{Key, CACHE_EPOCH};
 pub use obs::CacheCounters;
-pub use store::{Cache, CacheStats, DEFAULT_DIR};
+pub use store::{write_atomic, Cache, CacheStats, DEFAULT_DIR};

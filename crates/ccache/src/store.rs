@@ -12,8 +12,8 @@
 //! full canonical spec (collision insurance and `gc`-time
 //! debuggability), then the payload bytes verbatim.
 //!
-//! **Writes are atomic**: the payload is written to a `.tmp-<pid>-<n>`
-//! file in the shard directory and `rename`d into place, so concurrent
+//! **Writes are atomic** ([`write_atomic`]): the payload is written to
+//! a temp file beside its entry and `rename`d into place, so concurrent
 //! `--jobs` workers (or whole processes) racing on the same cell can
 //! never interleave bytes — the last complete write wins, and every
 //! racer wrote the same deterministic payload anyway.
@@ -24,7 +24,7 @@
 //! at worst; it can never change a result.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +45,40 @@ const COUNTERS_FILE: &str = "COUNTERS";
 
 /// Monotonic suffix for temp-file names within this process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes `bytes` to `path` atomically: into a temp file beside it,
+/// then `rename`d into place, so a reader — or a run interrupted
+/// mid-write — sees either the previous file or the complete new one,
+/// never a truncated one. Nothing is fsynced, so the write is not
+/// durable across a power loss. A failed write removes its temp file
+/// and returns the error.
+///
+/// # Errors
+///
+/// Any I/O error creating, writing or renaming the temp file (e.g. a
+/// missing parent directory, or a directory at `path`).
+pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    let path = path.as_ref();
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        )
+    })?;
+    let tmp = path.with_file_name(format!(
+        ".{}.tmp-{}-{}",
+        name.to_string_lossy(),
+        process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes))
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
 
 /// Aggregate size of (part of) the store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,25 +199,12 @@ impl Cache {
     }
 
     fn write_entry(&self, key: Key, spec: &str, payload: &str) -> Option<()> {
-        let shard = self.root.join(key.shard());
-        fs::create_dir_all(&shard).ok()?;
-        let tmp = shard.join(format!(
-            ".tmp-{}-{}",
-            process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        fs::create_dir_all(self.root.join(key.shard())).ok()?;
         let contents = format!(
             "{}\nspec {spec}\n{payload}",
             self.header(key, payload.len())
         );
-        let written = fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(contents.as_bytes()))
-            .and_then(|()| fs::rename(&tmp, self.entry_path(key)));
-        if written.is_err() {
-            let _ = fs::remove_file(&tmp);
-            return None;
-        }
-        Some(())
+        write_atomic(self.entry_path(key), contents.as_bytes()).ok()
     }
 
     /// Snapshot of this handle's in-memory counters.
@@ -216,17 +237,7 @@ impl Cache {
             total.misses + delta.misses,
             total.stores + delta.stores,
         );
-        let tmp = self.root.join(format!(
-            ".tmp-counters-{}-{}",
-            process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let written = fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(contents.as_bytes()))
-            .and_then(|()| fs::rename(&tmp, self.root.join(COUNTERS_FILE)));
-        if written.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
+        let _ = write_atomic(self.root.join(COUNTERS_FILE), contents.as_bytes());
     }
 
     /// The cumulative counters previously flushed to this cache dir
@@ -339,6 +350,52 @@ mod tests {
             std::env::temp_dir().join(format!("abdex-ccache-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         Cache::open(dir).unwrap()
+    }
+
+    /// The entries of `dir` other than `keep`.
+    fn strays(dir: &Path, keep: &str) -> Vec<String> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name != keep)
+            .collect()
+    }
+
+    #[test]
+    fn atomic_write_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("abdex-atomic-ok-{}", process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second, longer").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second, longer");
+        assert!(
+            strays(&dir, "doc.json").is_empty(),
+            "{:?}",
+            strays(&dir, "doc.json")
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_atomic_write_returns_the_error_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("abdex-atomic-err-{}", process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // The target is a directory: the rename into place must fail.
+        let target = dir.join("occupied");
+        fs::create_dir_all(&target).unwrap();
+        assert!(write_atomic(&target, b"payload").is_err());
+        assert!(target.is_dir(), "the directory survives");
+        assert!(
+            strays(&dir, "occupied").is_empty(),
+            "{:?}",
+            strays(&dir, "occupied")
+        );
+        // A missing parent directory fails before any file exists.
+        assert!(write_atomic(dir.join("no/such/dir/out.json"), b"x").is_err());
+        assert!(write_atomic("/", b"x").is_err());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -92,37 +92,29 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use abdex::compare::{try_compare_policies, ComparisonConfig};
-use abdex::experiment::partition_cells;
+use abdex::ccache::write_atomic;
+use abdex::compare::ComparisonConfig;
 use abdex::fleet::{run_fleet, DispatchRegistry, FleetConfig, FleetPolicyRegistry};
 use abdex::json::{
-    comparison_json, experiment_json, replicated_compare_json, replicated_run_json,
-    replicated_spec_sweep_json, replicated_tdvs_sweep_json, replicated_traffic_sweep_json,
-    spec_sweep_json, tdvs_sweep_json, traffic_sweep_json,
+    experiment_json, fleet_json, grid_json, replicated_run_json, scenario_json, trace_analysis_json,
 };
-use abdex::json::{fleet_json, scenario_json, trace_analysis_json};
 use abdex::nepsim::{Benchmark, NpuConfig, Simulator, TraceConfig};
 use abdex::record::{
     fleet_record_series, record_jsonl, render_obs_stats, scenario_record_series,
     try_replicated_run_recorded, RecordedSeries,
 };
-use abdex::replicate::{
-    try_replicated_compare, try_replicated_run, try_replicated_sweep_specs,
-    try_replicated_sweep_tdvs, try_replicated_sweep_traffics,
-};
 use abdex::scenario::{self, Scenario};
-use abdex::sweep::{try_sweep_specs, try_sweep_tdvs, try_sweep_traffics};
+use abdex::sweep::{power_surface, throughput_surface};
 use abdex::tables::{
-    render_comparison, render_fleet, render_replicated_comparison, render_replicated_run,
-    render_replicated_spec_sweep, render_replicated_sweep, render_replicated_traffic_sweep,
-    render_scenario, render_spec_sweep, render_surface, render_sweep, render_trace_analysis,
-    render_traffic_sweep,
+    render_fleet, render_grid, render_replicated_run, render_scenario, render_surface,
+    render_trace_analysis,
 };
 use abdex::traceio::{analyze_trace, generate_trace};
 use abdex::traffic::RecordedTrace;
 use abdex::{
-    optimal_tdvs, ConfidenceLevel, DesignPriority, Experiment, JobError, PolicyRegistry,
-    PolicySpec, ProgressMode, Runner, TdvsGrid, TrafficRegistry, TrafficSpec, PAPER_RUN_CYCLES,
+    optimal_tdvs, run_grid, run_replicated_experiments, Axis, ConfidenceLevel, DesignPriority,
+    Experiment, Grid, JobError, PolicyRegistry, PolicySpec, ProgressMode, Runner, TdvsGrid,
+    TrafficRegistry, TrafficSpec, PAPER_RUN_CYCLES,
 };
 use loc::{parse, Analyzer, Checker, Trace};
 
@@ -267,9 +259,9 @@ fn main() -> ExitCode {
     let mut result = dispatch(&args);
     if profiling {
         // The command's work is over; exporting now captures every
-        // span, including the worker threads' (already flushed — the
-        // pools are scoped). A failed export fails the invocation, but
-        // never eats the command's own error.
+        // span, including the worker threads' (each thread flushes its
+        // spans whenever its span stack empties). A failed export fails
+        // the invocation, but never eats the command's own error.
         if let Err(e) = finish_profile(&args) {
             result = result.and(Err(e));
         }
@@ -296,7 +288,7 @@ fn finish_profile(args: &[String]) -> Result<(), String> {
         let path = args
             .get(i + 1)
             .ok_or_else(|| "--profile needs a value".to_owned())?;
-        std::fs::write(path, profile.chrome_trace_json())
+        write_atomic(path, profile.chrome_trace_json().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!(
             "wrote Chrome trace of {} span(s) to {path} (open in Perfetto or chrome://tracing)",
@@ -679,7 +671,7 @@ fn write_record(opts: &Opts, source: &str, series: &[RecordedSeries]) -> Result<
         return Ok(());
     };
     let doc = record_jsonl(source, series);
-    std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+    write_atomic(path, doc.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!(
         "wrote {} bytes of record JSONL ({} series) to {path}",
         doc.len(),
@@ -711,7 +703,7 @@ fn write_json(opts: &Opts, render: impl FnOnce() -> String) -> Result<(), String
         }
         Some(path) => {
             let doc = render();
-            std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+            write_atomic(path, doc.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {} bytes of JSON to {path}", doc.len());
             Ok(())
         }
@@ -845,7 +837,10 @@ fn finish_replicated_run(
     let (replicated, series) = if wants_recording(opts) {
         try_replicated_run_recorded(pool, experiment, seeds).map_err(|e| e.to_string())?
     } else {
-        let replicated = try_replicated_run(pool, experiment, seeds).map_err(|e| e.to_string())?;
+        let replicated = run_replicated_experiments(pool, vec![experiment.clone()], seeds)
+            .pop()
+            .expect("one experiment yields one outcome")
+            .map_err(|e| e.to_string())?;
         (replicated, Vec::new())
     };
     emit(
@@ -907,106 +902,20 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     if opts.contains_key("traffic") && traffics.is_some() {
         return Err("--traffic does not apply with --traffics (the list is the axis)".to_owned());
     }
+    let grid = match (specs, traffics) {
+        (Some(specs), _) => Grid::policies(bench, &level, &specs, cycles, seed),
+        // A `--traffics` list sweeps the traffic axis under one policy.
+        (_, Some(traffics)) => Grid::traffics(bench, &traffics, &policy(opts)?, cycles, seed),
+        // The paper's TDVS threshold x window grid.
+        (None, None) => Grid::tdvs(bench, &level, &TdvsGrid::default(), cycles, seed),
+    };
     preflight_json(opts)?;
     drop(plan);
-
-    // A `--traffics` list sweeps the traffic axis under one policy.
-    if let Some(traffics) = traffics {
-        let policy = policy(opts)?;
-        if seeds > 1 {
-            let (cells, errors) = partition_cells(try_replicated_sweep_traffics(
-                &pool, bench, &traffics, &policy, cycles, seed, seeds,
-            ));
-            emit(opts, &render_replicated_traffic_sweep(&cells, ci));
-            let json = write_json(opts, || {
-                replicated_traffic_sweep_json(&cells, seeds, ci, &errors)
-            });
-            return finish_batch(&pool, json, errors);
-        }
-        let (cells, errors) = partition_cells(try_sweep_traffics(
-            &pool, bench, &traffics, &policy, cycles, seed,
-        ));
-        emit(opts, &render_traffic_sweep(&cells));
-        let json = write_json(opts, || traffic_sweep_json(&cells, &errors));
-        return finish_batch(&pool, json, errors);
-    }
-
-    // A `--policies` list runs a policy-spec sweep instead of the
-    // paper's TDVS threshold x window grid.
-    if let Some(specs) = specs {
-        if seeds > 1 {
-            let (cells, errors) = partition_cells(try_replicated_sweep_specs(
-                &pool, bench, &level, &specs, cycles, seed, seeds,
-            ));
-            emit(opts, &render_replicated_spec_sweep(&cells, ci));
-            let json = write_json(opts, || {
-                replicated_spec_sweep_json(&cells, seeds, ci, &errors)
-            });
-            return finish_batch(&pool, json, errors);
-        }
-        let (cells, errors) =
-            partition_cells(try_sweep_specs(&pool, bench, &level, &specs, cycles, seed));
-        emit(opts, &render_spec_sweep(&cells));
-        let json = write_json(opts, || spec_sweep_json(&cells, &errors));
-        return finish_batch(&pool, json, errors);
-    }
-
-    if seeds > 1 {
-        let (cells, errors) = partition_cells(try_replicated_sweep_tdvs(
-            &pool,
-            bench,
-            &level,
-            &TdvsGrid::default(),
-            cycles,
-            seed,
-            seeds,
-        ));
-        emit(opts, &render_replicated_sweep(&cells, ci));
-        let json = write_json(opts, || {
-            replicated_tdvs_sweep_json(&cells, seeds, ci, &errors)
-        });
-        return finish_batch(&pool, json, errors);
-    }
-
-    let (cells, errors) = partition_cells(try_sweep_tdvs(
-        &pool,
-        bench,
-        &level,
-        &TdvsGrid::default(),
-        cycles,
-        seed,
-    ));
-    emit(opts, &render_sweep(&cells));
-    emit(
-        opts,
-        &render_surface(&abdex::sweep::power_surface(&cells), "p80 power (W)"),
-    );
-    emit(
-        opts,
-        &render_surface(
-            &abdex::sweep::throughput_surface(&cells),
-            "p80 throughput (Mbps)",
-        ),
-    );
-    for (p, label) in [
-        (DesignPriority::Performance, "performance"),
-        (DesignPriority::Power, "power"),
-    ] {
-        if let Some(best) = optimal_tdvs(&cells, p) {
-            emit(
-                opts,
-                &format!(
-                    "optimal ({label}): threshold {} Mbps, window {} cycles",
-                    best.threshold_mbps, best.window_cycles
-                ),
-            );
-        }
-    }
-    let json = write_json(opts, || tdvs_sweep_json(&cells, &errors));
-    finish_batch(&pool, json, errors)
+    finish_grid(opts, &pool, &grid, seeds, ci)
 }
 
 fn cmd_compare(opts: &Opts) -> Result<(), String> {
+    let plan = abdex::obs::prof::span("plan");
     let cfg = ComparisonConfig {
         cycles: number(opts, "cycles", PAPER_RUN_CYCLES)?,
         seed: number(opts, "seed", 42)?,
@@ -1025,17 +934,51 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
     };
     let pool = runner(opts)?;
     let (seeds, ci) = replication_opts(opts, 1)?;
+    let grid = Grid::compare(&Benchmark::ALL, &traffics, &cfg);
     preflight_json(opts)?;
-    if seeds > 1 {
-        let (cmp, errors) = try_replicated_compare(&pool, &Benchmark::ALL, &traffics, &cfg, seeds);
-        emit(opts, &render_replicated_comparison(&cmp, ci));
-        let json = write_json(opts, || replicated_compare_json(&cmp, ci, &errors));
-        return finish_batch(&pool, json, errors);
+    drop(plan);
+    finish_grid(opts, &pool, &grid, seeds, ci)
+}
+
+/// The shared tail of `sweep` and `compare`: run the grid, print its
+/// table (plus the Fig. 8/9 surfaces and both optima for a plain TDVS
+/// sweep), write its `--json` document and report failed cells.
+fn finish_grid(
+    opts: &Opts,
+    pool: &Runner,
+    grid: &Grid,
+    seeds: u64,
+    ci: ConfidenceLevel,
+) -> Result<(), String> {
+    let run = run_grid(pool, grid, seeds);
+    emit(opts, &render_grid(&run, ci));
+    if let (Axis::Tdvs, Some(cells)) = (run.axis, run.plain()) {
+        emit(
+            opts,
+            &render_surface(&power_surface(cells), "p80 power (W)"),
+        );
+        emit(
+            opts,
+            &render_surface(&throughput_surface(cells), "p80 throughput (Mbps)"),
+        );
+        for (p, label) in [
+            (DesignPriority::Performance, "performance"),
+            (DesignPriority::Power, "power"),
+        ] {
+            if let Some((threshold, window)) =
+                optimal_tdvs(cells, p).and_then(|best| best.experiment.tdvs_point())
+            {
+                emit(
+                    opts,
+                    &format!(
+                        "optimal ({label}): threshold {threshold} Mbps, window {window} cycles"
+                    ),
+                );
+            }
+        }
     }
-    let (cmp, errors) = try_compare_policies(&pool, &Benchmark::ALL, &traffics, &cfg);
-    emit(opts, &render_comparison(&cmp));
-    let json = write_json(opts, || comparison_json(&cmp, &errors));
-    finish_batch(&pool, json, errors)
+    let json = write_json(opts, || grid_json(&run, ci));
+    finish_batch(pool, json, run.failures)
 }
 
 /// Dispatches the `scenario` command: `run <name|file>` and `list`.
@@ -1476,7 +1419,7 @@ fn cmd_trace_generate(opts: &Opts) -> Result<(), String> {
     let (trace, text) = generate_trace(&spec, cycles, seed)?;
     match opts.get("out") {
         Some(path) => {
-            std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            write_atomic(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!(
                 "recorded {} packets of `{}` (seed {seed}, {cycles} cycles) to {path}",
                 trace.len(),
@@ -1516,7 +1459,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     let text = sim.into_trace().to_text();
     match opts.get("out") {
         Some(path) => {
-            std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            write_atomic(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote {} bytes to {path}", text.len());
         }
         None => print!("{text}"),

@@ -1,40 +1,11 @@
-//! Policy comparison across benchmarks and traffic specs (paper §4.3,
-//! Fig. 11), extended with every other registered policy family — and,
-//! through [`TrafficSpec`], with any registered traffic model on the
-//! traffic axis.
+//! The policy comparison's fixed parameters (paper §4.3, Fig. 11),
+//! extended with every other registered policy family. The grid itself
+//! — benchmarks × traffic specs × [`ComparisonConfig::policies`] — is
+//! [`crate::Grid::compare`].
 
-use dvs::{
-    CombinedConfig, EdvsConfig, PolicyKind, ProportionalConfig, QueueAwareConfig, TdvsConfig,
-};
-use nepsim::{Benchmark, PolicySpec};
+use dvs::{CombinedConfig, EdvsConfig, ProportionalConfig, QueueAwareConfig, TdvsConfig};
+use nepsim::PolicySpec;
 use serde::{Deserialize, Serialize};
-use traffic::TrafficSpec;
-use xrun::{JobError, Runner};
-
-use crate::experiment::{run_experiments, Experiment, ExperimentResult};
-
-/// One row of the Fig. 11 grid: a benchmark × traffic level × policy
-/// combination with its measured result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ComparisonRow {
-    /// Benchmark application.
-    pub benchmark: Benchmark,
-    /// Traffic-model spec.
-    pub traffic: TrafficSpec,
-    /// Policy family that ran.
-    pub policy: PolicyKind,
-    /// The evaluated experiment.
-    pub result: ExperimentResult,
-}
-
-/// The full comparison grid: every benchmark × traffic level, each run
-/// under every compared policy family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicyComparison {
-    /// All rows, ordered benchmark-major, then traffic, then policy in
-    /// [`ComparisonConfig::policies`] order.
-    pub rows: Vec<ComparisonRow>,
-}
 
 /// The fixed policy parameters of the §4.3 comparison: the optima found
 /// by the §4.1/§4.2 sweeps for the paper's policies, defaults for the
@@ -93,156 +64,32 @@ impl ComparisonConfig {
     }
 }
 
-/// Runs the comparison grid: `benchmarks × levels ×` every policy of
-/// [`ComparisonConfig::policies`].
-///
-/// # Example
-///
-/// ```
-/// use abdex::compare::{compare_policies, ComparisonConfig};
-/// use abdex::nepsim::Benchmark;
-/// use abdex::traffic::TrafficLevel;
-///
-/// let cfg = ComparisonConfig { cycles: 150_000, ..ComparisonConfig::default() };
-/// let cmp = compare_policies(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
-/// assert_eq!(cmp.rows.len(), 6); // one per policy family
-/// ```
-#[must_use]
-pub fn compare_policies(
-    benchmarks: &[Benchmark],
-    traffics: &[TrafficSpec],
-    config: &ComparisonConfig,
-) -> PolicyComparison {
-    let (cmp, errors) = try_compare_policies(&Runner::new(), benchmarks, traffics, config);
-    crate::experiment::assert_no_failures(&errors);
-    cmp
-}
-
-/// Runs the comparison grid on the given [`Runner`]: the fallible form
-/// of [`compare_policies`].
-///
-/// Returns the comparison built from every cell that completed plus one
-/// [`JobError`] per cell that panicked — the batch always runs to the
-/// end, so a failing policy costs only its own rows.
-#[must_use]
-pub fn try_compare_policies(
-    runner: &Runner,
-    benchmarks: &[Benchmark],
-    traffics: &[TrafficSpec],
-    config: &ComparisonConfig,
-) -> (PolicyComparison, Vec<JobError>) {
-    let (keys, experiments) = comparison_experiments(benchmarks, traffics, config);
-    let mut rows = Vec::with_capacity(keys.len());
-    let mut errors = Vec::new();
-    for (outcome, (benchmark, traffic, kind)) in
-        run_experiments(runner, experiments).into_iter().zip(keys)
-    {
-        match outcome {
-            Ok(result) => rows.push(ComparisonRow {
-                benchmark,
-                traffic,
-                policy: kind,
-                result,
-            }),
-            Err(e) => errors.push(e),
-        }
-    }
-    (PolicyComparison { rows }, errors)
-}
-
-/// The comparison grid in row order — `(benchmark, traffic, policy
-/// kind)` keys and the experiment each key runs. Shared by the plain
-/// and the replicated comparison so their grids can never drift apart.
-pub(crate) type ComparisonKey = (Benchmark, TrafficSpec, PolicyKind);
-
-pub(crate) fn comparison_experiments(
-    benchmarks: &[Benchmark],
-    traffics: &[TrafficSpec],
-    config: &ComparisonConfig,
-) -> (Vec<ComparisonKey>, Vec<Experiment>) {
-    let mut keys = Vec::new();
-    let mut experiments = Vec::new();
-    for &benchmark in benchmarks {
-        for traffic in traffics {
-            for policy in config.policies() {
-                keys.push((benchmark, traffic.clone(), policy.kind()));
-                experiments.push(Experiment {
-                    benchmark,
-                    traffic: traffic.clone(),
-                    policy,
-                    cycles: config.cycles,
-                    seed: config.seed,
-                });
-            }
-        }
-    }
-    (keys, experiments)
-}
-
-impl PolicyComparison {
-    /// Finds the row for an exact combination.
-    #[must_use]
-    pub fn row(
-        &self,
-        benchmark: Benchmark,
-        traffic: &TrafficSpec,
-        policy: PolicyKind,
-    ) -> Option<&ComparisonRow> {
-        self.rows
-            .iter()
-            .find(|r| r.benchmark == benchmark && &r.traffic == traffic && r.policy == policy)
-    }
-
-    /// Power saving of `policy` relative to the noDVS baseline for a
-    /// combination, as a fraction of baseline mean power. `None` when
-    /// either row is missing.
-    #[must_use]
-    pub fn power_saving(
-        &self,
-        benchmark: Benchmark,
-        traffic: &TrafficSpec,
-        policy: PolicyKind,
-    ) -> Option<f64> {
-        let base = self.row(benchmark, traffic, PolicyKind::NoDvs)?;
-        let with = self.row(benchmark, traffic, policy)?;
-        let b = base.result.sim.mean_power_w();
-        let w = with.result.sim.mean_power_w();
-        (b > 0.0).then(|| (b - w) / b)
-    }
-
-    /// Throughput loss of `policy` relative to noDVS, as a fraction of the
-    /// baseline throughput. `None` when either row is missing.
-    #[must_use]
-    pub fn throughput_loss(
-        &self,
-        benchmark: Benchmark,
-        traffic: &TrafficSpec,
-        policy: PolicyKind,
-    ) -> Option<f64> {
-        let base = self.row(benchmark, traffic, PolicyKind::NoDvs)?;
-        let with = self.row(benchmark, traffic, policy)?;
-        let b = base.result.sim.throughput_mbps();
-        let w = with.result.sim.throughput_mbps();
-        (b > 0.0).then(|| (b - w) / b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traffic::TrafficLevel;
+    use crate::sweep::{run_grid, Grid, GridRun};
+    use dvs::PolicyKind;
+    use nepsim::Benchmark;
+    use traffic::{TrafficLevel, TrafficSpec};
+    use xrun::Runner;
 
     fn spec(level: TrafficLevel) -> TrafficSpec {
         TrafficSpec::Level(level)
     }
 
-    fn quick_cmp(benchmarks: &[Benchmark], levels: &[TrafficLevel]) -> PolicyComparison {
+    fn quick_cmp(benchmarks: &[Benchmark], levels: &[TrafficLevel]) -> GridRun {
         let cfg = ComparisonConfig {
             cycles: 1_200_000,
             ..ComparisonConfig::default()
         };
         let traffics: Vec<TrafficSpec> = levels.iter().copied().map(spec).collect();
-        compare_policies(benchmarks, &traffics, &cfg)
+        let run = run_grid(
+            &Runner::new(),
+            &Grid::compare(benchmarks, &traffics, &cfg),
+            1,
+        );
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        run
     }
 
     #[test]
@@ -251,7 +98,7 @@ mod tests {
             &[Benchmark::Ipfwdr, Benchmark::Nat],
             &[TrafficLevel::Low, TrafficLevel::High],
         );
-        assert_eq!(cmp.rows.len(), 2 * 2 * 6);
+        assert_eq!(cmp.plain().expect("one seed per cell").len(), 2 * 2 * 6);
         for kind in [
             PolicyKind::NoDvs,
             PolicyKind::Tdvs,
@@ -261,7 +108,7 @@ mod tests {
             PolicyKind::Proportional,
         ] {
             assert!(
-                cmp.row(Benchmark::Nat, &spec(TrafficLevel::Low), kind)
+                cmp.position(Benchmark::Nat, &spec(TrafficLevel::Low), kind)
                     .is_some(),
                 "missing {kind} row"
             );
@@ -345,7 +192,7 @@ mod tests {
     fn missing_rows_return_none() {
         let cmp = quick_cmp(&[Benchmark::Nat], &[TrafficLevel::Low]);
         assert!(cmp
-            .row(Benchmark::Md4, &spec(TrafficLevel::Low), PolicyKind::NoDvs)
+            .position(Benchmark::Md4, &spec(TrafficLevel::Low), PolicyKind::NoDvs)
             .is_none());
         assert!(cmp
             .power_saving(Benchmark::Md4, &spec(TrafficLevel::Low), PolicyKind::Tdvs)

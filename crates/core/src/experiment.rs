@@ -60,6 +60,16 @@ impl Experiment {
         self.job_spec().label()
     }
 
+    /// The `(threshold Mbps, window cycles)` of a plain-TDVS experiment
+    /// — its key in a TDVS grid; `None` under any other policy.
+    #[must_use]
+    pub fn tdvs_point(&self) -> Option<(f64, u64)> {
+        match &self.policy {
+            PolicySpec::Tdvs(c) => Some((c.top_threshold_mbps, c.window_cycles)),
+            _ => None,
+        }
+    }
+
     /// Builds the simulator configuration for this experiment.
     #[must_use]
     pub fn npu_config(&self) -> NpuConfig {
@@ -146,11 +156,11 @@ impl From<JobSpec> for Experiment {
 /// Runs a batch of experiments on an [`xrun::Runner`], returning one
 /// outcome per experiment **in submission order**.
 ///
-/// This is the single execution path every sweep, comparison and
-/// ablation funnels through: each experiment becomes one runner job
-/// (simulate + analyze), so cells run on all available workers and a
-/// panicking cell surfaces as its own [`JobError`] while the rest of
-/// the batch completes. When the runner carries a result cache
+/// This is the single execution path every grid
+/// ([`crate::sweep::run_grid`]) funnels through: each experiment
+/// becomes one runner job (simulate + analyze), so cells run on all
+/// available workers and a panicking cell surfaces as its own
+/// [`JobError`] while the rest of the batch completes. When the runner carries a result cache
 /// ([`Runner::cache`]), every cell consults it before simulating and
 /// publishes after ([`crate::cachefmt::run_cached`]) — a hit is
 /// bit-identical to a cold simulation, so the batch's results are
@@ -179,43 +189,6 @@ pub fn partition_cells<T>(outcomes: Vec<Result<T, JobError>>) -> (Vec<T>, Vec<Jo
         }
     }
     (cells, errors)
-}
-
-/// Panics with every failure's message when any cell failed — the
-/// single formatting point for batch-failure reports.
-pub(crate) fn assert_no_failures(errors: &[JobError]) {
-    assert!(
-        errors.is_empty(),
-        "{} cell(s) failed:\n  {}",
-        errors.len(),
-        errors
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n  ")
-    );
-}
-
-/// Unwraps a batch of cell outcomes, panicking with every failure's
-/// message when any cell failed.
-///
-/// The infallible sweep/compare entry points use this to keep their
-/// `Vec<Cell>` signatures: a cell failure is a bug in the simulator (or
-/// a custom policy), so it still propagates as a panic. Unlike the old
-/// serial loops this is **not** fail-fast — the whole batch runs to
-/// completion first, so every broken cell is reported at once at the
-/// cost of finishing the healthy cells. Callers who want to react to
-/// failures (or avoid paying for the rest of the batch) should use the
-/// `try_*` entry points instead.
-///
-/// # Panics
-///
-/// Panics when any outcome is an error, listing every failed cell.
-#[must_use]
-pub fn expect_cells<T>(outcomes: Vec<Result<T, JobError>>) -> Vec<T> {
-    let (cells, errors) = partition_cells(outcomes);
-    assert_no_failures(&errors);
-    cells
 }
 
 /// A simulated configuration together with its analyzed distributions.
@@ -360,19 +333,5 @@ mod tests {
             assert_eq!(got.sim.forwarded_packets, direct.sim.forwarded_packets);
             assert_eq!(got.p80_power_w().to_bits(), direct.p80_power_w().to_bits());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cell(s) failed")]
-    fn expect_cells_reports_failures() {
-        let outcomes: Vec<Result<u32, xrun::JobError>> = vec![
-            Ok(1),
-            Err(xrun::JobError {
-                job: "bad cell".into(),
-                index: 1,
-                message: "boom".into(),
-            }),
-        ];
-        let _ = expect_cells(outcomes);
     }
 }

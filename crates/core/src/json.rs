@@ -10,16 +10,12 @@
 //! the human-readable tables.
 
 use scenario::ScenarioRun;
-use stats::{welch_t, ConfidenceLevel, Summary};
+use stats::{ConfidenceLevel, Summary};
 use xrun::JobError;
 
-use crate::compare::PolicyComparison;
 use crate::experiment::ExperimentResult;
-use crate::replicate::{
-    ReplicatedComparison, ReplicatedGridCell, ReplicatedResult, ReplicatedSpecCell,
-    ReplicatedTrafficCell,
-};
-use crate::sweep::{GridCell, SpecCell, TrafficCell};
+use crate::replicate::{ReplicatedComparison, ReplicatedResult};
+use crate::sweep::{vs_nodvs, Axis, CellRef, GridRun};
 use crate::traceio::{StreamStats, TraceAnalysis};
 
 /// Version of the hand-rolled `--json` schema. Bump whenever a document's
@@ -260,12 +256,17 @@ fn replicated_fields(obj: Obj, r: &ReplicatedResult, level: ConfidenceLevel) -> 
         .raw("metrics", &metrics.finish())
 }
 
-/// The header fields every replicated document opens with.
-fn replicated_header(kind: &str, seeds: u64, level: ConfidenceLevel) -> Obj {
+/// The header fields every document opens with.
+pub(crate) fn header(kind: &str) -> Obj {
     Obj::new()
         .int("schema_version", SCHEMA_VERSION)
         .int("cache_epoch", ccache::CACHE_EPOCH)
         .str("kind", kind)
+}
+
+/// The header fields every replicated document opens with.
+fn replicated_header(kind: &str, seeds: u64, level: ConfidenceLevel) -> Obj {
+    header(kind)
         .int("seeds", seeds)
         .int("ci_level", level.percent())
 }
@@ -274,123 +275,128 @@ fn replicated_header(kind: &str, seeds: u64, level: ConfidenceLevel) -> Obj {
 /// (`"kind": "experiment"`).
 #[must_use]
 pub fn experiment_json(r: &ExperimentResult) -> String {
-    result_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "experiment"),
-        r,
-    )
-    .finish()
+    result_fields(header("experiment"), r).finish()
 }
 
-/// Renders a TDVS threshold × window sweep as a JSON document
-/// (`"kind": "tdvs_sweep"`), one cell object per completed grid point
-/// in sweep order plus one `failures` entry per panicked cell.
-#[must_use]
-pub fn tdvs_sweep_json(cells: &[GridCell], failures: &[JobError]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            result_fields(
-                Obj::new()
-                    .num("threshold_mbps", c.threshold_mbps)
-                    .int("window_cycles", c.window_cycles),
-                &c.result,
-            )
-            .finish()
-        })
-        .collect();
-    failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "tdvs_sweep")
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
-    )
-    .finish()
+/// The axis fields that lead each cell object: the TDVS point, the
+/// policy family, the traffic model's registry name, or — on the
+/// compare axis — the saving and throughput loss vs the noDVS cell of
+/// the same benchmark and traffic (replicated, plus Welch's t of the
+/// mean powers and its verdict at `level`).
+fn axis_fields(
+    obj: Obj,
+    axis: Axis,
+    cells: &[CellRef<'_>],
+    cell: CellRef<'_>,
+    level: ConfidenceLevel,
+) -> Obj {
+    let e = cell.experiment();
+    match axis {
+        Axis::Tdvs => {
+            let (threshold, window) = e.tdvs_point().unwrap_or((f64::NAN, 0));
+            obj.num("threshold_mbps", threshold)
+                .int("window_cycles", window)
+        }
+        Axis::Policies => obj.str("policy_kind", &e.policy.kind().to_string()),
+        Axis::Traffics => obj.str("traffic_model", e.traffic.name()),
+        Axis::Compare => {
+            let vs = vs_nodvs(cells, cell);
+            let obj = obj
+                .num("saving_vs_nodvs", vs.saving.unwrap_or(f64::NAN))
+                .num("throughput_loss_vs_nodvs", vs.loss.unwrap_or(f64::NAN));
+            match cell {
+                CellRef::Plain(_) => obj,
+                CellRef::Replicated(_) => obj
+                    .num("welch_t_vs_nodvs", vs.welch.map_or(f64::NAN, |w| w.t))
+                    .bool(
+                        "significant_vs_nodvs",
+                        vs.welch.is_some_and(|w| w.significant(level)),
+                    ),
+            }
+        }
+    }
 }
 
-/// Renders a policy-spec sweep as a JSON document
-/// (`"kind": "spec_sweep"`), one cell per completed spec in list order
-/// plus one `failures` entry per panicked cell.
+/// Renders an evaluated grid as its JSON document: one cell object per
+/// completed cell in grid order — the axis fields, then the
+/// experiment's axes and `"metrics"` — plus one `failures` entry per
+/// failed cell. Plain grids are `tdvs_sweep`, `spec_sweep`,
+/// `traffic_sweep` or `policy_comparison` documents; replicated ones
+/// are `replicated_sweep` (with an `"axis"` tag: `tdvs`, `policies`,
+/// `traffics`) or `replicated_compare` documents whose metrics are
+/// `{mean, half_width, std_dev, min, max, n}` summaries at the
+/// document's `"ci_level"`. See [`SCHEMA_VERSION`] for the compare
+/// axis's `welch_t_vs_nodvs`/`significant_vs_nodvs` semantics,
+/// including the infinite statistic JSON renders as `null`.
 #[must_use]
-pub fn spec_sweep_json(cells: &[SpecCell], failures: &[JobError]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            result_fields(
-                Obj::new().str("policy_kind", &c.spec.kind().to_string()),
-                &c.result,
-            )
-            .finish()
-        })
-        .collect();
-    failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "spec_sweep")
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
+pub fn grid_json(run: &GridRun, level: ConfidenceLevel) -> String {
+    grid_doc(
+        run.axis,
+        run.replicated().map(|_| run.seeds),
+        &run.cell_refs(),
+        level,
+        &run.failures,
     )
-    .finish()
 }
 
-/// Renders a traffic-model sweep as a JSON document
-/// (`"kind": "traffic_sweep"`), one cell per completed traffic spec in
-/// list order plus one `failures` entry per panicked cell. The cell's
-/// `"traffic"` field holds the exact round-trippable spec string;
-/// `"traffic_model"` its registry name.
+/// Renders a [`ReplicatedComparison`] as a `replicated_compare`
+/// document: the compare-axis case of [`grid_json`].
 #[must_use]
-pub fn traffic_sweep_json(cells: &[TrafficCell], failures: &[JobError]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| result_fields(Obj::new().str("traffic_model", c.spec.name()), &c.result).finish())
-        .collect();
-    failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "traffic_sweep")
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
-    )
-    .finish()
-}
-
-/// Renders the policy comparison as a JSON document
-/// (`"kind": "policy_comparison"`), one row per completed benchmark ×
-/// traffic × policy with its saving vs. the noDVS baseline, plus one
-/// `failures` entry per panicked cell.
-#[must_use]
-pub fn comparison_json(cmp: &PolicyComparison, failures: &[JobError]) -> String {
-    let rendered: Vec<String> = cmp
+pub fn replicated_compare_json(
+    cmp: &ReplicatedComparison,
+    level: ConfidenceLevel,
+    failures: &[JobError],
+) -> String {
+    let cells: Vec<CellRef<'_>> = cmp
         .rows
         .iter()
-        .map(|row| {
-            let saving = cmp.power_saving(row.benchmark, &row.traffic, row.policy);
-            let loss = cmp.throughput_loss(row.benchmark, &row.traffic, row.policy);
-            result_fields(
-                Obj::new()
-                    .num("saving_vs_nodvs", saving.unwrap_or(f64::NAN))
-                    .num("throughput_loss_vs_nodvs", loss.unwrap_or(f64::NAN)),
-                &row.result,
-            )
+        .map(|row| CellRef::Replicated(&row.result))
+        .collect();
+    grid_doc(Axis::Compare, Some(cmp.seeds), &cells, level, failures)
+}
+
+/// `seeds` is `None` for a plain grid.
+fn grid_doc(
+    axis: Axis,
+    seeds: Option<u64>,
+    cells: &[CellRef<'_>],
+    level: ConfidenceLevel,
+    failures: &[JobError],
+) -> String {
+    // Each axis's plain document kind and replicated `"axis"` tag; the
+    // three sweeps share the replicated kind and list their `cells` as
+    // a `grid`, the comparison lists `rows` in a `table`.
+    let (plain_kind, tag) = match axis {
+        Axis::Tdvs => ("tdvs_sweep", Some("tdvs")),
+        Axis::Policies => ("spec_sweep", Some("policies")),
+        Axis::Traffics => ("traffic_sweep", Some("traffics")),
+        Axis::Compare => ("policy_comparison", None),
+    };
+    let (replicated_kind, count_key, list_key) = match tag {
+        Some(_) => ("replicated_sweep", "cells", "grid"),
+        None => ("replicated_compare", "rows", "table"),
+    };
+    let rendered: Vec<String> = cells
+        .iter()
+        .map(|&cell| {
+            let obj = axis_fields(Obj::new(), axis, cells, cell, level);
+            match cell {
+                CellRef::Plain(r) => result_fields(obj, r),
+                CellRef::Replicated(r) => replicated_fields(obj, r, level),
+            }
             .finish()
         })
         .collect();
+    let head = match (seeds, tag) {
+        (None, _) => header(plain_kind),
+        (Some(seeds), None) => replicated_header(replicated_kind, seeds, level),
+        (Some(seeds), Some(tag)) => {
+            replicated_header(replicated_kind, seeds, level).str("axis", tag)
+        }
+    };
     failure_fields(
-        Obj::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .int("cache_epoch", ccache::CACHE_EPOCH)
-            .str("kind", "policy_comparison")
-            .int("rows", rendered.len() as u64)
-            .raw("table", &array(&rendered)),
+        head.int(count_key, rendered.len() as u64)
+            .raw(list_key, &array(&rendered)),
         failures,
     )
     .finish()
@@ -406,148 +412,6 @@ pub fn replicated_run_json(r: &ReplicatedResult, level: ConfidenceLevel) -> Stri
         replicated_header("replicated_run", r.replicates(), level),
         r,
         level,
-    )
-    .finish()
-}
-
-/// Shared tail of the three replicated-sweep renderers.
-fn replicated_sweep_doc(
-    axis: &str,
-    seeds: u64,
-    level: ConfidenceLevel,
-    rendered: Vec<String>,
-    failures: &[JobError],
-) -> String {
-    failure_fields(
-        replicated_header("replicated_sweep", seeds, level)
-            .str("axis", axis)
-            .int("cells", rendered.len() as u64)
-            .raw("grid", &array(&rendered)),
-        failures,
-    )
-    .finish()
-}
-
-/// Renders a replicated TDVS sweep as a JSON document
-/// (`"kind": "replicated_sweep"`, `"axis": "tdvs"`).
-#[must_use]
-pub fn replicated_tdvs_sweep_json(
-    cells: &[ReplicatedGridCell],
-    seeds: u64,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            replicated_fields(
-                Obj::new()
-                    .num("threshold_mbps", c.threshold_mbps)
-                    .int("window_cycles", c.window_cycles),
-                &c.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    replicated_sweep_doc("tdvs", seeds, level, rendered, failures)
-}
-
-/// Renders a replicated policy-spec sweep as a JSON document
-/// (`"kind": "replicated_sweep"`, `"axis": "policies"`).
-#[must_use]
-pub fn replicated_spec_sweep_json(
-    cells: &[ReplicatedSpecCell],
-    seeds: u64,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            replicated_fields(
-                Obj::new().str("policy_kind", &c.spec.kind().to_string()),
-                &c.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    replicated_sweep_doc("policies", seeds, level, rendered, failures)
-}
-
-/// Renders a replicated traffic sweep as a JSON document
-/// (`"kind": "replicated_sweep"`, `"axis": "traffics"`).
-#[must_use]
-pub fn replicated_traffic_sweep_json(
-    cells: &[ReplicatedTrafficCell],
-    seeds: u64,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            replicated_fields(
-                Obj::new().str("traffic_model", c.spec.name()),
-                &c.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    replicated_sweep_doc("traffics", seeds, level, rendered, failures)
-}
-
-/// Renders the replicated policy comparison as a JSON document
-/// (`"kind": "replicated_compare"`), one row per completed benchmark ×
-/// traffic × policy cell with its saving vs. the noDVS baseline
-/// computed from the replicate means, and the significance of that
-/// saving (Welch's t-test on the per-seed mean-power folds at the
-/// document's `"ci_level"`; see [`SCHEMA_VERSION`] for the exact
-/// `welch_t_vs_nodvs`/`significant_vs_nodvs` semantics, including the
-/// infinite-statistic case JSON renders as `null`).
-#[must_use]
-pub fn replicated_compare_json(
-    cmp: &ReplicatedComparison,
-    level: ConfidenceLevel,
-    failures: &[JobError],
-) -> String {
-    let rendered: Vec<String> = cmp
-        .rows
-        .iter()
-        .map(|row| {
-            let saving = cmp.power_saving(row.benchmark, &row.traffic, row.policy);
-            let loss = cmp.throughput_loss(row.benchmark, &row.traffic, row.policy);
-            let welch = cmp
-                .row(row.benchmark, &row.traffic, dvs::PolicyKind::NoDvs)
-                .filter(|base| base.policy != row.policy)
-                .and_then(|base| {
-                    welch_t(
-                        &row.result.metrics.mean_power_w,
-                        &base.result.metrics.mean_power_w,
-                    )
-                });
-            replicated_fields(
-                Obj::new()
-                    .num("saving_vs_nodvs", saving.unwrap_or(f64::NAN))
-                    .num("throughput_loss_vs_nodvs", loss.unwrap_or(f64::NAN))
-                    .num("welch_t_vs_nodvs", welch.map_or(f64::NAN, |w| w.t))
-                    .bool(
-                        "significant_vs_nodvs",
-                        welch.is_some_and(|w| w.significant(level)),
-                    ),
-                &row.result,
-                level,
-            )
-            .finish()
-        })
-        .collect();
-    failure_fields(
-        replicated_header("replicated_compare", cmp.seeds, level)
-            .int("rows", rendered.len() as u64)
-            .raw("table", &array(&rendered)),
-        failures,
     )
     .finish()
 }
@@ -733,10 +597,7 @@ pub fn trace_analysis_json(path: &str, a: &TraceAnalysis) -> String {
             .int("cycles", p.cycles)
             .finish(),
     };
-    Obj::new()
-        .int("schema_version", SCHEMA_VERSION)
-        .int("cache_epoch", ccache::CACHE_EPOCH)
-        .str("kind", "trace_analysis")
+    header("trace_analysis")
         .str("trace", path)
         .int("packets", a.packets)
         .num("duration_us", a.duration_us)
@@ -752,11 +613,19 @@ pub fn trace_analysis_json(path: &str, a: &TraceAnalysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_policies, ComparisonConfig};
-    use crate::sweep::{sweep_specs, sweep_tdvs, sweep_traffics, TdvsGrid};
-    use crate::{Experiment, PolicySpec};
+    use crate::compare::ComparisonConfig;
+    use crate::replicate::ReplicatedComparisonRow;
+    use crate::sweep::{run_grid, Cells, Grid, TdvsGrid};
+    use crate::{Experiment, PolicySpec, Runner};
     use nepsim::Benchmark;
     use traffic::{TrafficLevel, TrafficSpec};
+
+    /// Runs a grid that must complete.
+    fn run(grid: &Grid, seeds: u64) -> GridRun {
+        let run = run_grid(&Runner::new(), grid, seeds);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        run
+    }
 
     /// A tiny structural validator: checks quotes/brace/bracket balance
     /// outside string literals — enough to catch malformed output
@@ -836,37 +705,39 @@ mod tests {
 
     #[test]
     fn sweep_documents_have_one_entry_per_cell() {
-        let grid = TdvsGrid {
+        let points = TdvsGrid {
             thresholds_mbps: vec![1000.0],
             windows_cycles: vec![20_000, 40_000],
         };
-        let cells = sweep_tdvs(
+        let grid = Grid::tdvs(
             Benchmark::Ipfwdr,
             &TrafficLevel::Medium.into(),
-            &grid,
+            &points,
             200_000,
             1,
         );
-        let json = tdvs_sweep_json(&cells, &[]);
+        let json = grid_json(&run(&grid, 1), stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"tdvs_sweep\""));
         assert!(json.contains("\"schema_version\":9"));
         assert!(json.contains("\"cells\":2"));
         assert!(json.contains("\"failed\":0"));
         assert_eq!(json.matches("\"threshold_mbps\":").count(), 2);
+        // Plain documents carry no replication header.
+        assert!(!json.contains("\"seeds\""), "{json}");
 
         let specs: Vec<PolicySpec> = ["nodvs", "proportional"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = sweep_specs(
+        let grid = Grid::policies(
             Benchmark::Ipfwdr,
             &TrafficLevel::Low.into(),
             &specs,
             200_000,
             1,
         );
-        let json = spec_sweep_json(&cells, &[]);
+        let json = grid_json(&run(&grid, 1), stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"spec_sweep\""));
         assert!(json.contains("\"policy_kind\":\"PDVS\""));
@@ -879,7 +750,13 @@ mod tests {
             index: 3,
             message: "ladder panic \"quoted\"".into(),
         }];
-        let json = tdvs_sweep_json(&[], &failures);
+        let run = GridRun {
+            axis: Axis::Tdvs,
+            seeds: 1,
+            cells: Cells::Plain(Vec::new()),
+            failures,
+        };
+        let json = grid_json(&run, stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"cells\":0"), "{json}");
         assert!(json.contains("\"failed\":1"), "{json}");
@@ -893,8 +770,8 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = sweep_traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 200_000, 1);
-        let json = traffic_sweep_json(&cells, &[]);
+        let grid = Grid::traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 200_000, 1);
+        let json = grid_json(&run(&grid, 1), stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"traffic_sweep\""), "{json}");
         assert!(json.contains("\"schema_version\":9"), "{json}");
@@ -914,27 +791,33 @@ mod tests {
             cycles: 150_000,
             ..ComparisonConfig::default()
         };
-        let cmp = compare_policies(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
-        let json = comparison_json(&cmp, &[]);
+        let grid = Grid::compare(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
+        let json = grid_json(&run(&grid, 1), stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"policy_comparison\""));
         assert!(json.contains("\"schema_version\":9"));
         assert!(json.contains("\"rows\":6"));
         assert_eq!(json.matches("\"saving_vs_nodvs\":").count(), 6);
+        // Welch's t is a replicated-only field.
+        assert!(!json.contains("welch_t_vs_nodvs"), "{json}");
     }
 
     #[test]
     fn replicated_run_document_has_summary_metrics() {
-        let r = crate::replicate::replicated_run(
-            &Experiment {
+        let r = crate::run_replicated_experiments(
+            &Runner::new(),
+            vec![Experiment {
                 benchmark: Benchmark::Nat,
                 traffic: TrafficLevel::Low.into(),
                 policy: PolicySpec::NoDvs,
                 cycles: 150_000,
                 seed: 3,
-            },
+            }],
             3,
-        );
+        )
+        .pop()
+        .expect("one cell")
+        .expect("no replicate failed");
         let json = replicated_run_json(&r, stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         for key in [
@@ -957,24 +840,22 @@ mod tests {
 
     #[test]
     fn replicated_sweep_documents_carry_axis_and_cells() {
-        let runner = crate::Runner::new();
-        let grid = TdvsGrid {
+        let points = TdvsGrid {
             thresholds_mbps: vec![1000.0],
             windows_cycles: vec![20_000, 40_000],
         };
-        let cells = crate::experiment::expect_cells(crate::replicate::try_replicated_sweep_tdvs(
-            &runner,
+        let grid = Grid::tdvs(
             Benchmark::Ipfwdr,
             &TrafficLevel::Medium.into(),
-            &grid,
+            &points,
             150_000,
             1,
-            2,
-        ));
-        let json = replicated_tdvs_sweep_json(&cells, 2, stats::ConfidenceLevel::P90, &[]);
+        );
+        let json = grid_json(&run(&grid, 2), stats::ConfidenceLevel::P90);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"replicated_sweep\""), "{json}");
         assert!(json.contains("\"axis\":\"tdvs\""), "{json}");
+        assert!(json.contains("\"seeds\":2"), "{json}");
         assert!(json.contains("\"ci_level\":90"), "{json}");
         assert!(json.contains("\"cells\":2"), "{json}");
         assert!(json.contains("\"failed\":0"), "{json}");
@@ -984,17 +865,8 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells =
-            crate::experiment::expect_cells(crate::replicate::try_replicated_sweep_traffics(
-                &runner,
-                Benchmark::Ipfwdr,
-                &traffics,
-                &PolicySpec::NoDvs,
-                150_000,
-                1,
-                2,
-            ));
-        let json = replicated_traffic_sweep_json(&cells, 2, stats::ConfidenceLevel::P99, &[]);
+        let grid = Grid::traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 150_000, 1);
+        let json = grid_json(&run(&grid, 2), stats::ConfidenceLevel::P99);
         assert_balanced(&json);
         assert!(json.contains("\"axis\":\"traffics\""), "{json}");
         assert!(json.contains("\"traffic_model\":\"constant\""), "{json}");
@@ -1003,39 +875,52 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = crate::experiment::expect_cells(crate::replicate::try_replicated_sweep_specs(
-            &runner,
+        let grid = Grid::policies(
             Benchmark::Ipfwdr,
             &TrafficLevel::Low.into(),
             &specs,
             150_000,
             1,
-            2,
-        ));
-        let json = replicated_spec_sweep_json(&cells, 2, stats::ConfidenceLevel::P95, &[]);
+        );
+        let json = grid_json(&run(&grid, 2), stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"axis\":\"policies\""), "{json}");
         assert!(json.contains("\"policy_kind\":\"PDVS\""), "{json}");
     }
 
-    #[test]
-    fn replicated_compare_document_carries_interval_savings() {
+    /// The replicated compare grid run, plus the same cells as a
+    /// [`ReplicatedComparison`].
+    fn replicated_comparison(traffic: TrafficSpec) -> (GridRun, ReplicatedComparison) {
         let cfg = ComparisonConfig {
             cycles: 150_000,
             ..ComparisonConfig::default()
         };
-        let cmp = crate::replicate::replicated_compare(
-            &[Benchmark::Nat],
-            &[TrafficLevel::Low.into()],
-            &cfg,
-            2,
-        );
-        let json = replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]);
+        let grid = Grid::compare(&[Benchmark::Ipfwdr], &[traffic], &cfg);
+        let run = run(&grid, 2);
+        let rows = run
+            .replicated()
+            .expect("replicated cells")
+            .iter()
+            .map(|result| ReplicatedComparisonRow {
+                benchmark: result.experiment.benchmark,
+                traffic: result.experiment.traffic.clone(),
+                policy: result.experiment.policy.kind(),
+                result: result.clone(),
+            })
+            .collect();
+        (run, ReplicatedComparison { rows, seeds: 2 })
+    }
+
+    #[test]
+    fn replicated_compare_document_carries_interval_savings() {
+        let (run, cmp) = replicated_comparison(TrafficLevel::Low.into());
+        let json = grid_json(&run, stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         assert!(json.contains("\"kind\":\"replicated_compare\""), "{json}");
         assert!(json.contains("\"schema_version\":9"), "{json}");
         assert!(json.contains("\"seeds\":2"), "{json}");
         assert!(json.contains("\"rows\":6"), "{json}");
+        assert!(!json.contains("\"axis\""), "{json}");
         assert_eq!(json.matches("\"saving_vs_nodvs\":").count(), 6);
         // Every row carries full summary metrics and the significance
         // call vs the baseline (the noDVS row itself reports null).
@@ -1043,6 +928,16 @@ mod tests {
         assert_eq!(json.matches("\"welch_t_vs_nodvs\":").count(), 6);
         assert_eq!(json.matches("\"significant_vs_nodvs\":").count(), 6);
         assert!(json.contains("\"welch_t_vs_nodvs\":null"), "{json}");
+        // A comparison folded outside the grid runner renders as the
+        // compare-axis case of the same builder and renderer.
+        assert_eq!(
+            replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]),
+            json
+        );
+        assert_eq!(
+            crate::tables::render_replicated_comparison(&cmp, stats::ConfidenceLevel::P95),
+            crate::tables::render_grid(&run, stats::ConfidenceLevel::P95)
+        );
     }
 
     #[test]
@@ -1052,17 +947,8 @@ mod tests {
         // distinct means — an infinite t. JSON cannot carry infinity
         // (it renders null), so the documented contract is that
         // `significant_vs_nodvs` stands alone as the verdict.
-        let cfg = ComparisonConfig {
-            cycles: 150_000,
-            ..ComparisonConfig::default()
-        };
-        let cmp = crate::replicate::replicated_compare(
-            &[Benchmark::Ipfwdr],
-            &["constant:rate=600".parse().unwrap()],
-            &cfg,
-            2,
-        );
-        let json = replicated_compare_json(&cmp, stats::ConfidenceLevel::P95, &[]);
+        let (run, _) = replicated_comparison("constant:rate=600".parse().unwrap());
+        let json = grid_json(&run, stats::ConfidenceLevel::P95);
         assert_balanced(&json);
         // Every non-baseline row whose power genuinely differs reports
         // null t (infinite) with a true verdict.

@@ -10,11 +10,10 @@
 //!   paper's distribution operators and auto-generated analyzers,
 //! * [`dvs`] — the TDVS/EDVS policies and the XScale VF ladder,
 //! * [`traffic`] — the synthetic NLANR-style IP traffic models,
-//! * [`xrun`] — the parallel experiment runner every sweep, comparison
-//!   and ablation executes on,
+//! * [`xrun`] — the parallel experiment runner every grid executes on,
 //! * [`stats`] — streaming summaries, Student-t confidence intervals,
 //!   Welch's t significance tests and the seed-derived replication
-//!   batches behind every `replicated_*` entry point,
+//!   batches behind every `--seeds` run,
 //! * [`scenario`] — time-varying composite scenarios: named workloads
 //!   over `schedule:` traffic specs, scenario files, and the
 //!   segment-aware runner with per-window metric breakdowns,
@@ -24,9 +23,10 @@
 //!
 //! and exposes the paper's experiment flow: run a simulation, collect the
 //! trace, apply the LOC distribution formulas (2) and (3), and sweep the
-//! design space to find optimal DVS configurations (§4). Batches of
-//! independent cells run on all available CPUs (see [`Runner`]); results
-//! are bit-identical to serial execution.
+//! design space to find optimal DVS configurations (§4). Every sweep,
+//! comparison and ablation is one [`Grid`] run by [`run_grid`]; its
+//! independent cells run on all available CPUs (see [`Runner`]) and the
+//! results are bit-identical to serial execution.
 //!
 //! # Quickstart
 //!
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ablation;
 pub mod cachefmt;
 pub mod compare;
 pub mod experiment;
@@ -67,13 +66,8 @@ pub mod sweep;
 pub mod tables;
 pub mod traceio;
 
-pub use ablation::{
-    sweep_edvs_idle_threshold, sweep_tdvs_hysteresis, try_sweep_edvs_idle_threshold,
-    try_sweep_tdvs_hysteresis, AblationCell,
-};
 pub use cachefmt::run_cached;
 pub use ccache::{Cache, CacheCounters, CacheStats, CACHE_EPOCH};
-pub use compare::{compare_policies, try_compare_policies, ComparisonRow, PolicyComparison};
 pub use dvs::{DvsPolicy, PolicyKind, PolicyRegistry, PolicySpec};
 pub use experiment::{run_experiments, Experiment, ExperimentResult, PAPER_RUN_CYCLES};
 pub use fleet::{
@@ -87,12 +81,7 @@ pub use record::{
     try_replicated_run_recorded, RecordedSeries,
 };
 pub use replicate::{
-    replicated_compare, replicated_run, replicated_sweep_tdvs, run_replicated_experiments,
-    try_replicated_compare, try_replicated_run, try_replicated_sweep_edvs_idle_threshold,
-    try_replicated_sweep_specs, try_replicated_sweep_tdvs, try_replicated_sweep_tdvs_hysteresis,
-    try_replicated_sweep_traffics, ReplicatedAblationCell, ReplicatedComparison,
-    ReplicatedComparisonRow, ReplicatedGridCell, ReplicatedResult, ReplicatedSpecCell,
-    ReplicatedTrafficCell,
+    run_replicated_experiments, ReplicatedComparison, ReplicatedComparisonRow, ReplicatedResult,
 };
 pub use scenario::{
     builtin_scenarios, try_run_scenario, PolicyOutcome, Scenario, ScenarioRun, SegmentDist,
@@ -102,10 +91,7 @@ pub use stats::{
     welch_t, ConfidenceInterval, ConfidenceLevel, ReplicatedMetrics, Replication, Summary, WelchT,
 };
 pub use summarize::{summarize_record, ChannelSummary, RecordSummary};
-pub use sweep::{
-    sweep_specs, sweep_tdvs, sweep_traffics, try_sweep_specs, try_sweep_tdvs, try_sweep_traffics,
-    GridCell, SpecCell, TdvsGrid, TrafficCell,
-};
+pub use sweep::{run_grid, Axis, Cells, Grid, GridRun, TdvsGrid};
 pub use traceio::{
     analyze_trace, generate_trace, parse_provenance, StreamStats, TraceAnalysis, TraceProvenance,
 };

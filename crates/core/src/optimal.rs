@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::sweep::GridCell;
+use crate::experiment::ExperimentResult;
 
 /// What the designer optimises for. The paper concludes: performance
 /// priority → 1000 Mbps threshold with an 80 k window; power priority →
@@ -15,33 +15,35 @@ pub enum DesignPriority {
     Power,
 }
 
-/// Picks the optimal TDVS cell from a sweep under the given priority.
+/// Picks the optimal cell of a TDVS sweep under the given priority.
 ///
 /// Returns `None` only when `cells` is empty.
 ///
 /// # Example
 ///
 /// ```
-/// use abdex::{optimal_tdvs, sweep_tdvs, DesignPriority, TdvsGrid};
+/// use abdex::{optimal_tdvs, run_grid, DesignPriority, Grid, Runner, TdvsGrid};
 /// use abdex::nepsim::Benchmark;
 /// use abdex::traffic::TrafficLevel;
 ///
-/// let grid = TdvsGrid {
+/// let points = TdvsGrid {
 ///     thresholds_mbps: vec![1000.0, 1400.0],
 ///     windows_cycles: vec![40_000],
 /// };
-/// let cells = sweep_tdvs(Benchmark::Ipfwdr, &TrafficLevel::High.into(), &grid, 200_000, 1);
-/// let best = optimal_tdvs(&cells, DesignPriority::Power).expect("non-empty sweep");
-/// assert!(grid.thresholds_mbps.contains(&best.threshold_mbps));
+/// let grid = Grid::tdvs(Benchmark::Ipfwdr, &TrafficLevel::High.into(), &points, 200_000, 1);
+/// let run = run_grid(&Runner::new(), &grid, 1);
+/// let best = optimal_tdvs(run.plain().unwrap(), DesignPriority::Power).expect("non-empty sweep");
+/// let (threshold, _) = best.experiment.tdvs_point().unwrap();
+/// assert!(points.thresholds_mbps.contains(&threshold));
 /// ```
 #[must_use]
-pub fn optimal_tdvs(cells: &[GridCell], priority: DesignPriority) -> Option<&GridCell> {
+pub fn optimal_tdvs(
+    cells: &[ExperimentResult],
+    priority: DesignPriority,
+) -> Option<&ExperimentResult> {
     cells.iter().min_by(|a, b| {
-        let (pa, pb) = (a.result.p80_power_w(), b.result.p80_power_w());
-        let (ta, tb) = (
-            a.result.p80_throughput_mbps(),
-            b.result.p80_throughput_mbps(),
-        );
+        let (pa, pb) = (a.p80_power_w(), b.p80_power_w());
+        let (ta, tb) = (a.p80_throughput_mbps(), b.p80_throughput_mbps());
         match priority {
             DesignPriority::Performance => tb
                 .partial_cmp(&ta)
@@ -64,22 +66,18 @@ mod tests {
     use nepsim::Benchmark;
     use traffic::TrafficLevel;
 
-    fn cell(threshold: f64, window: u64, cycles: u64) -> GridCell {
-        GridCell {
-            threshold_mbps: threshold,
-            window_cycles: window,
-            result: Experiment {
-                benchmark: Benchmark::Ipfwdr,
-                traffic: TrafficLevel::Medium.into(),
-                policy: PolicySpec::Tdvs(TdvsConfig {
-                    top_threshold_mbps: threshold,
-                    window_cycles: window,
-                }),
-                cycles,
-                seed: 5,
-            }
-            .run(),
+    fn cell(threshold: f64, window: u64, cycles: u64) -> ExperimentResult {
+        Experiment {
+            benchmark: Benchmark::Ipfwdr,
+            traffic: TrafficLevel::Medium.into(),
+            policy: PolicySpec::Tdvs(TdvsConfig {
+                top_threshold_mbps: threshold,
+                window_cycles: window,
+            }),
+            cycles,
+            seed: 5,
         }
+        .run()
     }
 
     #[test]
@@ -95,7 +93,7 @@ mod tests {
         let perf = optimal_tdvs(&cells, DesignPriority::Performance).unwrap();
         // The power pick must not dissipate more than the performance pick,
         // and the performance pick must not forward less.
-        assert!(power.result.p80_power_w() <= perf.result.p80_power_w() + 1e-12);
-        assert!(perf.result.p80_throughput_mbps() >= power.result.p80_throughput_mbps() - 1e-12);
+        assert!(power.p80_power_w() <= perf.p80_power_w() + 1e-12);
+        assert!(perf.p80_throughput_mbps() >= power.p80_throughput_mbps() - 1e-12);
     }
 }

@@ -29,7 +29,7 @@ use stats::Replication;
 use xrun::{Job, JobError, Runner};
 
 use crate::experiment::{Experiment, ExperimentResult};
-use crate::json::{array, escape, Obj, SCHEMA_VERSION};
+use crate::json::{array, escape, header, Obj};
 use crate::replicate::ReplicatedResult;
 
 /// One recorded simulation: a label naming the job within its batch,
@@ -49,9 +49,10 @@ pub struct RecordedSeries {
 }
 
 /// Replicates one experiment `seeds` times with a recorder attached:
-/// the recorded counterpart of [`crate::replicate::try_replicated_run`]
-/// — the folded metrics are bit-identical to it, and the series come
-/// back in replicate order regardless of worker count.
+/// the recorded counterpart of
+/// [`crate::replicate::run_replicated_experiments`] on one cell — the
+/// folded metrics are bit-identical to it, and the series come back in
+/// replicate order regardless of worker count.
 ///
 /// # Errors
 ///
@@ -156,10 +157,7 @@ pub fn record_jsonl(source: &str, series: &[RecordedSeries]) -> String {
         .iter()
         .map(|c| format!("\"{}\"", c.name()))
         .collect();
-    let mut out = Obj::new()
-        .int("schema_version", SCHEMA_VERSION)
-        .int("cache_epoch", ccache::CACHE_EPOCH)
-        .str("kind", "record")
+    let mut out = header("record")
         .str("source", source)
         .raw("series", &array(&labels))
         .raw("channels", &array(&channels))
@@ -222,6 +220,7 @@ pub fn render_obs_stats(series: &[RecordedSeries], cycles: u64, wall: Duration) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::SCHEMA_VERSION;
     use nepsim::{Benchmark, PolicySpec};
 
     fn quick() -> Experiment {
@@ -237,7 +236,10 @@ mod tests {
     #[test]
     fn recorded_run_matches_plain_replication() {
         let runner = Runner::serial();
-        let plain = crate::replicate::try_replicated_run(&runner, &quick(), 2).unwrap();
+        let plain = crate::run_replicated_experiments(&runner, vec![quick()], 2)
+            .pop()
+            .expect("one cell")
+            .unwrap();
         let (recorded, series) = try_replicated_run_recorded(&runner, &quick(), 2).unwrap();
         assert_eq!(
             plain.metrics.mean_power_w.mean().to_bits(),

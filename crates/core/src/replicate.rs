@@ -1,17 +1,16 @@
-//! Replication batches: every experiment axis — single runs, the TDVS
-//! grid, policy/traffic sweeps, ablations and the policy comparison —
-//! re-run over k seed-derived replicates and folded into per-metric
-//! confidence intervals.
+//! Replication batches: every cell of a grid re-run over k
+//! seed-derived replicates and folded into per-metric confidence
+//! intervals.
 //!
-//! A replicated batch is the same grid the plain entry point runs,
-//! fanned out `k ×` through [`stats::Replication`]: cell `c`'s
-//! replicate `i` runs with seed `derive_seed(base_seed, i)`, so the
-//! whole batch is a pure function of the base seed. Execution reuses
-//! the ordinary [`xrun::Runner`] — k × cells jobs, panic-isolated per
-//! replicate, results folded **in replicate order** — which keeps the
-//! workspace's bit-determinism contract: means and half-widths are
-//! bit-identical for any worker count
-//! (`crates/core/tests/determinism.rs` guards this).
+//! A replicated batch is the same grid the plain path runs, fanned out
+//! `k ×` through [`stats::Replication`]: cell `c`'s replicate `i` runs
+//! with seed `derive_seed(base_seed, i)`, so the whole batch is a pure
+//! function of the base seed. Execution reuses the ordinary
+//! [`xrun::Runner`] — k × cells jobs, panic-isolated per replicate,
+//! results folded **in replicate order** — which keeps the workspace's
+//! bit-determinism contract: means and half-widths are bit-identical
+//! for any worker count (`crates/core/tests/determinism.rs` guards
+//! this).
 //!
 //! Error semantics follow the plain batches: a panicking replicate
 //! fails its *cell* (reported as the first failing replicate's
@@ -19,17 +18,14 @@
 //! would silently report a narrower interval than the batch earned, so
 //! cells are all-or-nothing.
 
-use dvs::{PolicyKind, TdvsConfig};
-use nepsim::{Benchmark, PolicySpec};
+use dvs::PolicyKind;
+use nepsim::Benchmark;
 use serde::{Deserialize, Serialize};
 use stats::{ReplicatedMetrics, Replication, RunMetrics};
 use traffic::TrafficSpec;
 use xrun::{JobError, Runner};
 
-use crate::ablation::{edvs_threshold_experiments, hysteresis_experiments};
-use crate::compare::{comparison_experiments, ComparisonConfig};
-use crate::experiment::{expect_cells, partition_cells, run_experiments, Experiment};
-use crate::sweep::{tdvs_experiments, TdvsGrid};
+use crate::experiment::{run_experiments, Experiment};
 
 /// One replicated cell: the base experiment (whose seed names the
 /// replicate family) and the per-metric summaries over its k runs.
@@ -52,9 +48,10 @@ impl ReplicatedResult {
 }
 
 /// Runs every experiment `seeds` times on the runner and folds each
-/// cell's replicates — the single execution path every replicated
-/// sweep, ablation and comparison funnels through, exactly as
-/// [`run_experiments`] is for the plain batches.
+/// cell's replicates — the single execution path of every replicated
+/// grid ([`crate::sweep::run_grid`] with `seeds >= 2`) and of
+/// `abdex replicate`, exactly as [`run_experiments`] is for the plain
+/// batches.
 ///
 /// The k × cells jobs are submitted cell-major (cell 0's replicates,
 /// then cell 1's, ...), so submission order — and therefore every fold
@@ -105,247 +102,6 @@ pub fn run_replicated_experiments(
         .collect()
 }
 
-/// Replicates a single experiment `seeds` times on the given runner:
-/// the replicated counterpart of [`Experiment::run`].
-///
-/// # Errors
-///
-/// Returns the first failing replicate's [`JobError`] when any
-/// replicate panics.
-pub fn try_replicated_run(
-    runner: &Runner,
-    experiment: &Experiment,
-    seeds: u64,
-) -> Result<ReplicatedResult, JobError> {
-    run_replicated_experiments(runner, vec![experiment.clone()], seeds)
-        .pop()
-        .expect("one experiment yields one outcome")
-}
-
-/// Infallible form of [`try_replicated_run`] on a default runner.
-///
-/// # Panics
-///
-/// Panics when any replicate fails.
-#[must_use]
-pub fn replicated_run(experiment: &Experiment, seeds: u64) -> ReplicatedResult {
-    expect_cells(vec![try_replicated_run(&Runner::new(), experiment, seeds)])
-        .pop()
-        .expect("one experiment yields one cell")
-}
-
-/// One replicated cell of a TDVS threshold × window sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicatedGridCell {
-    /// The top threshold of this cell, Mbps.
-    pub threshold_mbps: f64,
-    /// The window size of this cell, cycles.
-    pub window_cycles: u64,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the TDVS sweep of [`crate::sweep::try_sweep_tdvs`] with `seeds`
-/// replicates per grid cell, one outcome per cell in grid order.
-#[must_use]
-pub fn try_replicated_sweep_tdvs(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    grid: &TdvsGrid,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedGridCell, JobError>> {
-    let (params, experiments) = tdvs_experiments(benchmark, traffic, grid, cycles, seed);
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(params)
-        .map(|(outcome, (threshold_mbps, window_cycles))| {
-            outcome.map(|result| ReplicatedGridCell {
-                threshold_mbps,
-                window_cycles,
-                result,
-            })
-        })
-        .collect()
-}
-
-/// Infallible form of [`try_replicated_sweep_tdvs`] on a default
-/// runner.
-///
-/// # Panics
-///
-/// Panics when any replicate fails.
-#[must_use]
-pub fn replicated_sweep_tdvs(
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    grid: &TdvsGrid,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<ReplicatedGridCell> {
-    expect_cells(try_replicated_sweep_tdvs(
-        &Runner::new(),
-        benchmark,
-        traffic,
-        grid,
-        cycles,
-        seed,
-        seeds,
-    ))
-}
-
-/// One replicated cell of a policy-spec sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicatedSpecCell {
-    /// The spec this cell ran.
-    pub spec: PolicySpec,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the policy-spec sweep of [`crate::sweep::try_sweep_specs`] with
-/// `seeds` replicates per spec, one outcome per spec in list order.
-#[must_use]
-pub fn try_replicated_sweep_specs(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    specs: &[PolicySpec],
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedSpecCell, JobError>> {
-    let experiments = specs
-        .iter()
-        .map(|spec| Experiment {
-            benchmark,
-            traffic: traffic.clone(),
-            policy: spec.clone(),
-            cycles,
-            seed,
-        })
-        .collect();
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(specs)
-        .map(|(outcome, spec)| {
-            outcome.map(|result| ReplicatedSpecCell {
-                spec: spec.clone(),
-                result,
-            })
-        })
-        .collect()
-}
-
-/// One replicated cell of a traffic-model sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicatedTrafficCell {
-    /// The traffic spec this cell ran.
-    pub spec: TrafficSpec,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the traffic sweep of [`crate::sweep::try_sweep_traffics`] with
-/// `seeds` replicates per spec, one outcome per spec in list order.
-#[must_use]
-pub fn try_replicated_sweep_traffics(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffics: &[TrafficSpec],
-    policy: &PolicySpec,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedTrafficCell, JobError>> {
-    let experiments = traffics
-        .iter()
-        .map(|spec| Experiment {
-            benchmark,
-            traffic: spec.clone(),
-            policy: policy.clone(),
-            cycles,
-            seed,
-        })
-        .collect();
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(traffics)
-        .map(|(outcome, spec)| {
-            outcome.map(|result| ReplicatedTrafficCell {
-                spec: spec.clone(),
-                result,
-            })
-        })
-        .collect()
-}
-
-/// One replicated ablation point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicatedAblationCell {
-    /// The value of the varied parameter.
-    pub parameter: f64,
-    /// The replicated cell result.
-    pub result: ReplicatedResult,
-}
-
-/// Runs the EDVS idle-threshold ablation of
-/// [`crate::ablation::try_sweep_edvs_idle_threshold`] with `seeds`
-/// replicates per point.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn try_replicated_sweep_edvs_idle_threshold(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    thresholds: &[f64],
-    window_cycles: u64,
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedAblationCell, JobError>> {
-    let experiments =
-        edvs_threshold_experiments(benchmark, traffic, thresholds, window_cycles, cycles, seed);
-    collect_replicated_ablation(runner, experiments, thresholds, seeds)
-}
-
-/// Runs the TDVS hysteresis ablation of
-/// [`crate::ablation::try_sweep_tdvs_hysteresis`] with `seeds`
-/// replicates per point.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn try_replicated_sweep_tdvs_hysteresis(
-    runner: &Runner,
-    benchmark: Benchmark,
-    traffic: &TrafficSpec,
-    base: TdvsConfig,
-    bands: &[f64],
-    cycles: u64,
-    seed: u64,
-    seeds: u64,
-) -> Vec<Result<ReplicatedAblationCell, JobError>> {
-    let experiments = hysteresis_experiments(benchmark, traffic, base, bands, cycles, seed);
-    collect_replicated_ablation(runner, experiments, bands, seeds)
-}
-
-fn collect_replicated_ablation(
-    runner: &Runner,
-    experiments: Vec<Experiment>,
-    parameters: &[f64],
-    seeds: u64,
-) -> Vec<Result<ReplicatedAblationCell, JobError>> {
-    run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(parameters)
-        .map(|(outcome, &parameter)| {
-            outcome.map(|result| ReplicatedAblationCell { parameter, result })
-        })
-        .collect()
-}
-
 /// One row of the replicated comparison grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplicatedComparisonRow {
@@ -359,115 +115,25 @@ pub struct ReplicatedComparisonRow {
     pub result: ReplicatedResult,
 }
 
-/// The replicated policy comparison: the Fig. 11 grid with every cell
-/// run over k seeds, so savings become interval estimates instead of
-/// single-seed point estimates.
+/// A replicated policy comparison folded outside [`crate::run_grid`]:
+/// the Fig. 11 grid with every cell run over k seeds, in the row shape
+/// [`crate::tables::render_replicated_comparison`] and
+/// [`crate::json::replicated_compare_json`] render as the compare-axis
+/// case of the grid table and document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplicatedComparison {
-    /// All completed rows, benchmark-major like
-    /// [`crate::compare::PolicyComparison`].
+    /// All completed rows, benchmark-major like [`crate::Grid::compare`].
     pub rows: Vec<ReplicatedComparisonRow>,
     /// Replicates per cell.
     pub seeds: u64,
 }
 
-impl ReplicatedComparison {
-    /// Finds the row for an exact combination.
-    #[must_use]
-    pub fn row(
-        &self,
-        benchmark: Benchmark,
-        traffic: &TrafficSpec,
-        policy: PolicyKind,
-    ) -> Option<&ReplicatedComparisonRow> {
-        self.rows
-            .iter()
-            .find(|r| r.benchmark == benchmark && &r.traffic == traffic && r.policy == policy)
-    }
-
-    /// Power saving of `policy` vs. the noDVS baseline, from the
-    /// replicate-mean powers. `None` when either row is missing.
-    #[must_use]
-    pub fn power_saving(
-        &self,
-        benchmark: Benchmark,
-        traffic: &TrafficSpec,
-        policy: PolicyKind,
-    ) -> Option<f64> {
-        let base = self.row(benchmark, traffic, PolicyKind::NoDvs)?;
-        let with = self.row(benchmark, traffic, policy)?;
-        let b = base.result.metrics.mean_power_w.mean();
-        let w = with.result.metrics.mean_power_w.mean();
-        (b > 0.0).then(|| (b - w) / b)
-    }
-
-    /// Throughput loss of `policy` vs. noDVS, from the replicate-mean
-    /// throughputs. `None` when either row is missing.
-    #[must_use]
-    pub fn throughput_loss(
-        &self,
-        benchmark: Benchmark,
-        traffic: &TrafficSpec,
-        policy: PolicyKind,
-    ) -> Option<f64> {
-        let base = self.row(benchmark, traffic, PolicyKind::NoDvs)?;
-        let with = self.row(benchmark, traffic, policy)?;
-        let b = base.result.metrics.throughput_mbps.mean();
-        let w = with.result.metrics.throughput_mbps.mean();
-        (b > 0.0).then(|| (b - w) / b)
-    }
-}
-
-/// Runs the comparison grid of [`crate::compare::try_compare_policies`]
-/// with `seeds` replicates per cell.
-///
-/// Returns the comparison built from every cell whose replicates all
-/// completed, plus one [`JobError`] per failed cell.
-#[must_use]
-pub fn try_replicated_compare(
-    runner: &Runner,
-    benchmarks: &[Benchmark],
-    traffics: &[TrafficSpec],
-    config: &ComparisonConfig,
-    seeds: u64,
-) -> (ReplicatedComparison, Vec<JobError>) {
-    let (keys, experiments) = comparison_experiments(benchmarks, traffics, config);
-    let outcomes = run_replicated_experiments(runner, experiments, seeds)
-        .into_iter()
-        .zip(keys)
-        .map(|(outcome, (benchmark, traffic, policy))| {
-            outcome.map(|result| ReplicatedComparisonRow {
-                benchmark,
-                traffic,
-                policy,
-                result,
-            })
-        })
-        .collect();
-    let (rows, errors) = partition_cells(outcomes);
-    (ReplicatedComparison { rows, seeds }, errors)
-}
-
-/// Infallible form of [`try_replicated_compare`] on a default runner.
-///
-/// # Panics
-///
-/// Panics when any replicate fails.
-#[must_use]
-pub fn replicated_compare(
-    benchmarks: &[Benchmark],
-    traffics: &[TrafficSpec],
-    config: &ComparisonConfig,
-    seeds: u64,
-) -> ReplicatedComparison {
-    let (cmp, errors) = try_replicated_compare(&Runner::new(), benchmarks, traffics, config, seeds);
-    crate::experiment::assert_no_failures(&errors);
-    cmp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::ComparisonConfig;
+    use crate::sweep::{run_grid, Grid, GridRun, TdvsGrid};
+    use nepsim::PolicySpec;
     use stats::ConfidenceLevel;
     use traffic::TrafficLevel;
     use xrun::derive_seed;
@@ -484,10 +150,19 @@ mod tests {
         }
     }
 
+    fn replicated(grid: &Grid, seeds: u64) -> GridRun {
+        let run = run_grid(&Runner::new(), grid, seeds);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        run
+    }
+
     #[test]
     fn replicated_run_folds_exactly_the_derived_seeds() {
         let seeds = 3;
-        let replicated = replicated_run(&experiment(), seeds);
+        let replicated = run_replicated_experiments(&Runner::new(), vec![experiment()], seeds)
+            .pop()
+            .expect("one cell")
+            .expect("no replicate failed");
         assert_eq!(replicated.replicates(), seeds);
         // The fold must equal running each derived seed by hand, in
         // replicate order.
@@ -523,68 +198,62 @@ mod tests {
 
     #[test]
     fn replicated_tdvs_sweep_covers_the_grid() {
-        let grid = TdvsGrid {
+        let points = TdvsGrid {
             thresholds_mbps: vec![1000.0, 1400.0],
             windows_cycles: vec![40_000],
         };
-        let cells = replicated_sweep_tdvs(
+        let grid = Grid::tdvs(
             Benchmark::Ipfwdr,
             &TrafficLevel::Medium.into(),
-            &grid,
+            &points,
             CYCLES,
             7,
-            2,
         );
+        let run = replicated(&grid, 2);
+        assert_eq!(run.seeds, 2);
+        let cells = run.replicated().expect("replicated cells");
         assert_eq!(cells.len(), 2);
-        for cell in &cells {
-            assert_eq!(cell.result.replicates(), 2);
-            assert!(cell.result.metrics.mean_power_w.mean() > 0.2);
+        for cell in cells {
+            assert_eq!(cell.replicates(), 2);
+            assert!(cell.metrics.mean_power_w.mean() > 0.2);
         }
-        assert_eq!(cells[0].threshold_mbps, 1000.0);
-        assert_eq!(cells[1].threshold_mbps, 1400.0);
+        assert_eq!(cells[0].experiment.tdvs_point(), Some((1000.0, 40_000)));
+        assert_eq!(cells[1].experiment.tdvs_point(), Some((1400.0, 40_000)));
     }
 
     #[test]
     fn replicated_spec_and_traffic_sweeps_keep_list_order() {
-        let runner = Runner::new();
         let specs: Vec<PolicySpec> = ["nodvs", "queue"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = expect_cells(try_replicated_sweep_specs(
-            &runner,
+        let grid = Grid::policies(
             Benchmark::Ipfwdr,
             &TrafficLevel::Low.into(),
             &specs,
             CYCLES,
             7,
-            2,
-        ));
+        );
+        let run = replicated(&grid, 2);
+        let cells = run.replicated().expect("replicated cells");
         assert_eq!(cells.len(), 2);
         for (cell, spec) in cells.iter().zip(&specs) {
-            assert_eq!(&cell.spec, spec);
-            assert_eq!(cell.result.experiment.policy, *spec);
+            assert_eq!(cell.experiment.policy, *spec);
         }
 
         let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = expect_cells(try_replicated_sweep_traffics(
-            &runner,
-            Benchmark::Ipfwdr,
-            &traffics,
-            &PolicySpec::NoDvs,
-            CYCLES,
-            7,
-            2,
-        ));
+        let grid = Grid::traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, CYCLES, 7);
+        let run = replicated(&grid, 2);
+        let cells = run.replicated().expect("replicated cells");
         assert_eq!(cells.len(), 2);
         for (cell, spec) in cells.iter().zip(&traffics) {
-            assert_eq!(&cell.spec, spec);
+            assert_eq!(cell.experiment.traffic, *spec);
         }
         // The CBR source is seed-free, so its replicates agree exactly.
-        assert_eq!(cells[1].result.metrics.offered_mbps.std_dev(), 0.0);
+        assert_eq!(cells[1].metrics.offered_mbps.std_dev(), 0.0);
     }
 
     #[test]
@@ -593,8 +262,9 @@ mod tests {
             cycles: 1_200_000,
             ..ComparisonConfig::default()
         };
-        let cmp = replicated_compare(&[Benchmark::Ipfwdr], &[TrafficLevel::Low.into()], &cfg, 2);
-        assert_eq!(cmp.rows.len(), 6);
+        let grid = Grid::compare(&[Benchmark::Ipfwdr], &[TrafficLevel::Low.into()], &cfg);
+        let cmp = replicated(&grid, 2);
+        assert_eq!(cmp.replicated().expect("replicated cells").len(), 6);
         assert_eq!(cmp.seeds, 2);
         let saving = cmp
             .power_saving(
@@ -605,7 +275,7 @@ mod tests {
             .unwrap();
         assert!(saving > 0.0, "TDVS saving {saving:.3}");
         assert!(cmp
-            .row(Benchmark::Nat, &TrafficLevel::Low.into(), PolicyKind::Tdvs)
+            .position(Benchmark::Nat, &TrafficLevel::Low.into(), PolicyKind::Tdvs)
             .is_none());
     }
 
@@ -617,18 +287,13 @@ mod tests {
             "low".parse().unwrap(),
             "trace:path=/no/such/replicated-trace.txt".parse().unwrap(),
         ];
-        let outcomes = try_replicated_sweep_traffics(
-            &Runner::serial(),
-            Benchmark::Ipfwdr,
-            &traffics,
-            &PolicySpec::NoDvs,
-            150_000,
-            7,
-            2,
-        );
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes[0].is_ok());
-        let err = outcomes[1].as_ref().unwrap_err();
+        let grid = Grid::traffics(Benchmark::Ipfwdr, &traffics, &PolicySpec::NoDvs, 150_000, 7);
+        let run = run_grid(&Runner::serial(), &grid, 2);
+        let cells = run.replicated().expect("replicated cells");
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].experiment.traffic, traffics[0]);
+        assert_eq!(run.failures.len(), 1);
+        let err = &run.failures[0];
         assert!(err.message.contains("cannot build"), "{err}");
     }
 }

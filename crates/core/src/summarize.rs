@@ -17,7 +17,7 @@
 use obs::HistogramSketch;
 use xrun::{Job, Runner};
 
-use crate::json::{array, Obj, SCHEMA_VERSION};
+use crate::json::{array, header, Obj};
 
 /// Sample lines per fold chunk. Fixed — see the module docs.
 const SUMMARIZE_CHUNK: usize = 65_536;
@@ -248,7 +248,7 @@ fn opt_num(obj: Obj, key: &str, value: Option<f64>) -> Obj {
 }
 
 /// Renders the `obs_summary` JSON document (one line, versioned under
-/// [`SCHEMA_VERSION`]). Pure function of the summary, so the document
+/// [`crate::SCHEMA_VERSION`]). Pure function of the summary, so the document
 /// is byte-identical for any worker count.
 #[must_use]
 pub fn render_summary_json(summary: &RecordSummary) -> String {
@@ -270,10 +270,7 @@ pub fn render_summary_json(summary: &RecordSummary) -> String {
             opt_num(obj, "p99", c.p99).finish()
         })
         .collect();
-    Obj::new()
-        .int("schema_version", SCHEMA_VERSION)
-        .int("cache_epoch", ccache::CACHE_EPOCH)
-        .str("kind", "obs_summary")
+    header("obs_summary")
         .str("source", &summary.source)
         .int("input_schema_version", summary.input_schema_version)
         .raw("series", &array(&labels))
@@ -286,6 +283,7 @@ pub fn render_summary_json(summary: &RecordSummary) -> String {
 mod tests {
     use super::*;
     use crate::experiment::Experiment;
+    use crate::json::SCHEMA_VERSION;
     use crate::record::{record_jsonl, try_replicated_run_recorded};
     use nepsim::{Benchmark, PolicySpec};
 

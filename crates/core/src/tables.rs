@@ -1,17 +1,12 @@
 //! Text rendering of figures and tables — the workspace's stand-in for
 //! the paper's gnuplot output.
 
-use dvs::PolicyKind;
 use loc::DistributionReport;
 use scenario::ScenarioRun;
-use stats::{welch_t, ConfidenceLevel, Summary};
+use stats::{ConfidenceLevel, Summary};
 
-use crate::compare::PolicyComparison;
-use crate::replicate::{
-    ReplicatedComparison, ReplicatedGridCell, ReplicatedResult, ReplicatedSpecCell,
-    ReplicatedTrafficCell,
-};
-use crate::sweep::{GridCell, SpecCell, TrafficCell};
+use crate::replicate::{ReplicatedComparison, ReplicatedResult};
+use crate::sweep::{vs_nodvs, Axis, CellRef, GridRun};
 use crate::traceio::{StreamStats, TraceAnalysis};
 use dist::fit::FitCandidate;
 
@@ -84,99 +79,234 @@ pub fn render_surface(surface: &[(f64, u64, f64)], value_label: &str) -> String 
     out
 }
 
-/// Renders the Fig. 11 comparison as a table of mean power (W) per
-/// benchmark × traffic × policy, with savings vs. noDVS.
-#[must_use]
-pub fn render_comparison(cmp: &PolicyComparison) -> String {
-    let mut out =
-        String::from("benchmark traffic policy mean_power_w saving_vs_nodvs throughput_mbps\n");
-    for row in &cmp.rows {
-        let saving = cmp
-            .power_saving(row.benchmark, &row.traffic, row.policy)
-            .unwrap_or(0.0);
-        out.push_str(&format!(
-            "{:>9} {:>7} {:>6} {:>12.3} {:>15.1}% {:>15.1}\n",
-            row.benchmark.to_string(),
-            row.traffic.to_string(),
-            row.policy.to_string(),
-            row.result.sim.mean_power_w(),
-            saving * 100.0,
-            row.result.sim.throughput_mbps(),
-        ));
-    }
-    out
+/// What one grid-table column shows for a cell.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    /// The TDVS top threshold, Mbps.
+    Threshold,
+    /// The TDVS monitor window, cycles.
+    Window,
+    /// The round-trippable policy spec string.
+    Policy,
+    /// The policy family (`noDVS`, `TDVS`, ...).
+    Kind,
+    /// The round-trippable traffic spec string.
+    Traffic,
+    /// The benchmark application.
+    Benchmark,
+    /// A [`stats::RunMetrics`] field at the given decimal places: the
+    /// value when plain, `mean±half-width` when replicated.
+    Metric(&'static str, usize),
+    /// The mean-power saving vs noDVS as a percentage; replicated, it
+    /// is marked `*` when Welch's t finds it significant.
+    Saving,
 }
 
-/// Renders a sweep's per-cell summary (thresholds, windows, p80 power and
-/// throughput, switch counts).
-#[must_use]
-pub fn render_sweep(cells: &[GridCell]) -> String {
-    let mut out = String::from("threshold_mbps window_cycles p80_power_w p80_tput_mbps switches\n");
-    for c in cells {
-        out.push_str(&format!(
-            "{:>14.0} {:>13} {:>11.3} {:>13.1} {:>8}\n",
-            c.threshold_mbps,
-            c.window_cycles,
-            c.result.p80_power_w(),
-            c.result.p80_throughput_mbps(),
-            c.result.sim.total_switches,
-        ));
-    }
-    out
+/// One grid-table column: its header, its width (`0`: left-aligned
+/// and as wide as its widest entry, otherwise right-aligned) and what
+/// it shows.
+#[derive(Debug, Clone, Copy)]
+struct Col {
+    head: &'static str,
+    width: usize,
+    value: Value,
 }
 
-/// Renders a policy-spec sweep: one row per spec, labelled with its
-/// round-trippable spec string.
+const fn col(head: &'static str, width: usize, value: Value) -> Col {
+    Col { head, width, value }
+}
+
+const fn metric(head: &'static str, width: usize, field: &'static str, precision: usize) -> Col {
+    col(head, width, Value::Metric(field, precision))
+}
+
+const THRESHOLD: Col = col("threshold_mbps", 14, Value::Threshold);
+const WINDOW: Col = col("window_cycles", 13, Value::Window);
+const POLICY_SPEC: Col = col("policy_spec", 0, Value::Policy);
+const TRAFFIC_SPEC: Col = col("traffic_spec", 0, Value::Traffic);
+const BENCHMARK: Col = col("benchmark", 9, Value::Benchmark);
+const TRAFFIC: Col = col("traffic", 7, Value::Traffic);
+const POLICY: Col = col("policy", 6, Value::Kind);
+const SAVING: Col = col("saving_vs_nodvs", 15, Value::Saving);
+
+/// The p80 columns the plain TDVS and policy sweeps end with.
+const P80_PLAIN: [Col; 3] = [
+    metric("p80_power_w", 11, "p80_power_w", 3),
+    metric("p80_tput_mbps", 13, "p80_throughput_mbps", 1),
+    metric("switches", 8, "total_switches", 0),
+];
+
+/// The columns the replicated TDVS and policy sweeps end with.
+const P80_REPLICATED: [Col; 4] = [
+    metric("mean_power_w", 15, "mean_power_w", 3),
+    metric("p80_power_w", 15, "p80_power_w", 3),
+    metric("p80_tput_mbps", 17, "p80_throughput_mbps", 1),
+    metric("switches", 13, "total_switches", 1),
+];
+
+/// The columns of every axis's table, plain and replicated.
+fn columns(axis: Axis, replicated: bool) -> Vec<Col> {
+    match (axis, replicated) {
+        (Axis::Tdvs, false) => [&[THRESHOLD, WINDOW][..], &P80_PLAIN].concat(),
+        (Axis::Tdvs, true) => [&[THRESHOLD, WINDOW][..], &P80_REPLICATED].concat(),
+        (Axis::Policies, false) => {
+            let lead = [
+                POLICY_SPEC,
+                col("kind", 6, Value::Kind),
+                metric("mean_power_w", 12, "mean_power_w", 3),
+            ];
+            [&lead[..], &P80_PLAIN].concat()
+        }
+        (Axis::Policies, true) => [&[POLICY_SPEC][..], &P80_REPLICATED].concat(),
+        (Axis::Traffics, false) => vec![
+            TRAFFIC_SPEC,
+            metric("offered_mbps", 12, "offered_mbps", 1),
+            metric("tput_mbps", 12, "throughput_mbps", 1),
+            metric("mean_power_w", 12, "mean_power_w", 3),
+            metric("loss_ratio", 10, "loss_ratio", 4),
+            metric("switches", 8, "total_switches", 0),
+        ],
+        (Axis::Traffics, true) => vec![
+            TRAFFIC_SPEC,
+            metric("offered_mbps", 15, "offered_mbps", 1),
+            metric("tput_mbps", 15, "throughput_mbps", 1),
+            metric("mean_power_w", 15, "mean_power_w", 3),
+            metric("loss_ratio", 15, "loss_ratio", 4),
+        ],
+        (Axis::Compare, false) => vec![
+            BENCHMARK,
+            TRAFFIC,
+            POLICY,
+            metric("mean_power_w", 12, "mean_power_w", 3),
+            SAVING,
+            metric("throughput_mbps", 15, "throughput_mbps", 1),
+        ],
+        (Axis::Compare, true) => vec![
+            BENCHMARK,
+            TRAFFIC,
+            POLICY,
+            metric("mean_power_w", 15, "mean_power_w", 3),
+            SAVING,
+            metric("tput_mbps", 17, "throughput_mbps", 1),
+        ],
+    }
+}
+
+/// One table entry before alignment. The saving pads itself: its `%`
+/// (and significance marker) sit outside the width its header aligns
+/// to.
+fn entry(value: Value, cells: &[CellRef<'_>], cell: CellRef<'_>, level: ConfidenceLevel) -> String {
+    let e = cell.experiment();
+    let tdvs = || e.tdvs_point().unwrap_or((f64::NAN, 0));
+    match value {
+        Value::Threshold => format!("{:.0}", tdvs().0),
+        Value::Window => tdvs().1.to_string(),
+        Value::Policy => e.policy.spec_string(),
+        Value::Kind => e.policy.kind().to_string(),
+        Value::Traffic => e.traffic.spec_string(),
+        Value::Benchmark => e.benchmark.to_string(),
+        Value::Metric(field, precision) => match cell.summary(field) {
+            Some(summary) => pm(summary, level, precision),
+            None => format!("{:.precision$}", cell.mean(field)),
+        },
+        Value::Saving => {
+            let vs = vs_nodvs(cells, cell);
+            let percent = vs.saving.unwrap_or(0.0) * 100.0;
+            match cell {
+                CellRef::Plain(_) => format!("{percent:>15.1}%"),
+                CellRef::Replicated(_) => {
+                    let marker = match vs.welch {
+                        Some(w) if w.significant(level) => '*',
+                        _ => ' ',
+                    };
+                    format!("{percent:>13.1}%{marker}")
+                }
+            }
+        }
+    }
+}
+
+/// Renders an evaluated grid as a table: one row per completed cell,
+/// labelled by its axis (threshold and window, spec string, or
+/// benchmark, traffic and policy), with the key paper quantities as
+/// values (single seed) or `mean±half-width` at `level` (replicated).
+/// The compare axis adds each cell's saving vs the noDVS cell of its
+/// benchmark and traffic; replicated, a saving marked `*` is
+/// significant at `level` (Welch's t-test over the two per-seed
+/// mean-power folds), and an unmarked one is indistinguishable from
+/// replication noise.
 #[must_use]
-pub fn render_spec_sweep(cells: &[SpecCell]) -> String {
-    let label_width = cells
+pub fn render_grid(run: &GridRun, level: ConfidenceLevel) -> String {
+    grid_table(
+        run.axis,
+        run.replicated().is_some(),
+        &run.cell_refs(),
+        level,
+    )
+}
+
+/// Renders a [`ReplicatedComparison`]: the compare-axis case of
+/// [`render_grid`].
+#[must_use]
+pub fn render_replicated_comparison(cmp: &ReplicatedComparison, level: ConfidenceLevel) -> String {
+    let cells: Vec<CellRef<'_>> = cmp
+        .rows
         .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("policy_spec".len());
-    let mut out = format!(
-        "{:<label_width$} {:>6} {:>12} {:>11} {:>13} {:>8}\n",
-        "policy_spec", "kind", "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
-    );
-    for c in cells {
-        out.push_str(&format!(
-            "{:<label_width$} {:>6} {:>12.3} {:>11.3} {:>13.1} {:>8}\n",
-            c.spec.spec_string(),
-            c.spec.kind().to_string(),
-            c.result.sim.mean_power_w(),
-            c.result.p80_power_w(),
-            c.result.p80_throughput_mbps(),
-            c.result.sim.total_switches,
-        ));
-    }
-    out
+        .map(|row| CellRef::Replicated(&row.result))
+        .collect();
+    grid_table(Axis::Compare, true, &cells, level)
 }
 
-/// Renders a traffic-model sweep: one row per traffic spec, labelled
-/// with its round-trippable spec string, with the offered load next to
-/// what the chip actually achieved under it.
-#[must_use]
-pub fn render_traffic_sweep(cells: &[TrafficCell]) -> String {
-    let label_width = cells
+fn grid_table(
+    axis: Axis,
+    replicated: bool,
+    cells: &[CellRef<'_>],
+    level: ConfidenceLevel,
+) -> String {
+    let cols = columns(axis, replicated);
+    let rows: Vec<Vec<String>> = cells
         .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("traffic_spec".len());
-    let mut out = format!(
-        "{:<label_width$} {:>12} {:>12} {:>12} {:>10} {:>8}\n",
-        "traffic_spec", "offered_mbps", "tput_mbps", "mean_power_w", "loss_ratio", "switches"
-    );
-    for c in cells {
+        .map(|&cell| {
+            cols.iter()
+                .map(|c| entry(c.value, cells, cell, level))
+                .collect()
+        })
+        .collect();
+    let widths: Vec<usize> = cols
+        .iter()
+        .enumerate()
+        .map(|(j, c)| match c.width {
+            0 => rows
+                .iter()
+                .map(|r| r[j].len())
+                .fold(c.head.len(), usize::max),
+            width => width,
+        })
+        .collect();
+    let line = |texts: Vec<&str>| {
+        let padded: Vec<String> = cols
+            .iter()
+            .zip(&widths)
+            .zip(texts)
+            .map(|((c, &width), text)| match c.width {
+                0 => format!("{text:<width$}"),
+                _ => format!("{text:>width$}"),
+            })
+            .collect();
+        padded.join(" ") + "\n"
+    };
+    let mut out = line(cols.iter().map(|c| c.head).collect());
+    for row in &rows {
+        out.push_str(&line(row.iter().map(String::as_str).collect()));
+    }
+    let tested = replicated
+        && axis == Axis::Compare
+        && cells
+            .iter()
+            .any(|&cell| vs_nodvs(cells, cell).welch.is_some());
+    if tested {
         out.push_str(&format!(
-            "{:<label_width$} {:>12.1} {:>12.1} {:>12.3} {:>10.4} {:>8}\n",
-            c.spec.spec_string(),
-            c.result.sim.offered_mbps(),
-            c.result.sim.throughput_mbps(),
-            c.result.sim.mean_power_w(),
-            c.result.sim.loss_ratio(),
-            c.result.sim.total_switches,
+            "(* = power differs from noDVS at the {level} level, Welch's t)\n"
         ));
     }
     out
@@ -214,138 +344,6 @@ pub fn render_replicated_run(r: &ReplicatedResult, level: ConfidenceLevel) -> St
             summary.std_dev(),
             summary.min(),
             summary.max(),
-        ));
-    }
-    out
-}
-
-/// Renders a replicated TDVS sweep: one row per grid cell, the key
-/// paper quantities as `mean±half-width` over the replicates.
-#[must_use]
-pub fn render_replicated_sweep(cells: &[ReplicatedGridCell], level: ConfidenceLevel) -> String {
-    let mut out = format!(
-        "threshold_mbps window_cycles {:>15} {:>15} {:>17} {:>13}\n",
-        "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
-    );
-    for c in cells {
-        let m = &c.result.metrics;
-        out.push_str(&format!(
-            "{:>14.0} {:>13} {:>15} {:>15} {:>17} {:>13}\n",
-            c.threshold_mbps,
-            c.window_cycles,
-            pm(&m.mean_power_w, level, 3),
-            pm(&m.p80_power_w, level, 3),
-            pm(&m.p80_throughput_mbps, level, 1),
-            pm(&m.total_switches, level, 1),
-        ));
-    }
-    out
-}
-
-/// Renders a replicated policy-spec sweep: one row per spec, labelled
-/// with its round-trippable spec string.
-#[must_use]
-pub fn render_replicated_spec_sweep(
-    cells: &[ReplicatedSpecCell],
-    level: ConfidenceLevel,
-) -> String {
-    let label_width = cells
-        .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("policy_spec".len());
-    let mut out = format!(
-        "{:<label_width$} {:>15} {:>15} {:>17} {:>13}\n",
-        "policy_spec", "mean_power_w", "p80_power_w", "p80_tput_mbps", "switches"
-    );
-    for c in cells {
-        let m = &c.result.metrics;
-        out.push_str(&format!(
-            "{:<label_width$} {:>15} {:>15} {:>17} {:>13}\n",
-            c.spec.spec_string(),
-            pm(&m.mean_power_w, level, 3),
-            pm(&m.p80_power_w, level, 3),
-            pm(&m.p80_throughput_mbps, level, 1),
-            pm(&m.total_switches, level, 1),
-        ));
-    }
-    out
-}
-
-/// Renders a replicated traffic-model sweep: one row per traffic spec
-/// with offered load, achieved throughput, power and loss as
-/// `mean±half-width`.
-#[must_use]
-pub fn render_replicated_traffic_sweep(
-    cells: &[ReplicatedTrafficCell],
-    level: ConfidenceLevel,
-) -> String {
-    let label_width = cells
-        .iter()
-        .map(|c| c.spec.spec_string().len())
-        .max()
-        .unwrap_or(0)
-        .max("traffic_spec".len());
-    let mut out = format!(
-        "{:<label_width$} {:>15} {:>15} {:>15} {:>15}\n",
-        "traffic_spec", "offered_mbps", "tput_mbps", "mean_power_w", "loss_ratio"
-    );
-    for c in cells {
-        let m = &c.result.metrics;
-        out.push_str(&format!(
-            "{:<label_width$} {:>15} {:>15} {:>15} {:>15}\n",
-            c.spec.spec_string(),
-            pm(&m.offered_mbps, level, 1),
-            pm(&m.throughput_mbps, level, 1),
-            pm(&m.mean_power_w, level, 3),
-            pm(&m.loss_ratio, level, 4),
-        ));
-    }
-    out
-}
-
-/// Renders the replicated Fig. 11 comparison: mean power and
-/// throughput as `mean±half-width`, savings computed from the
-/// replicate means. A saving marked `*` is significant vs the noDVS
-/// baseline at the table's confidence level (Welch's t-test over the
-/// two per-seed mean-power folds); an unmarked saving is
-/// indistinguishable from replication noise at that level.
-#[must_use]
-pub fn render_replicated_comparison(cmp: &ReplicatedComparison, level: ConfidenceLevel) -> String {
-    let mut out = format!(
-        "benchmark traffic policy {:>15} saving_vs_nodvs {:>17}\n",
-        "mean_power_w", "tput_mbps"
-    );
-    let mut any_tested = false;
-    for row in &cmp.rows {
-        let saving = cmp
-            .power_saving(row.benchmark, &row.traffic, row.policy)
-            .unwrap_or(0.0);
-        let m = &row.result.metrics;
-        let welch = cmp
-            .row(row.benchmark, &row.traffic, PolicyKind::NoDvs)
-            .filter(|base| base.policy != row.policy)
-            .and_then(|base| welch_t(&m.mean_power_w, &base.result.metrics.mean_power_w));
-        any_tested |= welch.is_some();
-        let marker = match welch {
-            Some(w) if w.significant(level) => '*',
-            _ => ' ',
-        };
-        out.push_str(&format!(
-            "{:>9} {:>7} {:>6} {:>15} {:>13.1}%{} {:>17}\n",
-            row.benchmark.to_string(),
-            row.traffic.to_string(),
-            row.policy.to_string(),
-            pm(&m.mean_power_w, level, 3),
-            saving * 100.0,
-            marker,
-            pm(&m.throughput_mbps, level, 1),
-        ));
-    }
-    if any_tested {
-        out.push_str(&format!(
-            "(* = power differs from noDVS at the {level} level, Welch's t)\n"
         ));
     }
     out
@@ -546,65 +544,23 @@ pub fn render_trace_analysis(path: &str, a: &TraceAnalysis) -> String {
     out
 }
 
-/// Renders a distribution's cumulative curve as CSV (`x,fraction`), ready
-/// for gnuplot/matplotlib — the workspace's equivalent of the paper's
-/// plotted series.
-///
-/// # Panics
-///
-/// Panics if `points < 2` or `lo >= hi`.
-#[must_use]
-pub fn render_cdf_csv(report: &DistributionReport, lo: f64, hi: f64, points: usize) -> String {
-    assert!(points >= 2, "need at least two sample points");
-    assert!(lo < hi, "lo must be below hi");
-    let mut out = String::from("x,fraction_le\n");
-    for k in 0..points {
-        let x = lo + (hi - lo) * k as f64 / (points - 1) as f64;
-        out.push_str(&format!("{x},{}\n", report.fraction_le(x)));
-    }
-    out
-}
-
-/// Renders a Fig. 8/9-style surface as CSV (`threshold,window,value`).
-#[must_use]
-pub fn render_surface_csv(surface: &[(f64, u64, f64)], value_label: &str) -> String {
-    let mut out = format!("threshold_mbps,window_cycles,{value_label}\n");
-    for &(t, w, v) in surface {
-        out.push_str(&format!("{t},{w},{v}\n"));
-    }
-    out
-}
-
-/// Renders the Fig. 11 comparison as CSV.
-#[must_use]
-pub fn render_comparison_csv(cmp: &PolicyComparison) -> String {
-    let mut out =
-        String::from("benchmark,traffic,policy,mean_power_w,saving_vs_nodvs,throughput_mbps\n");
-    for row in &cmp.rows {
-        let saving = cmp
-            .power_saving(row.benchmark, &row.traffic, row.policy)
-            .unwrap_or(0.0);
-        out.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            row.benchmark,
-            row.traffic,
-            row.policy,
-            row.result.sim.mean_power_w(),
-            saving,
-            row.result.sim.throughput_mbps(),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_policies, ComparisonConfig};
+    use crate::compare::ComparisonConfig;
     use crate::formulas::power_distribution;
+    use crate::sweep::{run_grid, Grid};
+    use crate::Runner;
     use loc::{Analyzer, Annotations, TraceRecord};
     use nepsim::Benchmark;
     use traffic::{TrafficLevel, TrafficSpec};
+
+    /// Runs a grid that must complete.
+    fn run(grid: &Grid, seeds: u64) -> GridRun {
+        let run = run_grid(&Runner::new(), grid, seeds);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        run
+    }
 
     fn tiny_report() -> DistributionReport {
         let mut a = Analyzer::from_formula(&power_distribution(1)).unwrap();
@@ -663,8 +619,9 @@ mod tests {
             cycles: 150_000,
             ..ComparisonConfig::default()
         };
-        let cmp = compare_policies(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
-        let text = render_comparison(&cmp);
+        let grid = Grid::compare(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
+        let text = render_grid(&run(&grid, 1), ConfidenceLevel::P95);
+        assert!(text.starts_with("benchmark traffic policy mean_power_w saving_vs_nodvs"));
         assert!(text.contains("nat"));
         assert!(text.contains("noDVS"));
         assert!(text.contains("TDVS"));
@@ -672,45 +629,50 @@ mod tests {
         assert!(text.contains("TEDVS"));
         assert!(text.contains("QDVS"));
         assert!(text.contains("PDVS"));
+        // The baseline row saves exactly nothing against itself.
+        assert!(text.lines().nth(1).unwrap().contains("0.0%"), "{text}");
     }
 
     #[test]
     fn spec_sweep_table_labels_rows_with_spec_strings() {
-        use crate::sweep::sweep_specs;
         let specs: Vec<crate::PolicySpec> = ["nodvs", "queue:high=0.9,low=0.1"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = sweep_specs(
+        let grid = Grid::policies(
             Benchmark::Nat,
             &TrafficLevel::Low.into(),
             &specs,
             150_000,
             1,
         );
-        let text = render_spec_sweep(&cells);
+        let text = render_grid(&run(&grid, 1), ConfidenceLevel::P95);
         assert!(text.starts_with("policy_spec"));
         assert!(text.contains("nodvs"));
         assert!(text.contains("queue:high=0.9,low=0.1,window=40000"));
         assert!(text.contains("QDVS"));
         assert_eq!(text.lines().count(), 3);
+        // The label column is as wide as its longest spec string; the
+        // six-wide kind column follows it.
+        let header = text.lines().next().unwrap();
+        let width = "queue:high=0.9,low=0.1,window=40000".len();
+        assert_eq!(header.find("kind"), Some(width + 3), "{text}");
     }
 
     #[test]
     fn traffic_sweep_table_labels_rows_with_spec_strings() {
-        use crate::sweep::sweep_traffics;
         let traffics: Vec<TrafficSpec> = ["low", "constant:rate=500"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = sweep_traffics(
+        let grid = Grid::traffics(
             Benchmark::Nat,
             &traffics,
             &crate::PolicySpec::NoDvs,
             150_000,
             1,
         );
-        let text = render_traffic_sweep(&cells);
+        let text = render_grid(&run(&grid, 1), ConfidenceLevel::P95);
         assert!(text.starts_with("traffic_spec"));
         assert!(text.contains("low"));
         assert!(text.contains("constant:rate=500,size=576,ports=16"));
@@ -725,19 +687,22 @@ mod tests {
 
     #[test]
     fn replicated_tables_render_mean_plus_minus_half_width() {
-        use crate::replicate::{replicated_run, replicated_sweep_tdvs};
         use crate::Experiment;
 
-        let r = replicated_run(
-            &Experiment {
+        let r = crate::run_replicated_experiments(
+            &Runner::new(),
+            vec![Experiment {
                 benchmark: Benchmark::Nat,
                 traffic: TrafficLevel::Low.into(),
                 policy: crate::PolicySpec::NoDvs,
                 cycles: 150_000,
                 seed: 3,
-            },
+            }],
             3,
-        );
+        )
+        .pop()
+        .expect("one cell")
+        .expect("no replicate failed");
         let text = render_replicated_run(&r, ConfidenceLevel::P95);
         assert!(text.contains("3 seeds, 95% CI"), "{text}");
         assert!(text.contains("mean_power_w"), "{text}");
@@ -745,19 +710,18 @@ mod tests {
         // Header + one row per metric field.
         assert_eq!(text.lines().count(), 1 + r.metrics.fields().len());
 
-        let grid = crate::TdvsGrid {
+        let points = crate::TdvsGrid {
             thresholds_mbps: vec![1000.0],
             windows_cycles: vec![40_000],
         };
-        let cells = replicated_sweep_tdvs(
+        let grid = Grid::tdvs(
             Benchmark::Ipfwdr,
             &TrafficLevel::Medium.into(),
-            &grid,
+            &points,
             150_000,
             1,
-            2,
         );
-        let text = render_replicated_sweep(&cells, ConfidenceLevel::P95);
+        let text = render_grid(&run(&grid, 2), ConfidenceLevel::P95);
         assert!(text.starts_with("threshold_mbps"), "{text}");
         // Every metric cell is a mean±half-width pair.
         assert!(
@@ -768,13 +732,12 @@ mod tests {
 
     #[test]
     fn replicated_comparison_table_reports_savings_from_means() {
-        use crate::replicate::replicated_compare;
         let cfg = ComparisonConfig {
             cycles: 150_000,
             ..ComparisonConfig::default()
         };
-        let cmp = replicated_compare(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg, 2);
-        let text = render_replicated_comparison(&cmp, ConfidenceLevel::P95);
+        let grid = Grid::compare(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
+        let text = render_grid(&run(&grid, 2), ConfidenceLevel::P95);
         assert!(text.contains("saving_vs_nodvs"), "{text}");
         assert!(text.contains("noDVS"), "{text}");
         assert!(text.contains("PDVS"), "{text}");
@@ -813,22 +776,18 @@ mod tests {
 
     #[test]
     fn replicated_spec_and_traffic_tables_label_rows_with_specs() {
-        use crate::replicate::{try_replicated_sweep_specs, try_replicated_sweep_traffics};
-        let runner = crate::Runner::new();
         let specs: Vec<crate::PolicySpec> = ["nodvs", "queue"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = crate::experiment::expect_cells(try_replicated_sweep_specs(
-            &runner,
+        let grid = Grid::policies(
             Benchmark::Nat,
             &TrafficLevel::Low.into(),
             &specs,
             150_000,
             1,
-            2,
-        ));
-        let text = render_replicated_spec_sweep(&cells, ConfidenceLevel::P95);
+        );
+        let text = render_grid(&run(&grid, 2), ConfidenceLevel::P95);
         assert!(text.starts_with("policy_spec"), "{text}");
         assert!(text.contains("queue:high="), "{text}");
 
@@ -836,16 +795,14 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let cells = crate::experiment::expect_cells(try_replicated_sweep_traffics(
-            &runner,
+        let grid = Grid::traffics(
             Benchmark::Nat,
             &traffics,
             &crate::PolicySpec::NoDvs,
             150_000,
             1,
-            2,
-        ));
-        let text = render_replicated_traffic_sweep(&cells, ConfidenceLevel::P95);
+        );
+        let text = render_grid(&run(&grid, 2), ConfidenceLevel::P95);
         assert!(text.starts_with("traffic_spec"), "{text}");
         assert!(text.contains("constant:rate=500"), "{text}");
         assert_eq!(text.lines().count(), 3);
@@ -881,33 +838,5 @@ mod tests {
             assert!(p50 >= 0.0 && p99 >= p50, "{line}");
         }
         assert!((shares - 1.0).abs() < 1e-6, "{text}");
-    }
-
-    #[test]
-    fn csv_renderers_produce_parsable_rows() {
-        let csv = render_cdf_csv(&tiny_report(), 0.5, 2.25, 5);
-        assert_eq!(csv.lines().count(), 6);
-        for line in csv.lines().skip(1) {
-            let cols: Vec<&str> = line.split(',').collect();
-            assert_eq!(cols.len(), 2);
-            let _: f64 = cols[0].parse().unwrap();
-            let _: f64 = cols[1].parse().unwrap();
-        }
-
-        let surface = vec![(800.0, 20_000u64, 1.1), (1000.0, 40_000, 1.2)];
-        let csv = render_surface_csv(&surface, "p80_power_w");
-        assert!(csv.starts_with("threshold_mbps,window_cycles,p80_power_w\n"));
-        assert!(csv.contains("800,20000,1.1"));
-
-        let cfg = ComparisonConfig {
-            cycles: 150_000,
-            ..ComparisonConfig::default()
-        };
-        let cmp = compare_policies(&[Benchmark::Nat], &[TrafficLevel::Low.into()], &cfg);
-        let csv = render_comparison_csv(&cmp);
-        assert_eq!(csv.lines().count(), 7); // header + 6 policy families
-        assert!(csv.contains("nat,low,noDVS,"));
-        assert!(csv.contains("nat,low,QDVS,"));
-        assert!(csv.contains("nat,low,PDVS,"));
     }
 }

@@ -1789,6 +1789,46 @@ fn profile_never_touches_stdout_on_run_sweep_or_fleet() {
 }
 
 #[test]
+fn profile_summary_folds_a_sweeps_jobs_into_one_row() {
+    // A 16-cell sweep runs 16 jobs of one phase: the summary must print
+    // one `job` row with a count of 16 (not one single-count row per
+    // cell label), while the trace keeps each job's label as an arg.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-prof-jobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("sweep.prof.json");
+    let out = abdex()
+        .args(["sweep", "--cycles", "60000", "--profile"])
+        .arg(&trace)
+        .arg("--profile-summary")
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let rows: Vec<&str> = err
+        .lines()
+        .filter(|line| line.split_whitespace().next() == Some("job"))
+        .collect();
+    assert_eq!(rows.len(), 1, "{err}");
+    assert_eq!(rows[0].split_whitespace().nth(1), Some("16"), "{err}");
+    assert!(
+        !err.contains("ipfwdr/high"),
+        "a cell label became a phase: {err}"
+    );
+
+    let doc = std::fs::read_to_string(&trace).expect("trace written");
+    assert_eq!(doc.matches("\"name\":\"job\"").count(), 16, "{doc}");
+    assert!(
+        doc.contains(
+            "\"args\":{\"label\":\"ipfwdr/high tdvs:threshold=800,window=20000 \
+             cycles=60000 seed=42\"}"
+        ),
+        "{doc}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn profile_flag_is_global_and_preflighted() {
     // Every subcommand accepts the pair — including the flagless
     // listing commands.

@@ -1,22 +1,16 @@
-//! Regression guard for the runner's core contract: a sweep run with
-//! one worker and with N workers must produce identical tables and
-//! bit-identical metrics for a fixed seed. Parallelism must never leak
-//! into results — for the paper's traffic levels and for every
-//! spec-described traffic model alike.
+//! Regression guard for the runner's core contract: a grid run with
+//! one worker and with N workers must produce identical tables,
+//! documents and bit-identical metrics for a fixed seed. Parallelism
+//! must never leak into results — for the paper's traffic levels and
+//! for every spec-described traffic model alike.
 
-use abdex::compare::{try_compare_policies, ComparisonConfig};
+use abdex::compare::ComparisonConfig;
 use abdex::fleet::{chip_seed, run_fleet, FleetConfig};
-use abdex::json::{fleet_json, scenario_json};
-use abdex::replicate::{try_replicated_compare, try_replicated_sweep_tdvs};
+use abdex::json::{fleet_json, grid_json, scenario_json};
 use abdex::scenario::{try_run_scenario, Scenario, ScenarioRun};
-use abdex::sweep::{try_sweep_specs, try_sweep_tdvs, try_sweep_traffics};
-use abdex::tables::{
-    render_comparison, render_fleet, render_replicated_comparison, render_replicated_sweep,
-    render_scenario, render_spec_sweep, render_sweep, render_traffic_sweep,
-};
+use abdex::tables::{render_fleet, render_grid, render_scenario};
 use abdex::{
-    ConfidenceLevel, GridCell, JobSpec, PolicyComparison, PolicySpec, ReplicatedComparison,
-    ReplicatedGridCell, Runner, SpecCell, TdvsGrid, TrafficCell, TrafficSpec,
+    run_grid, ConfidenceLevel, Grid, GridRun, JobSpec, PolicySpec, Runner, TdvsGrid, TrafficSpec,
 };
 use nepsim::Benchmark;
 use traffic::TrafficLevel;
@@ -31,122 +25,142 @@ fn grid() -> TdvsGrid {
     }
 }
 
-fn tdvs_cells(workers: usize) -> Vec<GridCell> {
-    try_sweep_tdvs(
-        &Runner::new().with_workers(workers),
+fn tdvs_grid() -> Grid {
+    Grid::tdvs(
         Benchmark::Ipfwdr,
         &TrafficLevel::High.into(),
         &grid(),
         CYCLES,
         SEED,
     )
-    .into_iter()
-    .map(|o| o.expect("no cell failed"))
-    .collect()
+}
+
+/// Runs a grid that must complete on `runner`.
+fn complete(runner: &Runner, grid: &Grid, seeds: u64) -> GridRun {
+    let run = run_grid(runner, grid, seeds);
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    run
+}
+
+fn tdvs_run(workers: usize) -> GridRun {
+    complete(&Runner::new().with_workers(workers), &tdvs_grid(), 1)
+}
+
+/// Runs `grid` with `seeds` replicates per cell on one worker and on
+/// each of `worker_counts`, and asserts the runs agree bit for bit —
+/// single runs in every report field and paper metric, replicated folds
+/// in every metric's mean, half-width at every level, spread and range —
+/// down to the rendered table and JSON document.
+fn assert_jobs_invariant(grid: &Grid, seeds: u64, worker_counts: &[usize]) {
+    let case = format!("{:?} axis, {seeds} seed(s)", grid.axis());
+    let serial = complete(&Runner::new().with_workers(1), grid, seeds);
+    for &workers in worker_counts {
+        let parallel = complete(&Runner::new().with_workers(workers), grid, seeds);
+        let case = format!("{case}, {workers} workers");
+        match (&serial.cells, &parallel.cells) {
+            (abdex::Cells::Plain(s), abdex::Cells::Plain(p)) => {
+                assert_eq!(s.len(), p.len(), "{case}");
+                for (s, p) in s.iter().zip(p) {
+                    assert_eq!(s.experiment, p.experiment, "{case}");
+                    assert_eq!(s.sim, p.sim, "{case}: {} diverged", s.experiment.label());
+                    for ((name, sv), (_, pv)) in
+                        s.metrics().fields().iter().zip(p.metrics().fields())
+                    {
+                        assert_eq!(
+                            sv.to_bits(),
+                            pv.to_bits(),
+                            "{case}: {name} diverged at {}",
+                            s.experiment.label()
+                        );
+                    }
+                }
+            }
+            (abdex::Cells::Replicated(s), abdex::Cells::Replicated(p)) => {
+                assert_eq!(s.len(), p.len(), "{case}");
+                for (s, p) in s.iter().zip(p) {
+                    assert_eq!(s.experiment, p.experiment, "{case}");
+                    assert_eq!(s.replicates(), seeds, "{case}");
+                    for ((name, ss), (_, ps)) in s.metrics.fields().iter().zip(p.metrics.fields()) {
+                        let at = s.experiment.label();
+                        assert_eq!(
+                            ss.mean().to_bits(),
+                            ps.mean().to_bits(),
+                            "{case}: {name} mean diverged at {at}"
+                        );
+                        for level in ConfidenceLevel::ALL {
+                            assert_eq!(
+                                ss.half_width(level).to_bits(),
+                                ps.half_width(level).to_bits(),
+                                "{case}: {name} {level} half-width diverged at {at}"
+                            );
+                        }
+                        assert_eq!(ss.std_dev().to_bits(), ps.std_dev().to_bits(), "{case}");
+                        assert_eq!(ss.min().to_bits(), ps.min().to_bits(), "{case}");
+                        assert_eq!(ss.max().to_bits(), ps.max().to_bits(), "{case}");
+                    }
+                }
+            }
+            _ => panic!("{case}: the worker count changed the run's mode"),
+        }
+        // The rendered table and document — what the paper's figures
+        // are built from — must be byte-for-byte identical too.
+        assert_eq!(
+            render_grid(&serial, ConfidenceLevel::P95),
+            render_grid(&parallel, ConfidenceLevel::P95),
+            "{case}"
+        );
+        assert_eq!(
+            grid_json(&serial, ConfidenceLevel::P95),
+            grid_json(&parallel, ConfidenceLevel::P95),
+            "{case}"
+        );
+    }
+}
+
+fn comparison_config() -> ComparisonConfig {
+    ComparisonConfig {
+        cycles: CYCLES,
+        seed: SEED,
+        ..ComparisonConfig::default()
+    }
 }
 
 #[test]
 fn tdvs_sweep_is_bit_identical_across_worker_counts() {
-    let serial = tdvs_cells(1);
-    for workers in [2, 4] {
-        let parallel = tdvs_cells(workers);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.threshold_mbps, p.threshold_mbps);
-            assert_eq!(s.window_cycles, p.window_cycles);
-            assert_eq!(
-                s.result.sim.forwarded_packets,
-                p.result.sim.forwarded_packets
-            );
-            assert_eq!(s.result.sim.total_switches, p.result.sim.total_switches);
-            assert_eq!(
-                s.result.p80_power_w().to_bits(),
-                p.result.p80_power_w().to_bits(),
-                "power diverged at {} Mbps / {} cycles with {workers} workers",
-                s.threshold_mbps,
-                s.window_cycles
-            );
-            assert_eq!(
-                s.result.p80_throughput_mbps().to_bits(),
-                p.result.p80_throughput_mbps().to_bits()
-            );
-        }
-        // The rendered table — what the paper's figures are built from —
-        // must be byte-for-byte identical too.
-        assert_eq!(render_sweep(&serial), render_sweep(&parallel));
-    }
+    assert_jobs_invariant(&tdvs_grid(), 1, &[2, 4]);
 }
 
 #[test]
 fn spec_sweep_is_bit_identical_across_worker_counts() {
-    let specs: Vec<PolicySpec> = ["nodvs", "tdvs:threshold=1400", "queue", "proportional"]
+    let policies: Vec<PolicySpec> = ["nodvs", "tdvs:threshold=1400", "queue", "proportional"]
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let run = |workers: usize| -> Vec<SpecCell> {
-        try_sweep_specs(
-            &Runner::new().with_workers(workers),
-            Benchmark::Ipfwdr,
-            // Run the policy sweep on a model that did not exist before
-            // the traffic API opened: determinism must hold for
-            // spec-built generators exactly as for the paper levels.
-            &"burst:on_mbps=1800,off_mbps=120,period_s=0.002"
-                .parse()
-                .unwrap(),
-            &specs,
-            CYCLES,
-            SEED,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(render_spec_sweep(&serial), render_spec_sweep(&parallel));
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.spec, p.spec);
-        assert_eq!(
-            s.result.sim.mean_power_w().to_bits(),
-            p.result.sim.mean_power_w().to_bits()
-        );
-    }
+    // Run the policy sweep on a model that did not exist before the
+    // traffic API opened: determinism must hold for spec-built
+    // generators exactly as for the paper levels.
+    let burst: TrafficSpec = "burst:on_mbps=1800,off_mbps=120,period_s=0.002"
+        .parse()
+        .unwrap();
+    let grid = Grid::policies(Benchmark::Ipfwdr, &burst, &policies, CYCLES, SEED);
+    assert_jobs_invariant(&grid, 1, &[4]);
+    assert_jobs_invariant(&grid, 2, &[4]);
 }
 
 #[test]
 fn comparison_is_bit_identical_across_worker_counts() {
-    let cfg = ComparisonConfig {
-        cycles: CYCLES,
-        seed: SEED,
-        ..ComparisonConfig::default()
-    };
-    let run = |workers: usize| -> PolicyComparison {
-        let (cmp, errors) = try_compare_policies(
-            &Runner::new().with_workers(workers),
-            &[Benchmark::Ipfwdr, Benchmark::Nat],
-            &[TrafficLevel::Low.into()],
-            &cfg,
-        );
-        assert!(errors.is_empty());
-        cmp
-    };
-    let serial = run(1);
-    let parallel = run(3);
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    assert_eq!(render_comparison(&serial), render_comparison(&parallel));
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.policy, p.policy);
-        assert_eq!(
-            s.result.sim.total_energy_uj().to_bits(),
-            p.result.sim.total_energy_uj().to_bits()
-        );
-    }
+    let grid = Grid::compare(
+        &[Benchmark::Ipfwdr, Benchmark::Nat],
+        &[TrafficLevel::Low.into()],
+        &comparison_config(),
+    );
+    assert_jobs_invariant(&grid, 1, &[3]);
 }
 
 #[test]
 fn traffic_sweep_is_bit_identical_across_worker_counts() {
-    // One spec per generator family, including every model added by the
-    // open traffic API.
+    // One spec per generator family, including every model added by
+    // the open traffic API.
     let traffics: Vec<TrafficSpec> = [
         "low",
         "mmpp:rate=900,burstiness=1.3",
@@ -157,100 +171,29 @@ fn traffic_sweep_is_bit_identical_across_worker_counts() {
     .iter()
     .map(|s| s.parse().unwrap())
     .collect();
-    let run = |workers: usize| -> Vec<TrafficCell> {
-        try_sweep_traffics(
-            &Runner::new().with_workers(workers),
-            Benchmark::Ipfwdr,
-            &traffics,
-            &PolicySpec::parse("tdvs:threshold=1200").unwrap(),
-            CYCLES,
-            SEED,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(
-        render_traffic_sweep(&serial),
-        render_traffic_sweep(&parallel)
-    );
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.spec, p.spec);
-        assert_eq!(
-            s.result.sim.forwarded_packets, p.result.sim.forwarded_packets,
-            "{} diverged",
-            s.spec
-        );
-        assert_eq!(
-            s.result.sim.total_energy_uj().to_bits(),
-            p.result.sim.total_energy_uj().to_bits(),
-            "{} diverged",
-            s.spec
-        );
-    }
+    let tdvs_1200 = PolicySpec::parse("tdvs:threshold=1200").unwrap();
+    let grid = Grid::traffics(Benchmark::Ipfwdr, &traffics, &tdvs_1200, CYCLES, SEED);
+    assert_jobs_invariant(&grid, 1, &[4]);
+    assert_jobs_invariant(&grid, 2, &[4]);
 }
 
 #[test]
 fn replicated_tdvs_sweep_is_bit_identical_across_worker_counts() {
-    // The PR-4 contract: a k-seed replicated grid folds per-cell means
-    // and confidence half-widths that are bit-identical for any worker
-    // count — parallelism must not leak into the statistics any more
-    // than into a single run.
-    let seeds = 3;
-    let run = |workers: usize| -> Vec<ReplicatedGridCell> {
-        try_replicated_sweep_tdvs(
-            &Runner::new().with_workers(workers),
-            Benchmark::Ipfwdr,
-            &TrafficLevel::High.into(),
-            &grid(),
-            CYCLES,
-            SEED,
-            seeds,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
-    };
-    let serial = run(1);
-    for workers in [2, 5] {
-        let parallel = run(workers);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.threshold_mbps, p.threshold_mbps);
-            assert_eq!(s.window_cycles, p.window_cycles);
-            assert_eq!(s.result.replicates(), seeds);
-            for ((name, ss), (_, ps)) in s
-                .result
-                .metrics
-                .fields()
-                .iter()
-                .zip(p.result.metrics.fields())
-            {
-                assert_eq!(
-                    ss.mean().to_bits(),
-                    ps.mean().to_bits(),
-                    "{name} mean diverged at {} Mbps / {} cycles with {workers} workers",
-                    s.threshold_mbps,
-                    s.window_cycles
-                );
-                for level in ConfidenceLevel::ALL {
-                    assert_eq!(
-                        ss.half_width(level).to_bits(),
-                        ps.half_width(level).to_bits(),
-                        "{name} {level} half-width diverged with {workers} workers"
-                    );
-                }
-                assert_eq!(ss.min().to_bits(), ps.min().to_bits());
-                assert_eq!(ss.max().to_bits(), ps.max().to_bits());
-            }
-        }
-        assert_eq!(
-            render_replicated_sweep(&serial, ConfidenceLevel::P95),
-            render_replicated_sweep(&parallel, ConfidenceLevel::P95)
-        );
-    }
+    // A k-seed replicated grid folds per-cell means and confidence
+    // half-widths that are bit-identical for any worker count —
+    // parallelism must not leak into the statistics any more than into
+    // a single run.
+    assert_jobs_invariant(&tdvs_grid(), 3, &[2, 5]);
+}
+
+#[test]
+fn replicated_comparison_is_bit_identical_across_worker_counts() {
+    let grid = Grid::compare(
+        &[Benchmark::Ipfwdr],
+        &[TrafficLevel::Low.into()],
+        &comparison_config(),
+    );
+    assert_jobs_invariant(&grid, 2, &[4]);
 }
 
 #[test]
@@ -469,52 +412,6 @@ fn fleet_run_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn replicated_comparison_is_bit_identical_across_worker_counts() {
-    let cfg = ComparisonConfig {
-        cycles: CYCLES,
-        seed: SEED,
-        ..ComparisonConfig::default()
-    };
-    let run = |workers: usize| -> ReplicatedComparison {
-        let (cmp, errors) = try_replicated_compare(
-            &Runner::new().with_workers(workers),
-            &[Benchmark::Ipfwdr],
-            &[TrafficLevel::Low.into()],
-            &cfg,
-            2,
-        );
-        assert!(errors.is_empty());
-        cmp
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    assert_eq!(
-        render_replicated_comparison(&serial, ConfidenceLevel::P95),
-        render_replicated_comparison(&parallel, ConfidenceLevel::P95)
-    );
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.policy, p.policy);
-        assert_eq!(
-            s.result.metrics.total_energy_uj.mean().to_bits(),
-            p.result.metrics.total_energy_uj.mean().to_bits()
-        );
-        assert_eq!(
-            s.result
-                .metrics
-                .total_energy_uj
-                .half_width(ConfidenceLevel::P99)
-                .to_bits(),
-            p.result
-                .metrics
-                .total_energy_uj
-                .half_width(ConfidenceLevel::P99)
-                .to_bits()
-        );
-    }
-}
-
-#[test]
 fn recording_is_pure_observation_at_the_experiment_level() {
     // The obs-layer contract from the experiment's point of view: a
     // recorder-attached run produces the exact same report and
@@ -574,7 +471,9 @@ fn recorded_jsonl_is_byte_identical_across_worker_counts() {
         parallel_fold.metrics.mean_power_w.mean().to_bits()
     );
     // The recorded fold matches the unrecorded one bit-for-bit.
-    let plain = abdex::replicate::try_replicated_run(&Runner::serial(), &experiment, 3)
+    let plain = abdex::run_replicated_experiments(&Runner::serial(), vec![experiment.clone()], 3)
+        .pop()
+        .expect("one cell")
         .expect("no replicate failed");
     assert_eq!(
         plain.metrics.total_energy_uj.mean().to_bits(),
@@ -628,37 +527,19 @@ fn cached_tdvs_sweep_is_byte_identical_to_cold() {
     // sweep, a cold cached sweep and a warm cached sweep render the
     // same table and the same JSON document byte-for-byte — and the
     // warm pass simulates nothing.
-    let uncached = tdvs_cells(1);
+    let uncached = tdvs_run(1);
     let runner = Runner::serial().with_cache(scratch_cache("tdvs"));
-    let cells = |runner: &Runner| -> Vec<GridCell> {
-        try_sweep_tdvs(
-            runner,
-            Benchmark::Ipfwdr,
-            &TrafficLevel::High.into(),
-            &grid(),
-            CYCLES,
-            SEED,
-        )
-        .into_iter()
-        .map(|o| o.expect("no cell failed"))
-        .collect()
-    };
-    let cold = cells(&runner);
-    let warm = cells(&runner);
+    let cold = complete(&runner, &tdvs_grid(), 1);
+    let warm = complete(&runner, &tdvs_grid(), 1);
     let counters = runner.cache().unwrap().counters();
     assert_eq!(counters.hits, 4, "warm pass must hit every cell");
     assert_eq!(counters.misses, 4, "cold pass must miss every cell");
     assert_eq!(counters.stores, 4);
-    assert_eq!(render_sweep(&uncached), render_sweep(&cold));
-    assert_eq!(render_sweep(&cold), render_sweep(&warm));
-    assert_eq!(
-        abdex::json::tdvs_sweep_json(&uncached, &[]),
-        abdex::json::tdvs_sweep_json(&cold, &[])
-    );
-    assert_eq!(
-        abdex::json::tdvs_sweep_json(&cold, &[]),
-        abdex::json::tdvs_sweep_json(&warm, &[])
-    );
+    let level = ConfidenceLevel::default();
+    assert_eq!(render_grid(&uncached, level), render_grid(&cold, level));
+    assert_eq!(render_grid(&cold, level), render_grid(&warm, level));
+    assert_eq!(grid_json(&uncached, level), grid_json(&cold, level));
+    assert_eq!(grid_json(&cold, level), grid_json(&warm, level));
     let _ = std::fs::remove_dir_all(runner.cache().unwrap().root());
 }
 
@@ -723,9 +604,10 @@ fn profiling_is_pure_observation_and_summaries_are_jobs_invariant() {
     // Profiling is wall-clock observability — it must never leak into
     // results. (cli.rs pins the same invariant on full-process stdout
     // for run/sweep/fleet.)
-    let baseline = render_sweep(&tdvs_cells(1));
+    let level = ConfidenceLevel::default();
+    let baseline = render_grid(&tdvs_run(1), level);
     abdex::obs::prof::set_enabled(true);
-    let profiled = render_sweep(&tdvs_cells(2));
+    let profiled = render_grid(&tdvs_run(2), level);
     abdex::obs::prof::set_enabled(false);
     let profile = abdex::obs::prof::drain();
     assert_eq!(baseline, profiled, "profiling changed the table");

@@ -4,10 +4,11 @@
 //! Host-side wall-time attribution for the whole pipeline: callers open
 //! RAII [`SpanGuard`]s ([`span`]) around phases ("parse", "simulate",
 //! "fold", ...), guards nest on a thread-local stack, and every thread
-//! buffers its closed spans locally. Buffers flush into a process
-//! global when their thread exits (the `xrun` workers are scoped, so
-//! they are gone before a batch returns) and [`drain`] merges them into
-//! a [`Profile`] that renders as
+//! buffers its closed spans locally. A thread's buffer flushes into a
+//! process global whenever its span stack empties — so every span a
+//! thread has finished is visible to [`drain`], whether or not the
+//! thread is still alive — and [`drain`] merges them into a [`Profile`]
+//! that renders as
 //!
 //! * **Chrome Trace Event Format JSON** ([`Profile::chrome_trace_json`])
 //!   — complete `"ph":"X"` events with `pid`/`tid`/`ts`/`dur` in
@@ -72,6 +73,7 @@ fn global() -> &'static Mutex<Global> {
 /// A span still on some thread's stack.
 struct OpenSpan {
     name: String,
+    label: Option<String>,
     start: Instant,
     /// Total microseconds spent in already-closed direct children —
     /// subtracted from this span's duration to get its self-time.
@@ -79,7 +81,7 @@ struct OpenSpan {
 }
 
 /// Per-thread buffer: the open-span stack and the closed spans waiting
-/// to be flushed. Flushes itself into [`Global`] when the thread exits.
+/// for it to empty, when they flush into [`Global`].
 struct ThreadBuf {
     tid: u64,
     stack: Vec<OpenSpan>,
@@ -101,12 +103,6 @@ impl ThreadBuf {
         }
         let mut g = global().lock().expect("profiler registry poisoned");
         g.spans.append(&mut self.done);
-    }
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -132,8 +128,12 @@ pub fn is_enabled() -> bool {
 /// One closed span: a complete Chrome-trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// Phase name ("simulate", "fold", a job label, ...).
+    /// Phase name ("simulate", "fold", "job", ...).
     pub name: String,
+    /// The instance this span timed (a job's cell label, ...), exported
+    /// as the Chrome-trace event's `args.label`; phases aggregate by
+    /// name alone.
+    pub label: Option<String>,
     /// Profiler thread id (registration order, starting at 1).
     pub tid: u64,
     /// Start, microseconds since the trace epoch.
@@ -203,11 +203,15 @@ impl Drop for SpanGuard {
             let tid = b.tid;
             b.done.push(SpanRec {
                 name: open.name,
+                label: open.label,
                 tid,
                 ts_us,
                 dur_us,
                 self_us,
             });
+            if b.stack.is_empty() {
+                b.flush();
+            }
         });
     }
 }
@@ -217,6 +221,18 @@ impl Drop for SpanGuard {
 /// the profiler is disarmed.
 #[must_use]
 pub fn span(name: &str) -> SpanGuard {
+    open(name, None)
+}
+
+/// [`span`] for one instance of a repeated phase: the span aggregates
+/// under `name` (one summary row for every job of a batch, say) and
+/// carries `label` (which job) into the Chrome trace's `args`.
+#[must_use]
+pub fn span_with_label(name: &str, label: &str) -> SpanGuard {
+    open(name, Some(label))
+}
+
+fn open(name: &str, label: Option<&str>) -> SpanGuard {
     if !ENABLED.load(Ordering::Relaxed) {
         return SpanGuard {
             active: false,
@@ -226,6 +242,7 @@ pub fn span(name: &str) -> SpanGuard {
     BUF.with(|b| {
         b.borrow_mut().stack.push(OpenSpan {
             name: name.to_owned(),
+            label: label.map(str::to_owned),
             start: Instant::now(),
             child_us: 0,
         });
@@ -258,10 +275,10 @@ pub fn count(name: &str, delta: f64) {
     });
 }
 
-/// Flushes the calling thread's buffer and takes every recorded event
-/// process-wide, leaving the profiler empty (still-open spans survive
-/// and land in a later drain). Worker threads flush automatically on
-/// exit; call this from the thread that owns process shutdown.
+/// Takes every recorded event process-wide, leaving the profiler empty:
+/// every span any thread has closed, except those nested in a span
+/// still open on another thread (still-open spans survive and land in
+/// a later drain).
 #[must_use]
 pub fn drain() -> Profile {
     BUF.with(|b| b.borrow_mut().flush());
@@ -339,12 +356,16 @@ impl Profile {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"abdex\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"dur\":{}}}",
+                 \"ts\":{},\"dur\":{}",
                 escape_json(&s.name),
                 s.tid,
                 s.ts_us,
                 s.dur_us
             );
+            if let Some(label) = &s.label {
+                let _ = write!(out, ",\"args\":{{\"label\":\"{}\"}}", escape_json(label));
+            }
+            out.push('}');
         }
         for c in &self.counters {
             if !first {
@@ -502,6 +523,62 @@ mod tests {
                 "worker {i} span survived the thread"
             );
         }
+    }
+
+    #[test]
+    fn spans_of_a_live_worker_thread_reach_drain() {
+        // The worker finishes its span, then stays alive across the
+        // drain: the span must not wait for the thread to exit.
+        let _serial = lock();
+        set_enabled(true);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            drop(span("prof-test-live-worker"));
+            done_tx.send(()).unwrap();
+            let _ = exit_rx.recv();
+        });
+        done_rx.recv().unwrap();
+        set_enabled(false);
+        let profile = drain();
+        exit_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert!(
+            profile
+                .spans
+                .iter()
+                .any(|s| s.name == "prof-test-live-worker"),
+            "a closed span of a live thread was missing from the drain"
+        );
+    }
+
+    #[test]
+    fn labeled_spans_aggregate_by_name_and_export_the_label() {
+        let _serial = lock();
+        set_enabled(true);
+        for job in ["cell \"a\"", "cell b"] {
+            drop(span_with_label("prof-test-job", job));
+        }
+        set_enabled(false);
+        let profile = drain();
+        let jobs: Vec<&SpanRec> = profile
+            .spans
+            .iter()
+            .filter(|s| s.name == "prof-test-job")
+            .collect();
+        assert_eq!(jobs.len(), 2);
+        let table = profile.summary_table();
+        let row = table
+            .lines()
+            .find(|l| l.trim_start().starts_with("prof-test-job"))
+            .expect("one summary row for the phase");
+        assert_eq!(row.split_whitespace().nth(1), Some("2"), "{table}");
+        let json = profile.chrome_trace_json();
+        assert!(
+            json.contains("\"args\":{\"label\":\"cell \\\"a\\\"\"}}"),
+            "{json}"
+        );
+        assert!(json.contains("\"args\":{\"label\":\"cell b\"}}"), "{json}");
     }
 
     #[test]

@@ -35,6 +35,27 @@ pub struct RunMetrics {
     pub forwarded_packets: u64,
 }
 
+impl RunMetrics {
+    /// Every field with its stable name, in declaration order — the
+    /// same names and order as [`ReplicatedMetrics::fields`], the two
+    /// counts widened to `f64` exactly as the replicated fold does.
+    #[must_use]
+    pub fn fields(&self) -> [(&'static str, f64); 10] {
+        [
+            ("offered_mbps", self.offered_mbps),
+            ("throughput_mbps", self.throughput_mbps),
+            ("mean_power_w", self.mean_power_w),
+            ("p80_power_w", self.p80_power_w),
+            ("p80_throughput_mbps", self.p80_throughput_mbps),
+            ("loss_ratio", self.loss_ratio),
+            ("rx_idle_fraction", self.rx_idle_fraction),
+            ("total_energy_uj", self.total_energy_uj),
+            ("total_switches", self.total_switches as f64),
+            ("forwarded_packets", self.forwarded_packets as f64),
+        ]
+    }
+}
+
 /// The replicated fold of a cell: one [`Summary`] per [`RunMetrics`]
 /// field, filled by pushing the per-seed metrics **in replicate order**
 /// (which is what keeps the fold bit-identical for any worker count).

@@ -209,9 +209,10 @@ fn execute<T>(
     let (name, work) = job.into_parts();
     progress.job_started(index, total, &name);
     let start = Instant::now();
-    // Each job is a labeled profiler span on its worker thread, so a
-    // `--profile` trace shows the whole batch laid out per worker.
-    let _prof = obs::prof::span(&name);
+    // Each job is a `job` span labelled with the job's name on its
+    // worker thread, so a `--profile` trace shows the whole batch laid
+    // out per worker while the summary folds it into one `job` row.
+    let _prof = obs::prof::span_with_label("job", &name);
     // `Box<dyn FnOnce>` is not `UnwindSafe` by declaration, but every
     // job owns its state (nothing outside the closure can observe a
     // broken invariant after a caught panic), so the assertion is sound.

@@ -3,11 +3,12 @@
 //!
 //! Run with: `cargo run --release -p abdex --example compare_policies`
 
-use abdex::compare::{compare_policies, ComparisonConfig};
+use abdex::compare::ComparisonConfig;
 use abdex::dvs::PolicyKind;
 use abdex::nepsim::Benchmark;
-use abdex::tables::render_comparison;
+use abdex::tables::render_grid;
 use abdex::traffic::{TrafficLevel, TrafficSpec};
+use abdex::{run_grid, ConfidenceLevel, Grid, Runner};
 
 fn main() {
     let config = ComparisonConfig {
@@ -19,8 +20,10 @@ fn main() {
         Benchmark::ALL.len() * TrafficLevel::ALL.len() * 3,
         config.cycles
     );
-    let cmp = compare_policies(&Benchmark::ALL, &TrafficSpec::paper_levels(), &config);
-    println!("{}", render_comparison(&cmp));
+    let grid = Grid::compare(&Benchmark::ALL, &TrafficSpec::paper_levels(), &config);
+    let cmp = run_grid(&Runner::new(), &grid, 1);
+    assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+    println!("{}", render_grid(&cmp, ConfidenceLevel::default()));
 
     println!("-- paper §4.3 takeaways, measured -------------------------");
     for benchmark in Benchmark::ALL {

@@ -5,51 +5,51 @@
 //! Run with: `cargo run --release -p abdex --example explore_tdvs`
 
 use abdex::nepsim::Benchmark;
-use abdex::tables::{render_surface, render_sweep};
+use abdex::sweep::{power_surface, throughput_surface};
+use abdex::tables::{render_grid, render_surface};
 use abdex::traffic::TrafficLevel;
-use abdex::{optimal_tdvs, sweep_tdvs, DesignPriority, TdvsGrid};
+use abdex::{optimal_tdvs, run_grid, ConfidenceLevel, DesignPriority, Grid, Runner, TdvsGrid};
 
 fn main() {
-    let grid = TdvsGrid::default(); // 800..1400 Mbps x 20k..80k cycles
+    let points = TdvsGrid::default(); // 800..1400 Mbps x 20k..80k cycles
     let cycles = 2_000_000; // paper: 8_000_000
     println!(
         "sweeping {} TDVS configurations of ipfwdr at high traffic ({} cycles each)...\n",
-        grid.len(),
+        points.len(),
         cycles
     );
-    let cells = sweep_tdvs(
+    let grid = Grid::tdvs(
         Benchmark::Ipfwdr,
         &TrafficLevel::High.into(),
-        &grid,
+        &points,
         cycles,
         42,
     );
+    let run = run_grid(&Runner::new(), &grid, 1);
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let cells = run.plain().expect("one seed per cell");
 
-    println!("{}", render_sweep(&cells));
+    println!("{}", render_grid(&run, ConfidenceLevel::default()));
     println!(
         "{}",
-        render_surface(&abdex::sweep::power_surface(&cells), "fig8: p80 power (W)")
+        render_surface(&power_surface(cells), "fig8: p80 power (W)")
     );
     println!(
         "{}",
-        render_surface(
-            &abdex::sweep::throughput_surface(&cells),
-            "fig9: p80 throughput (Mbps)"
-        )
+        render_surface(&throughput_surface(cells), "fig9: p80 throughput (Mbps)")
     );
 
     for (priority, label) in [
         (DesignPriority::Performance, "performance priority"),
         (DesignPriority::Power, "power priority"),
     ] {
-        let best = optimal_tdvs(&cells, priority).expect("sweep is non-empty");
+        let best = optimal_tdvs(cells, priority).expect("sweep is non-empty");
+        let (threshold, window) = best.experiment.tdvs_point().expect("a TDVS cell");
         println!(
-            "optimal under {label}: threshold {} Mbps, window {} cycles \
+            "optimal under {label}: threshold {threshold} Mbps, window {window} cycles \
              (p80 power {:.3} W, p80 throughput {:.1} Mbps)",
-            best.threshold_mbps,
-            best.window_cycles,
-            best.result.p80_power_w(),
-            best.result.p80_throughput_mbps(),
+            best.p80_power_w(),
+            best.p80_throughput_mbps(),
         );
     }
 }

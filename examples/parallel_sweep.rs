@@ -9,10 +9,11 @@
 //! it); only the wall-clock changes.
 
 use abdex::nepsim::Benchmark;
-use abdex::sweep::try_sweep_tdvs;
-use abdex::tables::render_sweep;
+use abdex::tables::render_grid;
 use abdex::traffic::TrafficLevel;
-use abdex::{optimal_tdvs, DesignPriority, ProgressMode, Runner, TdvsGrid};
+use abdex::{
+    optimal_tdvs, run_grid, ConfidenceLevel, DesignPriority, Grid, ProgressMode, Runner, TdvsGrid,
+};
 
 fn main() {
     // Short cells so the example finishes quickly; pass-through to the
@@ -25,35 +26,28 @@ fn main() {
         runner.workers()
     );
 
-    let outcomes = try_sweep_tdvs(
-        &runner,
+    let grid = Grid::tdvs(
         Benchmark::Ipfwdr,
         &TrafficLevel::High.into(),
         &TdvsGrid::default(),
         cycles,
         42,
     );
-    let cells: Vec<_> = outcomes
-        .into_iter()
-        .filter_map(|outcome| match outcome {
-            Ok(cell) => Some(cell),
-            Err(e) => {
-                eprintln!("cell failed: {e}");
-                None
-            }
-        })
-        .collect();
+    let run = run_grid(&runner, &grid, 1);
+    for e in &run.failures {
+        eprintln!("cell failed: {e}");
+    }
 
-    println!("\n{}", render_sweep(&cells));
+    println!("\n{}", render_grid(&run, ConfidenceLevel::default()));
+    let cells = run.plain().expect("one seed per cell");
     for (priority, label) in [
         (DesignPriority::Performance, "performance"),
         (DesignPriority::Power, "power"),
     ] {
-        if let Some(best) = optimal_tdvs(&cells, priority) {
-            println!(
-                "optimal ({label}): threshold {} Mbps, window {} cycles",
-                best.threshold_mbps, best.window_cycles
-            );
+        if let Some((threshold, window)) =
+            optimal_tdvs(cells, priority).and_then(|best| best.experiment.tdvs_point())
+        {
+            println!("optimal ({label}): threshold {threshold} Mbps, window {window} cycles");
         }
     }
 }

@@ -2,14 +2,23 @@
 //! *shape* of each figure. These use shortened runs (the paper uses 8M
 //! cycles; we use 1.5–2M) — enough for the orderings to be stable.
 
-use abdex::compare::{compare_policies, ComparisonConfig};
+use abdex::compare::ComparisonConfig;
 use abdex::dvs::{EdvsConfig, PolicyKind, TdvsConfig};
 use abdex::nepsim::Benchmark;
 use abdex::sweep::{power_surface, throughput_surface};
 use abdex::traffic::TrafficLevel;
-use abdex::{optimal_tdvs, sweep_tdvs, DesignPriority, Experiment, PolicySpec, TdvsGrid};
+use abdex::{
+    optimal_tdvs, run_grid, DesignPriority, Experiment, Grid, GridRun, PolicySpec, Runner, TdvsGrid,
+};
 
 const CYCLES: u64 = 4_000_000;
+
+/// Runs a single-seed grid that must complete.
+fn complete(grid: Grid) -> GridRun {
+    let run = run_grid(&Runner::new(), &grid, 1);
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    run
+}
 
 fn run(benchmark: Benchmark, traffic: TrafficLevel, policy: PolicySpec) -> abdex::ExperimentResult {
     Experiment {
@@ -93,27 +102,24 @@ fn fig89_surfaces_and_optima() {
         thresholds_mbps: vec![1000.0, 1400.0],
         windows_cycles: vec![20_000, 80_000],
     };
-    let cells = sweep_tdvs(
+    let run = complete(Grid::tdvs(
         Benchmark::Ipfwdr,
         &TrafficLevel::High.into(),
         &grid,
         CYCLES,
         42,
-    );
-    assert_eq!(power_surface(&cells).len(), 4);
-    assert_eq!(throughput_surface(&cells).len(), 4);
+    ));
+    let cells = run.plain().expect("one seed per cell");
+    assert_eq!(power_surface(cells).len(), 4);
+    assert_eq!(throughput_surface(cells).len(), 4);
 
-    let perf = optimal_tdvs(&cells, DesignPriority::Performance).unwrap();
-    let power = optimal_tdvs(&cells, DesignPriority::Power).unwrap();
+    let perf = optimal_tdvs(cells, DesignPriority::Performance).unwrap();
+    let power = optimal_tdvs(cells, DesignPriority::Power).unwrap();
     // Performance priority must not pick the aggressive 20k window that
     // fig7 shows cliffs at.
-    assert_eq!(
-        perf.window_cycles,
-        80_000,
-        "perf pick {:?}",
-        (perf.threshold_mbps, perf.window_cycles)
-    );
-    assert!(power.result.p80_power_w() <= perf.result.p80_power_w() + 1e-12);
+    let pick = perf.experiment.tdvs_point().expect("a TDVS cell");
+    assert_eq!(pick.1, 80_000, "perf pick {pick:?}");
+    assert!(power.p80_power_w() <= perf.p80_power_w() + 1e-12);
 }
 
 /// Fig. 10: EDVS cuts power with nearly no performance loss on ipfwdr.
@@ -171,11 +177,11 @@ fn fig11_policy_comparison_shapes() {
         cycles: CYCLES,
         ..ComparisonConfig::default()
     };
-    let cmp = compare_policies(
+    let cmp = complete(Grid::compare(
         &[Benchmark::Ipfwdr, Benchmark::Nat],
         &[TrafficLevel::Low.into(), TrafficLevel::High.into()],
         &cfg,
-    );
+    ));
 
     // "Overall, TDVS has more power savings than EDVS" (at low traffic).
     let tdvs_low = cmp
