@@ -1,27 +1,35 @@
-//! JSON codecs for the simulator's observable outputs.
+//! Payload codecs for the simulator's observable outputs.
 //!
 //! These encode exactly the state the renderers consume — a
 //! [`SimReport`] and (for axes that export timelines) a [`Recording`]
 //! — such that `decode(encode(x)) == x` **bit-for-bit**: every `u64`
-//! round-trips through its decimal token and every `f64` through
-//! Rust's shortest round-trip `Display`. That equality is what lets a
-//! warm run produce byte-identical tables, `--json` documents and
-//! `--record` exports to a cold run (pinned in
+//! is written as its decimal token and every `f64` as its IEEE-754 bit
+//! pattern ([`Writer::f64`]), so both come back exactly, NaN payloads,
+//! infinities, `-0.0` and subnormals included. That equality is what
+//! lets a warm run produce byte-identical tables, `--json` documents
+//! and `--record` exports to a cold run (pinned in
 //! `crates/core/tests/determinism.rs`).
 //!
-//! Decoders return `Option`: any structural surprise (unknown policy
-//! name, short array, wrong version) is `None`, which the integration
-//! layers treat as a cache miss.
+//! Every payload is one JSON object, `{"v":PAYLOAD_VERSION, ...}`,
+//! whose members come in a fixed order ([`payload`], [`read_payload`]).
+//! A decoder reads that order with a [`Reader`] and returns `None` on
+//! anything else — another version, an unknown name, a short array, a
+//! number out of range, trailing bytes — which the integration layers
+//! treat as a cache miss. Member names stay in the payload, so
+//! [`Value::parse`](crate::json::Value::parse) can still open one for
+//! debugging.
 
 use desim::SimTime;
 use dvs::PolicyKind;
 use nepsim::{MeMode, MeReport, MeRole, ModeAcc, SimReport, WindowIdleSample};
 use obs::{Channel, KernelCounters, Recording, Sample};
 
-use crate::json::{escape, num_f64, Value};
+use crate::json::{Reader, Writer, NUMBER_BYTES};
 
-/// The payload-format version embedded in every composed payload.
-pub const PAYLOAD_VERSION: u64 = 1;
+/// The payload-format version leading every payload. Bump it with any
+/// change to a payload's layout: entries written under another version
+/// decode to `None`, count as misses and are rewritten on first use.
+pub const PAYLOAD_VERSION: u64 = 2;
 
 /// Builds a JSON object from pre-rendered member values.
 #[must_use]
@@ -36,13 +44,35 @@ pub fn arr(items: Vec<String>) -> String {
     format!("[{}]", items.join(","))
 }
 
-fn policy_kind_str(kind: PolicyKind) -> String {
-    format!("\"{kind}\"")
+/// Writes a payload of about `len_hint` bytes: the version member,
+/// then the members `body` writes, in one object.
+#[must_use]
+pub fn payload(len_hint: usize, body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::with_capacity(len_hint + 16);
+    w.begin_obj();
+    w.key("v").u64(PAYLOAD_VERSION);
+    body(&mut w);
+    w.end_obj();
+    w.finish()
 }
 
-/// Reverses [`PolicyKind`]'s `Display` strings.
+/// Reads a payload [`payload`] wrote, with `body` reading the members
+/// after the version. `None` for any other version, or when `body`
+/// fails or leaves bytes unread.
 #[must_use]
-pub fn policy_kind_from_str(name: &str) -> Option<PolicyKind> {
+pub fn read_payload<T>(text: &str, body: impl FnOnce(&mut Reader<'_>) -> Option<T>) -> Option<T> {
+    let mut r = Reader::new(text);
+    r.begin_obj()?;
+    if r.key("v")?.u64()? != PAYLOAD_VERSION {
+        return None;
+    }
+    let value = body(&mut r)?;
+    r.end_obj()?;
+    r.finish()?;
+    Some(value)
+}
+
+fn policy_kind(name: &str) -> Option<PolicyKind> {
     [
         PolicyKind::NoDvs,
         PolicyKind::Tdvs,
@@ -56,274 +86,256 @@ pub fn policy_kind_from_str(name: &str) -> Option<PolicyKind> {
     .find(|k| k.to_string() == name)
 }
 
-fn role_json(role: MeRole) -> &'static str {
+fn role_name(role: MeRole) -> &'static str {
     match role {
-        MeRole::Rx => "\"rx\"",
-        MeRole::Tx => "\"tx\"",
+        MeRole::Rx => "rx",
+        MeRole::Tx => "tx",
     }
 }
 
-fn role_from_str(name: &str) -> Option<MeRole> {
-    match name {
+fn read_role(r: &mut Reader<'_>) -> Option<MeRole> {
+    match r.name()? {
         "rx" => Some(MeRole::Rx),
         "tx" => Some(MeRole::Tx),
         _ => None,
     }
 }
 
-fn mode_acc_json(acc: &ModeAcc) -> String {
-    arr(MeMode::ALL
-        .iter()
-        .map(|&mode| acc.get(mode).as_ps().to_string())
-        .collect())
-}
-
-fn mode_acc_from_value(v: &Value) -> Option<ModeAcc> {
-    let items = v.as_arr()?;
-    if items.len() != MeMode::ALL.len() {
-        return None;
+fn write_me(w: &mut Writer, me: &MeReport) {
+    w.begin_obj();
+    w.key("role").name(role_name(me.role));
+    w.key("acc_ps").begin_arr();
+    for mode in MeMode::ALL {
+        w.u64(me.acc.get(mode).as_ps());
     }
-    let mut acc = ModeAcc::default();
-    for (&mode, item) in MeMode::ALL.iter().zip(items) {
-        acc.add(mode, SimTime::from_ps(item.as_u64()?));
+    w.end_arr();
+    w.key("energy_uj").f64(me.energy_uj);
+    w.key("switches").u64(me.switches);
+    w.key("final_level").u64(me.final_level as u64);
+    w.key("packets_done").u64(me.packets_done);
+    w.key("level_time_ps").begin_arr();
+    for t in &me.level_time {
+        w.u64(t.as_ps());
     }
-    Some(acc)
+    w.end_arr();
+    w.end_obj();
 }
 
-fn me_report_json(me: &MeReport) -> String {
-    obj(&[
-        ("role", role_json(me.role).to_owned()),
-        ("acc_ps", mode_acc_json(&me.acc)),
-        ("energy_uj", num_f64(me.energy_uj)),
-        ("switches", me.switches.to_string()),
-        ("final_level", me.final_level.to_string()),
-        ("packets_done", me.packets_done.to_string()),
-        (
-            "level_time_ps",
-            arr(me
-                .level_time
-                .iter()
-                .map(|t| t.as_ps().to_string())
-                .collect()),
-        ),
-    ])
-}
-
-fn me_report_from_value(v: &Value) -> Option<MeReport> {
-    Some(MeReport {
-        role: role_from_str(v.str_of("role")?)?,
-        acc: mode_acc_from_value(v.get("acc_ps")?)?,
-        energy_uj: v.f64_of("energy_uj")?,
-        switches: v.u64_of("switches")?,
-        final_level: v.usize_of("final_level")?,
-        packets_done: v.u64_of("packets_done")?,
-        level_time: v
-            .arr_of("level_time_ps")?
-            .iter()
-            .map(|t| t.as_u64().map(SimTime::from_ps))
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-fn window_idle_json(w: &WindowIdleSample) -> String {
-    format!(
-        "[{},{},{},{}]",
-        w.window,
-        w.me,
-        role_json(w.role),
-        num_f64(w.idle)
-    )
-}
-
-fn window_idle_from_value(v: &Value) -> Option<WindowIdleSample> {
-    let items = v.as_arr()?;
-    if items.len() != 4 {
-        return None;
-    }
-    Some(WindowIdleSample {
-        window: items[0].as_u64()?,
-        me: items[1].as_usize()?,
-        role: role_from_str(items[2].as_str()?)?,
-        idle: items[3].as_f64()?,
-    })
-}
-
-/// A [`SimReport`] as a JSON object.
-#[must_use]
-pub fn sim_report_json(r: &SimReport) -> String {
-    obj(&[
-        ("policy", policy_kind_str(r.policy)),
-        ("duration_ps", r.duration.as_ps().to_string()),
-        ("arrived_packets", r.arrived_packets.to_string()),
-        ("arrived_bits", r.arrived_bits.to_string()),
-        ("dropped_packets", r.dropped_packets.to_string()),
-        ("dropped_tx_packets", r.dropped_tx_packets.to_string()),
-        ("forwarded_packets", r.forwarded_packets.to_string()),
-        ("forwarded_bits", r.forwarded_bits.to_string()),
-        ("mes", arr(r.mes.iter().map(me_report_json).collect())),
-        ("me_energy_uj", num_f64(r.me_energy_uj)),
-        ("sram_energy_uj", num_f64(r.sram_energy_uj)),
-        ("sdram_energy_uj", num_f64(r.sdram_energy_uj)),
-        ("static_energy_uj", num_f64(r.static_energy_uj)),
-        ("monitor_energy_uj", num_f64(r.monitor_energy_uj)),
-        ("sram_accesses", r.sram_accesses.to_string()),
-        ("sdram_accesses", r.sdram_accesses.to_string()),
-        ("total_switches", r.total_switches.to_string()),
-        ("windows", r.windows.to_string()),
-        ("bus_bits", r.bus_bits.to_string()),
-        ("bus_rate_mbps", num_f64(r.bus_rate_mbps)),
-        (
-            "kernel",
-            format!(
-                "[{},{},{}]",
-                r.kernel.events_scheduled, r.kernel.events_processed, r.kernel.peak_heap_len
-            ),
-        ),
-        (
-            "window_idle",
-            arr(r.window_idle.iter().map(window_idle_json).collect()),
-        ),
-    ])
-}
-
-/// Decodes [`sim_report_json`]'s object.
-#[must_use]
-pub fn sim_report_from_value(v: &Value) -> Option<SimReport> {
-    let kernel = v.arr_of("kernel")?;
-    if kernel.len() != 3 {
-        return None;
-    }
-    Some(SimReport {
-        policy: policy_kind_from_str(v.str_of("policy")?)?,
-        duration: SimTime::from_ps(v.u64_of("duration_ps")?),
-        arrived_packets: v.u64_of("arrived_packets")?,
-        arrived_bits: v.u64_of("arrived_bits")?,
-        dropped_packets: v.u64_of("dropped_packets")?,
-        dropped_tx_packets: v.u64_of("dropped_tx_packets")?,
-        forwarded_packets: v.u64_of("forwarded_packets")?,
-        forwarded_bits: v.u64_of("forwarded_bits")?,
-        mes: v
-            .arr_of("mes")?
-            .iter()
-            .map(me_report_from_value)
-            .collect::<Option<Vec<_>>>()?,
-        me_energy_uj: v.f64_of("me_energy_uj")?,
-        sram_energy_uj: v.f64_of("sram_energy_uj")?,
-        sdram_energy_uj: v.f64_of("sdram_energy_uj")?,
-        static_energy_uj: v.f64_of("static_energy_uj")?,
-        monitor_energy_uj: v.f64_of("monitor_energy_uj")?,
-        sram_accesses: v.u64_of("sram_accesses")?,
-        sdram_accesses: v.u64_of("sdram_accesses")?,
-        total_switches: v.u64_of("total_switches")?,
-        windows: v.u64_of("windows")?,
-        bus_bits: v.u64_of("bus_bits")?,
-        bus_rate_mbps: v.f64_of("bus_rate_mbps")?,
-        kernel: KernelCounters {
-            events_scheduled: kernel[0].as_u64()?,
-            events_processed: kernel[1].as_u64()?,
-            peak_heap_len: kernel[2].as_u64()?,
-        },
-        window_idle: v
-            .arr_of("window_idle")?
-            .iter()
-            .map(window_idle_from_value)
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-/// A [`Recording`] as a JSON object: emission-ordered
-/// `[channel, cycle, value]` triples.
-#[must_use]
-pub fn recording_json(rec: &Recording) -> String {
-    let samples: Vec<String> = rec
-        .samples()
-        .iter()
-        .map(|s| {
-            format!(
-                "[\"{}\",{},{}]",
-                escape(s.channel.name()),
-                s.cycle,
-                num_f64(s.value)
-            )
-        })
-        .collect();
-    obj(&[("samples", arr(samples))])
-}
-
-/// Decodes [`recording_json`]'s object.
-#[must_use]
-pub fn recording_from_value(v: &Value) -> Option<Recording> {
-    let samples = v
-        .arr_of("samples")?
-        .iter()
-        .map(|s| {
-            let triple = s.as_arr()?;
-            if triple.len() != 3 {
-                return None;
+fn read_me(r: &mut Reader<'_>) -> Option<MeReport> {
+    r.begin_obj()?;
+    // Struct fields evaluate in the order written: the layout's order.
+    let me = MeReport {
+        role: read_role(r.key("role")?)?,
+        acc: {
+            r.key("acc_ps")?.begin_arr()?;
+            let mut acc = ModeAcc::default();
+            for mode in MeMode::ALL {
+                acc.add(mode, SimTime::from_ps(r.u64()?));
             }
-            Some(Sample {
-                channel: triple[0].as_str()?.parse::<Channel>().ok()?,
-                cycle: triple[1].as_u64()?,
-                value: triple[2].as_f64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(Recording::from_samples(samples))
+            r.end_arr()?;
+            acc
+        },
+        energy_uj: r.key("energy_uj")?.f64()?,
+        switches: r.key("switches")?.u64()?,
+        final_level: r.key("final_level")?.usize()?,
+        packets_done: r.key("packets_done")?.u64()?,
+        level_time: r
+            .key("level_time_ps")?
+            .list(|r| r.u64().map(SimTime::from_ps))?,
+    };
+    r.end_obj()?;
+    Some(me)
 }
 
-fn versioned(v: &Value) -> Option<&Value> {
-    (v.u64_of("v")? == PAYLOAD_VERSION).then_some(v)
+/// About how many bytes [`write_sim_report`] writes for `r`.
+#[must_use]
+pub fn sim_report_len_hint(r: &SimReport) -> usize {
+    let mes: usize = r
+        .mes
+        .iter()
+        .map(|me| 128 + NUMBER_BYTES * (me.level_time.len() + 8))
+        .sum();
+    640 + mes + r.window_idle.len() * (2 * NUMBER_BYTES + 8)
+}
+
+/// Writes a [`SimReport`] as one object.
+pub fn write_sim_report(w: &mut Writer, r: &SimReport) {
+    w.begin_obj();
+    w.key("policy").name(&r.policy.to_string());
+    w.key("duration_ps").u64(r.duration.as_ps());
+    w.key("arrived_packets").u64(r.arrived_packets);
+    w.key("arrived_bits").u64(r.arrived_bits);
+    w.key("dropped_packets").u64(r.dropped_packets);
+    w.key("dropped_tx_packets").u64(r.dropped_tx_packets);
+    w.key("forwarded_packets").u64(r.forwarded_packets);
+    w.key("forwarded_bits").u64(r.forwarded_bits);
+    w.key("mes").begin_arr();
+    for me in &r.mes {
+        write_me(w, me);
+    }
+    w.end_arr();
+    w.key("me_energy_uj").f64(r.me_energy_uj);
+    w.key("sram_energy_uj").f64(r.sram_energy_uj);
+    w.key("sdram_energy_uj").f64(r.sdram_energy_uj);
+    w.key("static_energy_uj").f64(r.static_energy_uj);
+    w.key("monitor_energy_uj").f64(r.monitor_energy_uj);
+    w.key("sram_accesses").u64(r.sram_accesses);
+    w.key("sdram_accesses").u64(r.sdram_accesses);
+    w.key("total_switches").u64(r.total_switches);
+    w.key("windows").u64(r.windows);
+    w.key("bus_bits").u64(r.bus_bits);
+    w.key("bus_rate_mbps").f64(r.bus_rate_mbps);
+    w.key("kernel").begin_arr();
+    w.u64(r.kernel.events_scheduled);
+    w.u64(r.kernel.events_processed);
+    w.u64(r.kernel.peak_heap_len);
+    w.end_arr();
+    w.key("window_idle").begin_arr();
+    for s in &r.window_idle {
+        w.begin_arr();
+        w.u64(s.window);
+        w.u64(s.me as u64);
+        w.name(role_name(s.role));
+        w.f64(s.idle);
+        w.end_arr();
+    }
+    w.end_arr();
+    w.end_obj();
+}
+
+/// Reads the object [`write_sim_report`] wrote.
+#[must_use]
+pub fn read_sim_report(r: &mut Reader<'_>) -> Option<SimReport> {
+    r.begin_obj()?;
+    // Struct fields evaluate in the order written: the layout's order.
+    let report = SimReport {
+        policy: policy_kind(r.key("policy")?.name()?)?,
+        duration: SimTime::from_ps(r.key("duration_ps")?.u64()?),
+        arrived_packets: r.key("arrived_packets")?.u64()?,
+        arrived_bits: r.key("arrived_bits")?.u64()?,
+        dropped_packets: r.key("dropped_packets")?.u64()?,
+        dropped_tx_packets: r.key("dropped_tx_packets")?.u64()?,
+        forwarded_packets: r.key("forwarded_packets")?.u64()?,
+        forwarded_bits: r.key("forwarded_bits")?.u64()?,
+        mes: r.key("mes")?.list(read_me)?,
+        me_energy_uj: r.key("me_energy_uj")?.f64()?,
+        sram_energy_uj: r.key("sram_energy_uj")?.f64()?,
+        sdram_energy_uj: r.key("sdram_energy_uj")?.f64()?,
+        static_energy_uj: r.key("static_energy_uj")?.f64()?,
+        monitor_energy_uj: r.key("monitor_energy_uj")?.f64()?,
+        sram_accesses: r.key("sram_accesses")?.u64()?,
+        sdram_accesses: r.key("sdram_accesses")?.u64()?,
+        total_switches: r.key("total_switches")?.u64()?,
+        windows: r.key("windows")?.u64()?,
+        bus_bits: r.key("bus_bits")?.u64()?,
+        bus_rate_mbps: r.key("bus_rate_mbps")?.f64()?,
+        kernel: {
+            r.key("kernel")?.begin_arr()?;
+            let kernel = KernelCounters {
+                events_scheduled: r.u64()?,
+                events_processed: r.u64()?,
+                peak_heap_len: r.u64()?,
+            };
+            r.end_arr()?;
+            kernel
+        },
+        window_idle: r.key("window_idle")?.list(|r| {
+            r.begin_arr()?;
+            let sample = WindowIdleSample {
+                window: r.u64()?,
+                me: r.usize()?,
+                role: read_role(r)?,
+                idle: r.f64()?,
+            };
+            r.end_arr()?;
+            Some(sample)
+        })?,
+    };
+    r.end_obj()?;
+    Some(report)
+}
+
+/// Writes a [`Recording`] as one object: emission-ordered
+/// `[channel, cycle, value]` triples.
+fn write_recording(w: &mut Writer, rec: &Recording) {
+    w.begin_obj();
+    w.key("samples").begin_arr();
+    for s in rec.samples() {
+        w.begin_arr();
+        w.name(s.channel.name());
+        w.u64(s.cycle);
+        w.f64(s.value);
+        w.end_arr();
+    }
+    w.end_arr();
+    w.end_obj();
+}
+
+fn read_recording(r: &mut Reader<'_>) -> Option<Recording> {
+    r.begin_obj()?;
+    let samples = r.key("samples")?.list(|r| {
+        r.begin_arr()?;
+        let sample = Sample {
+            channel: r.name()?.parse::<Channel>().ok()?,
+            cycle: r.u64()?,
+            value: r.f64()?,
+        };
+        r.end_arr()?;
+        Some(sample)
+    })?;
+    r.end_obj()?;
+    Some(Recording::from_samples(samples))
 }
 
 /// Payload for a segment-snapshot cell (scenario axis): the cumulative
 /// [`SimReport`] at each planned boundary.
 #[must_use]
 pub fn snapshots_payload(snapshots: &[SimReport]) -> String {
-    obj(&[
-        ("v", PAYLOAD_VERSION.to_string()),
-        (
-            "snapshots",
-            arr(snapshots.iter().map(sim_report_json).collect()),
-        ),
-    ])
+    let len_hint = snapshots.iter().map(sim_report_len_hint).sum();
+    payload(len_hint, |w| {
+        w.key("snapshots").begin_arr();
+        for report in snapshots {
+            write_sim_report(w, report);
+        }
+        w.end_arr();
+    })
 }
 
 /// Decodes [`snapshots_payload`].
 #[must_use]
-pub fn parse_snapshots(payload: &str) -> Option<Vec<SimReport>> {
-    let v = Value::parse(payload)?;
-    versioned(&v)?
-        .arr_of("snapshots")?
-        .iter()
-        .map(sim_report_from_value)
-        .collect()
+pub fn parse_snapshots(text: &str) -> Option<Vec<SimReport>> {
+    read_payload(text, |r| r.key("snapshots")?.list(read_sim_report))
+}
+
+/// About how many bytes [`write_recording`] writes for `rec`.
+fn recording_len_hint(rec: &Recording) -> usize {
+    32 + rec.samples().len() * (2 * NUMBER_BYTES + 24)
 }
 
 /// Payload for a recorded cell (fleet axis): the report plus the
 /// recording its folds absorb.
 #[must_use]
 pub fn recorded_payload(report: &SimReport, recording: &Recording) -> String {
-    obj(&[
-        ("v", PAYLOAD_VERSION.to_string()),
-        ("sim", sim_report_json(report)),
-        ("rec", recording_json(recording)),
-    ])
+    let len_hint = sim_report_len_hint(report) + recording_len_hint(recording);
+    payload(len_hint, |w| {
+        write_sim_report(w.key("sim"), report);
+        write_recording(w.key("rec"), recording);
+    })
 }
 
 /// Decodes [`recorded_payload`].
 #[must_use]
-pub fn parse_recorded(payload: &str) -> Option<(SimReport, Recording)> {
-    let v = Value::parse(payload)?;
-    let v = versioned(&v)?;
-    Some((
-        sim_report_from_value(v.get("sim")?)?,
-        recording_from_value(v.get("rec")?)?,
-    ))
+pub fn parse_recorded(text: &str) -> Option<(SimReport, Recording)> {
+    read_payload(text, |r| {
+        let report = read_sim_report(r.key("sim")?)?;
+        Some((report, read_recording(r.key("rec")?)?))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use nepsim::{MemRecorder, NpuConfig, Simulator};
 
     fn simulate() -> (SimReport, Recording) {
@@ -339,8 +351,12 @@ mod tests {
     #[test]
     fn sim_report_round_trips_bit_exactly() {
         let (report, _) = simulate();
-        let encoded = sim_report_json(&report);
-        let decoded = sim_report_from_value(&Value::parse(&encoded).unwrap()).unwrap();
+        let mut w = Writer::with_capacity(sim_report_len_hint(&report));
+        write_sim_report(&mut w, &report);
+        let encoded = w.finish();
+        let mut r = Reader::new(&encoded);
+        let decoded = read_sim_report(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(decoded, report);
         // PartialEq on f64 fields is exact equality, but double-check a
         // couple of derived quantities down to the bit.
@@ -373,6 +389,29 @@ mod tests {
     }
 
     #[test]
+    fn payloads_stay_plain_json() {
+        let (report, recording) = simulate();
+        let payload = recorded_payload(&report, &recording);
+        let v = Value::parse(&payload).expect("a payload is valid JSON");
+        assert_eq!(v.u64_of("v"), Some(PAYLOAD_VERSION));
+        let sim = v.get("sim").unwrap();
+        assert_eq!(sim.str_of("policy"), Some("TDVS"));
+        assert_eq!(
+            sim.u64_of("bus_rate_mbps").map(f64::from_bits),
+            Some(report.bus_rate_mbps)
+        );
+    }
+
+    #[test]
+    fn len_hints_cover_the_payloads() {
+        let (report, recording) = simulate();
+        let payload = recorded_payload(&report, &recording);
+        let hint = sim_report_len_hint(&report) + recording_len_hint(&recording);
+        assert!(payload.len() <= hint, "{} > {hint}", payload.len());
+        assert!(payload.len() * 2 > hint, "{} vs {hint}", payload.len());
+    }
+
+    #[test]
     fn policy_kind_names_round_trip() {
         for kind in [
             PolicyKind::NoDvs,
@@ -383,9 +422,9 @@ mod tests {
             PolicyKind::Proportional,
             PolicyKind::Custom,
         ] {
-            assert_eq!(policy_kind_from_str(&kind.to_string()), Some(kind));
+            assert_eq!(policy_kind(&kind.to_string()), Some(kind));
         }
-        assert_eq!(policy_kind_from_str("nonesuch"), None);
+        assert_eq!(policy_kind("nonesuch"), None);
     }
 
     #[test]
@@ -393,8 +432,10 @@ mod tests {
         let (report, recording) = simulate();
         let payload = recorded_payload(&report, &recording);
         assert!(parse_recorded(&payload[..payload.len() / 2]).is_none());
-        assert!(parse_recorded(&payload.replace("\"v\":1", "\"v\":2")).is_none());
+        assert!(parse_recorded(&payload.replace("\"v\":2", "\"v\":1")).is_none());
         assert!(parse_recorded(&payload.replace("TDVS", "XDVS")).is_none());
+        assert!(parse_recorded(&payload.replace("\"rx\"", "\"ry\"")).is_none());
+        assert!(parse_recorded(&format!("{payload} {{}}")).is_none());
         assert!(parse_snapshots(&payload).is_none());
     }
 }

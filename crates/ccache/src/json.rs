@@ -1,16 +1,27 @@
-//! A minimal JSON reader (and two writer helpers) for cache payloads.
+//! A minimal JSON writer and two readers for cache payloads.
 //!
-//! Numbers keep their **raw token** ([`Value::Num`]) instead of eagerly
-//! converting to `f64`: a `u64` parses back exactly (no 2^53 loss), and
-//! an `f64` written with Rust's shortest round-trip `Display` reparses
-//! to the very same bits. That is what lets a cache hit reproduce a
-//! cold run byte-for-byte through every renderer.
+//! Payloads are written by [`Writer`] and read back by [`Reader`], a
+//! typed pull cursor: it reads members in the order the writer wrote
+//! them and parses each number once, straight from the input, without
+//! allocating. Every `f64` travels as its IEEE-754 bit pattern, written
+//! as a decimal `u64` ([`Writer::f64`], [`Reader::f64`]), so it
+//! round-trips bit-exactly by construction — NaN payloads, infinities,
+//! `-0.0` and subnormals included. That is what lets a cache hit
+//! reproduce a cold run byte-for-byte through every renderer.
 //!
-//! The reader is deliberately strict-enough-and-no-more: it accepts the
-//! JSON this workspace writes (objects, arrays, strings with standard
-//! escapes, numbers, booleans, null) and returns `None` on anything
-//! malformed — corruption tolerance at the parse layer, so a damaged
-//! entry degrades to a cache miss instead of a panic.
+//! [`Value`] parses any JSON document into a tree whose numbers keep
+//! their **raw token** (a `u64` parses back exactly, with no 2^53 loss).
+//! It serves small ad-hoc documents, such as the `--record` JSONL lines
+//! `obs summarize` folds, and opens a payload for debugging. Both
+//! readers share one lexer (whitespace, strings, number tokens).
+//!
+//! Both readers are strict-enough-and-no-more: they return `None` on
+//! anything malformed, and [`Reader`] also on any deviation from the
+//! layout it expects. Every read is bounds-checked and every number
+//! overflow-checked, so a damaged entry degrades to a cache miss
+//! instead of a panic.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,27 +79,9 @@ impl Value {
         }
     }
 
-    /// The boolean, when this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The number as `u64` (exact — parses the raw token).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(tok) => tok.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `usize`.
-    #[must_use]
-    pub fn as_usize(&self) -> Option<usize> {
         match self {
             Value::Num(tok) => tok.parse().ok(),
             _ => None,
@@ -111,12 +104,6 @@ impl Value {
         self.get(key)?.as_u64()
     }
 
-    /// `self[key]` as `usize`.
-    #[must_use]
-    pub fn usize_of(&self, key: &str) -> Option<usize> {
-        self.get(key)?.as_usize()
-    }
-
     /// `self[key]` as `f64`.
     #[must_use]
     pub fn f64_of(&self, key: &str) -> Option<f64> {
@@ -136,36 +123,254 @@ impl Value {
     }
 }
 
-/// JSON string escaping (quotes, backslash, `\u00XX` for controls) —
-/// the same convention the CLI's JSON renderers use.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// An `f64` as its shortest round-trip decimal token. Finite values
-/// only — non-finite values render as `null`, which fails decoding and
-/// degrades to a cache miss (the simulator never reports them).
+/// An `f64` as its shortest round-trip decimal token, for documents a
+/// person reads. Finite values only — non-finite values render as
+/// `null`. Cache payloads use [`Writer::f64`] instead.
 #[must_use]
 pub fn num_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
         "null".to_owned()
+    }
+}
+
+/// The most bytes one number takes in a [`Writer`]'s output: the 20
+/// digits of a `u64` (or of an `f64`'s bit pattern) and a comma. Sizes
+/// the writer's buffer.
+pub const NUMBER_BYTES: usize = 21;
+
+/// Writes a compact JSON payload into one pre-sized `String`: no
+/// whitespace, commas placed by the writer, numbers as bare `u64`
+/// tokens. [`Reader`] reads it back call for call.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty writer with room for `bytes` bytes of output.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.sep();
+        self.out.push(bracket);
+        self.comma = false;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// `{`.
+    pub fn begin_obj(&mut self) {
+        self.open('{');
+    }
+
+    /// `}`.
+    pub fn end_obj(&mut self) {
+        self.close('}');
+    }
+
+    /// `[`.
+    pub fn begin_arr(&mut self) {
+        self.open('[');
+    }
+
+    /// `]`.
+    pub fn end_arr(&mut self) {
+        self.close(']');
+    }
+
+    /// An object member's name and its `:`; the member's value comes
+    /// next (`w.key("n").u64(n)`).
+    pub fn key(&mut self, name: &str) -> &mut Writer {
+        self.name(name);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A `u64` as its decimal token.
+    pub fn u64(&mut self, v: u64) {
+        self.sep();
+        let _ = write!(self.out, "{v}");
+        self.comma = true;
+    }
+
+    /// An `f64` as its IEEE-754 bit pattern ([`f64::to_bits`]).
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A string that needs no escaping: the identifiers a payload
+    /// carries (policy, role, relation and channel names).
+    pub fn name(&mut self, s: &str) {
+        debug_assert!(
+            !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20),
+            "payload names need no escaping: {s:?}"
+        );
+        self.sep();
+        self.out.push('"');
+        self.out.push_str(s);
+        self.out.push('"');
+        self.comma = true;
+    }
+
+    /// The finished payload.
+    #[must_use]
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
+/// A typed pull reader over a payload [`Writer`] wrote. Each method
+/// reads the next token and returns `None` when it is not the one
+/// asked for, so the caller's sequence of reads *is* the layout.
+/// Whitespace between tokens is skipped.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    comma: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            bytes: text.as_bytes(),
+            pos: 0,
+            comma: false,
+        }
+    }
+
+    fn punct(&mut self, byte: u8) -> Option<()> {
+        skip_ws(self.bytes, &mut self.pos);
+        (self.bytes.get(self.pos) == Some(&byte)).then(|| self.pos += 1)
+    }
+
+    fn sep(&mut self) -> Option<()> {
+        if self.comma {
+            self.punct(b',')?;
+        }
+        skip_ws(self.bytes, &mut self.pos);
+        Some(())
+    }
+
+    fn open(&mut self, bracket: u8) -> Option<()> {
+        self.sep()?;
+        self.punct(bracket)?;
+        self.comma = false;
+        Some(())
+    }
+
+    fn close(&mut self, bracket: u8) -> Option<()> {
+        self.punct(bracket)?;
+        self.comma = true;
+        Some(())
+    }
+
+    /// `{`.
+    pub fn begin_obj(&mut self) -> Option<()> {
+        self.open(b'{')
+    }
+
+    /// `}`.
+    pub fn end_obj(&mut self) -> Option<()> {
+        self.close(b'}')
+    }
+
+    /// `[`.
+    pub fn begin_arr(&mut self) -> Option<()> {
+        self.open(b'[')
+    }
+
+    /// `]`.
+    pub fn end_arr(&mut self) -> Option<()> {
+        self.close(b']')
+    }
+
+    /// The member named `name` and its `:`; any other name is `None`.
+    /// The member's value comes next (`r.key("n")?.u64()`).
+    pub fn key(&mut self, name: &str) -> Option<&mut Reader<'a>> {
+        (self.name()? == name).then_some(())?;
+        self.punct(b':')?;
+        self.comma = false;
+        Some(self)
+    }
+
+    /// A `u64` token: ASCII digits with no sign, fraction, exponent or
+    /// leading zero. `None` when the value overflows `u64` — checked
+    /// explicitly, so release builds reject it just as debug builds do.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.sep()?;
+        let start = self.pos;
+        let v = digit_run(self.bytes, &mut self.pos);
+        let len = self.pos - start;
+        if len == 0 || (len > 1 && self.bytes[start] == b'0') {
+            return None;
+        }
+        self.comma = true;
+        v
+    }
+
+    /// A `usize` written as [`Writer::u64`].
+    pub fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// An `f64` written as its bit pattern by [`Writer::f64`].
+    pub fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A string without escapes, borrowed from the input.
+    pub fn name(&mut self) -> Option<&'a str> {
+        self.sep()?;
+        let body = string_body(self.bytes, &mut self.pos)?;
+        if body.contains(&b'\\') {
+            return None;
+        }
+        self.comma = true;
+        std::str::from_utf8(body).ok()
+    }
+
+    /// An array whose every element `item` reads.
+    pub fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.begin_arr()?;
+        let mut items = Vec::new();
+        loop {
+            skip_ws(self.bytes, &mut self.pos);
+            if self.bytes.get(self.pos) == Some(&b']') {
+                break;
+            }
+            items.push(item(self)?);
+        }
+        self.end_arr()?;
+        Some(items)
+    }
+
+    /// The end of the input; `None` when anything but whitespace
+    /// follows.
+    pub fn finish(mut self) -> Option<()> {
+        skip_ws(self.bytes, &mut self.pos);
+        (self.pos == self.bytes.len()).then_some(())
     }
 }
 
@@ -176,6 +381,78 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
             _ => break,
         }
     }
+}
+
+/// Moves `*pos` past the run of ASCII digits there, reading them
+/// eight at a time where it can, and returns their value; `None` when
+/// it overflows `u64` (checked explicitly, so release builds reject it
+/// just as debug builds do).
+fn digit_run(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = Some(0u64);
+    while let Some(x) = bytes.get(*pos..*pos + 8).and_then(eight_digits) {
+        v = v.and_then(|v| v.checked_mul(100_000_000)?.checked_add(x));
+        *pos += 8;
+    }
+    while let Some(digit) = bytes.get(*pos).map(|b| b.wrapping_sub(b'0')) {
+        if digit > 9 {
+            break;
+        }
+        v = v.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(digit)));
+        *pos += 1;
+    }
+    v
+}
+
+/// The longest run of number characters at `*pos` (not empty); the
+/// caller checks its grammar.
+fn number_token<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let start = *pos;
+    // Integer digits first, eight at a time, then whatever else the
+    // token holds (sign, fraction, exponent).
+    let _ = digit_run(bytes, pos);
+    while let Some(b) = bytes.get(*pos) {
+        match b {
+            b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E' => *pos += 1,
+            _ => break,
+        }
+    }
+    (*pos > start).then(|| &bytes[start..*pos])
+}
+
+/// The value of eight ASCII digits, combined pairwise in three
+/// word-wide steps (the first digit lands in the lowest byte); `None`
+/// unless every byte is a digit.
+fn eight_digits(chunk: &[u8]) -> Option<u64> {
+    let word = u64::from_le_bytes(chunk.try_into().ok()?);
+    let d = word.wrapping_sub(0x3030_3030_3030_3030);
+    // A byte below `0` sets its top bit in `d`, a byte above `9` in
+    // `word + 0x46..`. Borrows and carries start only at such a byte, so
+    // the lowest non-digit byte is always caught.
+    if (d | word.wrapping_add(0x4646_4646_4646_4646)) & 0x8080_8080_8080_8080 != 0 {
+        return None;
+    }
+    let d = (d * 10 + (d >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let d = (d * 100 + (d >> 16)) & 0x0000_ffff_0000_ffff;
+    Some((d * 10_000 + (d >> 32)) & 0xffff_ffff)
+}
+
+/// The body of the string token at `*pos`, escapes still in place,
+/// moving past its closing quote.
+fn string_body<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    if bytes.get(*pos)? != &b'"' {
+        return None;
+    }
+    let start = *pos + 1;
+    let mut end = start;
+    loop {
+        match bytes.get(end)? {
+            b'"' => break,
+            b'\\' => end += 2,
+            _ => end += 1,
+        }
+    }
+    *pos = end + 1;
+    Some(&bytes[start..end])
 }
 
 fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
@@ -202,17 +479,7 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Opti
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-    let start = *pos;
-    while let Some(b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E' => *pos += 1,
-            _ => break,
-        }
-    }
-    if *pos == start {
-        return None;
-    }
-    let token = std::str::from_utf8(&bytes[start..*pos]).ok()?;
+    let token = std::str::from_utf8(number_token(bytes, pos)?).ok()?;
     // Validate the token is numeric at all; exactness is the caller's
     // accessor's job.
     token.parse::<f64>().ok()?;
@@ -220,47 +487,38 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    if bytes.get(*pos)? != &b'"' {
-        return None;
-    }
-    *pos += 1;
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        match bytes.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return String::from_utf8(out).ok();
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos)? {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0c),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(bytes.get(*pos + 1..*pos + 5)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        // BMP only — all this workspace ever escapes.
-                        let c = char::from_u32(code)?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            &b => {
-                out.push(b);
-                *pos += 1;
-            }
+    let body = string_body(bytes, pos)?;
+    let mut out: Vec<u8> = Vec::with_capacity(body.len());
+    let mut i = 0;
+    while let Some(&b) = body.get(i) {
+        i += 1;
+        if b != b'\\' {
+            out.push(b);
+            continue;
         }
+        match body.get(i)? {
+            b'"' => out.push(b'"'),
+            b'\\' => out.push(b'\\'),
+            b'/' => out.push(b'/'),
+            b'b' => out.push(0x08),
+            b'f' => out.push(0x0c),
+            b'n' => out.push(b'\n'),
+            b'r' => out.push(b'\r'),
+            b't' => out.push(b'\t'),
+            b'u' => {
+                let hex = std::str::from_utf8(body.get(i + 1..i + 5)?).ok()?;
+                let code = u32::from_str_radix(hex, 16).ok()?;
+                // BMP only — all this workspace ever escapes.
+                let c = char::from_u32(code)?;
+                let mut buf = [0u8; 4];
+                out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+                i += 4;
+            }
+            _ => return None,
+        }
+        i += 1;
     }
+    String::from_utf8(out).ok()
 }
 
 fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
@@ -326,7 +584,7 @@ mod tests {
         assert_eq!(v.arr_of("a").unwrap()[0].as_u64(), Some(1));
         assert_eq!(v.arr_of("a").unwrap()[1].as_f64(), Some(2.5));
         assert_eq!(v.arr_of("a").unwrap()[2].as_str(), Some("x"));
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
     }
 
@@ -347,11 +605,13 @@ mod tests {
     }
 
     #[test]
-    fn strings_escape_and_unescape() {
-        let original = "a \"quoted\" back\\slash\nnewline\ttab \u{1} control";
-        let doc = format!("{{\"s\":\"{}\"}}", escape(original));
-        let v = Value::parse(&doc).unwrap();
-        assert_eq!(v.str_of("s"), Some(original));
+    fn strings_unescape() {
+        let doc = r#"{"s":"a \"quoted\" back\\slash\nnewline\ttab \u0001 control \/ \u00e9"}"#;
+        let v = Value::parse(doc).unwrap();
+        assert_eq!(
+            v.str_of("s"),
+            Some("a \"quoted\" back\\slash\nnewline\ttab \u{1} control / \u{e9}")
+        );
     }
 
     #[test]
@@ -363,6 +623,7 @@ mod tests {
             "{\"a\":}",
             "{\"a\":1} trailing",
             "\"unterminated",
+            "\"\\u00\"",
             "{'single':1}",
             "nul",
         ] {
@@ -374,5 +635,122 @@ mod tests {
     fn non_finite_writes_as_null() {
         assert_eq!(num_f64(f64::NAN), "null");
         assert_eq!(num_f64(f64::INFINITY), "null");
+    }
+
+    /// The sample document's floats: NaN, signed zero, an infinity and
+    /// a subnormal among them.
+    const XS: [f64; 5] = [
+        1.5,
+        -0.0,
+        f64::NAN,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 2.0,
+    ];
+
+    /// The writer's sample document, and the reads that take it apart.
+    fn sample() -> String {
+        let mut w = Writer::with_capacity(64);
+        w.begin_obj();
+        w.key("n").u64(u64::MAX);
+        w.key("xs").begin_arr();
+        for x in XS {
+            w.f64(x);
+        }
+        w.end_arr();
+        w.key("role").name("rx");
+        w.key("empty").begin_arr();
+        w.end_arr();
+        w.end_obj();
+        w.finish()
+    }
+
+    fn read_sample(text: &str) -> Option<(u64, Vec<u64>, String, usize)> {
+        let mut r = Reader::new(text);
+        r.begin_obj()?;
+        let n = r.key("n")?.u64()?;
+        let xs = r.key("xs")?.list(|r| r.f64().map(f64::to_bits))?;
+        let role = r.key("role")?.name()?.to_owned();
+        let empty = r.key("empty")?.list(Reader::u64)?.len();
+        r.end_obj()?;
+        r.finish()?;
+        Some((n, xs, role, empty))
+    }
+
+    #[test]
+    fn reader_reads_what_the_writer_wrote() {
+        let text = sample();
+        let (n, xs, role, empty) = read_sample(&text).expect("sample decodes");
+        assert_eq!(n, u64::MAX);
+        let expected: Vec<u64> = XS.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(xs, expected);
+        assert_eq!((role.as_str(), empty), ("rx", 0));
+        // Still plain JSON.
+        let v = Value::parse(&text).unwrap();
+        assert_eq!(v.str_of("role"), Some("rx"));
+        assert_eq!(v.arr_of("xs").unwrap().len(), 5);
+        // Whitespace between tokens is fine.
+        let spaced = text.replace(',', " , ").replace(':', " :\n");
+        assert_eq!(read_sample(&spaced), read_sample(&text));
+    }
+
+    #[test]
+    fn reader_rejects_every_deviation() {
+        let text = sample();
+        for prefix in 0..text.len() {
+            assert!(read_sample(&text[..prefix]).is_none(), "prefix {prefix}");
+        }
+        for bad in [
+            text.replace("\"n\"", "\"m\""),
+            text.replace("\"rx\"", "\"r\\u0078\""),
+            text.replace("[]", "[\"x\"]"),
+            text.replace("[]", "[,]"),
+            text.replace(",\"role\"", "\"role\""),
+            text.replace(":18446744073709551615", ":+1"),
+            text.replace(":18446744073709551615", ":01"),
+            text.replace(":18446744073709551615", ":1.5"),
+            text.replace(":18446744073709551615", ":-1"),
+            format!("{text}x"),
+        ] {
+            assert!(read_sample(&bad).is_none(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn u64_overflow_is_rejected_not_wrapped() {
+        let read = |tok: &str| {
+            let doc = format!("[{tok}]");
+            let mut r = Reader::new(&doc);
+            r.list(Reader::u64)
+        };
+        assert_eq!(read("18446744073709551615"), Some(vec![u64::MAX]));
+        assert_eq!(read("18446744073709551616"), None);
+        assert_eq!(read("99999999999999999999"), None);
+        assert_eq!(read("1234567890123456789012345"), None);
+        assert_eq!(read("0"), Some(vec![0]));
+    }
+
+    #[test]
+    fn numbers_of_every_length_read_back() {
+        let mut values = vec![0, 1, 9, u64::MAX];
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1, p / 3 * 2]);
+        }
+        let mut w = Writer::with_capacity(0);
+        w.begin_arr();
+        for &v in &values {
+            w.u64(v);
+        }
+        w.end_arr();
+        let text = w.finish();
+        assert_eq!(Reader::new(&text).list(Reader::u64), Some(values));
+        // Leading zeros are not JSON, however many digits follow.
+        for bad in ["[00]", "[012345678]", "[0123456789012345]"] {
+            assert_eq!(Reader::new(bad).list(Reader::u64), None, "{bad}");
+        }
+        // The tree parser lexes the same digits inside any number token.
+        let v = Value::parse("[-1234567890123.25e-3,12345678901234567890123]").unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_f64(), Some(-1_234_567_890.123_25));
+        assert_eq!(v.as_arr().unwrap()[1].as_u64(), None);
     }
 }

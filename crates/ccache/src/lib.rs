@@ -12,12 +12,18 @@
 //! 2. **Writes are atomic**: [`Cache::publish`] goes through a temp
 //!    file + rename, so racing `--jobs` workers leave one valid entry.
 //! 3. **Hits are byte-identical to cold runs**: the [`codec`] module
-//!    round-trips every `u64` and `f64` bit-exactly, so tables,
-//!    `--json` documents and `--record` exports cannot tell a warm
-//!    run from a cold one (pinned in `crates/core/tests/determinism.rs`).
+//!    writes every `u64` as its decimal token and every `f64` as its
+//!    IEEE-754 bit pattern, so both round-trip bit-exactly by
+//!    construction, and tables, `--json` documents and `--record`
+//!    exports cannot tell a warm run from a cold one (pinned in
+//!    `crates/core/tests/determinism.rs`).
 //!
 //! Reads are corruption-tolerant: a damaged, truncated or
-//! foreign-epoch entry is a miss, and the caller re-simulates.
+//! foreign-epoch entry is a miss, and the caller re-simulates. So is
+//! an entry whose payload another [`codec::PAYLOAD_VERSION`] wrote: a
+//! hit is decoded by a typed pull reader ([`json::Reader`]) that
+//! accepts only the current fixed layout, and the caller rewrites the
+//! entry on first use.
 //! "Dependency-free" the same way `xrun` is: nothing outside this
 //! workspace and `std`.
 

@@ -4,19 +4,22 @@
 //! DistributionReports)`. The experiment is the key, so the payload
 //! carries only the three computed pieces: the report through
 //! [`ccache::codec`] and the distributions through
-//! [`loc::DistributionReport::to_parts`]. Decoding rebuilds the result
-//! **bit-identically** — every `f64` goes through shortest round-trip
-//! formatting — which is what lets every renderer downstream (tables,
-//! `--json`, summaries) produce byte-identical output for warm and
-//! cold runs (pinned in `tests/determinism.rs`).
+//! [`loc::DistributionReport::to_parts`], in one fixed-layout object.
+//! Every `f64` is stored as its IEEE-754 bit pattern, so decoding
+//! rebuilds the result **bit-identically** by construction, which is
+//! what lets every renderer downstream (tables, `--json`, summaries)
+//! produce byte-identical output for warm and cold runs (pinned in
+//! `tests/determinism.rs`). A payload another
+//! [`PAYLOAD_VERSION`](ccache::codec::PAYLOAD_VERSION) wrote decodes to
+//! `None`, so [`run_cached`] counts it as a miss and rewrites it.
 //!
 //! [`run_cached`] is the one cached execution path: every batch
 //! funnelled through [`run_experiments`](crate::run_experiments) and
 //! the CLI's single-run path go through it, so hit/miss accounting and
 //! fallback semantics live in exactly one place.
 
-use ccache::codec::{self, arr, obj};
-use ccache::json::{num_f64, Value};
+use ccache::codec::{self, read_sim_report, write_sim_report};
+use ccache::json::{Reader, Writer, NUMBER_BYTES};
 use ccache::Cache;
 use loc::{DistParts, DistRel, DistributionReport};
 
@@ -30,89 +33,89 @@ pub fn experiment_key(e: &Experiment) -> String {
     format!("cell|{}", e.label())
 }
 
-fn rel_json(rel: DistRel) -> String {
+fn rel_name(rel: DistRel) -> &'static str {
     match rel {
-        DistRel::Eq => "\"eq\"",
-        DistRel::Le => "\"le\"",
-        DistRel::Ge => "\"ge\"",
-    }
-    .to_owned()
-}
-
-fn rel_from_str(name: &str) -> Option<DistRel> {
-    match name {
-        "eq" => Some(DistRel::Eq),
-        "le" => Some(DistRel::Le),
-        "ge" => Some(DistRel::Ge),
-        _ => None,
+        DistRel::Eq => "eq",
+        DistRel::Le => "le",
+        DistRel::Ge => "ge",
     }
 }
 
-fn dist_json(report: &DistributionReport) -> String {
-    let parts = report.to_parts();
-    obj(&[
-        ("rel", rel_json(parts.rel)),
-        ("min", num_f64(parts.min)),
-        ("max", num_f64(parts.max)),
-        ("step", num_f64(parts.step)),
-        (
-            "counts",
-            arr(parts.counts.iter().map(u64::to_string).collect()),
-        ),
-        (
-            "values",
-            arr(parts.sorted_values.iter().copied().map(num_f64).collect()),
-        ),
-        ("nan", parts.nan_count.to_string()),
-        ("total", parts.total.to_string()),
-    ])
+/// About how many bytes [`write_dist`] writes for `parts`: a full
+/// number per value, a few digits per bin count.
+fn dist_len_hint(parts: &DistParts) -> usize {
+    192 + NUMBER_BYTES * parts.sorted_values.len() + 6 * parts.counts.len()
 }
 
-fn dist_from_value(v: &Value) -> Option<DistributionReport> {
-    Some(DistributionReport::from_parts(DistParts {
-        rel: rel_from_str(v.str_of("rel")?)?,
-        min: v.f64_of("min")?,
-        max: v.f64_of("max")?,
-        step: v.f64_of("step")?,
-        counts: v
-            .arr_of("counts")?
-            .iter()
-            .map(Value::as_u64)
-            .collect::<Option<Vec<_>>>()?,
-        sorted_values: v
-            .arr_of("values")?
-            .iter()
-            .map(Value::as_f64)
-            .collect::<Option<Vec<_>>>()?,
-        nan_count: v.u64_of("nan")?,
-        total: v.u64_of("total")?,
-    }))
+fn write_dist(w: &mut Writer, parts: &DistParts) {
+    w.begin_obj();
+    w.key("rel").name(rel_name(parts.rel));
+    w.key("min").f64(parts.min);
+    w.key("max").f64(parts.max);
+    w.key("step").f64(parts.step);
+    w.key("counts").begin_arr();
+    for &count in &parts.counts {
+        w.u64(count);
+    }
+    w.end_arr();
+    w.key("values").begin_arr();
+    for &value in &parts.sorted_values {
+        w.f64(value);
+    }
+    w.end_arr();
+    w.key("nan").u64(parts.nan_count);
+    w.key("total").u64(parts.total);
+    w.end_obj();
+}
+
+fn read_dist(r: &mut Reader<'_>) -> Option<DistributionReport> {
+    r.begin_obj()?;
+    // Struct fields evaluate in the order written: the layout's order.
+    let parts = DistParts {
+        rel: match r.key("rel")?.name()? {
+            "eq" => DistRel::Eq,
+            "le" => DistRel::Le,
+            "ge" => DistRel::Ge,
+            _ => return None,
+        },
+        min: r.key("min")?.f64()?,
+        max: r.key("max")?.f64()?,
+        step: r.key("step")?.f64()?,
+        counts: r.key("counts")?.list(Reader::u64)?,
+        sorted_values: r.key("values")?.list(Reader::f64)?,
+        nan_count: r.key("nan")?.u64()?,
+        total: r.key("total")?.u64()?,
+    };
+    r.end_obj()?;
+    // The two outer bins always exist; the report's edges rely on them.
+    (parts.counts.len() >= 2).then(|| DistributionReport::from_parts(parts))
 }
 
 /// Encodes a result's computed pieces as a cache payload.
 #[must_use]
 pub fn encode_result(r: &ExperimentResult) -> String {
-    obj(&[
-        ("v", codec::PAYLOAD_VERSION.to_string()),
-        ("sim", codec::sim_report_json(&r.sim)),
-        ("power", dist_json(&r.power)),
-        ("throughput", dist_json(&r.throughput)),
-    ])
+    let (power, throughput) = (r.power.to_parts(), r.throughput.to_parts());
+    let len_hint =
+        codec::sim_report_len_hint(&r.sim) + dist_len_hint(&power) + dist_len_hint(&throughput);
+    codec::payload(len_hint, |w| {
+        write_sim_report(w.key("sim"), &r.sim);
+        write_dist(w.key("power"), &power);
+        write_dist(w.key("throughput"), &throughput);
+    })
 }
 
 /// Decodes a payload back into the result of `experiment`; `None` on
-/// any structural damage (the caller re-simulates).
+/// any structural damage or another payload version (the caller
+/// re-simulates).
 #[must_use]
 pub fn decode_result(experiment: &Experiment, payload: &str) -> Option<ExperimentResult> {
-    let v = Value::parse(payload)?;
-    if v.u64_of("v")? != codec::PAYLOAD_VERSION {
-        return None;
-    }
-    Some(ExperimentResult {
-        experiment: experiment.clone(),
-        sim: codec::sim_report_from_value(v.get("sim")?)?,
-        power: dist_from_value(v.get("power")?)?,
-        throughput: dist_from_value(v.get("throughput")?)?,
+    codec::read_payload(payload, |r| {
+        Some(ExperimentResult {
+            experiment: experiment.clone(),
+            sim: read_sim_report(r.key("sim")?)?,
+            power: read_dist(r.key("power")?)?,
+            throughput: read_dist(r.key("throughput")?)?,
+        })
     })
 }
 
@@ -162,15 +165,26 @@ pub fn run_cached(cache: Option<&Cache>, experiment: &Experiment) -> ExperimentR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccache::codec::{parse_recorded, parse_snapshots, recorded_payload, snapshots_payload};
+    use ccache::json::Value;
     use dvs::PolicySpec;
-    use nepsim::Benchmark;
+    use nepsim::{Benchmark, MemRecorder, NpuConfig, SimReport, Simulator};
+    use obs::{Recording, Sample};
 
+    /// The payload of [`experiment`]'s result as the previous payload
+    /// version (1, shortest round-trip `f64` tokens) wrote it.
+    const PAYLOAD_V1: &str = include_str!("../tests/fixtures/cell_payload_v1.json");
+    /// The same result as the current version writes it, byte for byte.
+    const PAYLOAD_V2: &str = include_str!("../tests/fixtures/cell_payload_v2.json");
+
+    /// The fixed tiny run the payload fixtures pin; long enough that
+    /// both distributions hold values.
     fn experiment() -> Experiment {
         Experiment {
             benchmark: Benchmark::Ipfwdr,
             traffic: traffic::TrafficLevel::High.into(),
             policy: PolicySpec::parse("tdvs:threshold=1400").unwrap(),
-            cycles: 400_000,
+            cycles: 600_000,
             seed: 11,
         }
     }
@@ -234,5 +248,308 @@ mod tests {
         assert_eq!(again.sim, result.sim);
         assert_eq!(cache.counters().hits, 1);
         let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    /// A decoder under test: `true` when the payload decoded.
+    type Decodes = Box<dyn Fn(&str) -> bool>;
+
+    /// One payload of each kind the cache stores, with its decoder:
+    /// an experiment cell, scenario segment snapshots, and a fleet
+    /// chip's report plus recording.
+    fn payload_kinds() -> Vec<(&'static str, String, Decodes)> {
+        let e = experiment();
+        let cell = encode_result(&e.run());
+        let config = NpuConfig::builder()
+            .seed(7)
+            .policy("tdvs:threshold=1400".parse().unwrap())
+            .build();
+        let snapshots = Simulator::new(config.clone()).run_cycle_segments(&[200_000, 400_000]);
+        let mut sim = Simulator::new(config).with_recorder(Box::new(MemRecorder::new()));
+        let report = sim.run_cycles(400_000);
+        let recording = sim.take_recording();
+        vec![
+            (
+                "cell",
+                cell,
+                Box::new(move |p| decode_result(&e, p).is_some()),
+            ),
+            (
+                "snapshots",
+                snapshots_payload(&snapshots),
+                Box::new(|p| parse_snapshots(p).is_some()),
+            ),
+            (
+                "recorded",
+                recorded_payload(&report, &recording),
+                Box::new(|p| parse_recorded(p).is_some()),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_truncated_prefix_is_rejected() {
+        for (kind, payload, decodes) in payload_kinds() {
+            assert!(decodes(&payload), "the whole {kind} payload decodes");
+            for end in 0..payload.len() {
+                assert!(
+                    !decodes(&payload[..end]),
+                    "{kind}: {end}-byte prefix decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_byte_flips_never_panic() {
+        const FLIPS_PER_KIND: usize = 400;
+        let mut rng = proptest::TestRng::for_test("cachefmt::single_byte_flips");
+        for (kind, payload, decodes) in payload_kinds() {
+            let mut rejected = 0;
+            for _ in 0..FLIPS_PER_KIND {
+                let mut bytes = payload.clone().into_bytes();
+                let at = (rng.next_u64() % bytes.len() as u64) as usize;
+                // A mask below 0x80 keeps the ASCII payload valid UTF-8,
+                // as every entry the store hands out is.
+                bytes[at] ^= 1 + (rng.next_u64() % 0x7f) as u8;
+                let flipped = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+                if !decodes(&flipped) {
+                    rejected += 1;
+                }
+            }
+            // Most flips break the fixed layout; the rest (a digit
+            // turned into another digit) decode to another value.
+            assert!(
+                rejected * 2 > FLIPS_PER_KIND,
+                "{kind}: only {rejected} of {FLIPS_PER_KIND} flips rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn number_tokens_overflowing_u64_are_rejected() {
+        for (kind, payload, decodes) in payload_kinds() {
+            let start = payload.find("\"duration_ps\":").unwrap() + "\"duration_ps\":".len();
+            let end = start + payload[start..].find(',').unwrap();
+            for token in ["18446744073709551616", "1234567890123456789012345"] {
+                let bad = format!("{}{token}{}", &payload[..start], &payload[end..]);
+                assert!(!decodes(&bad), "{kind}: accepted duration_ps {token}");
+            }
+        }
+    }
+
+    /// NaN (either sign, and with a payload), both infinities,
+    /// negative zero and subnormals.
+    const SPECIALS: [f64; 8] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_dead_beef),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE / 3.0,
+    ];
+
+    fn special(i: &mut usize) -> f64 {
+        *i += 1;
+        SPECIALS[*i % SPECIALS.len()]
+    }
+
+    /// Every `f64` slot of a report, as bits.
+    fn report_bits(r: &SimReport) -> Vec<u64> {
+        let mut bits: Vec<u64> = [
+            r.me_energy_uj,
+            r.sram_energy_uj,
+            r.sdram_energy_uj,
+            r.static_energy_uj,
+            r.monitor_energy_uj,
+            r.bus_rate_mbps,
+        ]
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+        bits.extend(r.mes.iter().map(|me| me.energy_uj.to_bits()));
+        bits.extend(r.window_idle.iter().map(|w| w.idle.to_bits()));
+        bits
+    }
+
+    fn with_specials(mut r: SimReport, i: &mut usize) -> SimReport {
+        for slot in [
+            &mut r.me_energy_uj,
+            &mut r.sram_energy_uj,
+            &mut r.sdram_energy_uj,
+            &mut r.static_energy_uj,
+            &mut r.monitor_energy_uj,
+            &mut r.bus_rate_mbps,
+        ] {
+            *slot = special(i);
+        }
+        for me in &mut r.mes {
+            me.energy_uj = special(i);
+        }
+        for w in &mut r.window_idle {
+            w.idle = special(i);
+        }
+        r
+    }
+
+    fn dist_bits(d: &DistributionReport) -> Vec<u64> {
+        let parts = d.to_parts();
+        let mut bits: Vec<u64> = [parts.min, parts.max, parts.step]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        bits.extend(parts.sorted_values.iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn special_floats_round_trip_bit_exactly() {
+        let mut i = 0;
+        let cold = experiment().run();
+        let mut dist = |d: &DistributionReport| {
+            let mut parts = d.to_parts();
+            parts.min = special(&mut i);
+            parts.max = special(&mut i);
+            parts.step = special(&mut i);
+            parts.sorted_values = (0..12).map(|_| special(&mut i)).collect();
+            DistributionReport::from_parts(parts)
+        };
+        let (power, throughput) = (dist(&cold.power), dist(&cold.throughput));
+        let mut i = 0;
+        let result = ExperimentResult {
+            sim: with_specials(cold.sim.clone(), &mut i),
+            power,
+            throughput,
+            ..cold
+        };
+        assert!(report_bits(&result.sim).len() > 20);
+
+        let payload = encode_result(&result);
+        let decoded = decode_result(&result.experiment, &payload).expect("cell decodes");
+        assert_eq!(report_bits(&decoded.sim), report_bits(&result.sim));
+        assert_eq!(dist_bits(&decoded.power), dist_bits(&result.power));
+        assert_eq!(
+            dist_bits(&decoded.throughput),
+            dist_bits(&result.throughput)
+        );
+        assert_eq!(encode_result(&decoded), payload);
+
+        let snapshots = vec![
+            result.sim.clone(),
+            with_specials(result.sim.clone(), &mut i),
+        ];
+        let decoded = parse_snapshots(&snapshots_payload(&snapshots)).expect("snapshots decode");
+        assert_eq!(decoded.len(), 2);
+        for (d, s) in decoded.iter().zip(&snapshots) {
+            assert_eq!(report_bits(d), report_bits(s));
+        }
+
+        let recording = Recording::from_samples(
+            (0..20)
+                .map(|k| Sample {
+                    channel: obs::Channel::ALL[k % obs::Channel::ALL.len()],
+                    cycle: k as u64 * 1000,
+                    value: special(&mut i),
+                })
+                .collect(),
+        );
+        let (report, rec) =
+            parse_recorded(&recorded_payload(&result.sim, &recording)).expect("recorded decodes");
+        assert_eq!(report_bits(&report), report_bits(&result.sim));
+        let value_bits =
+            |r: &Recording| -> Vec<u64> { r.samples().iter().map(|s| s.value.to_bits()).collect() };
+        assert_eq!(value_bits(&rec), value_bits(&recording));
+    }
+
+    /// The on-disk path of a spec's entry (mirrors the store layout).
+    fn entry_path(cache: &Cache, spec: &str) -> std::path::PathBuf {
+        let key = ccache::Key::with_epoch(cache.epoch(), spec);
+        cache
+            .root()
+            .join(key.shard())
+            .join(format!("{}.entry", key.hex()))
+    }
+
+    #[test]
+    fn flipped_byte_entry_demotes_to_miss_and_heals() {
+        let cache = temp_cache("flip");
+        let e = experiment();
+        let cold = run_cached(Some(&cache), &e);
+        let path = entry_path(&cache, &experiment_key(&e));
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Turn a digit mid-payload into a letter: the entry stays UTF-8
+        // and its header's length still matches, so only the payload
+        // decoder can tell.
+        let at = bytes.len() / 2;
+        let at = at + bytes[at..].iter().position(u8::is_ascii_digit).unwrap();
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let healed = run_cached(Some(&cache), &e);
+        assert_eq!(encode_result(&healed), encode_result(&cold));
+        let counters = cache.counters();
+        assert_eq!(
+            (counters.hits, counters.misses, counters.stores),
+            (0, 2, 2),
+            "the flipped entry is a miss, and is rewritten"
+        );
+        let again = run_cached(Some(&cache), &e);
+        assert_eq!(again.sim, cold.sim);
+        assert_eq!(cache.counters().hits, 1);
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn v1_payloads_are_misses_that_heal() {
+        let e = experiment();
+        let fresh = e.run();
+        // The fixture is this very run, in the old format.
+        let v1 = Value::parse(PAYLOAD_V1).expect("v1 fixture is JSON");
+        assert_eq!(v1.u64_of("v"), Some(1));
+        let sim = v1.get("sim").unwrap();
+        assert_eq!(
+            sim.u64_of("forwarded_packets"),
+            Some(fresh.sim.forwarded_packets)
+        );
+        assert_eq!(sim.f64_of("me_energy_uj"), Some(fresh.sim.me_energy_uj));
+        assert!(decode_result(&e, PAYLOAD_V1).is_none());
+
+        let cache = temp_cache("v1");
+        cache.publish(&experiment_key(&e), PAYLOAD_V1);
+        let healed = run_cached(Some(&cache), &e);
+        assert_eq!(encode_result(&healed), encode_result(&fresh));
+        let counters = cache.counters();
+        // Two stores: the planted v1 entry, then its rewrite.
+        assert_eq!((counters.hits, counters.misses, counters.stores), (0, 1, 2));
+        assert_eq!(
+            cache.lookup(&experiment_key(&e)).as_deref(),
+            Some(PAYLOAD_V2),
+            "the v1 entry is rewritten in the current format"
+        );
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn payload_layout_is_pinned() {
+        let e = experiment();
+        let payload = encode_result(&e.run());
+        if payload != PAYLOAD_V2 {
+            let out = std::env::temp_dir().join("cell_payload_v2.json");
+            let _ = std::fs::write(&out, &payload);
+            panic!(
+                "the experiment-cell payload bytes changed (new bytes in {}). A layout change \
+                 must bump ccache::codec::PAYLOAD_VERSION and replace the fixture in \
+                 crates/core/tests/fixtures/; a change to simulated results must bump \
+                 ccache::CACHE_EPOCH instead.",
+                out.display()
+            );
+        }
+        assert!(
+            PAYLOAD_V2.starts_with(&format!("{{\"v\":{},", codec::PAYLOAD_VERSION)),
+            "PAYLOAD_VERSION changed: replace the payload fixtures to match"
+        );
+        let decoded = decode_result(&e, PAYLOAD_V2).expect("the fixture decodes");
+        assert_eq!(encode_result(&decoded), PAYLOAD_V2);
     }
 }

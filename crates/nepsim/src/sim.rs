@@ -433,8 +433,12 @@ impl Simulator {
 
         if self.rx_fifo.len() < self.config.rx_fifo_cap {
             self.rx_fifo.push_back(p);
-            let annots = self.fifo_annotations(now);
-            self.trace.fifo(annots);
+            // Annotations sum every ME's energy: build them only when
+            // the trace keeps the event.
+            if self.config.trace.emit_fifo {
+                let annots = self.fifo_annotations(now);
+                self.trace.fifo(annots);
+            }
             self.wake_role(MeRole::Rx, now);
         } else {
             self.dropped_packets += 1;
