@@ -1,11 +1,10 @@
 //! Microengine state: threads, execution modes and time/energy accounting.
 
 use desim::SimTime;
-use dvs::{VfLadder, VfPoint};
 use serde::{Deserialize, Serialize};
 use traffic::Packet;
 
-use crate::config::PowerParams;
+use crate::power::LevelPower;
 use crate::workload::Segment;
 
 /// Whether a microengine receives/processes packets or transmits them.
@@ -62,8 +61,9 @@ pub(crate) enum ThreadState {
 #[derive(Debug)]
 pub(crate) struct Thread {
     pub state: ThreadState,
-    /// The per-packet program currently being executed (empty => needs to
-    /// fetch a packet).
+    /// The per-packet program currently being executed; once `pc` runs
+    /// past its end the thread fetches its next packet. Refilled in place
+    /// for every packet, so its allocation is reused.
     pub program: Vec<Segment>,
     pub pc: usize,
     pub packet: Option<Packet>,
@@ -182,65 +182,54 @@ impl Microengine {
         }
     }
 
-    /// The current VF operating point.
-    pub(crate) fn level(&self, ladder: &VfLadder) -> VfPoint {
-        ladder.point(self.level_idx)
-    }
-
     /// Instantaneous power in watts for `mode` at the current level.
-    pub(crate) fn power_w(&self, mode: MeMode, ladder: &VfLadder, params: &PowerParams) -> f64 {
-        let scale = self.level(ladder).power_scale(&ladder.top());
+    pub(crate) fn power_w(&self, mode: MeMode, levels: &[LevelPower]) -> f64 {
+        let level = &levels[self.level_idx];
         match mode {
-            MeMode::Busy | MeMode::Polling => params.me_active_w * scale,
-            MeMode::Idle | MeMode::Stalled => params.me_active_w * params.idle_factor * scale,
+            MeMode::Busy | MeMode::Polling => level.active_w,
+            MeMode::Idle | MeMode::Stalled => level.idle_w,
         }
     }
 
     /// Closes the accounting interval `[mode_since, now]` under the
     /// current mode, accumulating wall time and energy.
-    pub(crate) fn account(&mut self, now: SimTime, ladder: &VfLadder, params: &PowerParams) {
+    pub(crate) fn account(&mut self, now: SimTime, levels: &[LevelPower]) {
         debug_assert!(now >= self.mode_since, "accounting time went backwards");
         let dt = now.saturating_sub(self.mode_since);
         if dt > SimTime::ZERO {
             self.acc.add(self.mode, dt);
             self.window_acc.add(self.mode, dt);
-            self.energy_uj += self.power_w(self.mode, ladder, params) * dt.as_secs() * 1e6;
+            self.energy_uj += self.power_w(self.mode, levels) * dt.as_secs() * 1e6;
             self.level_acc[self.level_idx] += dt;
         }
         self.mode_since = now;
     }
 
     /// Accounts up to `now` and switches to `mode`.
-    pub(crate) fn set_mode(
-        &mut self,
-        now: SimTime,
-        mode: MeMode,
-        ladder: &VfLadder,
-        params: &PowerParams,
-    ) {
-        self.account(now, ladder, params);
+    pub(crate) fn set_mode(&mut self, now: SimTime, mode: MeMode, levels: &[LevelPower]) {
+        self.account(now, levels);
         self.mode = mode;
     }
 
     /// Energy of the still-open interval `[mode_since, now]`, µJ.
-    pub(crate) fn pending_energy_uj(
-        &self,
-        now: SimTime,
-        ladder: &VfLadder,
-        params: &PowerParams,
-    ) -> f64 {
+    pub(crate) fn pending_energy_uj(&self, now: SimTime, levels: &[LevelPower]) -> f64 {
         let dt = now.saturating_sub(self.mode_since);
-        self.power_w(self.mode, ladder, params) * dt.as_secs() * 1e6
+        self.power_w(self.mode, levels) * dt.as_secs() * 1e6
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PowerParams;
     use dvs::VfLadder;
 
     fn me() -> Microengine {
         Microengine::new(MeRole::Rx, 4, VfLadder::xscale_npu().top_index())
+    }
+
+    fn levels() -> Vec<LevelPower> {
+        LevelPower::table(&VfLadder::xscale_npu(), &PowerParams::default())
     }
 
     #[test]
@@ -257,12 +246,10 @@ mod tests {
 
     #[test]
     fn accounting_accumulates_time_and_energy() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
         let mut m = me();
         m.mode = MeMode::Busy;
         m.mode_since = SimTime::ZERO;
-        m.account(SimTime::from_us(10), &ladder, &params);
+        m.account(SimTime::from_us(10), &levels());
         assert_eq!(m.acc.get(MeMode::Busy), SimTime::from_us(10));
         // 0.18 W for 10us = 1.8 uJ.
         assert!((m.energy_uj - 1.8).abs() < 1e-9, "energy {}", m.energy_uj);
@@ -270,34 +257,30 @@ mod tests {
 
     #[test]
     fn idle_power_is_reduced() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let levels = levels();
         let m = me();
-        let busy = m.power_w(MeMode::Busy, &ladder, &params);
-        let idle = m.power_w(MeMode::Idle, &ladder, &params);
-        assert!((idle / busy - params.idle_factor).abs() < 1e-12);
+        let busy = m.power_w(MeMode::Busy, &levels);
+        let idle = m.power_w(MeMode::Idle, &levels);
+        assert!((idle / busy - PowerParams::default().idle_factor).abs() < 1e-12);
         // Polling costs the same as busy.
-        assert_eq!(m.power_w(MeMode::Polling, &ladder, &params), busy);
+        assert_eq!(m.power_w(MeMode::Polling, &levels), busy);
     }
 
     #[test]
     fn lower_level_cuts_power() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let levels = levels();
         let mut m = me();
-        let top = m.power_w(MeMode::Busy, &ladder, &params);
+        let top = m.power_w(MeMode::Busy, &levels);
         m.level_idx = 0;
-        let bottom = m.power_w(MeMode::Busy, &ladder, &params);
+        let bottom = m.power_w(MeMode::Busy, &levels);
         assert!((bottom / top - 0.477).abs() < 0.01);
     }
 
     #[test]
     fn set_mode_closes_interval() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
         let mut m = me();
         m.mode = MeMode::Idle;
-        m.set_mode(SimTime::from_us(4), MeMode::Busy, &ladder, &params);
+        m.set_mode(SimTime::from_us(4), MeMode::Busy, &levels());
         assert_eq!(m.acc.get(MeMode::Idle), SimTime::from_us(4));
         assert_eq!(m.mode, MeMode::Busy);
         assert_eq!(m.mode_since, SimTime::from_us(4));
@@ -305,12 +288,11 @@ mod tests {
 
     #[test]
     fn pending_energy_matches_future_accounting() {
-        let ladder = VfLadder::xscale_npu();
-        let params = PowerParams::default();
+        let levels = levels();
         let mut m = me();
         m.mode = MeMode::Busy;
-        let pending = m.pending_energy_uj(SimTime::from_us(7), &ladder, &params);
-        m.account(SimTime::from_us(7), &ladder, &params);
+        let pending = m.pending_energy_uj(SimTime::from_us(7), &levels);
+        m.account(SimTime::from_us(7), &levels);
         assert!((pending - m.energy_uj).abs() < 1e-12);
     }
 

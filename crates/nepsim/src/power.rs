@@ -1,7 +1,46 @@
 //! Chip-level energy metering.
 
-use desim::SimTime;
+use desim::{Frequency, SimTime};
+use dvs::VfLadder;
 use serde::{Deserialize, Serialize};
+
+use crate::config::PowerParams;
+
+/// One VF level's ME clock and ME power, built once per run so that
+/// mode accounting and compute timing index a table instead of
+/// recomputing the `V²f` scale (three divisions) on every mode change.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LevelPower {
+    /// The level's ME clock.
+    pub freq: Frequency,
+    /// ME power while busy or busy-polling, W.
+    pub active_w: f64,
+    /// ME power while idle (memory-blocked) or stalled by a VF switch, W.
+    pub idle_w: f64,
+}
+
+impl LevelPower {
+    /// The table for every level of `ladder`, indexed like the ladder.
+    ///
+    /// Power is `me_active_w · scale` and `me_active_w · idle_factor ·
+    /// scale`, evaluated left to right with `scale` the level's
+    /// [`dvs::VfPoint::power_scale`]: float products depend on their
+    /// order, and every energy total is pinned bit for bit.
+    pub(crate) fn table(ladder: &VfLadder, params: &PowerParams) -> Vec<LevelPower> {
+        let top = ladder.top();
+        ladder
+            .iter()
+            .map(|point| {
+                let scale = point.power_scale(&top);
+                LevelPower {
+                    freq: point.frequency(),
+                    active_w: params.me_active_w * scale,
+                    idle_w: params.me_active_w * params.idle_factor * scale,
+                }
+            })
+            .collect()
+    }
+}
 
 /// Aggregates energy by component, in microjoules.
 ///

@@ -37,23 +37,39 @@ use traffic::{Packet, PacketSource, RecordedTrace, TrafficModel};
 use crate::config::NpuConfig;
 use crate::engine::{MeMode, MeRole, Microengine, ThreadState};
 use crate::memory::{MemoryController, TxBus};
-use crate::power::EnergyMeter;
+use crate::power::{EnergyMeter, LevelPower};
 use crate::report::{MeReport, SimReport, WindowIdleSample};
 use crate::trace_out::TraceCollector;
 use crate::workload::Segment;
 
 /// Simulation events.
+///
+/// The queue moves events on every heap sift, so they are kept to 16
+/// bytes: the one pending arrival's packet waits in
+/// [`Simulator::next_arrival`], and ME and thread indices are `u32`
+/// ([`Simulator::new`] checks that the counts fit).
 #[derive(Debug)]
 enum Ev {
-    /// A packet arrives at a device port.
-    Arrival(Packet),
+    /// The packet in [`Simulator::next_arrival`] arrives at a device port.
+    Arrival,
     /// A memory access or bus transfer issued by `(me, thread)` completed.
-    Done { me: usize, thread: usize },
+    Done { me: u32, thread: u32 },
     /// A microengine's scheduled continuation (compute end, stall end).
-    MeStep { me: usize, token: u64 },
+    MeStep { me: u32, token: u64 },
     /// DVS monitor-window boundary.
     Window,
 }
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
+
+/// Event-queue lanes for the `Done` completions of the three
+/// first-come first-served servers. Each server starts an access at
+/// `max(now, busy_until)`, so its completion times never decrease in
+/// issue order — the queue's lane contract.
+const SRAM_LANE: usize = 0;
+const SDRAM_LANE: usize = 1;
+const BUS_LANE: usize = 2;
+const LANES: usize = 3;
 
 /// The NePSim-style simulator. See the [crate docs](crate) for the model
 /// and [`NpuConfig`] for the knobs.
@@ -71,7 +87,12 @@ enum Ev {
 pub struct Simulator {
     config: NpuConfig,
     queue: EventQueue<Ev>,
+    /// The packet of the one pending [`Ev::Arrival`]: each arrival
+    /// schedules the next, so at most one is ever queued.
+    next_arrival: Option<Packet>,
     mes: Vec<Microengine>,
+    /// ME clock and power of every VF level, indexed like the ladder.
+    levels: Vec<LevelPower>,
     sram: MemoryController,
     sdram: MemoryController,
     bus: TxBus,
@@ -120,6 +141,11 @@ impl Simulator {
     #[must_use]
     pub fn new(config: NpuConfig) -> Self {
         config.validate();
+        assert!(
+            u32::try_from(config.total_mes()).is_ok()
+                && u32::try_from(config.threads_per_me).is_ok(),
+            "ME and thread counts must fit in u32"
+        );
         // The traffic spec was validated by its grammar; only IO (a
         // missing trace file) can fail here, and that is a broken
         // configuration, not a recoverable state.
@@ -146,8 +172,10 @@ impl Simulator {
             .cycles_to_time(policy.window_cycles().unwrap_or(config.stats_window_cycles));
         let mem = config.memory;
         Simulator {
-            queue: EventQueue::new(),
+            queue: EventQueue::with_lanes(LANES),
+            next_arrival: None,
             mes,
+            levels: LevelPower::table(&config.ladder, &config.power),
             sram: MemoryController::new(mem.sram_latency, mem.sram_service, mem.sram_energy_uj),
             sdram: MemoryController::new(mem.sdram_latency, mem.sdram_service, mem.sdram_energy_uj),
             bus: TxBus::new(config.bus_rate_mbps),
@@ -341,13 +369,12 @@ impl Simulator {
         self.started = true;
         self.end = dur;
         if let Some(p) = self.arrivals.next() {
-            self.queue.schedule(p.arrival, Ev::Arrival(p));
+            self.queue.schedule(p.arrival, Ev::Arrival);
+            self.next_arrival = Some(p);
         }
         self.queue.schedule(self.window_dur, Ev::Window);
         for m in 0..self.mes.len() {
-            let token = self.mes[m].step_token;
-            self.queue
-                .schedule(SimTime::ZERO, Ev::MeStep { me: m, token });
+            self.queue.schedule(SimTime::ZERO, self.me_step(m));
         }
     }
 
@@ -355,11 +382,7 @@ impl Simulator {
     /// events queued. Popping is globally time-ordered, so draining in
     /// stages processes the exact event sequence of a single drain.
     fn drain_until(&mut self, cap: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > cap {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event exists");
+        while let Some((now, ev)) = self.queue.pop_until(cap) {
             self.handle(ev, now);
         }
     }
@@ -368,7 +391,7 @@ impl Simulator {
     /// mid-run: accounting resumes from `at`).
     fn close_accounting(&mut self, at: SimTime) {
         for m in 0..self.mes.len() {
-            self.mes[m].account(at, &self.config.ladder, &self.config.power);
+            self.mes[m].account(at, &self.levels);
         }
     }
 
@@ -404,9 +427,10 @@ impl Simulator {
 
     fn handle(&mut self, ev: Ev, now: SimTime) {
         match ev {
-            Ev::Arrival(p) => self.on_arrival(p, now),
-            Ev::Done { me, thread } => self.on_done(me, thread, now),
+            Ev::Arrival => self.on_arrival(now),
+            Ev::Done { me, thread } => self.on_done(me as usize, thread as usize, now),
             Ev::MeStep { me, token } => {
+                let me = me as usize;
                 if self.mes[me].step_token == token {
                     self.run_me(me, now);
                 }
@@ -415,7 +439,11 @@ impl Simulator {
         }
     }
 
-    fn on_arrival(&mut self, p: Packet, now: SimTime) {
+    fn on_arrival(&mut self, now: SimTime) {
+        let p = self
+            .next_arrival
+            .take()
+            .expect("an arrival event has a pending packet");
         self.arrived_packets += 1;
         self.arrived_bits += p.size_bits();
         self.window_bits += p.size_bits();
@@ -426,8 +454,8 @@ impl Simulator {
         // Schedule the next arrival.
         if let Some(next) = self.arrivals.next() {
             if next.arrival <= self.end {
-                self.queue
-                    .schedule(next.arrival.max(now), Ev::Arrival(next));
+                self.queue.schedule(next.arrival.max(now), Ev::Arrival);
+                self.next_arrival = Some(next);
             }
         }
 
@@ -458,7 +486,7 @@ impl Simulator {
         self.windows += 1;
         // Close accounting so window buckets are complete.
         for m in 0..self.mes.len() {
-            self.mes[m].account(now, &self.config.ladder, &self.config.power);
+            self.mes[m].account(now, &self.levels);
         }
         // Sample per-ME idle fractions (the §4.2 observation data) and
         // assemble the policy's view of each microengine.
@@ -577,16 +605,15 @@ impl Simulator {
         if me.level_idx == new_level {
             return;
         }
-        me.account(now, &self.config.ladder, &self.config.power);
+        me.account(now, &self.levels);
         me.level_idx = new_level;
         me.switches += 1;
         me.stalled_until = now + SWITCH_PENALTY;
         if me.parked {
             me.mode = MeMode::Stalled;
             me.step_token += 1;
-            let token = me.step_token;
             let until = me.stalled_until;
-            self.queue.schedule(until, Ev::MeStep { me: m, token });
+            self.queue.schedule(until, self.me_step(m));
         }
         // If the ME is mid-compute, its continuation MeStep will observe
         // `stalled_until` and serve the stall before executing further.
@@ -627,8 +654,7 @@ impl Simulator {
             let until = self.mes[m].stalled_until;
             self.set_mode(m, now, MeMode::Stalled);
             self.mes[m].parked = true;
-            let token = self.mes[m].step_token;
-            self.queue.schedule(until, Ev::MeStep { me: m, token });
+            self.queue.schedule(until, self.me_step(m));
             return;
         }
 
@@ -659,16 +685,26 @@ impl Simulator {
         }
     }
 
+    /// The continuation of microengine `m` under its current step token.
+    fn me_step(&self, m: usize) -> Ev {
+        Ev::MeStep {
+            me: m as u32,
+            token: self.mes[m].step_token,
+        }
+    }
+
     /// Round-robin selection of the next ready thread.
     fn pick_ready_thread(&mut self, m: usize) -> Option<usize> {
-        let n = self.mes[m].threads.len();
-        let start = self.mes[m].next_thread;
-        for k in 0..n {
-            let ti = (start + k) % n;
-            if self.mes[m].threads[ti].state == ThreadState::Ready {
-                self.mes[m].next_thread = (ti + 1) % n;
+        let me = &mut self.mes[m];
+        let n = me.threads.len();
+        let mut ti = me.next_thread;
+        for _ in 0..n {
+            let next = if ti + 1 == n { 0 } else { ti + 1 };
+            if me.threads[ti].state == ThreadState::Ready {
+                me.next_thread = next;
                 return Some(ti);
             }
+            ti = next;
         }
         None
     }
@@ -690,12 +726,12 @@ impl Simulator {
             };
             match popped {
                 Some(pkt) => {
-                    let program = match role {
-                        MeRole::Rx => self.config.benchmark.rx_program(pkt.size_bytes),
-                        MeRole::Tx => self.config.benchmark.tx_program(pkt.size_bytes),
-                    };
+                    let benchmark = self.config.benchmark;
                     let th = &mut self.mes[m].threads[ti];
-                    th.program = program;
+                    match role {
+                        MeRole::Rx => benchmark.rx_program_into(pkt.size_bytes, &mut th.program),
+                        MeRole::Tx => benchmark.tx_program_into(pkt.size_bytes, &mut th.program),
+                    }
                     th.pc = 0;
                     th.packet = Some(pkt);
                 }
@@ -710,11 +746,10 @@ impl Simulator {
         self.mes[m].threads[ti].pc += 1;
         match seg {
             Segment::Compute(n) => {
-                let freq = self.mes[m].level(&self.config.ladder).frequency();
+                let freq = self.levels[self.mes[m].level_idx].freq;
                 let dt = freq.cycles_to_time(u64::from(n));
                 self.set_mode(m, now, MeMode::Busy);
-                let token = self.mes[m].step_token;
-                self.queue.schedule(now + dt, Ev::MeStep { me: m, token });
+                self.queue.schedule(now + dt, self.me_step(m));
                 if self.config.trace.emit_pipeline {
                     let annots = self.fifo_annotations(now);
                     self.trace.pipeline(m, annots);
@@ -723,25 +758,31 @@ impl Simulator {
             }
             Segment::Sram => {
                 let done = self.sram.issue(now);
-                self.block_on(m, ti, ThreadState::BlockedMem, done);
+                self.block_on(m, ti, ThreadState::BlockedMem, SRAM_LANE, done);
                 false
             }
             Segment::Sdram => {
                 let done = self.sdram.issue(now);
-                self.block_on(m, ti, ThreadState::BlockedMem, done);
+                self.block_on(m, ti, ThreadState::BlockedMem, SDRAM_LANE, done);
                 false
             }
             Segment::BusTx(bits) => {
                 let done = self.bus.issue(now, bits);
-                self.block_on(m, ti, ThreadState::BlockedBus, done);
+                self.block_on(m, ti, ThreadState::BlockedBus, BUS_LANE, done);
                 false
             }
         }
     }
 
-    fn block_on(&mut self, m: usize, ti: usize, state: ThreadState, wake: SimTime) {
+    /// Blocks thread `ti` until `wake`, the completion time of the access
+    /// it just issued to the server behind `lane`.
+    fn block_on(&mut self, m: usize, ti: usize, state: ThreadState, lane: usize, wake: SimTime) {
         self.mes[m].threads[ti].state = state;
-        self.queue.schedule(wake, Ev::Done { me: m, thread: ti });
+        let done = Ev::Done {
+            me: m as u32,
+            thread: ti as u32,
+        };
+        self.queue.schedule_lane(lane, wake, done);
     }
 
     /// Hands a finished packet to the next stage.
@@ -772,7 +813,7 @@ impl Simulator {
     }
 
     fn set_mode(&mut self, m: usize, now: SimTime, mode: MeMode) {
-        self.mes[m].set_mode(now, mode, &self.config.ladder, &self.config.power);
+        self.mes[m].set_mode(now, mode, &self.levels);
     }
 
     // ------------------------------------------------------------------
@@ -784,9 +825,7 @@ impl Simulator {
         let me: f64 = self
             .mes
             .iter()
-            .map(|m| {
-                m.energy_uj + m.pending_energy_uj(now, &self.config.ladder, &self.config.power)
-            })
+            .map(|m| m.energy_uj + m.pending_energy_uj(now, &self.levels))
             .sum();
         me + self.sram.energy_uj()
             + self.sdram.energy_uj()
@@ -1279,6 +1318,30 @@ mod tests {
         // reproduce exactly.
         let again = Simulator::new(base_config()).run_cycles(300_000);
         assert_eq!(r.kernel, again.kernel);
+    }
+
+    #[test]
+    fn largest_packets_run_without_overflow() {
+        use traffic::{ConstantConfig, TrafficSpec, MAX_PACKET_BYTES};
+
+        // md4 digests 10 instructions per byte and the tx program moves
+        // 8 bits per byte: at the largest packet both fit u32, which a
+        // dev build checks on every multiply.
+        let config = NpuConfig::builder()
+            .benchmark(Benchmark::Md4)
+            .traffic(TrafficSpec::Constant(ConstantConfig {
+                rate_mbps: 5000.0,
+                size_bytes: MAX_PACKET_BYTES,
+                ports: 1,
+            }))
+            .seed(1)
+            .build();
+        let r = Simulator::new(config).run_cycles(3_000_000);
+        assert!(r.forwarded_packets > 0, "no packet made it through");
+        assert_eq!(
+            r.forwarded_bits,
+            r.forwarded_packets * u64::from(MAX_PACKET_BYTES) * 8
+        );
     }
 
     #[test]

@@ -82,8 +82,16 @@ impl Benchmark {
     /// receive FIFO and end by handing the packet to the transmit queue.
     #[must_use]
     pub fn rx_program(self, size_bytes: u32) -> Vec<Segment> {
-        let chunks = Self::chunks(size_bytes);
         let mut p = Vec::with_capacity(24);
+        self.rx_program_into(size_bytes, &mut p);
+        p
+    }
+
+    /// Writes [`Benchmark::rx_program`] into `p`, replacing its contents
+    /// and reusing its allocation.
+    pub(crate) fn rx_program_into(self, size_bytes: u32, p: &mut Vec<Segment>) {
+        let chunks = Self::chunks(size_bytes);
+        p.clear();
         match self {
             Benchmark::Ipfwdr => {
                 // Receive the packet into SDRAM: per 64-byte chunk, a
@@ -92,7 +100,7 @@ impl Benchmark {
                 for _ in 0..chunks {
                     for _ in 0..4 {
                         p.push(Segment::Compute(85));
-                        push_sdram_txn(&mut p);
+                        push_sdram_txn(p);
                     }
                 }
                 // Route lookup: a trie walk in SRAM.
@@ -102,7 +110,7 @@ impl Benchmark {
                 }
                 // Output-port information in SDRAM; header rewrite.
                 p.push(Segment::Compute(500));
-                push_sdram_txn(&mut p);
+                push_sdram_txn(p);
                 p.push(Segment::Compute(300));
             }
             Benchmark::Url => {
@@ -112,7 +120,7 @@ impl Benchmark {
                 for _ in 0..chunks {
                     for _ in 0..4 {
                         p.push(Segment::Compute(55));
-                        push_sdram_txn(&mut p);
+                        push_sdram_txn(p);
                     }
                     p.push(Segment::Compute(70));
                     p.push(Segment::Sram);
@@ -133,8 +141,8 @@ impl Benchmark {
                 // Move the packet SDRAM -> SRAM...
                 for _ in 0..chunks {
                     p.push(Segment::Compute(50));
-                    push_sdram_txn(&mut p);
-                    push_sdram_txn(&mut p);
+                    push_sdram_txn(p);
+                    push_sdram_txn(p);
                     p.push(Segment::Sram);
                     p.push(Segment::Sram);
                 }
@@ -142,7 +150,6 @@ impl Benchmark {
                 p.push(Segment::Compute(10 * size_bytes.max(64)));
             }
         }
-        p
     }
 
     /// The transmit-side program for one packet of `size_bytes` — shared
@@ -150,16 +157,23 @@ impl Benchmark {
     /// the IX bus.
     #[must_use]
     pub fn tx_program(self, size_bytes: u32) -> Vec<Segment> {
-        let chunks = Self::chunks(size_bytes);
         let mut p = Vec::with_capacity(8);
+        self.tx_program_into(size_bytes, &mut p);
+        p
+    }
+
+    /// Writes [`Benchmark::tx_program`] into `p`, replacing its contents
+    /// and reusing its allocation.
+    pub(crate) fn tx_program_into(self, size_bytes: u32, p: &mut Vec<Segment>) {
+        let chunks = Self::chunks(size_bytes);
+        p.clear();
         p.push(Segment::Compute(250));
         for _ in 0..chunks.min(2) {
-            push_sdram_txn(&mut p);
+            push_sdram_txn(p);
             p.push(Segment::Compute(80));
         }
         p.push(Segment::BusTx(size_bytes * 8));
         p.push(Segment::Compute(150));
-        p
     }
 
     /// Total compute cycles (excluding memory waits) in the rx program —

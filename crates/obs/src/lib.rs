@@ -248,11 +248,13 @@ impl Recording {
 /// these counters are compared bit-exactly across worker counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Events pushed onto the kernel heap.
+    /// Events scheduled on the kernel's event queue (heap or lane).
     pub events_scheduled: u64,
     /// Events popped and dispatched.
     pub events_processed: u64,
-    /// Peak number of events pending in the heap at once.
+    /// Peak number of events pending at once, counting the queue's heap
+    /// and its FIFO lanes together — so routing events to lanes leaves
+    /// the value unchanged.
     pub peak_heap_len: u64,
 }
 

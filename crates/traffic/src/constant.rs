@@ -6,14 +6,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{PacketSource, TrafficModel};
+use crate::{PacketSource, TrafficModel, MAX_PACKET_BYTES};
 
 /// Configuration of the `constant` traffic model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConstantConfig {
     /// Aggregate arrival rate, Mbps.
     pub rate_mbps: f64,
-    /// Size of every packet, bytes.
+    /// Size of every packet, bytes (1 to [`MAX_PACKET_BYTES`]).
     pub size_bytes: u32,
     /// Number of device ports, visited round-robin.
     pub ports: u8,
@@ -41,7 +41,10 @@ impl ConstantConfig {
             self.rate_mbps.is_finite() && self.rate_mbps > 0.0,
             "rate must be positive"
         );
-        assert!(self.size_bytes > 0, "packet size must be positive");
+        assert!(
+            (1..=MAX_PACKET_BYTES).contains(&self.size_bytes),
+            "packet size must be 1 to {MAX_PACKET_BYTES} bytes"
+        );
         assert!(self.ports > 0, "need at least one port");
     }
 }
@@ -113,6 +116,16 @@ mod tests {
         let packets: Vec<_> = c.stream(0).take(3).collect();
         assert!((packets[0].arrival.as_us() - 10.0).abs() < 1e-9);
         assert!((packets[2].arrival.as_us() - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet size must be 1 to 65535 bytes")]
+    fn rejects_oversized_packets() {
+        let c = ConstantConfig {
+            size_bytes: MAX_PACKET_BYTES + 1,
+            ..ConstantConfig::default()
+        };
+        let _ = c.stream(0);
     }
 
     #[test]

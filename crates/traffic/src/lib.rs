@@ -86,7 +86,7 @@ pub use flash::FlashConfig;
 pub use kvspec::{ParamInfo, Params, SpecError};
 pub use model::{PacketSource, TrafficModel};
 pub use onoff::OnOffConfig;
-pub use packet::{Packet, SizeMix};
+pub use packet::{Packet, SizeMix, MAX_PACKET_BYTES};
 pub use registry::{TrafficInfo, TrafficRegistry};
 pub use replay::{RecordedTrace, ReplayConfig};
 pub use schedule::{ScheduleConfig, ScheduleModel, ScheduleSegment};

@@ -4,6 +4,13 @@ use desim::SimTime;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// The largest packet, in bytes, that traffic may carry into the
+/// simulator: the 16-bit IP total-length limit. Sizes are bounded where
+/// traffic enters (spec grammar, model validation, trace files), so the
+/// per-packet workload arithmetic downstream (instruction counts of 10
+/// per byte, 8 bus bits per byte) cannot overflow `u32`.
+pub const MAX_PACKET_BYTES: u32 = 65_535;
+
 /// One IP packet arriving at a device port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {

@@ -22,7 +22,7 @@ use dist::DistSpec;
 
 use crate::{
     ArrivalConfig, ConstantConfig, DiurnalConfig, FlashConfig, OnOffConfig, ReplayConfig, SizeMix,
-    StochasticConfig, TrafficLevel, TrafficSpec,
+    StochasticConfig, TrafficLevel, TrafficSpec, MAX_PACKET_BYTES,
 };
 
 /// Metadata for one registered traffic model.
@@ -502,11 +502,11 @@ fn build_constant(mut params: Params) -> Result<TrafficSpec, SpecError> {
     let size = params.u64("size", 576)?;
     let ports = take_ports(&mut params)?;
     params.finish("constant")?;
-    if size == 0 || size > u64::from(u32::MAX) {
+    if size == 0 || size > u64::from(MAX_PACKET_BYTES) {
         return Err(SpecError::InvalidValue {
             key: "size".to_owned(),
             value: size.to_string(),
-            expected: "a positive packet size in bytes",
+            expected: "a packet size of 1 to 65535 bytes",
         });
     }
     Ok(TrafficSpec::Constant(ConstantConfig {

@@ -21,7 +21,7 @@ use desim::SimTime;
 use kvspec::SpecError;
 use serde::{Deserialize, Serialize};
 
-use crate::{Packet, PacketSource, TrafficModel};
+use crate::{Packet, PacketSource, TrafficModel, MAX_PACKET_BYTES};
 
 /// A finite, recorded sequence of packet arrivals.
 ///
@@ -143,7 +143,11 @@ impl RecordedTrace {
             let bad = |what: &str| format!("line {}: bad {what}", lineno + 1);
             let packet = Packet {
                 arrival: SimTime::from_ps(cols[0].parse().map_err(|_| bad("arrival"))?),
-                size_bytes: cols[1].parse().map_err(|_| bad("size"))?,
+                size_bytes: cols[1]
+                    .parse()
+                    .ok()
+                    .filter(|size| (1..=MAX_PACKET_BYTES).contains(size))
+                    .ok_or_else(|| bad("size"))?,
                 port: cols[2].parse().map_err(|_| bad("port"))?,
             };
             if let Some(prev) = packets.last() {
@@ -456,6 +460,14 @@ mod tests {
         assert!(RecordedTrace::from_text("1 2").is_err());
         assert!(RecordedTrace::from_text("x 40 0").is_err());
         assert!(RecordedTrace::from_text("100 40 0\n50 40 0").is_err());
+        // Sizes outside 1..=MAX_PACKET_BYTES name their line.
+        for size in [0, MAX_PACKET_BYTES + 1, u32::MAX] {
+            let text = format!("# abdex-trace v1\n100 40 0\n200 {size} 1\n");
+            let err = RecordedTrace::from_text(&text).unwrap_err();
+            assert_eq!(err, "line 3: bad size", "size {size}");
+        }
+        let max = format!("100 {MAX_PACKET_BYTES} 0");
+        assert_eq!(RecordedTrace::from_text(&max).unwrap().len(), 1);
         assert_eq!(RecordedTrace::from_text("").unwrap().len(), 0);
     }
 

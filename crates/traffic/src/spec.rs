@@ -301,6 +301,14 @@ mod tests {
             TrafficSpec::parse("burst:duty=2"),
             Err(SpecError::InvalidValue { .. })
         ));
+        // Packet sizes are bounded where they enter.
+        for size in ["0", "65536", "500000000"] {
+            assert!(matches!(
+                TrafficSpec::parse(&format!("constant:size={size}")),
+                Err(SpecError::InvalidValue { ref key, .. }) if key == "size"
+            ));
+        }
+        assert!(TrafficSpec::parse("constant:size=65535").is_ok());
     }
 
     #[test]

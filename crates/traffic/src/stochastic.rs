@@ -20,7 +20,7 @@ use desim::SimTime;
 use dist::DistSpec;
 use rand::Rng;
 
-use crate::{Packet, PacketSource, TrafficModel};
+use crate::{Packet, PacketSource, TrafficModel, MAX_PACKET_BYTES};
 
 /// Configuration of the `stochastic` traffic model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,7 +100,10 @@ impl TrafficModel for StochasticConfig {
             // Strictly positive gaps keep time monotone even when the
             // distribution's support touches zero.
             now_us += gap.sample(&mut gap_rng).max(1e-6);
-            let bytes = size.sample(&mut size_rng).round().clamp(1.0, 65_535.0);
+            let bytes = size
+                .sample(&mut size_rng)
+                .round()
+                .clamp(1.0, f64::from(MAX_PACKET_BYTES));
             Some(Packet {
                 arrival: SimTime::from_us_f64(now_us),
                 size_bytes: bytes as u32,
