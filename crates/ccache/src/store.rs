@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! <root>/<2-hex shard>/<32-hex key>.entry
-//! <root>/COUNTERS                       # cumulative hit/miss/store tallies
+//! <root>/COUNTERS                       # append-only hit/miss/store tallies
 //! ```
 //!
 //! Every entry is a small text file: a versioned header line carrying
@@ -42,6 +42,9 @@ const FORMAT: &str = "abdex-ccache v1";
 
 /// The counters-file name inside the cache root.
 const COUNTERS_FILE: &str = "COUNTERS";
+
+/// The line opening every record of the counters file.
+const COUNTERS_HEADER: &str = "abdex-ccache-counters v1";
 
 /// Monotonic suffix for temp-file names within this process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -218,9 +221,11 @@ impl Cache {
     }
 
     /// Drains this handle's in-memory counters into the persisted
-    /// `COUNTERS` file (read-add-rewrite with an atomic rename), so a
-    /// later `abdex cache stats` — a separate process — can report
-    /// them. Best-effort, like every other write.
+    /// `COUNTERS` file, so a later `abdex cache stats` — a separate
+    /// process — can report them. Each flush appends one record (the
+    /// header line, then this handle's deltas) in a single `O_APPEND`
+    /// write, so concurrent flushes from threads or processes never
+    /// lose each other's counts. Best-effort, like every other write.
     pub fn flush_counters(&self) {
         let delta = CacheCounters {
             hits: self.hits.swap(0, Ordering::Relaxed),
@@ -230,25 +235,27 @@ impl Cache {
         if delta.hits == 0 && delta.misses == 0 && delta.stores == 0 {
             return;
         }
-        let total = self.persisted_counters();
-        let contents = format!(
-            "abdex-ccache-counters v1\nhits {}\nmisses {}\nstores {}\n",
-            total.hits + delta.hits,
-            total.misses + delta.misses,
-            total.stores + delta.stores,
+        let record = format!(
+            "{COUNTERS_HEADER}\nhits {}\nmisses {}\nstores {}\n",
+            delta.hits, delta.misses, delta.stores,
         );
-        let _ = write_atomic(self.root.join(COUNTERS_FILE), contents.as_bytes());
+        let _ = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.root.join(COUNTERS_FILE))
+            .and_then(|mut f| f.write_all(record.as_bytes()));
     }
 
-    /// The cumulative counters previously flushed to this cache dir
-    /// (zeros when none, or when the file is damaged).
+    /// The cumulative counters previously flushed to this cache dir:
+    /// the sum of every record's `name value` lines (zeros when none,
+    /// or when the file does not start with a record header).
     #[must_use]
     pub fn persisted_counters(&self) -> CacheCounters {
         let Ok(text) = fs::read_to_string(self.root.join(COUNTERS_FILE)) else {
             return CacheCounters::default();
         };
         let mut lines = text.lines();
-        if lines.next() != Some("abdex-ccache-counters v1") {
+        if lines.next() != Some(COUNTERS_HEADER) {
             return CacheCounters::default();
         }
         let mut counters = CacheCounters::default();
@@ -256,13 +263,16 @@ impl Cache {
             let Some((name, value)) = line.split_once(' ') else {
                 continue;
             };
-            let Ok(value) = value.parse() else { continue };
-            match name {
-                "hits" => counters.hits = value,
-                "misses" => counters.misses = value,
-                "stores" => counters.stores = value,
-                _ => {}
-            }
+            let Ok(value) = value.parse::<u64>() else {
+                continue;
+            };
+            let slot = match name {
+                "hits" => &mut counters.hits,
+                "misses" => &mut counters.misses,
+                "stores" => &mut counters.stores,
+                _ => continue,
+            };
+            *slot = slot.saturating_add(value);
         }
         counters
     }
@@ -453,5 +463,45 @@ mod tests {
         reopened.flush_counters();
         assert_eq!(reopened.persisted_counters().hits, 2);
         let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn persisted_counters_sum_every_record() {
+        let cache = temp_cache("counters-v1");
+        fs::write(
+            cache.root().join(COUNTERS_FILE),
+            "abdex-ccache-counters v1\nhits 7\nmisses 5\nstores 3\n",
+        )
+        .unwrap();
+        let p = cache.persisted_counters();
+        assert_eq!((p.hits, p.misses, p.stores), (7, 5, 3));
+        // New flushes add to it.
+        let _ = cache.lookup("absent");
+        cache.flush_counters();
+        assert_eq!(cache.persisted_counters().misses, 6);
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn concurrent_flushes_from_separate_handles_lose_nothing() {
+        const THREADS: usize = 4;
+        const FLUSHES: u64 = 250;
+        let dir = temp_cache("counters-race").root().to_path_buf();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    let cache = Cache::open(&dir).unwrap();
+                    start.wait();
+                    for _ in 0..FLUSHES {
+                        let _ = cache.lookup("absent");
+                        cache.flush_counters();
+                    }
+                });
+            }
+        });
+        let p = Cache::open(&dir).unwrap().persisted_counters();
+        assert_eq!(p.misses, THREADS as u64 * FLUSHES, "{p:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! abdex run       --benchmark ipfwdr --traffic high --policy queue:high=0.8 [--cycles N]
-//! abdex run       --traffic burst:on_mbps=1800,off_mbps=120,period_s=2 [--record FILE] [--obs-stats]
+//! abdex run       --traffic burst:on_mbps=1800,off_mbps=120,period_s=2 [--record FILE]
 //! abdex run       --traffic "schedule:segments=[low@0..2e6; flash@2e6..4e6; low@4e6..]"
 //! abdex replicate --policy tdvs:threshold=1400 --seeds 16 --ci 99 [--jobs N]
 //! abdex sweep     --benchmark ipfwdr --traffic high [--cycles N] [--seed S] [--jobs N]
@@ -37,13 +37,11 @@
 //! Sweeps and comparisons execute on the [`xrun`] thread pool: `--jobs`
 //! picks the worker count (default: one per CPU; results are
 //! bit-identical for any value), `--progress` selects a stderr progress
-//! style (`stats` appends per-worker busy/wait telemetry), and `--json`
-//! writes the results as a machine-readable document next to the human
-//! tables. `--record` additionally exports the recorded per-window
-//! timeseries as schema-versioned JSONL (`run`, `replicate`,
-//! `scenario run`, `fleet run`; byte-identical for any `--jobs`), and
-//! `--obs-stats` prints the event kernel's counters and
-//! simulated-cycles-per-second on stderr.
+//! style, and `--json` writes the results as a machine-readable document
+//! next to the human tables. `--record` additionally exports the
+//! recorded per-window timeseries as schema-versioned JSONL (`run`,
+//! `replicate`, `scenario run`, `fleet run`; byte-identical for any
+//! `--jobs`).
 //!
 //! `--seeds K` replicates every cell K times over seed-derived streams
 //! (`derive_seed(seed, i)`) and reports each metric as a `mean ±
@@ -81,16 +79,17 @@
 //! `--profile FILE` (any command) writes a Chrome Trace Event JSON of
 //! the invocation's phases — parse/plan/simulate/fold/render spans,
 //! per-job worker spans, cache-lookup hit/miss spans — viewable in
-//! Perfetto or `chrome://tracing`; `--profile-summary` prints the
-//! per-phase wall-time table on stderr. Both are pure observability:
-//! stdout stays byte-identical to an unprofiled invocation. `abdex obs
-//! summarize <record.jsonl>` closes the `--record` loop, folding an
-//! exported recording back into per-channel statistics (bit-identical
-//! for any `--jobs`).
+//! Perfetto or `chrome://tracing`; `--profile-summary` prints the one
+//! stderr telemetry report: the per-phase wall-time table, each
+//! thread's busy time and utilisation, and the counters (cache
+//! lookups, the event kernel's work, simulated cycles). Both are pure
+//! observability: stdout stays byte-identical to an unprofiled
+//! invocation. `abdex obs summarize <record.jsonl>` closes the
+//! `--record` loop, folding an exported recording back into
+//! per-channel statistics (bit-identical for any `--jobs`).
 
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use abdex::ccache::write_atomic;
 use abdex::compare::ComparisonConfig;
@@ -100,8 +99,8 @@ use abdex::json::{
 };
 use abdex::nepsim::{Benchmark, NpuConfig, Simulator, TraceConfig};
 use abdex::record::{
-    fleet_record_series, record_jsonl, render_obs_stats, scenario_record_series,
-    try_replicated_run_recorded, RecordedSeries,
+    fleet_record_series, record_jsonl, scenario_record_series, try_replicated_run_recorded,
+    RecordedSeries,
 };
 use abdex::scenario::{self, Scenario};
 use abdex::sweep::{power_surface, throughput_surface};
@@ -209,9 +208,7 @@ OPTIONS (where applicable):
     --jobs      <N>                    parallel workers for
                                        replicate/sweep/compare
                                        (0 = one per CPU) [0]
-    --progress  <quiet|dot|line|stats> batch progress on stderr [quiet]
-                                       (stats appends per-worker busy/
-                                       wait telemetry after the batch)
+    --progress  <quiet|dot|line>       batch progress on stderr [quiet]
     --json      <file|->               also write results as JSON
                                        (run/replicate/sweep/compare/
                                        scenario run); `-` writes the
@@ -229,16 +226,17 @@ OPTIONS (where applicable):
                                        timeseries as JSONL (run/replicate/
                                        scenario run/fleet run); byte-
                                        identical for any --jobs value
-    --obs-stats                        print event-kernel counters and
-                                       simulated-cycles-per-second on
-                                       stderr (run/replicate)
     --profile   <file>                 write a Chrome Trace Event JSON of
                                        this invocation's phases (every
                                        command; open in Perfetto or
                                        chrome://tracing); stdout stays
                                        byte-identical to an unprofiled run
-    --profile-summary                  print a per-phase wall-time table
-                                       (count/total/self/mean) on stderr
+    --profile-summary                  print the telemetry report on
+                                       stderr: per-phase wall time
+                                       (count/total/self/mean), per-thread
+                                       busy time and utilisation, and the
+                                       counters (cache lookups, kernel
+                                       events, simulated cycles)
     --formula   <text>                 LOC formula (check/analyze/codegen)
     --trace     <file>                 trace file in NePSim text format
     --out       <file>                 output path (trace)
@@ -343,7 +341,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 "ci",
                 "json",
                 "record",
-                "obs-stats",
                 "cache",
                 "no-cache",
                 "cache-dir",
@@ -364,7 +361,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 "progress",
                 "json",
                 "record",
-                "obs-stats",
                 "cache",
                 "no-cache",
                 "cache-dir",
@@ -426,7 +422,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 type Opts = HashMap<String, String>;
 
 /// The flags that are switches rather than `--flag value` pairs.
-const VALUELESS_FLAGS: &[&str] = &["obs-stats", "cache", "no-cache", "profile-summary"];
+const VALUELESS_FLAGS: &[&str] = &["cache", "no-cache", "profile-summary"];
 
 /// The global profiling flags, accepted by every command (see
 /// [`check_opts`]).
@@ -657,12 +653,6 @@ fn preflight_json(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether this invocation needs the recorded execution path at all
-/// (`--record` exports the samples, `--obs-stats` the kernel tallies).
-fn wants_recording(opts: &Opts) -> bool {
-    opts.contains_key("record") || opts.contains_key("obs-stats")
-}
-
 /// Writes the recorded timeseries to the `--record` path, if given.
 /// The byte count lands on stderr so stdout stays identical to an
 /// unrecorded invocation.
@@ -678,13 +668,6 @@ fn write_record(opts: &Opts, source: &str, series: &[RecordedSeries]) -> Result<
         series.len()
     );
     Ok(())
-}
-
-/// Prints the `--obs-stats` kernel-counter block to stderr, if asked.
-fn emit_obs_stats(opts: &Opts, series: &[RecordedSeries], cycles: u64, start: Instant) {
-    if opts.contains_key("obs-stats") {
-        eprintln!("{}", render_obs_stats(series, cycles, start.elapsed()));
-    }
 }
 
 /// Writes the rendered JSON document to the `--json` path, if given;
@@ -754,15 +737,12 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     // also bypasses the cache: a recording export must come from a real
     // simulation of this invocation.
     let cache = cache(opts)?;
-    let start = Instant::now();
-    let (r, series) = if wants_recording(opts) {
+    let (r, series) = if opts.contains_key("record") {
         let (r, recording) = experiment.run_recorded();
-        let kernel = r.sim.kernel;
         (
             r,
             vec![RecordedSeries {
                 label: "rep0".to_owned(),
-                kernel,
                 recording,
             }],
         )
@@ -798,7 +778,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     text.push_str(&format!("  VF switches    : {:9}", r.sim.total_switches));
     emit(opts, &text);
     report_cache(cache.as_ref());
-    emit_obs_stats(opts, &series, experiment.cycles, start);
     write_record(opts, "run", &series)?;
     write_json(opts, || experiment_json(&r))
 }
@@ -833,8 +812,7 @@ fn finish_replicated_run(
     seeds: u64,
     level: ConfidenceLevel,
 ) -> Result<(), String> {
-    let start = Instant::now();
-    let (replicated, series) = if wants_recording(opts) {
+    let (replicated, series) = if opts.contains_key("record") {
         try_replicated_run_recorded(pool, experiment, seeds).map_err(|e| e.to_string())?
     } else {
         let replicated = run_replicated_experiments(pool, vec![experiment.clone()], seeds)
@@ -858,7 +836,6 @@ fn finish_replicated_run(
         ),
     );
     report_cache(pool.cache());
-    emit_obs_stats(opts, &series, experiment.cycles, start);
     write_record(opts, "run", &series)?;
     write_json(opts, || replicated_run_json(&replicated, level))
 }

@@ -9,6 +9,8 @@
 //! downstream tooling (plots, regression trackers) never has to re-parse
 //! the human-readable tables.
 
+use ccache::json::num_f64;
+use obs::prof::escape_json;
 use scenario::ScenarioRun;
 use stats::{ConfidenceLevel, Summary};
 use xrun::JobError;
@@ -88,33 +90,6 @@ use crate::traceio::{StreamStats, TraceAnalysis};
 /// [`HistogramSketch`]: obs::HistogramSketch
 pub const SCHEMA_VERSION: u64 = 9;
 
-/// Escapes a string for a JSON string literal (without the quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a finite float, or `null` for NaN/infinities (which JSON
-/// cannot represent).
-fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// A minimal JSON object builder: append fields, then [`Obj::finish`].
 #[derive(Debug)]
 pub(crate) struct Obj {
@@ -131,7 +106,7 @@ impl Obj {
             self.buf.push(',');
         }
         self.buf.push('"');
-        self.buf.push_str(&escape(key));
+        self.buf.push_str(&escape_json(key));
         self.buf.push_str("\":");
     }
 
@@ -139,7 +114,7 @@ impl Obj {
     pub(crate) fn str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
         self.buf.push('"');
-        self.buf.push_str(&escape(value));
+        self.buf.push_str(&escape_json(value));
         self.buf.push('"');
         self
     }
@@ -147,7 +122,7 @@ impl Obj {
     /// Adds a float field (`null` when not finite).
     pub(crate) fn num(mut self, key: &str, value: f64) -> Self {
         self.key(key);
-        self.buf.push_str(&number(value));
+        self.buf.push_str(&num_f64(value));
         self
     }
 
@@ -663,15 +638,18 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let doc = Obj::new().str("k\"", "a\"b\\c\nd\u{1}").finish();
+        assert_eq!(doc, "{\"k\\\"\":\"a\\\"b\\\\c\\nd\\u0001\"}");
     }
 
     #[test]
     fn non_finite_numbers_become_null() {
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
-        assert_eq!(number(1.5), "1.5");
+        let doc = Obj::new()
+            .num("nan", f64::NAN)
+            .num("inf", f64::INFINITY)
+            .num("x", 1.5)
+            .finish();
+        assert_eq!(doc, "{\"nan\":null,\"inf\":null,\"x\":1.5}");
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use fleet::{
 pub use json::SCHEMA_VERSION;
 pub use optimal::{optimal_tdvs, DesignPriority};
 pub use record::{
-    fleet_record_series, record_jsonl, render_obs_stats, scenario_record_series,
-    try_replicated_run_recorded, RecordedSeries,
+    fleet_record_series, record_jsonl, scenario_record_series, try_replicated_run_recorded,
+    RecordedSeries,
 };
 pub use replicate::{
     run_replicated_experiments, ReplicatedComparison, ReplicatedComparisonRow, ReplicatedResult,

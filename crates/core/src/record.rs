@@ -1,5 +1,5 @@
-//! `--record` timeseries export: recorded runs, JSONL rendering and
-//! the `--obs-stats` kernel-counter report.
+//! `--record` timeseries export: recorded runs and their JSONL
+//! rendering.
 //!
 //! A recorded run attaches a [`nepsim::MemRecorder`] to every
 //! simulation of a batch and hands back one [`RecordedSeries`] per job
@@ -22,27 +22,22 @@
 //! `series` indexes the header's label list; `cycle` is the
 //! base-clock cycle of the window boundary the sample describes.
 
-use std::time::Duration;
-
-use obs::{KernelCounters, Recording};
+use obs::prof::escape_json;
+use obs::Recording;
 use stats::Replication;
 use xrun::{Job, JobError, Runner};
 
 use crate::experiment::{Experiment, ExperimentResult};
-use crate::json::{array, escape, header, Obj};
+use crate::json::{array, header, Obj};
 use crate::replicate::ReplicatedResult;
 
-/// One recorded simulation: a label naming the job within its batch,
-/// the run's event-kernel tallies, and every sample its recorder
-/// captured.
+/// One recorded simulation: a label naming the job within its batch
+/// and every sample its recorder captured.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordedSeries {
     /// Stable label within the batch (`rep0`, `tdvs/rep1`,
     /// `rep0/chip3`, ...).
     pub label: String,
-    /// Event-kernel tallies of the run. Zero for sources that do not
-    /// surface per-run reports (scenario and fleet series).
-    pub kernel: KernelCounters,
     /// The run's samples in emission order. Empty when the job failed
     /// (the batch's errors report why).
     pub recording: Recording,
@@ -83,7 +78,6 @@ pub fn try_replicated_run_recorded(
                 metrics.push(result.metrics());
                 series.push(RecordedSeries {
                     label: format!("rep{i}"),
-                    kernel: result.sim.kernel,
                     recording,
                 });
             }
@@ -118,7 +112,6 @@ pub fn scenario_record_series(
             let (policy, rep) = (i / scenario.seeds as usize, i % scenario.seeds as usize);
             RecordedSeries {
                 label: format!("{}/rep{rep}", scenario.policies[policy].spec_string()),
-                kernel: KernelCounters::default(),
                 recording: recording.clone().unwrap_or_default(),
             }
         })
@@ -137,7 +130,6 @@ pub fn fleet_record_series(outcome: &fleet::FleetOutcome) -> Vec<RecordedSeries>
         .enumerate()
         .map(|(i, recording)| RecordedSeries {
             label: format!("rep{}/chip{}", i / chips, i % chips),
-            kernel: KernelCounters::default(),
             recording: recording.clone().unwrap_or_default(),
         })
         .collect()
@@ -151,7 +143,7 @@ pub fn fleet_record_series(outcome: &fleet::FleetOutcome) -> Vec<RecordedSeries>
 pub fn record_jsonl(source: &str, series: &[RecordedSeries]) -> String {
     let labels: Vec<String> = series
         .iter()
-        .map(|s| format!("\"{}\"", escape(&s.label)))
+        .map(|s| format!("\"{}\"", escape_json(&s.label)))
         .collect();
     let channels: Vec<String> = obs::Channel::ALL
         .iter()
@@ -177,44 +169,6 @@ pub fn record_jsonl(source: &str, series: &[RecordedSeries]) -> String {
         }
     }
     out
-}
-
-/// Renders the `--obs-stats` block: the batch's summed event-kernel
-/// tallies and the simulated-cycles-per-wall-second throughput of the
-/// whole batch. Wall time is measured by the caller — it must never
-/// enter a report compared across runs, only this human-facing block.
-#[must_use]
-pub fn render_obs_stats(series: &[RecordedSeries], cycles: u64, wall: Duration) -> String {
-    let mut total = KernelCounters::default();
-    for s in series {
-        total.events_scheduled += s.kernel.events_scheduled;
-        total.events_processed += s.kernel.events_processed;
-        total.peak_heap_len = total.peak_heap_len.max(s.kernel.peak_heap_len);
-    }
-    let simulated = cycles.saturating_mul(series.len() as u64);
-    let secs = wall.as_secs_f64();
-    let rate = if secs > 0.0 {
-        simulated as f64 / secs
-    } else {
-        f64::INFINITY
-    };
-    format!(
-        "kernel stats ({} run(s) of {} cycles):\n\
-         \x20 events scheduled : {}\n\
-         \x20 events processed : {}\n\
-         \x20 heap ops         : {}\n\
-         \x20 peak heap len    : {}\n\
-         \x20 wall time        : {:.3} s\n\
-         \x20 sim cycles/s     : {:.3e}",
-        series.len(),
-        cycles,
-        total.events_scheduled,
-        total.events_processed,
-        total.heap_ops(),
-        total.peak_heap_len,
-        secs,
-        rate,
-    )
 }
 
 #[cfg(test)]
@@ -248,7 +202,6 @@ mod tests {
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].label, "rep0");
         assert!(!series[0].recording.is_empty());
-        assert!(series[0].kernel.events_processed > 0);
     }
 
     #[test]
@@ -295,35 +248,5 @@ mod tests {
             series[0].label.split('/').next(),
             series[2].label.split('/').next()
         );
-    }
-
-    #[test]
-    fn obs_stats_block_reports_totals() {
-        let series = vec![
-            RecordedSeries {
-                label: "rep0".into(),
-                kernel: KernelCounters {
-                    events_scheduled: 10,
-                    events_processed: 9,
-                    peak_heap_len: 4,
-                },
-                recording: Recording::default(),
-            },
-            RecordedSeries {
-                label: "rep1".into(),
-                kernel: KernelCounters {
-                    events_scheduled: 6,
-                    events_processed: 6,
-                    peak_heap_len: 7,
-                },
-                recording: Recording::default(),
-            },
-        ];
-        let text = render_obs_stats(&series, 1000, Duration::from_millis(500));
-        assert!(text.contains("2 run(s) of 1000 cycles"));
-        assert!(text.contains("events scheduled : 16"));
-        assert!(text.contains("heap ops         : 31"));
-        assert!(text.contains("peak heap len    : 7"));
-        assert!(text.contains("sim cycles/s     : 4.000e3"));
     }
 }

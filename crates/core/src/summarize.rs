@@ -255,7 +255,7 @@ pub fn render_summary_json(summary: &RecordSummary) -> String {
     let labels: Vec<String> = summary
         .series
         .iter()
-        .map(|l| format!("\"{}\"", crate::json::escape(l)))
+        .map(|l| format!("\"{}\"", obs::prof::escape_json(l)))
         .collect();
     let channels: Vec<String> = summary
         .channels

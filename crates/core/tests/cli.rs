@@ -146,6 +146,15 @@ fn commands_reject_options_they_would_ignore() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--benchmark"));
+
+    // Kernel counters are part of `--profile-summary`; there is no
+    // separate flag for them.
+    let out = abdex()
+        .args(["run", "--cycles", "100000", "--obs-stats"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--obs-stats"));
 }
 
 #[test]
@@ -358,13 +367,17 @@ fn unwritable_json_path_fails_before_the_batch_runs() {
 
 #[test]
 fn sweep_rejects_bad_progress_mode() {
-    let out = abdex()
-        .args(["sweep", "--progress", "loud", "--cycles", "100000"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("progress mode"), "unhelpful error: {text}");
+    // `stats` is no progress mode: runner telemetry is part of
+    // `--profile-summary`.
+    for (command, mode) in [("sweep", "loud"), ("replicate", "stats")] {
+        let out = abdex()
+            .args([command, "--progress", mode, "--cycles", "100000"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{command} --progress {mode}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("progress mode"), "unhelpful error: {text}");
+    }
 }
 
 #[test]
@@ -1395,7 +1408,7 @@ fn run_record_exports_schema_6_jsonl_without_touching_stdout() {
 
     let out = abdex()
         .args(base_args)
-        .args(["--record", record_path.to_str().unwrap(), "--obs-stats"])
+        .args(["--record", record_path.to_str().unwrap()])
         .output()
         .expect("binary runs");
     assert!(
@@ -1404,12 +1417,8 @@ fn run_record_exports_schema_6_jsonl_without_touching_stdout() {
         String::from_utf8_lossy(&out.stderr)
     );
     // Recording is pure observation: stdout is byte-identical to the
-    // unrecorded invocation (the export note and stats go to stderr).
+    // unrecorded invocation (the export note goes to stderr).
     assert_eq!(plain.stdout, out.stdout, "stdout changed under --record");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("kernel stats"), "{err}");
-    assert!(err.contains("events processed"), "{err}");
-    assert!(err.contains("sim cycles/s"), "{err}");
 
     let doc = std::fs::read_to_string(&record_path).expect("JSONL written");
     let lines: Vec<&str> = doc.lines().collect();
@@ -1519,36 +1528,6 @@ fn recorded_jsonl_is_byte_identical_across_jobs() {
     assert_eq!(serial, parallel, "scenario record diverged across --jobs");
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn progress_stats_reports_worker_telemetry() {
-    let out = abdex()
-        .args([
-            "replicate",
-            "--traffic",
-            "low",
-            "--cycles",
-            "150000",
-            "--seeds",
-            "4",
-            "--jobs",
-            "2",
-            "--progress",
-            "stats",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("batch stats:"), "{err}");
-    assert!(err.contains("4 jobs"), "{err}");
-    assert!(err.contains("workers:"), "{err}");
-    assert!(err.contains("queue wait"), "{err}");
 }
 
 #[test]
@@ -1960,33 +1939,108 @@ fn obs_summarize_json_is_byte_identical_across_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn progress_stats_reports_kernel_tallies() {
-    // `--progress stats` pairs the runner-level telemetry with the
-    // summed kernel counters of the batch's simulations.
+/// Runs `replicate --seeds 4 --jobs 2` plain and under `--profile-summary`,
+/// asserts both succeed with the same stdout, and returns the profiled
+/// run's stderr: the one stderr telemetry report.
+fn profiled_replicate_stderr() -> String {
+    let args = [
+        "replicate",
+        "--traffic",
+        "low",
+        "--cycles",
+        "150000",
+        "--seeds",
+        "4",
+        "--jobs",
+        "2",
+    ];
+    let plain = abdex().args(args).output().expect("binary runs");
+    assert!(plain.status.success());
     let out = abdex()
-        .args([
-            "replicate",
-            "--traffic",
-            "low",
-            "--cycles",
-            "150000",
-            "--seeds",
-            "4",
-            "--jobs",
-            "2",
-            "--progress",
-            "stats",
-        ])
+        .args(args)
+        .arg("--profile-summary")
         .output()
         .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{err}");
+    assert_eq!(plain.stdout, out.stdout, "stdout changed under profiling");
+    err
+}
+
+#[test]
+fn profile_summary_reports_kernel_counters() {
+    // Next to the phase table, `--profile-summary` shows the kernel work
+    // and simulated cycles of exactly the simulations this invocation ran.
+    let err = profiled_replicate_stderr();
+    assert!(err.contains("counter kernel.events_scheduled = "), "{err}");
+    assert!(err.contains("counter kernel.events_processed = "), "{err}");
+    assert!(err.contains("counter simulate.cycles = 600000\n"), "{err}");
+}
+
+#[test]
+fn profile_summary_reports_thread_busy_time() {
+    // The per-thread line: each thread's busy time over the wall span.
+    let err = profiled_replicate_stderr();
+    let threads = err
+        .lines()
+        .find(|l| l.trim_start().starts_with("thread busy over "))
+        .unwrap_or_else(|| panic!("no per-thread line: {err}"));
+    // The main thread and at least one worker ran outermost spans.
+    assert!(threads.matches(" ms (").count() >= 2, "{threads}");
+}
+
+#[test]
+fn concurrent_cached_sweeps_persist_every_lookup() {
+    // Two processes share one cache directory: whatever each finds or
+    // publishes, the store's lifetime tallies must add up to the sum of
+    // both processes' `cache:` lines.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-cache-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache_dir = dir.join("store");
+    let sweep = || {
+        abdex()
+            .args([
+                "sweep",
+                "--policies",
+                "nodvs;tdvs;edvs",
+                "--cycles",
+                "100000",
+                "--cache-dir",
+                cache_dir.to_str().unwrap(),
+            ])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary starts")
+    };
+    let (first, second) = (sweep(), sweep());
+    let mut total = [0u64; 3];
+    for child in [first, second] {
+        let out = child.wait_with_output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{err}");
+        let line = err
+            .lines()
+            .find_map(|l| l.strip_prefix("cache: "))
+            .unwrap_or_else(|| panic!("no cache line: {err}"));
+        let counts: Vec<u64> = line
+            .split(", ")
+            .map(|part| part.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+        for (sum, n) in total.iter_mut().zip(counts) {
+            *sum += n;
+        }
+    }
+    assert_eq!(total[0] + total[1], 6, "each process looks up 3 cells");
+    let stats = abdex()
+        .args(["cache", "stats", "--cache-dir", cache_dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let text = String::from_utf8_lossy(&stats.stdout);
+    let lifetime = format!(
+        "lifetime  : {} hits, {} misses, {} stores",
+        total[0], total[1], total[2]
     );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("kernel:"), "{err}");
-    assert!(err.contains("events processed"), "{err}");
-    assert!(err.contains("summed peak heap"), "{err}");
+    assert!(text.contains(&lifetime), "{lifetime:?} not in {text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,10 +3,9 @@
 //!
 //! A [`DistSpec`] is pure data: a [`DistKind`] (LogNormal, Pareto,
 //! Weibull, Exponential, Poisson, Uniform or Constant) plus optional
-//! `min`/`max` clamps. Specs parse from and render to the same three
-//! flat grammars every other component family uses (CLI
-//! `pareto:alpha=1.3,scale=200,max=1500`, flat TOML with a
-//! `dist = "name"` entry, flat JSON objects), resolved through the
+//! `min`/`max` clamps. Specs parse from and render to the spec grammar
+//! every other component family uses
+//! (`pareto:alpha=1.3,scale=200,max=1500`), resolved through the
 //! [`DistRegistry`] with the usual UnknownName/UnknownParam listings.
 //!
 //! Two contracts matter downstream:
@@ -176,48 +175,11 @@ impl DistSpec {
         DistRegistry::builtin().build_spec(&name, params)
     }
 
-    /// Parses a flat TOML fragment: a `dist = "name"` entry plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `dist` key,
-    /// or any parameter problem [`DistSpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "dist")?;
-        DistRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object `{"dist": "name", "key": value, ...}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `dist` key,
-    /// or any parameter problem [`DistSpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "dist")?;
-        DistRegistry::builtin().build_spec(&name, params)
-    }
-
     /// Renders the spec in the CLI grammar; [`DistSpec::parse`] of the
     /// result reproduces the spec exactly.
     #[must_use]
     pub fn spec_string(&self) -> String {
         kvspec::render_cli(self.name(), &self.params())
-    }
-
-    /// Renders the spec as a flat TOML fragment;
-    /// [`DistSpec::from_toml_str`] of the result reproduces it.
-    #[must_use]
-    pub fn to_toml_string(&self) -> String {
-        kvspec::render_flat_toml("dist", self.name(), &self.params())
-    }
-
-    /// Renders the spec as a flat JSON object;
-    /// [`DistSpec::from_json_str`] of the result reproduces it.
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        kvspec::render_flat_json("dist", self.name(), &self.params())
     }
 
     /// Draws one clamped sample. Deterministic in the RNG state: every

@@ -12,9 +12,9 @@
 //!
 //! Policies are *described* by a [`PolicySpec`] — serializable data that
 //! names a policy and its parameters — and *instantiated* with
-//! [`PolicySpec::build`]. Specs come from the CLI grammar
-//! (`tdvs:threshold=1400,window=40000`), TOML or JSON fragments, all
-//! resolved through the [`PolicyRegistry`]. Adding a policy is a
+//! [`PolicySpec::build`]. Specs are written in the CLI grammar
+//! (`tdvs:threshold=1400,window=40000`) and resolved through the
+//! [`PolicyRegistry`]. Adding a policy is a
 //! single-crate change: implement the trait, add a spec variant, register
 //! it (see the `registry` module docs for the walkthrough).
 //!

@@ -3,8 +3,8 @@
 //! The registry is the single place a policy is wired into the
 //! workspace's surfaces. One entry gives a policy:
 //!
-//! * a **name** (plus aliases) reachable from the CLI grammar, TOML and
-//!   JSON (see [`PolicySpec`]),
+//! * a **name** (plus aliases) reachable from the spec grammar (see
+//!   [`PolicySpec`]),
 //! * self-describing **parameter metadata** (`abdex policies` renders it),
 //! * a **builder** that validates parameters and produces the spec.
 //!

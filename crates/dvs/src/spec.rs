@@ -3,27 +3,19 @@
 //!
 //! A spec is *data* (which policy, with which parameters); calling
 //! [`PolicySpec::build`] instantiates the live [`DvsPolicy`] state
-//! machine. Three surfaces produce specs:
+//! machine. Specs are written in the **CLI grammar**
+//! `name:key=val,key=val` ([`PolicySpec::parse`], also `FromStr`), e.g.
+//! `tdvs:threshold=1400,window=40000`, and render back into it
+//! ([`PolicySpec::spec_string`]).
 //!
-//! * the **CLI grammar** `name:key=val,key=val` ([`PolicySpec::parse`],
-//!   also `FromStr`), e.g. `tdvs:threshold=1400,window=40000`;
-//! * **TOML** fragments ([`PolicySpec::from_toml_str`]):
-//!   ```toml
-//!   policy = "queue"
-//!   high = 0.8
-//!   low = 0.1
-//!   ```
-//! * **JSON** objects ([`PolicySpec::from_json_str`]):
-//!   `{"policy": "proportional", "kp": 6.0}`.
-//!
-//! All three resolve names and parameters through the
+//! Names and parameters resolve through the
 //! [`PolicyRegistry`](crate::PolicyRegistry), so a policy registered in
-//! this crate is immediately reachable from every entry point — config
-//! file, CLI flag, sweep table.
+//! this crate is immediately reachable from every entry point — CLI
+//! flag, sweep list, scenario file.
 //!
-//! The grammar machinery itself ([`Params`], [`SpecError`], the
-//! parsers) lives in the shared [`kvspec`] crate; the traffic layer's
-//! `TrafficSpec` speaks exactly the same three grammars through it.
+//! The grammar machinery itself ([`Params`], [`SpecError`], the parser)
+//! lives in the shared [`kvspec`] crate; the traffic layer's
+//! `TrafficSpec` speaks exactly the same grammar through it.
 
 use std::fmt;
 use std::str::FromStr;
@@ -40,14 +32,14 @@ use crate::{
 
 /// A fully parameterised, buildable policy description.
 ///
-/// The **canonical wire formats are the grammars above** (spec string,
-/// flat TOML, flat JSON), implemented by hand in this module — they use
-/// the registry's short parameter keys (`threshold`, `idle`, ...), and
-/// [`PolicySpec::spec_string`] round-trips through them. The serde
-/// derive below is tagged to mirror that shape, but under the offline
-/// `serde` shim it generates nothing; if real serde is ever wired in,
-/// its field naming (struct field names, nested configs) would *not*
-/// match these grammars — keep the hand parsers as the format of record.
+/// The **canonical wire format is the spec string above**, implemented
+/// by hand in this module — it uses the registry's short parameter keys
+/// (`threshold`, `idle`, ...), and [`PolicySpec::spec_string`]
+/// round-trips through it. The serde derive below is tagged to mirror
+/// that shape, but under the offline `serde` shim it generates nothing;
+/// if real serde is ever wired in, its field naming (struct field
+/// names, nested configs) would *not* match this grammar — keep the
+/// hand parser as the format of record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "policy", rename_all = "kebab-case")]
 pub enum PolicySpec {
@@ -127,31 +119,6 @@ impl PolicySpec {
     /// or values outside a policy's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
         let (name, params) = kvspec::parse_cli(input)?;
-        PolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: a `policy = "name"` entry plus one
-    /// `key = value` line per parameter. Comments (`#`), blank lines and
-    /// a single optional `[table]` header are accepted.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `policy` key,
-    /// or any parameter problem [`PolicySpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "policy")?;
-        PolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"policy": "name", "key": value, ...}`
-    /// with string or numeric values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `policy` key,
-    /// or any parameter problem [`PolicySpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "policy")?;
         PolicyRegistry::builtin().build_spec(&name, params)
     }
 
@@ -290,25 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_param_via_toml_lists_accepted_keys() {
-        let text = PolicySpec::from_toml_str("policy = \"edvs\"\nflux = 9\n")
-            .unwrap_err()
-            .to_string();
-        assert!(text.contains("no parameter 'flux'"), "{text}");
-        assert!(text.contains("accepted: idle, window"), "{text}");
-    }
-
-    #[test]
-    fn unknown_param_via_json_lists_accepted_keys() {
-        let text = PolicySpec::from_json_str(r#"{"policy": "proportional", "flux": 9}"#)
-            .unwrap_err()
-            .to_string();
-        assert!(text.contains("no parameter 'flux'"), "{text}");
-        assert!(text.contains("accepted: "), "{text}");
-        assert!(text.contains("kp"), "{text}");
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
         assert!(matches!(
             PolicySpec::parse("warp-drive"),
@@ -349,44 +297,6 @@ mod tests {
             let reparsed: PolicySpec = text.parse().unwrap();
             assert_eq!(reparsed, spec, "round-trip failed for '{text}'");
         }
-    }
-
-    #[test]
-    fn toml_fragments_parse() {
-        let spec = PolicySpec::from_toml_str(
-            r#"
-            # the sweep's power-priority pick
-            [policy]
-            policy = "tdvs"
-            threshold = 1400.0
-            window = 40000
-            "#,
-        )
-        .unwrap();
-        assert_eq!(
-            spec,
-            PolicySpec::Tdvs(TdvsConfig {
-                top_threshold_mbps: 1400.0,
-                window_cycles: 40_000,
-            })
-        );
-        assert!(PolicySpec::from_toml_str("threshold = 5").is_err());
-        assert!(PolicySpec::from_toml_str("policy 'tdvs'").is_err());
-    }
-
-    #[test]
-    fn json_objects_parse() {
-        let spec =
-            PolicySpec::from_json_str(r#"{"policy": "proportional", "kp": 6.0, "ki": 0.25}"#)
-                .unwrap();
-        let PolicySpec::Proportional(c) = spec else {
-            panic!("wrong variant");
-        };
-        assert_eq!(c.kp, 6.0);
-        assert_eq!(c.ki, 0.25);
-        assert_eq!(c.target_idle, 0.10);
-        assert!(PolicySpec::from_json_str("[1, 2]").is_err());
-        assert!(PolicySpec::from_json_str(r#"{"kp": 6.0}"#).is_err());
     }
 
     #[test]

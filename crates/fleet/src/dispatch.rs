@@ -21,7 +21,7 @@
 //!   with elephants in the population.
 //!
 //! Like policies and traffic models, dispatchers are *described* by a
-//! [`DispatchSpec`] reachable through the shared `kvspec` grammars and
+//! [`DispatchSpec`] written in the shared `kvspec` spec grammar and
 //! resolved by the [`DispatchRegistry`].
 
 use std::fmt;
@@ -151,10 +151,9 @@ impl Dispatcher for LeastLoaded {
 
 /// A fully parameterised, buildable dispatcher description.
 ///
-/// Mirrors `PolicySpec`/`TrafficSpec`: the canonical wire formats are
-/// the CLI grammar (`hash:flows=512`), flat TOML (`dispatch = "hash"`)
-/// and flat JSON (`{"dispatch": "hash", "flows": 512}`), all resolved
-/// through the [`DispatchRegistry`].
+/// Mirrors `PolicySpec`/`TrafficSpec`: the canonical wire format is the
+/// spec grammar (`hash:flows=512`), resolved through the
+/// [`DispatchRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(tag = "dispatch", rename_all = "kebab-case")]
 pub enum DispatchSpec {
@@ -201,31 +200,6 @@ impl DispatchSpec {
     /// or values outside a dispatcher's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
         let (name, params) = kvspec::parse_cli(input)?;
-        DispatchRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: `dispatch = "name"` plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `dispatch`
-    /// key, or any parameter problem [`DispatchSpec::parse`] would
-    /// report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "dispatch")?;
-        DispatchRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"dispatch": "name", "key": value}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `dispatch`
-    /// key, or any parameter problem [`DispatchSpec::parse`] would
-    /// report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "dispatch")?;
         DispatchRegistry::builtin().build_spec(&name, params)
     }
 

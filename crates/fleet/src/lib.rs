@@ -24,10 +24,9 @@
 //! when replicated.
 //!
 //! Dispatchers and fleet policies are described by [`DispatchSpec`] and
-//! [`FleetPolicySpec`], reachable through the same `kvspec` grammars as
-//! policies and traffic models (CLI `name:key=val,...`, flat TOML, flat
-//! JSON) and discoverable via [`DispatchRegistry`] /
-//! [`FleetPolicyRegistry`].
+//! [`FleetPolicySpec`], written in the same `kvspec` spec grammar as
+//! policies and traffic models (`name:key=val,...`) and discoverable
+//! via [`DispatchRegistry`] / [`FleetPolicyRegistry`].
 //!
 //! # Example
 //!

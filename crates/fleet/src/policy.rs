@@ -204,10 +204,8 @@ pub fn cap_level(cap_w: f64, config: &NpuConfig) -> usize {
 
 /// A fully parameterised, buildable fleet-policy description.
 ///
-/// Same wire formats as every other spec in the workspace: the CLI
-/// grammar (`cap-realloc:budget=8,period=200000`), flat TOML
-/// (`fleet_policy = "static-cap"`) and flat JSON
-/// (`{"fleet_policy": "cap-realloc", "budget": 6}`), resolved through
+/// Same wire format as every other spec in the workspace: the spec
+/// grammar (`cap-realloc:budget=8,period=200000`), resolved through
 /// the [`FleetPolicyRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "fleet_policy", rename_all = "kebab-case")]
@@ -267,31 +265,6 @@ impl FleetPolicySpec {
     /// values or values outside a policy's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
         let (name, params) = kvspec::parse_cli(input)?;
-        FleetPolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat TOML fragment: `fleet_policy = "name"` plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing
-    /// `fleet_policy` key, or any parameter problem
-    /// [`FleetPolicySpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "fleet_policy")?;
-        FleetPolicyRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"fleet_policy": "name", ...}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing
-    /// `fleet_policy` key, or any parameter problem
-    /// [`FleetPolicySpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "fleet_policy")?;
         FleetPolicyRegistry::builtin().build_spec(&name, params)
     }
 

@@ -1,6 +1,6 @@
 //! Conformance tests for the dispatcher and fleet-policy registries:
-//! every built-in resolves through all three wire grammars (CLI, flat
-//! TOML, flat JSON), names are case-insensitive, unknown names list
+//! every built-in resolves through the spec grammar and renders back
+//! into it, names are case-insensitive, unknown names list
 //! the registered alternatives and unknown parameters list the
 //! accepted keys — the same contract `PolicyRegistry` and
 //! `TrafficRegistry` honour.
@@ -197,27 +197,6 @@ fn invalid_values_are_rejected() {
         FleetPolicySpec::parse("cap-realloc:period=sometimes").unwrap_err(),
         SpecError::InvalidValue { .. }
     ));
-}
-
-#[test]
-fn all_three_grammars_resolve_the_same_spec() {
-    let from_cli = DispatchSpec::parse("hash:flows=64").unwrap();
-    let from_toml = DispatchSpec::from_toml_str("dispatch = \"hash\"\nflows = 64\n").unwrap();
-    let from_json = DispatchSpec::from_json_str("{\"dispatch\": \"hash\", \"flows\": 64}").unwrap();
-    assert_eq!(from_cli, from_toml);
-    assert_eq!(from_cli, from_json);
-
-    let from_cli = FleetPolicySpec::parse("cap-realloc:budget=6,period=100000").unwrap();
-    let from_toml = FleetPolicySpec::from_toml_str(
-        "fleet_policy = \"cap-realloc\"\nbudget = 6\nperiod = 100000\n",
-    )
-    .unwrap();
-    let from_json = FleetPolicySpec::from_json_str(
-        "{\"fleet_policy\": \"cap-realloc\", \"budget\": 6, \"period\": 100000}",
-    )
-    .unwrap();
-    assert_eq!(from_cli, from_toml);
-    assert_eq!(from_cli, from_json);
 }
 
 #[test]

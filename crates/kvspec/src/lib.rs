@@ -1,42 +1,37 @@
 //! **kvspec** — the shared machinery behind the workspace's declarative
 //! component specs.
 //!
-//! Both open component families — DVS policies (`dvs::PolicySpec`) and
-//! traffic models (`traffic::TrafficSpec`) — are configured through the
-//! same three flat grammars:
+//! Every open component family — DVS policies (`dvs::PolicySpec`),
+//! traffic models (`traffic::TrafficSpec`), distributions
+//! (`dist::DistSpec`), dispatchers and fleet policies — is configured
+//! through one spec grammar, the **CLI grammar**
+//! `name:key=val,key=val` ([`parse_cli`]/[`render_cli`]), e.g.
+//! `tdvs:threshold=1400,window=40000` or
+//! `burst:on_mbps=1800,off_mbps=120,period_s=2`. The same string
+//! travels on a command line, inside a scenario file and in every JSON
+//! results document.
 //!
-//! * the **CLI grammar** `name:key=val,key=val` ([`parse_cli`]), e.g.
-//!   `tdvs:threshold=1400,window=40000` or
-//!   `burst:on_mbps=1800,off_mbps=120,period_s=2`;
-//! * **flat TOML** fragments ([`parse_flat_toml`]): a
-//!   `<name_key> = "name"` entry plus one `key = value` line per
-//!   parameter;
-//! * **flat JSON** objects ([`parse_flat_json`]):
-//!   `{"<name_key>": "name", "key": value, ...}`.
+//! This crate owns that grammar, the typed parameter bag ([`Params`])
+//! with consumption tracking (typo protection), the shared error type
+//! ([`SpecError`]) and the self-description metadata ([`ParamInfo`])
+//! registries render as help output. The domain crates own their
+//! registries and the mapping from `(name, params)` to a concrete spec.
 //!
-//! This crate owns the grammar parsing/rendering, the typed parameter
-//! bag ([`Params`]) with consumption tracking (typo protection), the
-//! shared error type ([`SpecError`]) and the self-description metadata
-//! ([`ParamInfo`]) registries render as help output. The domain crates
-//! own their registries and the mapping from `(name, params)` to a
-//! concrete spec.
-//!
-//! The grammars are deliberately *flat*: one name, scalar parameters,
-//! no nesting. That is what makes a spec equally at home on a command
-//! line, in a config-file fragment and in a JSON results document, and
-//! what makes exact round-tripping ([`render_cli`] and friends)
-//! feasible without a full serializer.
-//!
-//! The one escape hatch is the **bracketed list** value
-//! (`key=[item; item; item]`, [`parse_list`]/[`render_list`]): a value
-//! that is itself a `;`-separated list of arbitrary sub-spec strings.
-//! Commas and colons inside `[...]` do not split CLI pairs, so a
-//! composite spec such as
+//! The grammar is deliberately *flat*: one name, scalar parameters, no
+//! nesting, which makes exact round-tripping ([`render_cli`] of a
+//! parsed spec) feasible without a full serializer. The one escape
+//! hatch is the **bracketed list** value (`key=[item; item; item]`,
+//! [`parse_list`]/[`render_list`]): a value that is itself a
+//! `;`-separated list of arbitrary sub-spec strings. Commas and colons
+//! inside `[...]` do not split CLI pairs, so a composite spec such as
 //! `schedule:segments=[low@0..2e6; flash:peak_mbps=900@2e6..4e6]`
-//! stays one parameter. In TOML and JSON the whole bracketed list is an
-//! ordinary (quoted) string value, so lists ride through all three
-//! grammars unchanged. The list *contents* are opaque to this crate —
+//! stays one parameter. The list *contents* are opaque to this crate —
 //! the owning registry parses the items.
+//!
+//! The **flat TOML** file format ([`parse_flat_toml`]/
+//! [`render_flat_toml`]: a `<name_key> = "name"` entry plus one
+//! `key = value` line per parameter) underlies scenario files, whose
+//! string values carry spec strings.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,12 +51,12 @@ pub struct ParamInfo {
 }
 
 /// A parameter value with just enough type information to render it
-/// back into TOML/JSON (numbers bare, strings quoted).
+/// into flat TOML (numbers bare, strings quoted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PVal {
     /// An already-rendered numeric literal (`1400`, `0.5`, `2e8`).
     Num(String),
-    /// A string value (quoted in TOML/JSON output).
+    /// A string value (quoted in TOML output).
     Str(String),
 }
 
@@ -154,7 +149,7 @@ impl Params {
     }
 
     /// Takes an integer parameter, falling back to `default` when absent.
-    /// Accepts TOML/JSON float notation for whole numbers.
+    /// Accepts float notation for whole numbers (`4e4`, `40000.0`).
     ///
     /// # Errors
     ///
@@ -372,10 +367,10 @@ fn split_outside_brackets(body: &str, sep: char) -> Vec<&str> {
 /// (trimmed; empty items are skipped, so `[]` and `[ ]` are the empty
 /// list). Semicolons inside nested `[...]` stay with their item.
 ///
-/// This is the one non-scalar value the flat grammars carry: the whole
+/// This is the one non-scalar value the grammar carries: the whole
 /// bracketed text travels as an ordinary parameter value ([`parse_cli`]
-/// protects the commas inside it; TOML/JSON carry it as a quoted
-/// string), and the registry owning the parameter splits it here.
+/// protects the commas inside it), and the registry owning the
+/// parameter splits it here.
 ///
 /// # Errors
 ///
@@ -484,49 +479,6 @@ fn strip_toml_comment(line: &str) -> &str {
     line
 }
 
-/// Parses a flat JSON object `{"<name_key>": "name", "key": value, ...}`
-/// with string or numeric values.
-///
-/// # Errors
-///
-/// Returns [`SpecError::Malformed`] for syntax errors or a missing
-/// `<name_key>` key.
-pub fn parse_flat_json(input: &str, name_key: &str) -> Result<(String, Params), SpecError> {
-    let malformed = |reason: String| SpecError::Malformed {
-        input: input.to_owned(),
-        reason,
-    };
-    let body = input.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or_else(|| malformed("expected a {...} object".to_owned()))?;
-    let mut name: Option<String> = None;
-    let mut params = Params::default();
-    for pair in split_top_level_commas(body) {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| malformed("expected \"key\": value pairs".to_owned()))?;
-        let key = key.trim();
-        let key = key
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| malformed("object keys must be quoted".to_owned()))?;
-        let value = unquote(value.trim());
-        if key == name_key {
-            name = Some(value);
-        } else {
-            params.insert(key, &value);
-        }
-    }
-    let name = name.ok_or_else(|| malformed(format!("missing \"{name_key}\" key")))?;
-    Ok((name, params))
-}
-
 /// Renders the CLI grammar `name[:key=val,...]`; [`parse_cli`] of the
 /// result round-trips.
 #[must_use]
@@ -542,10 +494,10 @@ pub fn render_cli(name: &str, params: &[(&'static str, PVal)]) -> String {
 }
 
 /// Renders a flat TOML fragment; [`parse_flat_toml`] of the result
-/// round-trips.
+/// round-trips, string values (the name included) escaped.
 #[must_use]
 pub fn render_flat_toml(name_key: &str, name: &str, params: &[(&'static str, PVal)]) -> String {
-    let mut out = format!("{name_key} = \"{name}\"\n");
+    let mut out = format!("{name_key} = \"{}\"\n", escape_string(name));
     for (k, v) in params {
         match v {
             PVal::Num(n) => out.push_str(&format!("{k} = {n}\n")),
@@ -555,21 +507,7 @@ pub fn render_flat_toml(name_key: &str, name: &str, params: &[(&'static str, PVa
     out
 }
 
-/// Renders a flat JSON object; [`parse_flat_json`] of the result
-/// round-trips.
-#[must_use]
-pub fn render_flat_json(name_key: &str, name: &str, params: &[(&'static str, PVal)]) -> String {
-    let mut fields = vec![format!("\"{name_key}\":\"{}\"", escape_string(name))];
-    for (k, v) in params {
-        match v {
-            PVal::Num(n) => fields.push(format!("\"{k}\":{n}")),
-            PVal::Str(s) => fields.push(format!("\"{k}\":\"{}\"", escape_string(s))),
-        }
-    }
-    format!("{{{}}}", fields.join(","))
-}
-
-/// Escapes quotes and backslashes for a quoted TOML/JSON string literal.
+/// Escapes quotes and backslashes for a quoted TOML string literal.
 fn escape_string(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -593,36 +531,6 @@ fn unquote(s: &str) -> String {
         }
     }
     out
-}
-
-/// Splits on commas that are not inside quotes (flat JSON objects only).
-fn split_top_level_commas(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            ',' => {
-                parts.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&body[start..]);
-    parts
 }
 
 #[cfg(test)]
@@ -675,22 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn json_grammar_parses_numbers_and_strings() {
-        let (name, mut p) =
-            parse_flat_json(r#"{"traffic": "trace", "path": "a,b=c.txt"}"#, "traffic").unwrap();
-        assert_eq!(name, "trace");
-        assert_eq!(p.maybe_str("path").unwrap(), "a,b=c.txt");
-        assert!(matches!(
-            parse_flat_json("[1]", "traffic"),
-            Err(SpecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            parse_flat_json(r#"{"rate": 5}"#, "traffic"),
-            Err(SpecError::Malformed { .. })
-        ));
-    }
-
-    #[test]
     fn renderers_round_trip_through_their_parsers() {
         let params = [
             ("rate", PVal::num_f64(850.5)),
@@ -705,11 +597,6 @@ mod tests {
 
         let toml = render_flat_toml("traffic", "model", &params);
         let (name, mut p) = parse_flat_toml(&toml, "traffic").unwrap();
-        assert_eq!(name, "model");
-        assert_eq!(p.maybe_str("path").unwrap(), "/tmp/a \"b\".txt");
-
-        let json = render_flat_json("traffic", "model", &params);
-        let (name, mut p) = parse_flat_json(&json, "traffic").unwrap();
         assert_eq!(name, "model");
         assert_eq!(p.f64("rate", 0.0).unwrap(), 850.5);
         assert_eq!(p.maybe_str("path").unwrap(), "/tmp/a \"b\".txt");
@@ -729,12 +616,10 @@ mod tests {
             "",
         ] {
             let params = [("path", PVal::Str(path.to_owned()))];
-            let toml = render_flat_toml("traffic", "trace", &params);
-            let (_, mut p) = parse_flat_toml(&toml, "traffic").unwrap();
+            let toml = render_flat_toml("name", path, &params);
+            let (name, mut p) = parse_flat_toml(&toml, "name").unwrap();
+            assert_eq!(name, path, "TOML: {toml:?}");
             assert_eq!(p.maybe_str("path").unwrap(), path, "TOML: {toml:?}");
-            let json = render_flat_json("traffic", "trace", &params);
-            let (_, mut p) = parse_flat_json(&json, "traffic").unwrap();
-            assert_eq!(p.maybe_str("path").unwrap(), path, "JSON: {json:?}");
         }
     }
 
@@ -840,15 +725,12 @@ mod tests {
     }
 
     #[test]
-    fn bracketed_values_survive_toml_and_json_as_strings() {
+    fn bracketed_values_survive_toml_as_strings() {
         let list = "[low@0..2e6; flash:peak_mbps=900@2e6..]";
         let params = [("segments", PVal::Str(list.to_owned()))];
         let toml = render_flat_toml("traffic", "schedule", &params);
         let (name, mut p) = parse_flat_toml(&toml, "traffic").unwrap();
         assert_eq!(name, "schedule");
-        assert_eq!(p.maybe_str("segments").unwrap(), list);
-        let json = render_flat_json("traffic", "schedule", &params);
-        let (_, mut p) = parse_flat_json(&json, "traffic").unwrap();
         assert_eq!(p.maybe_str("segments").unwrap(), list);
         // And through the CLI renderer, where the list stays bare.
         let cli = render_cli("schedule", &params);

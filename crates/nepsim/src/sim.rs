@@ -295,23 +295,18 @@ impl Simulator {
 
     /// Runs for `cycles` of the base (600 MHz) clock — the paper runs
     /// 8×10⁶ cycles per configuration — and returns the report.
-    pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        let dur = self.config.base_freq().cycles_to_time(cycles);
-        self.run_for(dur)
-    }
-
-    /// Runs for a span of simulated time and returns the report.
     ///
     /// # Panics
     ///
     /// Panics if called twice — a simulator instance models one run.
-    pub fn run_for(&mut self, dur: SimTime) -> SimReport {
+    pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
         let _prof = obs::prof::span("simulate");
+        let dur = self.config.base_freq().cycles_to_time(cycles);
         self.start(dur);
         self.drain_until(dur);
         self.close_accounting(dur);
         let report = self.build_report(dur);
-        obs::tally_kernel(&report.kernel);
+        count_run(&report, cycles);
         report
     }
 
@@ -327,7 +322,7 @@ impl Simulator {
     /// the chip state (FIFO contents, VF levels, policy state) carries
     /// across boundaries exactly as in an unsegmented run. Events
     /// landing exactly on a boundary are included in the earlier slice,
-    /// matching the inclusive-horizon semantics of [`run_for`].
+    /// matching the inclusive horizon of [`Simulator::run_cycles`].
     ///
     /// # Panics
     ///
@@ -354,9 +349,9 @@ impl Simulator {
             reports.push(self.build_report(t));
         }
         // Snapshots are cumulative, so only the final (whole-run) one
-        // enters the process-wide kernel tally.
+        // is counted.
         if let Some(last) = reports.last() {
-            obs::tally_kernel(&last.kernel);
+            count_run(last, boundaries[boundaries.len() - 1]);
         }
         reports
     }
@@ -897,6 +892,15 @@ impl Simulator {
             mes,
         }
     }
+}
+
+/// Adds one finished run's kernel work and simulated cycles to the
+/// profiler's counters; each call is a no-op while it is disarmed.
+fn count_run(report: &SimReport, cycles: u64) {
+    let kernel = report.kernel;
+    obs::prof::count("kernel.events_scheduled", kernel.events_scheduled as f64);
+    obs::prof::count("kernel.events_processed", kernel.events_processed as f64);
+    obs::prof::count("simulate.cycles", cycles as f64);
 }
 
 #[cfg(test)]

@@ -16,14 +16,14 @@
 //!   bit-identical for any worker count, exactly like `stats::Summary`
 //!   means.
 //! - **Kernel counters**: [`KernelCounters`], the event-kernel tallies
-//!   (events scheduled/processed, peak heap occupancy) that the
-//!   `--obs-stats` flag and the `bench_kernel` baseline report. A
-//!   process-wide tally ([`tally_kernel`]/[`kernel_tally`]) additionally
-//!   sums every run's counters so batch telemetry (`--progress stats`)
-//!   can report kernel-level rates next to runner-level ones.
+//!   (events scheduled/processed, peak heap occupancy) every simulation
+//!   report carries and the `bench_kernel` baseline reports.
 //!
 //! A fourth piece, [`prof`], is deliberately *not* deterministic: a
-//! host-side wall-clock span profiler exporting Chrome-trace JSON. Its
+//! host-side wall-clock span profiler exporting Chrome-trace JSON and
+//! the one stderr telemetry report (`--profile-summary`). The simulator
+//! feeds each run's kernel work into its counters, so the report shows
+//! the kernel work of exactly the simulations an invocation ran. Its
 //! output only ever leaves through stderr or a dedicated trace file,
 //! never through the deterministic stdout documents.
 
@@ -33,7 +33,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod prof;
 pub mod sketch;
@@ -266,34 +265,6 @@ impl KernelCounters {
     }
 }
 
-/// Process-wide sums of every simulation run's [`KernelCounters`]
-/// (`peak_heap_len` sums the per-run peaks). Purely observability —
-/// read back with [`kernel_tally`], never folded into result documents.
-static TALLY_SCHEDULED: AtomicU64 = AtomicU64::new(0);
-static TALLY_PROCESSED: AtomicU64 = AtomicU64::new(0);
-static TALLY_PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// Adds one run's kernel counters to the process-wide tally. The
-/// simulator calls this once per completed run, so batch telemetry can
-/// diff [`kernel_tally`] snapshots around a batch.
-pub fn tally_kernel(counters: &KernelCounters) {
-    TALLY_SCHEDULED.fetch_add(counters.events_scheduled, Ordering::Relaxed);
-    TALLY_PROCESSED.fetch_add(counters.events_processed, Ordering::Relaxed);
-    TALLY_PEAK.fetch_add(counters.peak_heap_len, Ordering::Relaxed);
-}
-
-/// The process-wide kernel tally so far: the sum of every run's
-/// counters (`peak_heap_len` is the sum of per-run peaks, not a
-/// process-wide maximum, so snapshot differences stay meaningful).
-#[must_use]
-pub fn kernel_tally() -> KernelCounters {
-    KernelCounters {
-        events_scheduled: TALLY_SCHEDULED.load(Ordering::Relaxed),
-        events_processed: TALLY_PROCESSED.load(Ordering::Relaxed),
-        peak_heap_len: TALLY_PEAK.load(Ordering::Relaxed),
-    }
-}
-
 /// Result-cache telemetry: how many cell lookups hit, missed, and how
 /// many fresh results were published.
 ///
@@ -451,25 +422,6 @@ mod tests {
         };
         assert_eq!(k.heap_ops(), 18);
         assert_eq!(KernelCounters::default().heap_ops(), 0);
-    }
-
-    #[test]
-    fn kernel_tally_sums_every_run() {
-        let before = kernel_tally();
-        tally_kernel(&KernelCounters {
-            events_scheduled: 5,
-            events_processed: 4,
-            peak_heap_len: 2,
-        });
-        tally_kernel(&KernelCounters {
-            events_scheduled: 1,
-            events_processed: 1,
-            peak_heap_len: 3,
-        });
-        let after = kernel_tally();
-        assert_eq!(after.events_scheduled - before.events_scheduled, 6);
-        assert_eq!(after.events_processed - before.events_processed, 5);
-        assert_eq!(after.peak_heap_len - before.peak_heap_len, 5);
     }
 
     #[test]

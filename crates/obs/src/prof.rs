@@ -16,7 +16,11 @@
 //!   or `chrome://tracing` as-is — and
 //! * a human per-phase summary table ([`Profile::summary_table`]) with
 //!   count, total, self-time (total minus time spent in child spans)
-//!   and mean per phase.
+//!   and mean per phase, each thread's busy time and utilisation, and
+//!   the final counter totals — the one stderr telemetry report. Among
+//!   the counters are the simulator's `kernel.events_scheduled`,
+//!   `kernel.events_processed` and `simulate.cycles`, summed over the
+//!   simulations the invocation actually ran.
 //!
 //! The profiler is **off by default**: [`span`] costs one relaxed
 //! atomic load until [`set_enabled`]`(true)` arms it (the CLI does this
@@ -142,6 +146,9 @@ pub struct SpanRec {
     pub dur_us: u64,
     /// Duration minus time spent in direct child spans.
     pub self_us: u64,
+    /// Spans still open on the thread's stack when this one closed: 0
+    /// for an outermost span.
+    pub depth: usize,
 }
 
 /// One counter sample: a Chrome-trace `"ph":"C"` event carrying the
@@ -201,6 +208,7 @@ impl Drop for SpanGuard {
                 parent.child_us = parent.child_us.saturating_add(dur_us);
             }
             let tid = b.tid;
+            let depth = b.stack.len();
             b.done.push(SpanRec {
                 name: open.name,
                 label: open.label,
@@ -208,6 +216,7 @@ impl Drop for SpanGuard {
                 ts_us,
                 dur_us,
                 self_us,
+                depth,
             });
             if b.stack.is_empty() {
                 b.flush();
@@ -302,9 +311,11 @@ pub struct Profile {
     pub counters: Vec<CounterRec>,
 }
 
-/// Escapes a string for a JSON string literal (the profiler is
-/// dependency-free, so it carries its own four-line escaper).
-fn escape_json(s: &str) -> String {
+/// Escapes a string for the inside of a JSON string literal: quotes,
+/// backslashes and control characters. The one JSON string escaper of
+/// the workspace's hand-written documents.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -387,8 +398,10 @@ impl Profile {
     }
 
     /// Renders the human per-phase summary: one row per span name with
-    /// count, total time, self-time and mean, heaviest self-time first,
-    /// plus the final counter totals. Intended for stderr.
+    /// count, total time, self-time and mean, heaviest self-time first;
+    /// one line with each thread's busy time (the sum of its outermost
+    /// spans) and utilisation over the profile's wall span; then the
+    /// final counter totals. Intended for stderr.
     #[must_use]
     pub fn summary_table(&self) -> String {
         struct Row {
@@ -429,6 +442,32 @@ impl Profile {
                 ms(row.total_us),
                 ms(row.self_us),
                 ms(row.total_us) / row.count as f64
+            );
+        }
+        let start = self.spans.iter().map(|s| s.ts_us).min();
+        let end = self
+            .spans
+            .iter()
+            .map(|s| s.ts_us.saturating_add(s.dur_us))
+            .max();
+        if let (Some(start), Some(end)) = (start, end) {
+            let mut busy: BTreeMap<u64, u64> = BTreeMap::new();
+            for s in self.spans.iter().filter(|s| s.depth == 0) {
+                *busy.entry(s.tid).or_insert(0) += s.dur_us;
+            }
+            let wall_us = end - start;
+            let threads: Vec<String> = busy
+                .iter()
+                .map(|(tid, &busy_us)| {
+                    let share = 100.0 * busy_us as f64 / wall_us.max(1) as f64;
+                    format!("t{tid} {:.3} ms ({share:.0}%)", ms(busy_us))
+                })
+                .collect();
+            let _ = writeln!(
+                out,
+                "  thread busy over {:.3} ms wall: {}",
+                ms(wall_us),
+                threads.join(", ")
             );
         }
         for (name, total) in self.counter_totals() {
@@ -604,6 +643,46 @@ mod tests {
         let table = profile.summary_table();
         assert!(table.contains("prof-test-hit"));
         assert!(table.contains("counter prof-test-hits = 2"));
+    }
+
+    #[test]
+    fn thread_line_sums_each_threads_outermost_spans() {
+        let _serial = lock();
+        set_enabled(true);
+        {
+            let _outer = span("prof-test-busy-outer");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let _inner = span("prof-test-busy-inner");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(span("prof-test-busy-worker")));
+        });
+        set_enabled(false);
+        let profile = drain();
+        let find = |name: &str| {
+            profile
+                .spans
+                .iter()
+                .find(|s| s.name == name)
+                .expect("span recorded")
+        };
+        let (outer, inner, worker) = (
+            find("prof-test-busy-outer"),
+            find("prof-test-busy-inner"),
+            find("prof-test-busy-worker"),
+        );
+        assert_eq!((outer.depth, inner.depth, worker.depth), (0, 1, 0));
+        assert_ne!(outer.tid, worker.tid);
+        let table = profile.summary_table();
+        let line = table
+            .lines()
+            .find(|l| l.trim_start().starts_with("thread busy over "))
+            .expect("one thread line");
+        // The nested span adds nothing to its thread's busy time.
+        let main_busy = format!("t{} {:.3} ms (", outer.tid, outer.dur_us as f64 / 1000.0);
+        assert!(line.contains(&main_busy), "{line}");
+        assert!(line.contains(&format!("t{} ", worker.tid)), "{line}");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! breakdowns), while a plain spec makes the whole run one segment.
 
 use dvs::PolicySpec;
+use kvspec::PVal;
 use nepsim::Benchmark;
 use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
@@ -119,17 +120,18 @@ impl Scenario {
     #[must_use]
     pub fn to_toml_string(&self) -> String {
         let policies: Vec<String> = self.policies.iter().map(PolicySpec::spec_string).collect();
-        format!(
-            "name = \"{}\"\nsummary = \"{}\"\nbenchmark = \"{}\"\ntraffic = \"{}\"\n\
-             policies = \"{}\"\ncycles = {}\nseed = {}\nseeds = {}\n",
-            self.name,
-            self.summary,
-            self.benchmark,
-            self.traffic.spec_string(),
-            policies.join(";"),
-            self.cycles,
-            self.seed,
-            self.seeds,
+        kvspec::render_flat_toml(
+            "name",
+            &self.name,
+            &[
+                ("summary", PVal::Str(self.summary.clone())),
+                ("benchmark", PVal::Str(self.benchmark.to_string())),
+                ("traffic", PVal::Str(self.traffic.spec_string())),
+                ("policies", PVal::Str(policies.join(";"))),
+                ("cycles", PVal::num_u64(self.cycles)),
+                ("seed", PVal::num_u64(self.seed)),
+                ("seeds", PVal::num_u64(self.seeds)),
+            ],
         )
     }
 
@@ -224,6 +226,19 @@ mod tests {
         assert_eq!(scenario.traffic.name(), "schedule");
         let rendered = scenario.to_toml_string();
         assert_eq!(Scenario::from_toml_str(&rendered).unwrap(), scenario);
+    }
+
+    #[test]
+    fn names_and_summaries_with_toml_specials_round_trip() {
+        let mut scenario = Scenario::from_toml_str(FILE).unwrap();
+        scenario.name = r#"C:\runs\#3 "night""#.to_owned();
+        scenario.summary = r#"C:\traces say "hi" # not a comment \"#.to_owned();
+        let rendered = scenario.to_toml_string();
+        assert_eq!(
+            Scenario::from_toml_str(&rendered).unwrap(),
+            scenario,
+            "{rendered}"
+        );
     }
 
     #[test]

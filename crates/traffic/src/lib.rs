@@ -10,8 +10,8 @@
 //!   `stream(seed)` instantiates a reproducible iterator,
 //!   `mean_rate_mbps` / `expected_rate_mbps` describe the offered load;
 //! * [`TrafficSpec`] + [`TrafficRegistry`] — the declarative layer: every
-//!   model is reachable by name through the CLI (`name:key=val,...`),
-//!   flat-TOML and flat-JSON grammars, with exact round-tripping.
+//!   model is reachable by name through the spec grammar
+//!   (`name:key=val,...`), with exact round-tripping.
 //!
 //! Built-in models:
 //!

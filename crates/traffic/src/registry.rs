@@ -3,8 +3,8 @@
 //!
 //! One entry gives a model:
 //!
-//! * a **name** (plus aliases) reachable from the CLI grammar, TOML and
-//!   JSON (see [`TrafficSpec`]),
+//! * a **name** (plus aliases) reachable from the spec grammar (see
+//!   [`TrafficSpec`]),
 //! * self-describing **parameter metadata** (`abdex traffics` renders it),
 //! * a **builder** that validates parameters and produces the spec.
 //!
@@ -539,8 +539,7 @@ fn build_trace(mut params: Params) -> Result<TrafficSpec, SpecError> {
 /// builder re-associates in grammar order — `gap`/`size` open a dist
 /// spec string, every following non-top-level key appends to the most
 /// recently opened one, and `ports` always binds to `stochastic`
-/// itself (it is not a dist parameter). TOML/JSON carry each dist as
-/// one quoted string, which parses through the same path.
+/// itself (it is not a dist parameter).
 fn build_stochastic(params: Params) -> Result<TrafficSpec, SpecError> {
     enum Open {
         None,

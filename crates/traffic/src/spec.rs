@@ -2,28 +2,18 @@
 //! traffic model, and the grammars that produce one.
 //!
 //! A spec is *data* (which model, with which parameters); calling
-//! [`TrafficSpec::model`] instantiates the live [`TrafficModel`]. Three
-//! surfaces produce specs — the same three grammars as the policy layer
-//! (`dvs::PolicySpec`), implemented by the shared [`kvspec`] crate:
+//! [`TrafficSpec::model`] instantiates the live [`TrafficModel`]. Specs
+//! are written in the same grammar as the policy layer
+//! (`dvs::PolicySpec`), implemented by the shared [`kvspec`] crate: the
+//! **CLI grammar** `name:key=val,key=val` ([`TrafficSpec::parse`], also
+//! `FromStr`), e.g. `burst:on_mbps=1800,off_mbps=120,period_s=2` — with
+//! `low`, `medium` and `high` as bare-name shorthands for the paper's
+//! three sampling periods.
 //!
-//! * the **CLI grammar** `name:key=val,key=val` ([`TrafficSpec::parse`],
-//!   also `FromStr`), e.g. `burst:on_mbps=1800,off_mbps=120,period_s=2`
-//!   — with `low`, `medium` and `high` as bare-name shorthands for the
-//!   paper's three sampling periods;
-//! * **TOML** fragments ([`TrafficSpec::from_toml_str`]):
-//!   ```toml
-//!   traffic = "flash"
-//!   base_mbps = 400
-//!   peak_mbps = 1800
-//!   ```
-//! * **JSON** objects ([`TrafficSpec::from_json_str`]):
-//!   `{"traffic": "mmpp", "rate": 850}`.
-//!
-//! All three resolve names and parameters through the
+//! Names and parameters resolve through the
 //! [`TrafficRegistry`](crate::TrafficRegistry), and every spec renders
-//! back into all three grammars ([`TrafficSpec::spec_string`],
-//! [`TrafficSpec::to_toml_string`], [`TrafficSpec::to_json_string`])
-//! with exact round-tripping.
+//! back into the grammar ([`TrafficSpec::spec_string`]) with exact
+//! round-tripping.
 
 use std::fmt;
 use std::str::FromStr;
@@ -183,49 +173,12 @@ impl TrafficSpec {
         TrafficRegistry::builtin().build_spec(&name, params)
     }
 
-    /// Parses a flat TOML fragment: a `traffic = "name"` entry plus one
-    /// `key = value` line per parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `traffic`
-    /// key, or any parameter problem [`TrafficSpec::parse`] would report.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_toml(input, "traffic")?;
-        TrafficRegistry::builtin().build_spec(&name, params)
-    }
-
-    /// Parses a flat JSON object: `{"traffic": "name", "key": value, ...}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for syntax errors, a missing `traffic`
-    /// key, or any parameter problem [`TrafficSpec::parse`] would report.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_flat_json(input, "traffic")?;
-        TrafficRegistry::builtin().build_spec(&name, params)
-    }
-
     /// Renders the spec in the CLI grammar; [`TrafficSpec::parse`] of
-    /// the result reproduces the spec exactly. (A `trace` path holding
-    /// `,` or `=` only round-trips through the TOML/JSON grammars.)
+    /// the result reproduces the spec exactly — except a `trace` path
+    /// holding `,`, which the grammar reads as a pair separator.
     #[must_use]
     pub fn spec_string(&self) -> String {
         kvspec::render_cli(self.name(), &self.params())
-    }
-
-    /// Renders the spec as a flat TOML fragment;
-    /// [`TrafficSpec::from_toml_str`] of the result reproduces it.
-    #[must_use]
-    pub fn to_toml_string(&self) -> String {
-        kvspec::render_flat_toml("traffic", self.name(), &self.params())
-    }
-
-    /// Renders the spec as a flat JSON object;
-    /// [`TrafficSpec::from_json_str`] of the result reproduces it.
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        kvspec::render_flat_json("traffic", self.name(), &self.params())
     }
 }
 
@@ -329,25 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_param_via_toml_lists_accepted_keys() {
-        let text = TrafficSpec::from_toml_str("traffic = \"flash\"\nflux = 9\n")
-            .unwrap_err()
-            .to_string();
-        assert!(text.contains("no parameter 'flux'"), "{text}");
-        assert!(text.contains("accepted: base_mbps, peak_mbps"), "{text}");
-    }
-
-    #[test]
-    fn unknown_param_via_json_lists_accepted_keys() {
-        let text = TrafficSpec::from_json_str(r#"{"traffic": "constant", "flux": 9}"#)
-            .unwrap_err()
-            .to_string();
-        assert!(text.contains("no parameter 'flux'"), "{text}");
-        assert!(text.contains("accepted: rate, size, ports"), "{text}");
-    }
-
-    #[test]
-    fn every_variant_round_trips_through_all_three_grammars() {
+    fn every_variant_round_trips_through_the_spec_grammar() {
         let specs = [
             TrafficSpec::Level(TrafficLevel::Medium),
             TrafficSpec::Mmpp(ArrivalConfig::default()),
@@ -378,31 +313,7 @@ mod tests {
         for spec in specs {
             let cli = spec.spec_string();
             assert_eq!(TrafficSpec::parse(&cli).unwrap(), spec, "CLI: {cli}");
-            let toml = spec.to_toml_string();
-            assert_eq!(
-                TrafficSpec::from_toml_str(&toml).unwrap(),
-                spec,
-                "TOML: {toml}"
-            );
-            let json = spec.to_json_string();
-            assert_eq!(
-                TrafficSpec::from_json_str(&json).unwrap(),
-                spec,
-                "JSON: {json}"
-            );
         }
-    }
-
-    #[test]
-    fn trace_paths_with_grammar_chars_round_trip_via_toml_and_json() {
-        let spec = TrafficSpec::Replay(ReplayConfig {
-            path: "/tmp/a=b,c \"d\".txt".to_owned(),
-            scale: 1.0,
-        });
-        let toml = spec.to_toml_string();
-        assert_eq!(TrafficSpec::from_toml_str(&toml).unwrap(), spec);
-        let json = spec.to_json_string();
-        assert_eq!(TrafficSpec::from_json_str(&json).unwrap(), spec);
     }
 
     #[test]
@@ -483,25 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn stochastic_toml_and_json_carry_dists_as_strings() {
-        let spec = TrafficSpec::from_toml_str(
-            "traffic = \"stochastic\"\ngap = \"constant:value=10\"\nsize = \"constant:value=500\"\n",
-        )
-        .unwrap();
-        let model = spec.model().unwrap();
-        assert!((model.mean_rate_mbps() - 400.0).abs() < 1e-9);
-        let spec = TrafficSpec::from_json_str(
-            r#"{"traffic": "stochastic", "gap": "exponential:mean=5", "ports": 4}"#,
-        )
-        .unwrap();
-        let TrafficSpec::Stochastic(c) = &spec else {
-            panic!("wrong variant: {spec:?}");
-        };
-        assert_eq!(c.gap.spec_string(), "exponential:mean=5");
-        assert_eq!(c.ports, 4);
-    }
-
-    #[test]
     fn replay_model_surfaces_missing_files_as_unbuildable() {
         let spec = TrafficSpec::Replay(ReplayConfig::new("/no/such/trace.txt"));
         assert!(matches!(spec.model(), Err(SpecError::Unbuildable { .. })));
@@ -524,34 +416,5 @@ mod tests {
         let levels = TrafficSpec::paper_levels();
         assert_eq!(levels[0].spec_string(), "low");
         assert_eq!(levels[2].spec_string(), "high");
-    }
-
-    #[test]
-    fn toml_and_json_fragments_parse() {
-        let spec = TrafficSpec::from_toml_str(
-            r#"
-            # the flash-crowd scenario
-            [traffic]
-            traffic = "flash"
-            base_mbps = 300
-            peak_mbps = 2000.0
-            "#,
-        )
-        .unwrap();
-        let TrafficSpec::Flash(c) = spec else {
-            panic!("wrong variant");
-        };
-        assert_eq!(c.base_mbps, 300.0);
-        assert_eq!(c.peak_mbps, 2000.0);
-        assert_eq!(c.at_ms, 4.0); // default
-
-        let spec =
-            TrafficSpec::from_json_str(r#"{"traffic": "constant", "rate": 750, "size": 64}"#)
-                .unwrap();
-        let TrafficSpec::Constant(c) = spec else {
-            panic!("wrong variant");
-        };
-        assert_eq!(c.rate_mbps, 750.0);
-        assert_eq!(c.size_bytes, 64);
     }
 }

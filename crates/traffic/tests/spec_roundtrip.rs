@@ -1,6 +1,6 @@
 //! Property tests: every [`TrafficSpec`] round-trips *exactly* through
-//! all three grammars — CLI spec string, flat TOML, flat JSON — for
-//! randomly drawn parameters, not just the defaults.
+//! the spec grammar for randomly drawn parameters, not just the
+//! defaults.
 //!
 //! Exactness matters because specs are identity: `xrun::JobSpec`
 //! equality, result-document provenance and sweep-table labels all
@@ -10,26 +10,13 @@
 use proptest::prelude::*;
 use traffic::TrafficSpec;
 
-/// Round-trips one spec through all three grammars and asserts
-/// equality.
+/// Renders one spec, re-parses the string and asserts equality.
 fn assert_round_trips(spec: &TrafficSpec) {
     let cli = spec.spec_string();
     assert_eq!(
         &TrafficSpec::parse(&cli).expect("CLI reparse"),
         spec,
         "CLI grammar: {cli}"
-    );
-    let toml = spec.to_toml_string();
-    assert_eq!(
-        &TrafficSpec::from_toml_str(&toml).expect("TOML reparse"),
-        spec,
-        "TOML grammar: {toml}"
-    );
-    let json = spec.to_json_string();
-    assert_eq!(
-        &TrafficSpec::from_json_str(&json).expect("JSON reparse"),
-        spec,
-        "JSON grammar: {json}"
     );
 }
 
@@ -104,8 +91,8 @@ proptest! {
 
     #[test]
     fn trace_specs_round_trip(suffix in 0u64..1_000_000_000) {
-        // CLI-grammar-safe paths (no ',' or '='); the TOML/JSON-only
-        // cases are covered by unit tests in the spec module.
+        // Paths without ',', which the grammar reads as a pair
+        // separator.
         assert_round_trips(&spec(format!("trace:path=/tmp/dir-{suffix}/t.txt")));
     }
 
@@ -118,8 +105,8 @@ proptest! {
     fn schedule_specs_round_trip(
         // Randomly sized contiguous windows (1..=4 segments), each with
         // a randomly drawn child family and child parameters — the
-        // list-grammar satellite: nested child specs with their own
-        // params must survive all three grammars exactly.
+        // list grammar: nested child specs with their own params must
+        // survive the round trip exactly.
         lengths in proptest::collection::vec(1u64..5_000_000, 1..4),
         child in 0usize..4,
         rate in 1.0f64..4000.0,
@@ -153,7 +140,7 @@ proptest! {
     fn stochastic_specs_round_trip(
         // Random (gap, size) dist pairs with random clamps: the nested
         // `dist:` grammar — whose parameters arrive as orphan CLI pairs
-        // re-associated by order — must survive all three grammars.
+        // re-associated by order — must survive the round trip.
         gap_kind in 0usize..7,
         size_kind in 0usize..5,
         a in 0.6f64..3.0,
@@ -220,20 +207,4 @@ proptest! {
         );
         assert_round_trips(&spec(text));
     }
-}
-
-#[test]
-fn rendered_toml_and_json_reparse_after_reformatting() {
-    // Whitespace, comments and a table header must not break the
-    // fragments a user would actually write by hand.
-    let spec: TrafficSpec = "burst:on_mbps=1800,off_mbps=120,period_s=2"
-        .parse()
-        .unwrap();
-    let hand_toml = format!(
-        "# scenario: saturating bursts\n[traffic]\n  {}",
-        spec.to_toml_string().replace('\n', "\n  ")
-    );
-    assert_eq!(TrafficSpec::from_toml_str(&hand_toml).unwrap(), spec);
-    let hand_json = spec.to_json_string().replace(',', " ,\n ");
-    assert_eq!(TrafficSpec::from_json_str(&hand_json).unwrap(), spec);
 }

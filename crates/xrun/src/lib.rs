@@ -20,8 +20,9 @@
 //!   panicking jobs as per-job [`JobError`]s instead of killing the
 //!   batch,
 //! * [`ProgressSink`] — a pluggable observer ([`Quiet`], [`Dots`],
-//!   [`Lines`], [`Stats`]) for long batches; `Stats` aggregates runner
-//!   telemetry (per-worker busy time, queue wait, jobs/sec).
+//!   [`Lines`]) for long batches. Runner telemetry (per-worker busy
+//!   time and utilisation) is the profiler's job: every job runs in an
+//!   `obs::prof` span, which `--profile-summary` folds per thread.
 //!
 //! No external crates: workers are `std::thread::scope` threads pulling
 //! jobs off a shared queue, which keeps the workspace's offline-shims
@@ -61,7 +62,7 @@ mod progress;
 mod runner;
 
 pub use job::{derive_seed, Job, JobError, JobResult, JobSpec};
-pub use progress::{Dots, Lines, ProgressMode, ProgressSink, Quiet, Stats};
+pub use progress::{Dots, Lines, ProgressMode, ProgressSink, Quiet};
 pub use runner::Runner;
 
 // Re-export the domain types a `JobSpec` is made of, so downstream

@@ -123,104 +123,8 @@ impl ProgressSink for Lines {
     }
 }
 
-/// Aggregate runner telemetry instead of per-job lines: tracks each
-/// worker thread's busy time and every job's queue wait (batch start →
-/// pickup), then prints one summary block when the batch drains —
-/// jobs/sec, per-worker busy seconds and utilisation, mean queue wait.
-#[derive(Debug, Default)]
-pub struct Stats {
-    state: Mutex<StatsState>,
-}
-
-#[derive(Debug, Default)]
-struct StatsState {
-    start: Option<Instant>,
-    /// Busy time per worker thread, keyed by thread id.
-    busy: std::collections::HashMap<std::thread::ThreadId, Duration>,
-    queue_wait: Duration,
-    picked_up: usize,
-    /// The process-wide kernel tally when the batch started, so the
-    /// summary can report this batch's kernel work as a delta.
-    kernel_before: Option<obs::KernelCounters>,
-}
-
-impl ProgressSink for Stats {
-    fn job_started(&self, _index: usize, _total: usize, _name: &str) {
-        let mut state = self.state.lock().expect("progress state poisoned");
-        let waited = state.start.get_or_insert_with(Instant::now).elapsed();
-        state.kernel_before.get_or_insert_with(obs::kernel_tally);
-        state.queue_wait += waited;
-        state.picked_up += 1;
-    }
-
-    fn job_finished(
-        &self,
-        _index: usize,
-        _total: usize,
-        _name: &str,
-        _ok: bool,
-        elapsed: Duration,
-    ) {
-        let mut state = self.state.lock().expect("progress state poisoned");
-        *state
-            .busy
-            .entry(std::thread::current().id())
-            .or_insert(Duration::ZERO) += elapsed;
-    }
-
-    fn batch_finished(&self, total: usize, failed: usize, elapsed: Duration) {
-        let state = std::mem::take(&mut *self.state.lock().expect("progress state poisoned"));
-        let secs = elapsed.as_secs_f64();
-        let rate = if secs > 0.0 { total as f64 / secs } else { 0.0 };
-        // Thread ids are arbitrary: sort busy times so output is stable.
-        let mut busy: Vec<f64> = state.busy.values().map(Duration::as_secs_f64).collect();
-        busy.sort_by(|a, b| b.total_cmp(a));
-        let busy_total: f64 = busy.iter().sum();
-        let utilisation = if secs > 0.0 && !busy.is_empty() {
-            busy_total / (secs * busy.len() as f64)
-        } else {
-            0.0
-        };
-        let mean_wait = if state.picked_up > 0 {
-            state.queue_wait.as_secs_f64() / state.picked_up as f64
-        } else {
-            0.0
-        };
-        let busy_list = busy
-            .iter()
-            .map(|b| format!("{b:.2}s"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        eprintln!("batch stats: {total} jobs, {failed} failed, {secs:.2}s wall ({rate:.1} jobs/s)");
-        eprintln!(
-            "  workers: {} busy [{busy_list}] utilisation {:.0}%",
-            busy.len(),
-            utilisation * 100.0
-        );
-        eprintln!("  mean queue wait: {mean_wait:.2}s");
-        // Kernel-level work next to the runner-level rates: the delta of
-        // the process-wide tally over this batch (sums across all jobs;
-        // peak heap is the sum of per-run peaks).
-        let before = state.kernel_before.unwrap_or_default();
-        let after = obs::kernel_tally();
-        let processed = after
-            .events_processed
-            .saturating_sub(before.events_processed);
-        let peak = after.peak_heap_len.saturating_sub(before.peak_heap_len);
-        let event_rate = if secs > 0.0 {
-            processed as f64 / secs
-        } else {
-            0.0
-        };
-        eprintln!(
-            "  kernel: {processed} events processed ({event_rate:.0} events/s), \
-             {peak} summed peak heap"
-        );
-    }
-}
-
 /// The built-in sink selection, parseable from CLI flags
-/// (`--progress quiet|dot|line|stats`).
+/// (`--progress quiet|dot|line`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
     /// No output ([`Quiet`]).
@@ -230,8 +134,6 @@ pub enum ProgressMode {
     Dot,
     /// One line per job ([`Lines`]).
     Line,
-    /// End-of-batch runner telemetry ([`Stats`]).
-    Stats,
 }
 
 impl ProgressMode {
@@ -242,7 +144,6 @@ impl ProgressMode {
             ProgressMode::Quiet => Box::new(Quiet),
             ProgressMode::Dot => Box::new(Dots),
             ProgressMode::Line => Box::new(Lines::default()),
-            ProgressMode::Stats => Box::new(Stats::default()),
         }
     }
 }
@@ -255,9 +156,8 @@ impl FromStr for ProgressMode {
             "quiet" => Ok(ProgressMode::Quiet),
             "dot" | "dots" => Ok(ProgressMode::Dot),
             "line" | "lines" => Ok(ProgressMode::Line),
-            "stats" => Ok(ProgressMode::Stats),
             other => Err(format!(
-                "unknown progress mode '{other}' (expected quiet, dot, line or stats)"
+                "unknown progress mode '{other}' (expected quiet, dot or line)"
             )),
         }
     }
@@ -269,7 +169,6 @@ impl fmt::Display for ProgressMode {
             ProgressMode::Quiet => "quiet",
             ProgressMode::Dot => "dot",
             ProgressMode::Line => "line",
-            ProgressMode::Stats => "stats",
         })
     }
 }
@@ -280,35 +179,12 @@ mod tests {
 
     #[test]
     fn modes_parse_and_round_trip() {
-        for mode in [
-            ProgressMode::Quiet,
-            ProgressMode::Dot,
-            ProgressMode::Line,
-            ProgressMode::Stats,
-        ] {
+        for mode in [ProgressMode::Quiet, ProgressMode::Dot, ProgressMode::Line] {
             assert_eq!(mode.to_string().parse::<ProgressMode>().unwrap(), mode);
         }
         assert_eq!("dots".parse::<ProgressMode>().unwrap(), ProgressMode::Dot);
         assert!("loud".parse::<ProgressMode>().is_err());
-    }
-
-    #[test]
-    fn stats_sink_survives_a_full_batch_protocol() {
-        // Drive the hook protocol by hand: two workers' worth of calls,
-        // then the batch summary; the sink must reset for reuse.
-        let sink = Stats::default();
-        for i in 0..3 {
-            sink.job_started(i, 3, "job");
-            sink.job_finished(i, 3, "job", i != 1, Duration::from_millis(10));
-        }
-        sink.batch_finished(3, 1, Duration::from_millis(40));
-        // After the reset a second batch starts from scratch.
-        sink.job_started(0, 1, "again");
-        sink.job_finished(0, 1, "again", true, Duration::from_millis(5));
-        sink.batch_finished(1, 0, Duration::from_millis(10));
-        let state = sink.state.lock().unwrap();
-        assert_eq!(state.picked_up, 0, "batch_finished must reset the state");
-        assert!(state.busy.is_empty());
+        assert!("stats".parse::<ProgressMode>().is_err());
     }
 
     #[test]

@@ -101,18 +101,11 @@ fn main() {
         (1.0 - drowsy.throughput_mbps() / base.throughput_mbps()).abs() * 100.0,
     );
 
-    // The same machinery from a config-file fragment: every *registered*
-    // policy is reachable from TOML/JSON/spec strings without code.
-    let from_toml = PolicySpec::from_toml_str(
-        r#"
-        policy = "queue"   # registered name
-        high = 0.8
-        low = 0.1
-        "#,
-    )
-    .expect("valid fragment");
+    // The registry route: every *registered* policy is reachable from
+    // a spec string without code.
+    let registered = PolicySpec::parse("queue:high=0.8,low=0.1").expect("valid spec");
     println!(
-        "\nthe registry route, for comparison: `{from_toml}` builds the same way\n\
+        "\nthe registry route, for comparison: `{registered}` builds the same way\n\
          (promote a custom policy into `dvs` + one registry entry to get this)."
     );
 }
