@@ -1,13 +1,17 @@
-//! Shared plumbing for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared plumbing for the figure-regeneration, ablation and extension
+//! binaries.
 //!
-//! Every `fig*` binary accepts an optional first argument: the number of
-//! base-clock cycles to simulate per configuration (default: the paper's
-//! 8×10⁶). Pass a smaller number for a quick look:
+//! Every simulating binary accepts an optional first argument: the
+//! number of base-clock cycles to simulate per configuration (default:
+//! the paper's 8×10⁶). Pass a smaller number for a quick look:
 //!
 //! ```text
 //! cargo run --release -p abdex-bench --bin fig06_tdvs_power -- 1000000
 //! ```
+//!
+//! The crate's one measuring binary, `bench_obs`, gates the span
+//! profiler's armed overhead at 5 %. Every other performance number
+//! comes from the repository benchmark, `perfbench/`.
 
 #![warn(missing_docs)]
 
@@ -15,14 +19,27 @@ pub mod ablation;
 
 use abdex::PAPER_RUN_CYCLES;
 
-/// Reads the per-configuration cycle budget from `argv[1]`, defaulting to
-/// the paper's 8×10⁶.
+/// Reads the per-configuration cycle budget from `argv[1]`: the paper's
+/// 8×10⁶ when it is absent. A budget that is not a whole number of
+/// cycles is reported and exits 1, so a typo never silently runs a
+/// paper-length simulation.
 #[must_use]
 pub fn cycles_from_args() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PAPER_RUN_CYCLES)
+    parse_cycles(std::env::args().nth(1).as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// The cycle budget an optional `argv[1]` asks for, or an error naming
+/// it (`1e5` is not a whole number).
+fn parse_cycles(arg: Option<&str>) -> Result<u64, String> {
+    match arg {
+        None => Ok(PAPER_RUN_CYCLES),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("cycle budget must be a whole number of cycles, found '{s}'")),
+    }
 }
 
 /// The seed shared by all figure binaries so every figure describes the
@@ -54,9 +71,10 @@ mod tests {
     }
 
     #[test]
-    fn default_cycles_is_paper_length() {
-        // argv[1] in the test harness is a filter, not a number, so the
-        // default must kick in.
-        assert_eq!(cycles_from_args(), PAPER_RUN_CYCLES);
+    fn cycles_argument_defaults_parses_or_names_the_bad_value() {
+        assert_eq!(parse_cycles(None), Ok(PAPER_RUN_CYCLES));
+        assert_eq!(parse_cycles(Some("100000")), Ok(100_000));
+        let err = parse_cycles(Some("1e5")).unwrap_err();
+        assert!(err.contains("'1e5'"), "{err}");
     }
 }

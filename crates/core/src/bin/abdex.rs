@@ -965,9 +965,7 @@ fn cmd_scenario(rest: &[String]) -> Result<(), String> {
     };
     match sub.as_str() {
         "list" => {
-            if let Some(stray) = rest.first() {
-                return Err(format!("scenario list takes no arguments, found '{stray}'"));
-            }
+            check_opts(&parse_opts(rest)?, &[])?;
             cmd_scenario_list();
             Ok(())
         }
@@ -1109,20 +1107,12 @@ fn cmd_fleet(rest: &[String]) -> Result<(), String> {
             cmd_fleet_run(&opts)
         }
         "dispatchers" => {
-            if let Some(stray) = rest.first() {
-                return Err(format!(
-                    "fleet dispatchers takes no arguments, found '{stray}'"
-                ));
-            }
+            check_opts(&parse_opts(rest)?, &[])?;
             cmd_fleet_dispatchers();
             Ok(())
         }
         "policies" => {
-            if let Some(stray) = rest.first() {
-                return Err(format!(
-                    "fleet policies takes no arguments, found '{stray}'"
-                ));
-            }
+            check_opts(&parse_opts(rest)?, &[])?;
             cmd_fleet_policies();
             Ok(())
         }
@@ -1251,7 +1241,6 @@ fn cmd_obs(rest: &[String]) -> Result<(), String> {
 /// `obs summarize`: fold a `--record` JSONL export back into
 /// per-channel statistics (table and/or `obs_summary` JSON document).
 fn cmd_obs_summarize(path: &str, opts: &Opts) -> Result<(), String> {
-    preflight_json(opts)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let pool = runner(opts)?;
     let summary =
@@ -1411,7 +1400,6 @@ fn cmd_trace_generate(opts: &Opts) -> Result<(), String> {
 /// `trace analyze`: characterise a recorded trace file (table and/or
 /// `trace_analysis` JSON document).
 fn cmd_trace_analyze(path: &str, opts: &Opts) -> Result<(), String> {
-    preflight_json(opts)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = RecordedTrace::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
     let runner = runner(opts)?;

@@ -728,6 +728,20 @@ fn trace_generate_then_analyze_is_jobs_invariant() {
     assert!(text.contains("gap_us"), "{text}");
     assert!(text.contains("hurst estimate"), "{text}");
 
+    // A missing or malformed trace leaves nothing at the --json path.
+    let malformed = dir.join("bad.trace");
+    std::fs::write(&malformed, "1000 64\n").unwrap();
+    let json = dir.join("analysis.json");
+    for input in [dir.join("missing.trace"), malformed] {
+        let out = abdex()
+            .args(["trace", "analyze", input.to_str().unwrap()])
+            .args(["--json", json.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{}", input.display());
+        assert!(!json.exists(), "{} left a --json file", input.display());
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1809,10 +1823,30 @@ fn profile_summary_folds_a_sweeps_jobs_into_one_row() {
 
 #[test]
 fn profile_flag_is_global_and_preflighted() {
-    // Every subcommand accepts the pair — including the flagless
+    // Every subcommand accepts the pair — including the five flagless
     // listing commands.
+    let listings: [&[&str]; 5] = [
+        &["policies"],
+        &["traffics"],
+        &["scenario", "list"],
+        &["fleet", "dispatchers"],
+        &["fleet", "policies"],
+    ];
+    for listing in listings {
+        let out = abdex()
+            .args(listing)
+            .arg("--profile-summary")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{listing:?}: {stderr}");
+        assert!(stderr.contains("profile:"), "{listing:?}: {stderr}");
+    }
+    let dir = std::env::temp_dir().join(format!("abdex-cli-listprof-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace = dir.join("p.json");
     let out = abdex()
-        .args(["policies", "--profile-summary"])
+        .args(["fleet", "policies", "--profile", trace.to_str().unwrap()])
         .output()
         .expect("binary runs");
     assert!(
@@ -1820,8 +1854,16 @@ fn profile_flag_is_global_and_preflighted() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(trace.exists(), "no Chrome trace written");
+    let _ = std::fs::remove_dir_all(&dir);
+    // A stray positional argument is still an error.
+    let out = abdex()
+        .args(["scenario", "list", "extra"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("profile:"),
+        String::from_utf8_lossy(&out.stderr).contains("'extra'"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
@@ -1935,6 +1977,17 @@ fn obs_summarize_json_is_byte_identical_across_jobs() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // A missing or malformed recording leaves nothing at the --json path.
+    let json = dir.join("summary.json");
+    for input in [dir.join("missing.jsonl"), bogus] {
+        let out = abdex()
+            .args(["obs", "summarize", input.to_str().unwrap()])
+            .args(["--json", json.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{}", input.display());
+        assert!(!json.exists(), "{} left a --json file", input.display());
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,7 @@
 //!   means.
 //! - **Kernel counters**: [`KernelCounters`], the event-kernel tallies
 //!   (events scheduled/processed, peak heap occupancy) every simulation
-//!   report carries and the `bench_kernel` baseline reports.
+//!   report carries and `--profile-summary` reports.
 //!
 //! A fourth piece, [`prof`], is deliberately *not* deterministic: a
 //! host-side wall-clock span profiler exporting Chrome-trace JSON and
@@ -257,14 +257,6 @@ pub struct KernelCounters {
     pub peak_heap_len: u64,
 }
 
-impl KernelCounters {
-    /// Total heap operations (pushes + pops).
-    #[must_use]
-    pub fn heap_ops(&self) -> u64 {
-        self.events_scheduled + self.events_processed
-    }
-}
-
 /// Result-cache telemetry: how many cell lookups hit, missed, and how
 /// many fresh results were published.
 ///
@@ -411,17 +403,6 @@ mod tests {
         assert_eq!(folded.sketch(Channel::Power).unwrap().count(), 2);
         assert_eq!(folded.sketch(Channel::QueueDepth).unwrap().count(), 1);
         assert!(folded.sketch(Channel::Drops).is_none());
-    }
-
-    #[test]
-    fn kernel_counters_sum_heap_ops() {
-        let k = KernelCounters {
-            events_scheduled: 10,
-            events_processed: 8,
-            peak_heap_len: 3,
-        };
-        assert_eq!(k.heap_ops(), 18);
-        assert_eq!(KernelCounters::default().heap_ops(), 0);
     }
 
     #[test]

@@ -179,19 +179,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         (self.lo()..=self.hi()).contains(&value)
     }
-
-    /// Half-width as a fraction of the mean's magnitude — the "how
-    /// noisy is this number" figure of merit batch reports track.
-    /// 0 for a zero mean (rather than an infinity that would poison
-    /// downstream maxima).
-    #[must_use]
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 impl fmt::Display for ConfidenceInterval {
@@ -286,19 +273,7 @@ mod tests {
         assert_eq!(ci.lo(), 9.5);
         assert_eq!(ci.hi(), 10.5);
         assert!(ci.contains(9.5) && ci.contains(10.5) && !ci.contains(10.6));
-        assert!((ci.relative_half_width() - 0.05).abs() < 1e-12);
         assert_eq!(format!("{ci}"), "10.000 ± 0.500");
         assert_eq!(format!("{ci:.1}"), "10.0 ± 0.5");
-    }
-
-    #[test]
-    fn zero_mean_relative_width_is_zero() {
-        let ci = ConfidenceInterval {
-            mean: 0.0,
-            half_width: 0.1,
-            level: ConfidenceLevel::P90,
-            n: 4,
-        };
-        assert_eq!(ci.relative_half_width(), 0.0);
     }
 }

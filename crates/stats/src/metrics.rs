@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ConfidenceInterval, ConfidenceLevel, Summary};
+use crate::Summary;
 
 /// The scalar metrics one simulated cell reports — the same ten
 /// quantities every `--json` document's `"metrics"` object carries, as
@@ -138,28 +138,6 @@ impl ReplicatedMetrics {
             ("forwarded_packets", &self.forwarded_packets),
         ]
     }
-
-    /// The widest relative confidence half-width across every field at
-    /// `level`, with the owning field's name — the single "how noisy is
-    /// this cell" number the bench trajectory tracks. `None` for an
-    /// empty fold.
-    #[must_use]
-    pub fn widest_relative_ci(
-        &self,
-        level: ConfidenceLevel,
-    ) -> Option<(&'static str, ConfidenceInterval)> {
-        if self.replicates() == 0 {
-            return None;
-        }
-        self.fields()
-            .into_iter()
-            .map(|(name, summary)| (name, summary.ci(level)))
-            .max_by(|(_, a), (_, b)| {
-                a.relative_half_width()
-                    .partial_cmp(&b.relative_half_width())
-                    .expect("relative half-widths are finite")
-            })
-    }
 }
 
 #[cfg(test)]
@@ -203,25 +181,5 @@ mod tests {
         assert_eq!(dedup.len(), names.len());
         assert_eq!(names[0], "offered_mbps");
         assert_eq!(names[9], "forwarded_packets");
-    }
-
-    #[test]
-    fn widest_relative_ci_picks_the_noisiest_field() {
-        let mut a = metrics(1.0);
-        let mut b = metrics(1.0);
-        // Make loss_ratio relatively much noisier than everything else.
-        a.loss_ratio = 0.001;
-        b.loss_ratio = 0.10;
-        let folded = ReplicatedMetrics::of(&[a, b]);
-        let (name, ci) = folded.widest_relative_ci(ConfidenceLevel::P95).unwrap();
-        assert_eq!(name, "loss_ratio");
-        assert!(
-            ci.relative_half_width() > 1.0,
-            "{}",
-            ci.relative_half_width()
-        );
-        assert!(ReplicatedMetrics::new()
-            .widest_relative_ci(ConfidenceLevel::P95)
-            .is_none());
     }
 }
