@@ -10,6 +10,12 @@
 //! and `--record` exports to a cold run (pinned in
 //! `crates/core/tests/determinism.rs`).
 //!
+//! The per-window idle fractions, the one bulk array of a report, are
+//! packed into one string ([`Writer::packed_f64s`]) after their count.
+//! Their window, ME index and role are not stored: the simulator takes
+//! one sample per ME at every window, in ME order, so the decoder
+//! rebuilds them from each sample's position and the report's `mes`.
+//!
 //! Every payload is one JSON object, `{"v":PAYLOAD_VERSION, ...}`,
 //! whose members come in a fixed order ([`payload`], [`read_payload`]).
 //! A decoder reads that order with a [`Reader`] and returns `None` on
@@ -24,12 +30,12 @@ use dvs::PolicyKind;
 use nepsim::{MeMode, MeReport, MeRole, ModeAcc, SimReport, WindowIdleSample};
 use obs::{Channel, KernelCounters, Recording, Sample};
 
-use crate::json::{Reader, Writer, NUMBER_BYTES};
+use crate::json::{Reader, Writer, NUMBER_BYTES, PACKED_F64_BYTES};
 
 /// The payload-format version leading every payload. Bump it with any
 /// change to a payload's layout: entries written under another version
 /// decode to `None`, count as misses and are rewritten on first use.
-pub const PAYLOAD_VERSION: u64 = 2;
+pub const PAYLOAD_VERSION: u64 = 3;
 
 /// Builds a JSON object from pre-rendered member values.
 #[must_use]
@@ -155,7 +161,19 @@ pub fn sim_report_len_hint(r: &SimReport) -> usize {
         .iter()
         .map(|me| 128 + NUMBER_BYTES * (me.level_time.len() + 8))
         .sum();
-    640 + mes + r.window_idle.len() * (2 * NUMBER_BYTES + 8)
+    640 + mes + r.window_idle.len() * PACKED_F64_BYTES
+}
+
+/// Whether `r.window_idle` has the layout the simulator produces and
+/// the payload relies on: window-major, one sample per ME in ME order,
+/// each with its ME's role, `windows × mes.len()` samples in all.
+fn window_idle_is_positional(r: &SimReport) -> bool {
+    let n = r.mes.len();
+    r.window_idle.len() as u64 == r.windows.saturating_mul(n as u64)
+        && r.window_idle
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.window == (i / n) as u64 && s.me == i % n && s.role == r.mes[s.me].role)
 }
 
 /// Writes a [`SimReport`] as one object.
@@ -190,16 +208,13 @@ pub fn write_sim_report(w: &mut Writer, r: &SimReport) {
     w.u64(r.kernel.events_processed);
     w.u64(r.kernel.peak_heap_len);
     w.end_arr();
-    w.key("window_idle").begin_arr();
-    for s in &r.window_idle {
-        w.begin_arr();
-        w.u64(s.window);
-        w.u64(s.me as u64);
-        w.name(role_name(s.role));
-        w.f64(s.idle);
-        w.end_arr();
-    }
-    w.end_arr();
+    assert!(
+        window_idle_is_positional(r),
+        "window_idle samples must be window-major, one per ME, with the MEs' roles"
+    );
+    w.key("window_idle_len").u64(r.window_idle.len() as u64);
+    w.key("window_idle")
+        .packed_f64s(r.window_idle.iter().map(|s| s.idle));
     w.end_obj();
 }
 
@@ -208,7 +223,7 @@ pub fn write_sim_report(w: &mut Writer, r: &SimReport) {
 pub fn read_sim_report(r: &mut Reader<'_>) -> Option<SimReport> {
     r.begin_obj()?;
     // Struct fields evaluate in the order written: the layout's order.
-    let report = SimReport {
+    let mut report = SimReport {
         policy: policy_kind(r.key("policy")?.name()?)?,
         duration: SimTime::from_ps(r.key("duration_ps")?.u64()?),
         arrived_packets: r.key("arrived_packets")?.u64()?,
@@ -239,18 +254,26 @@ pub fn read_sim_report(r: &mut Reader<'_>) -> Option<SimReport> {
             r.end_arr()?;
             kernel
         },
-        window_idle: r.key("window_idle")?.list(|r| {
-            r.begin_arr()?;
-            let sample = WindowIdleSample {
-                window: r.u64()?,
-                me: r.usize()?,
-                role: read_role(r)?,
-                idle: r.f64()?,
-            };
-            r.end_arr()?;
-            Some(sample)
-        })?,
+        window_idle: Vec::new(),
     };
+    // One sample per ME per window, checked before anything is read or
+    // allocated for them.
+    let n = report.mes.len();
+    let count = r.key("window_idle_len")?.usize()?;
+    if Some(count) != usize::try_from(report.windows).ok()?.checked_mul(n) {
+        return None;
+    }
+    let idle = r.key("window_idle")?.packed_f64s(count)?;
+    report.window_idle = idle
+        .into_iter()
+        .enumerate()
+        .map(|(i, idle)| WindowIdleSample {
+            window: (i / n) as u64,
+            me: i % n,
+            role: report.mes[i % n].role,
+            idle,
+        })
+        .collect();
     r.end_obj()?;
     Some(report)
 }
@@ -432,7 +455,12 @@ mod tests {
         let (report, recording) = simulate();
         let payload = recorded_payload(&report, &recording);
         assert!(parse_recorded(&payload[..payload.len() / 2]).is_none());
-        assert!(parse_recorded(&payload.replace("\"v\":2", "\"v\":1")).is_none());
+        let version = |v: u64| format!("\"v\":{v}");
+        let current = version(PAYLOAD_VERSION);
+        assert!(payload.starts_with(&format!("{{{current},")));
+        for other in [PAYLOAD_VERSION - 1, PAYLOAD_VERSION + 1] {
+            assert!(parse_recorded(&payload.replacen(&current, &version(other), 1)).is_none());
+        }
         assert!(parse_recorded(&payload.replace("TDVS", "XDVS")).is_none());
         assert!(parse_recorded(&payload.replace("\"rx\"", "\"ry\"")).is_none());
         assert!(parse_recorded(&format!("{payload} {{}}")).is_none());

@@ -3,11 +3,16 @@
 //! Payloads are written by [`Writer`] and read back by [`Reader`], a
 //! typed pull cursor: it reads members in the order the writer wrote
 //! them and parses each number once, straight from the input, without
-//! allocating. Every `f64` travels as its IEEE-754 bit pattern, written
-//! as a decimal `u64` ([`Writer::f64`], [`Reader::f64`]), so it
+//! allocating. Every `f64` travels as its IEEE-754 bit pattern, so it
 //! round-trips bit-exactly by construction — NaN payloads, infinities,
 //! `-0.0` and subnormals included. That is what lets a cache hit
-//! reproduce a cold run byte-for-byte through every renderer.
+//! reproduce a cold run byte-for-byte through every renderer. A scalar
+//! `f64` is written as its pattern's decimal `u64` ([`Writer::f64`],
+//! [`Reader::f64`]). A bulk array of them is packed into one string of
+//! fixed-width base64url digits ([`Writer::packed_f64s`],
+//! [`Reader::packed_f64s`]): eleven bytes per value instead of up to
+//! twenty-one, and eleven table lookups to decode one instead of a
+//! decimal parse.
 //!
 //! [`Value`] parses any JSON document into a tree whose numbers keep
 //! their **raw token** (a `u64` parses back exactly, with no 2^53 loss).
@@ -140,6 +145,25 @@ pub fn num_f64(v: f64) -> String {
 /// the writer's buffer.
 pub const NUMBER_BYTES: usize = 21;
 
+/// The bytes one `f64` takes inside a [`Writer::packed_f64s`] string:
+/// its 64-bit pattern as eleven base64url digits (6 bits each, the
+/// first carrying the top 4).
+pub const PACKED_F64_BYTES: usize = 11;
+
+/// The base64url alphabet (RFC 4648 §5): a digit's value is its index.
+const DIGITS: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
+
+/// Each byte's digit value; `0xff` for a byte outside the alphabet.
+const DIGIT_OF: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < DIGITS.len() {
+        table[DIGITS[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
 /// Writes a compact JSON payload into one pre-sized `String`: no
 /// whitespace, commas placed by the writer, numbers as bare `u64`
 /// tokens. [`Reader`] reads it back call for call.
@@ -215,6 +239,24 @@ impl Writer {
     /// An `f64` as its IEEE-754 bit pattern ([`f64::to_bits`]).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// `f64`s packed into one string: each value's bit pattern as
+    /// [`PACKED_F64_BYTES`] base64url digits, most significant first,
+    /// with no separators. [`Reader::packed_f64s`] needs the count, so
+    /// the caller writes it first, as a member of its own.
+    pub fn packed_f64s(&mut self, values: impl IntoIterator<Item = f64>) {
+        self.sep();
+        self.out.push('"');
+        for v in values {
+            let bits = v.to_bits();
+            for k in (0..PACKED_F64_BYTES).rev() {
+                self.out
+                    .push(char::from(DIGITS[(bits >> (6 * k)) as usize & 63]));
+            }
+        }
+        self.out.push('"');
+        self.comma = true;
     }
 
     /// A string that needs no escaping: the identifiers a payload
@@ -340,6 +382,28 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
+    /// The `count` values [`Writer::packed_f64s`] wrote. The count fixes
+    /// where the string ends, so the reader scans nothing, and allocates
+    /// nothing until it has found the closing quote where the count says
+    /// it is. `None` when it is not there, on any byte outside the
+    /// alphabet, and on a first digit above 15 (a pattern wider than 64
+    /// bits).
+    pub fn packed_f64s(&mut self, count: usize) -> Option<Vec<f64>> {
+        self.sep()?;
+        let start = self.pos.checked_add(1)?;
+        let end = count.checked_mul(PACKED_F64_BYTES)?.checked_add(start)?;
+        if self.bytes.get(self.pos) != Some(&b'"') || self.bytes.get(end) != Some(&b'"') {
+            return None;
+        }
+        let mut values = Vec::with_capacity(count);
+        for digits in self.bytes[start..end].chunks_exact(PACKED_F64_BYTES) {
+            values.push(f64::from_bits(unpack(digits)?));
+        }
+        self.pos = end + 1;
+        self.comma = true;
+        Some(values)
+    }
+
     /// A string without escapes, borrowed from the input.
     pub fn name(&mut self) -> Option<&'a str> {
         self.sep()?;
@@ -381,6 +445,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
             _ => break,
         }
     }
+}
+
+/// The bit pattern one packed value's digits spell: eleven independent
+/// table lookups, combined by shifts. `None` when a byte is outside the
+/// alphabet (its entry has the top bits set) or the first digit is
+/// above 15.
+fn unpack(digits: &[u8]) -> Option<u64> {
+    let mut bits = 0u64;
+    let mut seen = 0u8;
+    for &b in digits {
+        let d = DIGIT_OF[usize::from(b)];
+        seen |= d;
+        bits = bits << 6 | u64::from(d);
+    }
+    (DIGIT_OF[usize::from(digits[0])] <= 15 && seen < 64).then_some(bits)
 }
 
 /// Moves `*pos` past the run of ASCII digits there, reading them
@@ -712,6 +791,127 @@ mod tests {
             format!("{text}x"),
         ] {
             assert!(read_sample(&bad).is_none(), "accepted {bad}");
+        }
+    }
+
+    /// A document holding `values` as a count member, then their packed
+    /// string.
+    fn packed_doc(values: &[f64]) -> String {
+        let mut w = Writer::with_capacity(0);
+        w.begin_obj();
+        w.key("n").u64(values.len() as u64);
+        w.key("xs").packed_f64s(values.iter().copied());
+        w.end_obj();
+        w.finish()
+    }
+
+    /// The bit patterns [`packed_doc`] holds, read back.
+    fn read_packed_doc(text: &str) -> Option<Vec<u64>> {
+        let mut r = Reader::new(text);
+        r.begin_obj()?;
+        let n = r.key("n")?.usize()?;
+        let xs = r.key("xs")?.packed_f64s(n)?;
+        r.end_obj()?;
+        r.finish()?;
+        Some(xs.into_iter().map(f64::to_bits).collect())
+    }
+
+    /// SplitMix64: the arbitrary bit patterns the packed tests draw.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn packed_f64s_round_trip_any_bit_pattern() {
+        let specials: Vec<u64> = [
+            0.0,
+            -0.0,
+            1.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+            f64::MAX,
+        ]
+        .iter()
+        .map(|x| x.to_bits())
+        .chain([
+            0x7ff8_0000_dead_beef,
+            0xfff0_0000_0000_0001,
+            0x000f_ffff_ffff_ffff,
+            u64::MAX,
+        ])
+        .collect();
+        // Every digit value in every position.
+        let digits = (0..PACKED_F64_BYTES).flat_map(|k| {
+            let top = if k == PACKED_F64_BYTES - 1 { 16 } else { 64 };
+            (0..top).map(move |d| d << (6 * k))
+        });
+        let mut state = 0x5eed;
+        let mut cases: Vec<Vec<u64>> = vec![Vec::new(), specials.clone(), digits.collect()];
+        for len in 1..200 {
+            cases.push(
+                (0..len)
+                    .map(|i| match i % 4 {
+                        0 => specials[i % specials.len()],
+                        _ => splitmix(&mut state),
+                    })
+                    .collect(),
+            );
+        }
+        for bits in cases {
+            let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let text = packed_doc(&values);
+            assert_eq!(read_packed_doc(&text).as_ref(), Some(&bits), "{text}");
+            // Still plain JSON: one string of eleven digits per value.
+            let doc = Value::parse(&text).expect("valid JSON");
+            assert_eq!(doc.str_of("xs").map(str::len), Some(11 * bits.len()));
+        }
+    }
+
+    #[test]
+    fn packed_digits_are_base64url_most_significant_first() {
+        let packed = |x: f64| {
+            let doc = packed_doc(&[x]);
+            let at = doc.find("\"xs\":").unwrap() + 5;
+            doc[at..at + 13].to_owned()
+        };
+        assert_eq!(packed(0.0), "\"AAAAAAAAAAA\"");
+        // 0x3ff0_0000_0000_0000: 0011 | 111111 | 110000 | 0…
+        assert_eq!(packed(1.0), "\"D_wAAAAAAAA\"");
+        assert_eq!(packed(f64::from_bits(u64::MAX)), "\"P__________\"");
+        assert_eq!(packed(f64::from_bits(62 << 6 | 61)), "\"AAAAAAAAA-9\"");
+    }
+
+    #[test]
+    fn packed_reader_rejects_bad_strings() {
+        // Damaged counts and digits outside the alphabet are covered,
+        // with their allocations, in `tests/packed_bounds.rs`.
+        let text = packed_doc(&[1.5, -0.0, f64::NAN]);
+        assert!(read_packed_doc(&text).is_some());
+        let body = text.find("\"xs\":\"").unwrap() + 6;
+        let with = |at: usize, byte: &str| {
+            format!("{}{byte}{}", &text[..body + at], &text[body + at + 1..])
+        };
+        for bad in [
+            // JSON's string syntax inside the string: none of it is a digit.
+            with(7, " "),
+            with(9, "\\"),
+            with(20, "\""),
+            // The value must be a string.
+            text.replacen(":\"", ":", 1),
+        ] {
+            assert_eq!(read_packed_doc(&bad), None, "accepted {bad}");
+        }
+        for end in 0..text.len() {
+            assert_eq!(read_packed_doc(&text[..end]), None, "prefix {end}");
         }
     }
 

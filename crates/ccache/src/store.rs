@@ -173,13 +173,19 @@ impl Cache {
         payload
     }
 
+    /// The entry's payload: the file's own `String` with its two header
+    /// lines drained in place, so a hit costs one allocation.
     fn read_entry(&self, key: Key, spec: &str) -> Option<String> {
-        let text = fs::read_to_string(self.entry_path(key)).ok()?;
+        let mut text = fs::read_to_string(self.entry_path(key)).ok()?;
         let (header, rest) = text.split_once('\n')?;
         let (spec_line, payload) = rest.split_once('\n')?;
-        let expected_header = self.header(key, payload.len());
-        (header == expected_header && spec_line.strip_prefix("spec ") == Some(spec))
-            .then(|| payload.to_owned())
+        if header != self.header(key, payload.len())
+            || spec_line.strip_prefix("spec ") != Some(spec)
+        {
+            return None;
+        }
+        text.drain(..text.len() - payload.len());
+        Some(text)
     }
 
     /// Re-books one counted hit as a miss — for callers whose payload
@@ -277,8 +283,9 @@ impl Cache {
         counters
     }
 
-    /// Every entry on disk: `(path, bytes, mtime)`, unordered.
-    fn entries(&self) -> Vec<(PathBuf, u64, SystemTime)> {
+    /// Every file in the shard directories whose path `keep` accepts,
+    /// unordered.
+    fn shard_files(&self, keep: impl Fn(&Path) -> bool) -> Vec<fs::DirEntry> {
         let mut out = Vec::new();
         let Ok(shards) = fs::read_dir(&self.root) else {
             return out;
@@ -291,17 +298,21 @@ impl Cache {
             let Ok(files) = fs::read_dir(&path) else {
                 continue;
             };
-            for file in files.flatten() {
-                let path = file.path();
-                if path.extension().is_some_and(|e| e == "entry") {
-                    if let Ok(meta) = file.metadata() {
-                        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                        out.push((path, meta.len(), mtime));
-                    }
-                }
-            }
+            out.extend(files.flatten().filter(|file| keep(&file.path())));
         }
         out
+    }
+
+    /// Every entry on disk: `(path, bytes, mtime)`, unordered.
+    fn entries(&self) -> Vec<(PathBuf, u64, SystemTime)> {
+        self.shard_files(|path| path.extension().is_some_and(|e| e == "entry"))
+            .into_iter()
+            .filter_map(|file| {
+                let meta = file.metadata().ok()?;
+                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                Some((file.path(), meta.len(), mtime))
+            })
+            .collect()
     }
 
     /// Entry count and total bytes currently on disk.
@@ -337,14 +348,24 @@ impl Cache {
         removed
     }
 
-    /// Removes every entry and the counters file. Returns the number of
-    /// entries removed.
+    /// Removes every entry, the counters file, and every temp file a
+    /// writer killed between create and rename left beside an entry
+    /// ([`write_atomic`] names them `.<key>.entry.tmp-<pid>-<seq>`).
+    /// Returns the number of entries removed.
     pub fn clear(&self) -> u64 {
         let mut removed = 0;
         for (path, _, _) in self.entries() {
             if fs::remove_file(&path).is_ok() {
                 removed += 1;
             }
+        }
+        let orphaned = |path: &Path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with('.') && name.contains(".entry.tmp-"))
+        };
+        for file in self.shard_files(orphaned) {
+            let _ = fs::remove_file(file.path());
         }
         let _ = fs::remove_file(self.root.join(COUNTERS_FILE));
         removed
@@ -442,6 +463,23 @@ mod tests {
         assert!(cache.stats().bytes <= stats.bytes / 2);
         assert_eq!(cache.clear(), 4 - removed.entries);
         assert_eq!(cache.stats(), CacheStats::default());
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn clear_removes_orphaned_temp_files() {
+        let cache = temp_cache("orphans");
+        cache.publish("cell", "payload");
+        let entry = cache.entry_path(Key::with_epoch(cache.epoch(), "cell"));
+        let shard = entry.parent().unwrap();
+        let name = entry.file_name().unwrap().to_string_lossy().into_owned();
+        // What a writer killed between create and rename leaves behind.
+        let orphan = shard.join(format!(".{name}.tmp-4242-7"));
+        fs::write(&orphan, "half a payl").unwrap();
+        assert_eq!(cache.stats().entries, 1, "a temp file is not an entry");
+        assert_eq!(cache.clear(), 1);
+        assert!(!orphan.exists(), "clear left the orphaned temp file");
+        assert!(strays(shard, "").is_empty(), "{:?}", strays(shard, ""));
         let _ = fs::remove_dir_all(cache.root());
     }
 

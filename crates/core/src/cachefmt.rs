@@ -5,7 +5,9 @@
 //! carries only the three computed pieces: the report through
 //! [`ccache::codec`] and the distributions through
 //! [`loc::DistributionReport::to_parts`], in one fixed-layout object.
-//! Every `f64` is stored as its IEEE-754 bit pattern, so decoding
+//! Every `f64` is stored as its IEEE-754 bit pattern, the bulk
+//! `sorted_values` packed into one string after their count
+//! ([`ccache::json::Writer::packed_f64s`]), so decoding
 //! rebuilds the result **bit-identically** by construction, which is
 //! what lets every renderer downstream (tables, `--json`, summaries)
 //! produce byte-identical output for warm and cold runs (pinned in
@@ -19,7 +21,7 @@
 //! fallback semantics live in exactly one place.
 
 use ccache::codec::{self, read_sim_report, write_sim_report};
-use ccache::json::{Reader, Writer, NUMBER_BYTES};
+use ccache::json::{Reader, Writer, PACKED_F64_BYTES};
 use ccache::Cache;
 use loc::{DistParts, DistRel, DistributionReport};
 
@@ -41,10 +43,10 @@ fn rel_name(rel: DistRel) -> &'static str {
     }
 }
 
-/// About how many bytes [`write_dist`] writes for `parts`: a full
-/// number per value, a few digits per bin count.
+/// About how many bytes [`write_dist`] writes for `parts`: eleven
+/// packed digits per value, a few decimal digits per bin count.
 fn dist_len_hint(parts: &DistParts) -> usize {
-    192 + NUMBER_BYTES * parts.sorted_values.len() + 6 * parts.counts.len()
+    192 + PACKED_F64_BYTES * parts.sorted_values.len() + 6 * parts.counts.len()
 }
 
 fn write_dist(w: &mut Writer, parts: &DistParts) {
@@ -58,11 +60,9 @@ fn write_dist(w: &mut Writer, parts: &DistParts) {
         w.u64(count);
     }
     w.end_arr();
-    w.key("values").begin_arr();
-    for &value in &parts.sorted_values {
-        w.f64(value);
-    }
-    w.end_arr();
+    w.key("values_len").u64(parts.sorted_values.len() as u64);
+    w.key("values")
+        .packed_f64s(parts.sorted_values.iter().copied());
     w.key("nan").u64(parts.nan_count);
     w.key("total").u64(parts.total);
     w.end_obj();
@@ -82,7 +82,10 @@ fn read_dist(r: &mut Reader<'_>) -> Option<DistributionReport> {
         max: r.key("max")?.f64()?,
         step: r.key("step")?.f64()?,
         counts: r.key("counts")?.list(Reader::u64)?,
-        sorted_values: r.key("values")?.list(Reader::f64)?,
+        sorted_values: {
+            let count = r.key("values_len")?.usize()?;
+            r.key("values")?.packed_f64s(count)?
+        },
         nan_count: r.key("nan")?.u64()?,
         total: r.key("total")?.u64()?,
     };
@@ -171,11 +174,14 @@ mod tests {
     use nepsim::{Benchmark, MemRecorder, NpuConfig, SimReport, Simulator};
     use obs::{Recording, Sample};
 
-    /// The payload of [`experiment`]'s result as the previous payload
-    /// version (1, shortest round-trip `f64` tokens) wrote it.
+    /// The payload of [`experiment`]'s result as payload version 1 wrote
+    /// it: shortest round-trip `f64` tokens.
     const PAYLOAD_V1: &str = include_str!("../tests/fixtures/cell_payload_v1.json");
-    /// The same result as the current version writes it, byte for byte.
+    /// The same result as version 2 wrote it: every `f64` as a decimal
+    /// bit pattern, the bulk arrays as JSON arrays.
     const PAYLOAD_V2: &str = include_str!("../tests/fixtures/cell_payload_v2.json");
+    /// The same result as the current version writes it, byte for byte.
+    const PAYLOAD_V3: &str = include_str!("../tests/fixtures/cell_payload_v3.json");
 
     /// The fixed tiny run the payload fixtures pin; long enough that
     /// both distributions hold values.
@@ -337,6 +343,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn packed_counts_that_disagree_are_rejected() {
+        for (kind, payload, decodes) in payload_kinds() {
+            let mut members = 0;
+            for name in ["\"values_len\":", "\"window_idle_len\":"] {
+                let mut from = 0;
+                while let Some(found) = payload[from..].find(name) {
+                    let start = from + found + name.len();
+                    let end = start + payload[start..].find(',').unwrap();
+                    let count: u64 = payload[start..end].parse().unwrap();
+                    for bad in [count.wrapping_sub(1), count + 1, 1 << 40, u64::MAX] {
+                        let damaged = format!("{}{bad}{}", &payload[..start], &payload[end..]);
+                        assert!(!decodes(&damaged), "{kind}: {name}{bad} accepted");
+                    }
+                    members += 1;
+                    from = end;
+                }
+            }
+            assert!(members > 0, "{kind} has no packed member");
+        }
+    }
+
     /// NaN (either sign, and with a payload), both infinities,
     /// negative zero and subnormals.
     const SPECIALS: [f64; 8] = [
@@ -478,12 +506,12 @@ mod tests {
         let cold = run_cached(Some(&cache), &e);
         let path = entry_path(&cache, &experiment_key(&e));
         let mut bytes = std::fs::read(&path).unwrap();
-        // Turn a digit mid-payload into a letter: the entry stays UTF-8
+        // Put a byte no token accepts mid-payload (a digit turned into a
+        // letter would be a valid packed digit): the entry stays UTF-8
         // and its header's length still matches, so only the payload
         // decoder can tell.
         let at = bytes.len() / 2;
-        let at = at + bytes[at..].iter().position(u8::is_ascii_digit).unwrap();
-        bytes[at] ^= 0x40;
+        bytes[at] = b'#';
         std::fs::write(&path, &bytes).unwrap();
 
         let healed = run_cached(Some(&cache), &e);
@@ -501,41 +529,47 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_are_misses_that_heal() {
+    fn old_payload_versions_are_misses_that_heal() {
         let e = experiment();
         let fresh = e.run();
-        // The fixture is this very run, in the old format.
-        let v1 = Value::parse(PAYLOAD_V1).expect("v1 fixture is JSON");
-        assert_eq!(v1.u64_of("v"), Some(1));
-        let sim = v1.get("sim").unwrap();
-        assert_eq!(
-            sim.u64_of("forwarded_packets"),
-            Some(fresh.sim.forwarded_packets)
-        );
-        assert_eq!(sim.f64_of("me_energy_uj"), Some(fresh.sim.me_energy_uj));
-        assert!(decode_result(&e, PAYLOAD_V1).is_none());
+        for (version, old) in [(1, PAYLOAD_V1), (2, PAYLOAD_V2)] {
+            // The fixture is this very run, in an old format.
+            let v = Value::parse(old).expect("old fixture is JSON");
+            assert_eq!(v.u64_of("v"), Some(version));
+            let sim = v.get("sim").unwrap();
+            assert_eq!(
+                sim.u64_of("forwarded_packets"),
+                Some(fresh.sim.forwarded_packets)
+            );
+            let me_energy_uj = match version {
+                1 => sim.f64_of("me_energy_uj"),
+                _ => sim.u64_of("me_energy_uj").map(f64::from_bits),
+            };
+            assert_eq!(me_energy_uj, Some(fresh.sim.me_energy_uj));
+            assert!(decode_result(&e, old).is_none());
 
-        let cache = temp_cache("v1");
-        cache.publish(&experiment_key(&e), PAYLOAD_V1);
-        let healed = run_cached(Some(&cache), &e);
-        assert_eq!(encode_result(&healed), encode_result(&fresh));
-        let counters = cache.counters();
-        // Two stores: the planted v1 entry, then its rewrite.
-        assert_eq!((counters.hits, counters.misses, counters.stores), (0, 1, 2));
-        assert_eq!(
-            cache.lookup(&experiment_key(&e)).as_deref(),
-            Some(PAYLOAD_V2),
-            "the v1 entry is rewritten in the current format"
-        );
-        let _ = std::fs::remove_dir_all(cache.root());
+            let cache = temp_cache(&format!("v{version}"));
+            cache.publish(&experiment_key(&e), old);
+            let healed = run_cached(Some(&cache), &e);
+            assert_eq!(encode_result(&healed), encode_result(&fresh));
+            let counters = cache.counters();
+            // Two stores: the planted old entry, then its rewrite.
+            assert_eq!((counters.hits, counters.misses, counters.stores), (0, 1, 2));
+            assert_eq!(
+                cache.lookup(&experiment_key(&e)).as_deref(),
+                Some(PAYLOAD_V3),
+                "the v{version} entry is rewritten in the current format"
+            );
+            let _ = std::fs::remove_dir_all(cache.root());
+        }
     }
 
     #[test]
     fn payload_layout_is_pinned() {
         let e = experiment();
         let payload = encode_result(&e.run());
-        if payload != PAYLOAD_V2 {
-            let out = std::env::temp_dir().join("cell_payload_v2.json");
+        if payload != PAYLOAD_V3 {
+            let out = std::env::temp_dir().join("cell_payload_v3.json");
             let _ = std::fs::write(&out, &payload);
             panic!(
                 "the experiment-cell payload bytes changed (new bytes in {}). A layout change \
@@ -546,10 +580,10 @@ mod tests {
             );
         }
         assert!(
-            PAYLOAD_V2.starts_with(&format!("{{\"v\":{},", codec::PAYLOAD_VERSION)),
+            PAYLOAD_V3.starts_with(&format!("{{\"v\":{},", codec::PAYLOAD_VERSION)),
             "PAYLOAD_VERSION changed: replace the payload fixtures to match"
         );
-        let decoded = decode_result(&e, PAYLOAD_V2).expect("the fixture decodes");
-        assert_eq!(encode_result(&decoded), PAYLOAD_V2);
+        let decoded = decode_result(&e, PAYLOAD_V3).expect("the fixture decodes");
+        assert_eq!(encode_result(&decoded), PAYLOAD_V3);
     }
 }

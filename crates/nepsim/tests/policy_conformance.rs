@@ -5,7 +5,7 @@
 
 use desim::Frequency;
 use dvs::{Params, PolicyRegistry, PolicySpec, SWITCH_PENALTY};
-use nepsim::{Benchmark, MeMode, NpuConfig, Simulator};
+use nepsim::{Benchmark, MeMode, MemRecorder, NpuConfig, SimReport, Simulator};
 use traffic::TrafficLevel;
 
 const CYCLES: u64 = 1_500_000;
@@ -22,14 +22,17 @@ fn registered_specs() -> Vec<PolicySpec> {
         .collect()
 }
 
-fn run(spec: &PolicySpec, traffic: TrafficLevel) -> nepsim::SimReport {
-    let config = NpuConfig::builder()
+fn config(spec: &PolicySpec, traffic: TrafficLevel) -> NpuConfig {
+    NpuConfig::builder()
         .benchmark(Benchmark::Ipfwdr)
         .traffic(traffic)
         .policy(spec.clone())
         .seed(23)
-        .build();
-    Simulator::new(config).run_cycles(CYCLES)
+        .build()
+}
+
+fn run(spec: &PolicySpec, traffic: TrafficLevel) -> SimReport {
+    Simulator::new(config(spec, traffic)).run_cycles(CYCLES)
 }
 
 #[test]
@@ -112,5 +115,43 @@ fn non_default_windows_change_the_cadence_end_to_end() {
         );
         // Sanity: the declared window corresponds to real simulated time.
         assert_eq!(base.time_to_cycles(r.duration), CYCLES);
+    }
+}
+
+/// `r.window_idle` is window-major, one sample per ME in ME order, each
+/// with its ME's role: the layout the result cache stores by position.
+fn assert_window_idle_is_positional(r: &SimReport, what: &str) {
+    let n = r.mes.len();
+    assert_eq!(
+        r.window_idle.len() as u64,
+        r.windows * n as u64,
+        "{what}: one sample per ME per window"
+    );
+    for (i, s) in r.window_idle.iter().enumerate() {
+        assert_eq!(
+            (s.window, s.me, s.role),
+            ((i / n) as u64, i % n, r.mes[i % n].role),
+            "{what}: sample {i}"
+        );
+    }
+}
+
+#[test]
+fn window_idle_is_window_major_with_one_sample_per_me() {
+    for spec in registered_specs() {
+        let config = config(&spec, TrafficLevel::High);
+        let report = Simulator::new(config.clone()).run_cycles(400_000);
+        assert!(report.windows > 0, "{spec}: no windows");
+        assert_window_idle_is_positional(&report, &format!("{spec} run_cycles"));
+        // Staged drains snapshot mid-window, too.
+        let snapshots =
+            Simulator::new(config.clone()).run_cycle_segments(&[90_000, 250_000, 400_000]);
+        for (k, snapshot) in snapshots.iter().enumerate() {
+            assert_window_idle_is_positional(snapshot, &format!("{spec} snapshot {k}"));
+        }
+        let recorded = Simulator::new(config)
+            .with_recorder(Box::new(MemRecorder::new()))
+            .run_cycles(400_000);
+        assert_window_idle_is_positional(&recorded, &format!("{spec} recorded"));
     }
 }
