@@ -502,6 +502,16 @@ fn number<T: std::str::FromStr>(opts: &Opts, name: &str, default: T) -> Result<T
     }
 }
 
+/// Reads `--cycles` (`default` when absent) for every command that
+/// takes it. Zero is rejected: a run of no cycles measures nothing, and
+/// its all-zero table would report a chip that draws no power.
+fn cycles(opts: &Opts, default: u64) -> Result<u64, String> {
+    match number(opts, "cycles", default)? {
+        0 => Err("--cycles must be positive".to_owned()),
+        cycles => Ok(cycles),
+    }
+}
+
 fn policy(opts: &Opts) -> Result<PolicySpec, String> {
     // Bare `tdvs`/`edvs` keep honouring the legacy standalone flags they
     // actually use; any other combination would silently ignore a flag,
@@ -719,7 +729,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         benchmark: benchmark(opts)?,
         traffic: traffic(opts)?,
         policy: policy(opts)?,
-        cycles: number(opts, "cycles", PAPER_RUN_CYCLES)?,
+        cycles: cycles(opts, PAPER_RUN_CYCLES)?,
         seed: number(opts, "seed", 42)?,
     };
     let (seeds, level) = replication_opts(opts, 1)?;
@@ -790,7 +800,7 @@ fn cmd_replicate(opts: &Opts) -> Result<(), String> {
         benchmark: benchmark(opts)?,
         traffic: traffic(opts)?,
         policy: policy(opts)?,
-        cycles: number(opts, "cycles", PAPER_RUN_CYCLES)?,
+        cycles: cycles(opts, PAPER_RUN_CYCLES)?,
         seed: number(opts, "seed", 42)?,
     };
     let (seeds, level) = replication_opts(opts, 8)?;
@@ -848,7 +858,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     let pool = runner(opts)?;
     let bench = benchmark(opts)?;
     let level = traffic(opts)?;
-    let cycles = number(opts, "cycles", PAPER_RUN_CYCLES)?;
+    let cycles = cycles(opts, PAPER_RUN_CYCLES)?;
     let seed = number(opts, "seed", 42)?;
     let (seeds, ci) = replication_opts(opts, 1)?;
     let specs: Option<Vec<PolicySpec>> = opts
@@ -894,7 +904,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
 fn cmd_compare(opts: &Opts) -> Result<(), String> {
     let plan = abdex::obs::prof::span("plan");
     let cfg = ComparisonConfig {
-        cycles: number(opts, "cycles", PAPER_RUN_CYCLES)?,
+        cycles: cycles(opts, PAPER_RUN_CYCLES)?,
         seed: number(opts, "seed", 42)?,
         ..ComparisonConfig::default()
     };
@@ -1020,10 +1030,7 @@ fn cmd_scenario_run(target: &str, opts: &Opts) -> Result<(), String> {
     let plan = abdex::obs::prof::span("plan");
     let mut scenario = resolve_scenario(target)?;
     // CLI flags override the scenario's own run parameters.
-    scenario.cycles = number(opts, "cycles", scenario.cycles)?;
-    if scenario.cycles == 0 {
-        return Err("--cycles must be positive".to_owned());
-    }
+    scenario.cycles = cycles(opts, scenario.cycles)?;
     scenario.seed = number(opts, "seed", scenario.seed)?;
     let (seeds, ci) = replication_opts(opts, scenario.seeds)?;
     scenario.seeds = seeds;
@@ -1137,10 +1144,7 @@ fn cmd_fleet_run(opts: &Opts) -> Result<(), String> {
     if let Some(spec) = opts.get("fleet-policy") {
         config.fleet_policy = abdex::FleetPolicySpec::parse(spec).map_err(|e| e.to_string())?;
     }
-    config.cycles = number(opts, "cycles", config.cycles)?;
-    if config.cycles == 0 {
-        return Err("--cycles must be positive".to_owned());
-    }
+    config.cycles = cycles(opts, config.cycles)?;
     config.seed = number(opts, "seed", config.seed)?;
     let (seeds, ci) = replication_opts(opts, 1)?;
     let pool = runner(opts)?;
@@ -1380,7 +1384,7 @@ fn cmd_trace_dispatch(rest: &[String]) -> Result<(), String> {
 /// recorded-trace file.
 fn cmd_trace_generate(opts: &Opts) -> Result<(), String> {
     let spec = traffic(opts)?;
-    let cycles: u64 = number(opts, "cycles", 1_000_000)?;
+    let cycles = cycles(opts, 1_000_000)?;
     let seed: u64 = number(opts, "seed", 42)?;
     let (trace, text) = generate_trace(&spec, cycles, seed)?;
     match opts.get("out") {
@@ -1419,8 +1423,9 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
             emit_pipeline: false,
         })
         .build();
+    let cycles = cycles(opts, 1_000_000)?;
     let mut sim = Simulator::new(config);
-    let _ = sim.run_cycles(number(opts, "cycles", 1_000_000)?);
+    let _ = sim.run_cycles(cycles);
     let text = sim.into_trace().to_text();
     match opts.get("out") {
         Some(path) => {

@@ -154,7 +154,7 @@ impl From<JobSpec> for Experiment {
 }
 
 /// Runs a batch of experiments on an [`xrun::Runner`], returning one
-/// outcome per experiment **in submission order**.
+/// reduced outcome per experiment **in submission order**.
 ///
 /// This is the single execution path every grid
 /// ([`crate::sweep::run_grid`]) funnels through: each experiment
@@ -165,14 +165,28 @@ impl From<JobSpec> for Experiment {
 /// publishes after ([`crate::cachefmt::run_cached`]) — a hit is
 /// bit-identical to a cold simulation, so the batch's results are
 /// unchanged by caching.
-pub fn run_experiments(
+///
+/// Each job hands its [`ExperimentResult`] to `reduce` on the worker
+/// and returns only what `reduce` keeps. Plain grids pass the identity,
+/// so their cells keep their distributions. Replicated batches pass
+/// [`ExperimentResult::metrics`], the only part of a replicate their
+/// fold reads, so they hold the distributions of at most one replicate
+/// per worker at a time rather than of every cell until the last job
+/// ends.
+pub fn run_experiments<T: Send>(
     runner: &Runner,
     experiments: Vec<Experiment>,
-) -> Vec<Result<ExperimentResult, JobError>> {
+    reduce: impl Fn(ExperimentResult) -> T + Sync,
+) -> Vec<Result<T, JobError>> {
     let cache = runner.cache();
-    let jobs: Vec<Job<'_, ExperimentResult>> = experiments
+    let reduce = &reduce;
+    let jobs: Vec<Job<'_, T>> = experiments
         .into_iter()
-        .map(|e| Job::new(e.label(), move || crate::cachefmt::run_cached(cache, &e)))
+        .map(|e| {
+            Job::new(e.label(), move || {
+                reduce(crate::cachefmt::run_cached(cache, &e))
+            })
+        })
         .collect();
     runner.run(jobs).into_iter().map(|r| r.outcome).collect()
 }
@@ -325,13 +339,26 @@ mod tests {
                 seed: 11,
             })
             .collect();
-        let batch = run_experiments(&Runner::new().with_workers(2), experiments.clone());
+        let batch = run_experiments(
+            &Runner::new().with_workers(2),
+            experiments.clone(),
+            std::convert::identity,
+        );
         assert_eq!(batch.len(), 2);
         for (outcome, e) in batch.iter().zip(&experiments) {
             let got = outcome.as_ref().expect("no cell failed");
             let direct = e.run();
             assert_eq!(got.sim.forwarded_packets, direct.sim.forwarded_packets);
             assert_eq!(got.p80_power_w().to_bits(), direct.p80_power_w().to_bits());
+        }
+        // A reducing batch returns exactly what the reduction keeps of
+        // each cell, still in submission order.
+        let reduced = run_experiments(&Runner::serial(), experiments.clone(), |r| {
+            r.sim.forwarded_packets
+        });
+        for (outcome, full) in reduced.iter().zip(&batch) {
+            let full = full.as_ref().expect("no cell failed");
+            assert_eq!(outcome.as_ref().ok(), Some(&full.sim.forwarded_packets));
         }
     }
 }

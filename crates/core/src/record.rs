@@ -24,10 +24,10 @@
 
 use obs::prof::escape_json;
 use obs::Recording;
-use stats::Replication;
+use stats::{Replication, RunMetrics};
 use xrun::{Job, JobError, Runner};
 
-use crate::experiment::{Experiment, ExperimentResult};
+use crate::experiment::Experiment;
 use crate::json::{array, header, Obj};
 use crate::replicate::ReplicatedResult;
 
@@ -47,7 +47,9 @@ pub struct RecordedSeries {
 /// the recorded counterpart of
 /// [`crate::replicate::run_replicated_experiments`] on one cell — the
 /// folded metrics are bit-identical to it, and the series come back in
-/// replicate order regardless of worker count.
+/// replicate order regardless of worker count. Like it, each job
+/// reduces its result to [`crate::ExperimentResult::metrics`] before
+/// returning; only the recording is kept whole.
 ///
 /// # Errors
 ///
@@ -63,19 +65,24 @@ pub fn try_replicated_run_recorded(
     seeds: u64,
 ) -> Result<(ReplicatedResult, Vec<RecordedSeries>), JobError> {
     let replication = Replication::new(experiment.job_spec(), seeds);
-    let jobs: Vec<Job<'_, (ExperimentResult, Recording)>> = replication
+    let jobs: Vec<Job<'_, (RunMetrics, Recording)>> = replication
         .specs()
         .into_iter()
         .map(Experiment::from)
-        .map(|e| Job::new(e.label(), move || e.run_recorded()))
+        .map(|e| {
+            Job::new(e.label(), move || {
+                let (result, recording) = e.run_recorded();
+                (result.metrics(), recording)
+            })
+        })
         .collect();
     let mut metrics = Vec::with_capacity(seeds as usize);
     let mut series = Vec::with_capacity(seeds as usize);
     let mut failure: Option<JobError> = None;
     for (i, result) in runner.run(jobs).into_iter().enumerate() {
         match result.outcome {
-            Ok((result, recording)) => {
-                metrics.push(result.metrics());
+            Ok((run, recording)) => {
+                metrics.push(run);
                 series.push(RecordedSeries {
                     label: format!("rep{i}"),
                     recording,

@@ -10,7 +10,9 @@
 //! results folded **in replicate order** — which keeps the workspace's
 //! bit-determinism contract: means and half-widths are bit-identical
 //! for any worker count (`crates/core/tests/determinism.rs` guards
-//! this).
+//! this). Each job reduces its replicate to the ten [`RunMetrics`]
+//! scalars before it returns, so a batch's memory does not grow with
+//! cells × seeds (`crates/core/tests/bounded_memory.rs` guards this).
 //!
 //! Error semantics follow the plain batches: a panicking replicate
 //! fails its *cell* (reported as the first failing replicate's
@@ -55,7 +57,10 @@ impl ReplicatedResult {
 ///
 /// The k × cells jobs are submitted cell-major (cell 0's replicates,
 /// then cell 1's, ...), so submission order — and therefore every fold
-/// — is a pure function of the batch description.
+/// — is a pure function of the batch description. Every job reduces
+/// its replicate to [`ExperimentResult::metrics`] on the worker, so the
+/// batch keeps the distributions of at most one replicate per worker,
+/// never of the whole grid.
 ///
 /// # Panics
 ///
@@ -73,7 +78,7 @@ pub fn run_replicated_experiments(
         .iter()
         .flat_map(|r| r.specs().into_iter().map(Experiment::from))
         .collect();
-    let mut outcomes = run_experiments(runner, jobs).into_iter();
+    let mut outcomes = run_experiments(runner, jobs, |r| r.metrics()).into_iter();
     let _prof = obs::prof::span("fold");
     experiments
         .into_iter()
@@ -87,7 +92,7 @@ pub fn run_replicated_experiments(
             let mut failure: Option<JobError> = None;
             for outcome in outcomes.by_ref().take(seeds as usize) {
                 match outcome {
-                    Ok(result) => metrics.push(result.metrics()),
+                    Ok(run) => metrics.push(run),
                     Err(e) => failure = failure.or(Some(e)),
                 }
             }

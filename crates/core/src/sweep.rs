@@ -295,10 +295,13 @@ pub struct GridRun {
 /// of every sweep, comparison and ablation.
 ///
 /// `seeds == 1` runs each cell once at its own seed
-/// ([`run_experiments`]), so the cells keep their distributions;
-/// `seeds >= 2` runs `seeds` seed-derived replicates per cell and folds
-/// them ([`run_replicated_experiments`]). Either way a panicking cell
-/// (or replicate) fails only its own cell: it lands in
+/// ([`run_experiments`]), so the cells keep their distributions: the
+/// Fig. 8/9 surfaces and [`crate::optimal_tdvs`] read them. `seeds >= 2`
+/// runs `seeds` seed-derived replicates per cell, each reduced to its
+/// scalar metrics inside its job, and folds them
+/// ([`run_replicated_experiments`]), so a replicated grid's memory does
+/// not grow with its replicate count. Either way a panicking cell (or
+/// replicate) fails only its own cell: it lands in
 /// [`GridRun::failures`] while the rest of the grid completes.
 ///
 /// # Panics
@@ -308,7 +311,7 @@ pub struct GridRun {
 pub fn run_grid(runner: &Runner, grid: &Grid, seeds: u64) -> GridRun {
     let experiments = grid.cells.clone();
     let (cells, failures) = if seeds == 1 {
-        let outcomes = run_experiments(runner, experiments);
+        let outcomes = run_experiments(runner, experiments, std::convert::identity);
         let _prof = obs::prof::span("fold");
         let (cells, failures) = partition_cells(outcomes);
         (Cells::Plain(cells), failures)

@@ -884,6 +884,42 @@ fn run_with_seeds_replicates_serially() {
 }
 
 #[test]
+fn zero_cycles_is_rejected_by_every_command_that_takes_it() {
+    // A run of no cycles measures nothing: every command that reads
+    // `--cycles` rejects 0 with one message, before it writes anything.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-zero-cycles-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("out");
+    let out_file = path.to_str().unwrap();
+    let commands: [&[&str]; 8] = [
+        &["run", "--json", out_file],
+        &["replicate", "--json", out_file],
+        &["sweep", "--json", out_file],
+        &["compare", "--json", out_file],
+        &["trace", "generate", "--out", out_file],
+        &["trace", "--out", out_file],
+        &["scenario", "run", "diurnal-day", "--json", out_file],
+        &["fleet", "run", "--json", out_file],
+    ];
+    for command in commands {
+        let out = abdex()
+            .args(command)
+            .args(["--cycles", "0"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("--cycles must be positive"),
+            "{command:?}: {stderr}"
+        );
+        assert!(!path.exists(), "{command:?} left {out_file} behind");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn replication_flag_misuse_is_rejected() {
     // --ci without enough replicates would report a zero-width interval.
     let out = abdex()

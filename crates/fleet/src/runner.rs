@@ -158,26 +158,28 @@ pub fn run_fleet(config: &FleetConfig, seeds: usize, runner: &Runner) -> FleetOu
         }
     }
 
-    let results = runner.run(jobs);
+    let mut results = runner.run(jobs).into_iter();
     // Folding chip reports into fleet/chip distributions is its own
     // profiler phase — pure host-side work after the batch.
     let _prof = obs::prof::span("fold");
     let mut errors = Vec::new();
     let mut fleet = FleetDist::default();
     let mut chip_dists: Vec<ChipDist> = shares.iter().map(|&s| ChipDist::new(s)).collect();
-    let mut recordings: Vec<Option<Recording>> = Vec::with_capacity(results.len());
+    let mut recordings: Vec<Option<Recording>> = Vec::with_capacity(seeds * chips);
 
-    for replicate in results.chunks(chips) {
+    // Each replicate's chunk of `chips` results is moved out of the
+    // batch, so no report or recording is ever held twice.
+    for _ in 0..seeds {
         let mut reports = Vec::with_capacity(chips);
         let mut failed = false;
-        for result in replicate {
-            match &result.outcome {
+        for result in results.by_ref().take(chips) {
+            match result.outcome {
                 Ok((report, recording)) => {
-                    reports.push(report.clone());
-                    recordings.push(Some(recording.clone()));
+                    reports.push(report);
+                    recordings.push(Some(recording));
                 }
                 Err(err) => {
-                    errors.push(err.clone());
+                    errors.push(err);
                     recordings.push(None);
                     failed = true;
                 }

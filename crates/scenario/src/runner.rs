@@ -1,9 +1,13 @@
 //! The segment-aware scenario runner: every policy × replicate becomes
 //! one [`xrun`] job that simulates the scenario **once** and snapshots
 //! the cumulative report at each planned segment boundary
-//! ([`nepsim::Simulator::run_cycle_segments`]); the snapshots are
-//! diffed into per-segment metrics and folded — in replicate order —
-//! into per-segment and whole-run interval estimates.
+//! ([`nepsim::Simulator::run_cycle_segments`]); the job diffs its
+//! snapshots into whole-run and per-segment [`SegmentMetrics`] before
+//! it returns, and those are folded — in replicate order — into
+//! per-segment and whole-run interval estimates. The snapshots (and
+//! their per-ME reports) never outlive their job, so a run's memory
+//! does not grow with policies × seeds; the cache still stores and
+//! reads the snapshots themselves.
 //!
 //! Determinism contract: jobs are submitted policy-major (policy 0's
 //! replicates, then policy 1's, ...), replicate `i` of every policy
@@ -17,6 +21,7 @@
 //! [`JobError`]) while the other policies complete.
 
 use ccache::codec::{parse_snapshots, snapshots_payload};
+use ccache::Cache;
 use dvs::PolicySpec;
 use nepsim::{MemRecorder, Recording, SimReport, Simulator};
 use xrun::{derive_seed, Job, JobError, JobSpec, Runner};
@@ -94,6 +99,80 @@ fn cell_key(spec: &JobSpec, bounds: &[u64]) -> String {
     format!("scenario|{}|bounds=[{}]", spec.label(), joined.join(","))
 }
 
+/// What one replicate contributes to its policy's folds: the
+/// whole-run slice and one slice per planned segment, measured on the
+/// worker so the snapshots they come from are dropped with the job.
+struct Slices {
+    whole: SegmentMetrics,
+    segments: Vec<SegmentMetrics>,
+}
+
+impl Slices {
+    /// Diffs one run's cumulative snapshots, one per planned segment.
+    fn of(snapshots: &[SimReport]) -> Self {
+        let mut prev: Option<&SimReport> = None;
+        let segments = snapshots
+            .iter()
+            .map(|snap| {
+                let slice = SegmentMetrics::slice(prev, snap);
+                prev = Some(snap);
+                slice
+            })
+            .collect();
+        Slices {
+            whole: SegmentMetrics::slice(None, snapshots.last().expect("plans are non-empty")),
+            segments,
+        }
+    }
+}
+
+/// One replicate's cumulative snapshots at `bounds` — from the cache
+/// when it holds them, simulated (and published) otherwise — plus
+/// whatever its recorder captured (empty unless `record`).
+fn replicate_snapshots(
+    cache: Option<&Cache>,
+    record: bool,
+    spec: &JobSpec,
+    bounds: &[u64],
+) -> (Vec<SimReport>, Recording) {
+    if let Some(cache) = cache {
+        let key = cell_key(spec, bounds);
+        // One profiler span per probe, renamed to its hit/miss outcome,
+        // with running counters (mirrors `core::cachefmt::run_cached`).
+        let cached = {
+            let mut prof = obs::prof::span("cache.lookup");
+            let found = cache.lookup(&key).and_then(|payload| {
+                let parsed = parse_snapshots(&payload);
+                if parsed.is_none() {
+                    cache.demote_hit();
+                }
+                parsed
+            });
+            if found.is_some() {
+                prof.set_name("cache.lookup.hit");
+                obs::prof::count("cache.hits", 1.0);
+            } else {
+                prof.set_name("cache.lookup.miss");
+                obs::prof::count("cache.misses", 1.0);
+            }
+            found
+        };
+        if let Some(snapshots) = cached {
+            return (snapshots, Recording::default());
+        }
+        let mut sim = Simulator::new(spec.npu_config());
+        let snapshots = sim.run_cycle_segments(bounds);
+        cache.publish(&key, &snapshots_payload(&snapshots));
+        return (snapshots, sim.take_recording());
+    }
+    let mut sim = Simulator::new(spec.npu_config());
+    if record {
+        sim = sim.with_recorder(Box::new(MemRecorder::new()));
+    }
+    let snapshots = sim.run_cycle_segments(bounds);
+    (snapshots, sim.take_recording())
+}
+
 fn run_impl(
     runner: &Runner,
     scenario: &Scenario,
@@ -105,7 +184,8 @@ fn run_impl(
     // Recorded runs bypass the cache: their value *is* the per-window
     // timeline, which only simulation produces.
     let cache = if record { None } else { runner.cache() };
-    let mut jobs: Vec<Job<'_, (Vec<SimReport>, Recording)>> = Vec::new();
+    let boundaries = &boundaries;
+    let mut jobs: Vec<Job<'_, (Slices, Recording)>> = Vec::new();
     for policy in &scenario.policies {
         for replicate in 0..seeds {
             let spec = JobSpec {
@@ -116,57 +196,17 @@ fn run_impl(
                 seed: derive_seed(scenario.seed, replicate),
             };
             let label = format!("{}/{}", scenario.name, spec.label());
-            let bounds = boundaries.clone();
             jobs.push(Job::new(label, move || {
-                if let Some(cache) = cache {
-                    let key = cell_key(&spec, &bounds);
-                    // One profiler span per probe, renamed to its
-                    // hit/miss outcome, with running counters (mirrors
-                    // `core::cachefmt::run_cached`).
-                    let cached = {
-                        let mut prof = obs::prof::span("cache.lookup");
-                        let found = cache.lookup(&key).and_then(|payload| {
-                            let parsed = parse_snapshots(&payload);
-                            if parsed.is_none() {
-                                cache.demote_hit();
-                            }
-                            parsed
-                        });
-                        if found.is_some() {
-                            prof.set_name("cache.lookup.hit");
-                            obs::prof::count("cache.hits", 1.0);
-                        } else {
-                            prof.set_name("cache.lookup.miss");
-                            obs::prof::count("cache.misses", 1.0);
-                        }
-                        found
-                    };
-                    if let Some(snapshots) = cached {
-                        return (snapshots, Recording::default());
-                    }
-                    let mut sim = Simulator::new(spec.npu_config());
-                    let snapshots = sim.run_cycle_segments(&bounds);
-                    cache.publish(&key, &snapshots_payload(&snapshots));
-                    return (snapshots, sim.take_recording());
-                }
-                let mut sim = Simulator::new(spec.npu_config());
-                if record {
-                    sim = sim.with_recorder(Box::new(MemRecorder::new()));
-                }
-                let snapshots = sim.run_cycle_segments(&bounds);
-                (snapshots, sim.take_recording())
+                let (snapshots, recording) = replicate_snapshots(cache, record, &spec, boundaries);
+                debug_assert_eq!(snapshots.len(), boundaries.len());
+                (Slices::of(&snapshots), recording)
             }));
         }
     }
-    let mut outcomes = runner
-        .run(jobs)
-        .into_iter()
-        .map(|r| r.outcome)
-        .collect::<Vec<_>>()
-        .into_iter();
+    let mut outcomes = runner.run(jobs).into_iter().map(|r| r.outcome);
 
     // The per-segment fold is a distinct profiler phase: it walks every
-    // replicate's snapshots and is pure host-side work.
+    // replicate's slices and is pure host-side work.
     let _prof = obs::prof::span("fold");
     let mut policies = Vec::with_capacity(scenario.policies.len());
     let mut errors = Vec::new();
@@ -180,17 +220,11 @@ fn run_impl(
         let mut failure: Option<JobError> = None;
         for outcome in outcomes.by_ref().take(seeds as usize) {
             match outcome {
-                Ok((snapshots, recording)) => {
+                Ok((slices, recording)) => {
                     recordings.push(Some(recording));
-                    debug_assert_eq!(snapshots.len(), plan.len());
-                    whole.push(&SegmentMetrics::slice(
-                        None,
-                        snapshots.last().expect("plans are non-empty"),
-                    ));
-                    let mut prev: Option<&SimReport> = None;
-                    for (dist, snap) in segments.iter_mut().zip(&snapshots) {
-                        dist.push(&SegmentMetrics::slice(prev, snap));
-                        prev = Some(snap);
+                    whole.push(&slices.whole);
+                    for (dist, slice) in segments.iter_mut().zip(&slices.segments) {
+                        dist.push(slice);
                     }
                 }
                 Err(e) => {

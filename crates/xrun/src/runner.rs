@@ -27,6 +27,13 @@ use nepsim::SimReport;
 /// Worker threads are scoped to each [`run`](Runner::run) call: jobs may
 /// borrow from the caller's stack, and no threads outlive the batch.
 ///
+/// Every job's value stays in its slot until the whole batch returns,
+/// so a job should return only what the caller's fold reads. The
+/// replicated execution layers do so (`core::run_experiments` takes the
+/// per-cell reduction; the scenario runner measures its slices on the
+/// worker), which keeps a batch's bulk to one cell per busy worker
+/// rather than one per job.
+///
 /// A runner can carry a content-addressed result cache
 /// ([`with_cache`](Runner::with_cache)): the runner itself never
 /// consults it — jobs are opaque closures — but every execution layer
