@@ -1486,6 +1486,7 @@ fn cmd_analyze(opts: &Opts) -> Result<(), String> {
 
 fn cmd_codegen(opts: &Opts) -> Result<(), String> {
     let formula = formula(opts)?;
-    print!("{}", loc::codegen::generate(&formula));
+    let source = loc::codegen::generate(&formula).map_err(|e| e.to_string())?;
+    print!("{source}");
     Ok(())
 }

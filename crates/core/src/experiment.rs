@@ -1,7 +1,9 @@
 //! Single-configuration experiments: simulate, trace, analyze.
 
-use loc::{AnalyzerBank, DistributionReport};
-use nepsim::{Benchmark, MemRecorder, NpuConfig, PolicySpec, Recording, SimReport, Simulator};
+use loc::DistributionReport;
+use nepsim::{
+    AnalyzerBank, Benchmark, MemRecorder, NpuConfig, PolicySpec, Recording, SimReport, Simulator,
+};
 use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 use xrun::{Job, JobError, JobSpec, Runner};
@@ -102,14 +104,12 @@ impl Experiment {
     }
 
     /// Shared tail of [`Experiment::run`] and
-    /// [`Experiment::run_recorded`]: simulate, analyze, take whatever
-    /// the simulator's recorder captured (empty for the default
-    /// [`nepsim::NullRecorder`]).
-    fn finish(&self, mut sim: Simulator) -> (ExperimentResult, Recording) {
-        let report = sim.run_cycles(self.cycles);
-
-        // Both paper formulas evaluate in one pass over the trace.
-        let _prof = obs::prof::span("analyze");
+    /// [`Experiment::run_recorded`]: simulate with both paper formulas
+    /// streaming, finish them, take whatever the simulator's recorder
+    /// captured (empty for the default [`nepsim::NullRecorder`]).
+    fn finish(&self, sim: Simulator) -> (ExperimentResult, Recording) {
+        // Both paper formulas evaluate record by record while the
+        // simulation runs, so no trace is buffered.
         let mut bank = AnalyzerBank::new();
         let power = bank
             .add_analyzer(&power_distribution(PACKET_WINDOW))
@@ -117,7 +117,13 @@ impl Experiment {
         let throughput = bank
             .add_analyzer(&throughput_distribution(PACKET_WINDOW))
             .expect("paper formula (3) is a valid distribution formula");
-        let mut results = bank.analyze(sim.trace());
+        let mut sim = sim.with_analyzers(bank);
+        let report = sim.run_cycles(self.cycles);
+
+        let mut results = {
+            let _prof = obs::prof::span("analyze");
+            sim.take_analysis()
+        };
         // Pop in reverse registration order to move without cloning.
         debug_assert_eq!((power, throughput), (0, 1));
         let throughput = results.distributions.pop().expect("two analyzers ran");

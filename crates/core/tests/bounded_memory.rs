@@ -1,12 +1,18 @@
-//! Peak heap of replicated batches: neither a replicated grid nor a
-//! scenario run may keep every replicate's bulk (the exact-p80
-//! distributions, the per-ME snapshots) until its last job ends. A
-//! counting global allocator tracks the process's live and peak heap
-//! bytes. Every batch runs on `Runner::serial()`, so each peak is
-//! deterministic, and the many-seed run of a batch must peak at most
-//! 1.5× its few-seed run. A batch whose jobs return their whole result
-//! instead peaks linearly in the seed count: about 11 kB more per
-//! replicate of these 400 000-cycle grid cells, 4.3× at 16 seeds.
+//! Peak heap of replicated batches and of one run. A counting global
+//! allocator tracks the process's live and peak heap bytes, and
+//! everything runs on the test thread or `Runner::serial()`, so each
+//! peak is deterministic.
+//!
+//! - Neither a replicated grid nor a scenario run may keep every
+//!   replicate's bulk (the exact-p80 distributions, the per-ME
+//!   snapshots) until its last job ends: the many-seed run of a batch
+//!   must peak at most 1.5× its few-seed run. A batch whose jobs return
+//!   their whole result instead peaks linearly in the seed count: about
+//!   11 kB more per replicate of these 400 000-cycle grid cells, 4.3× at
+//!   16 seeds.
+//! - One `Experiment::run` may not buffer its LOC trace: between two run
+//!   lengths its peak may grow at most [`PER_PACKET_BOUND`] per extra
+//!   forwarded packet.
 //!
 //! The counters are process-wide, so this binary holds one `#[test]`.
 
@@ -16,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use abdex::compare::ComparisonConfig;
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
-use abdex::{run_grid, try_run_scenario, Grid, Runner};
+use abdex::{run_grid, try_run_scenario, Experiment, Grid, Runner};
 
 /// Heap bytes live right now, and the most live since the last reset.
 /// Statistics only: they publish no other data, so `Relaxed` suffices.
@@ -77,6 +83,14 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
+/// The most one run's peak heap may grow per extra forwarded packet.
+/// Streaming both paper formulas inside the simulator leaves their
+/// exact-p80 values, 2 × 8 B per packet plus `Vec` growth and the
+/// finishing sort's scratch: about 52 B per packet here. A buffered
+/// trace adds a `TraceRecord` and its name per packet, at least 95 B
+/// before `Vec` slack, and measured 213 B.
+const PER_PACKET_BOUND: f64 = 80.0;
+
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
@@ -135,4 +149,32 @@ fn peak_heap_does_not_grow_with_replicates() {
         (seeds, peak)
     };
     assert_bounded("burst-storm scenario", scenario_peak(2), scenario_peak(16));
+
+    let run_peak = |cycles: u64| {
+        let experiment = Experiment {
+            benchmark: Benchmark::Ipfwdr,
+            traffic: TrafficLevel::High.into(),
+            policy: "tdvs".parse().unwrap(),
+            cycles,
+            seed: 42,
+        };
+        let mut forwarded = 0;
+        let peak = peak_heap(|| {
+            let result = experiment.run();
+            forwarded = result.sim.forwarded_packets;
+            result
+        });
+        (forwarded, peak)
+    };
+    let (short_packets, short_peak) = run_peak(4_000_000);
+    let (long_packets, long_peak) = run_peak(16_000_000);
+    let per_packet = (long_peak as f64 - short_peak as f64) / (long_packets - short_packets) as f64;
+    eprintln!(
+        "ipfwdr/high/tdvs run: peak heap {short_peak} B at {short_packets} forwarded packets, \
+         {long_peak} B at {long_packets} ({per_packet:.1} B per extra packet)"
+    );
+    assert!(
+        per_packet <= PER_PACKET_BOUND,
+        "a run grows {per_packet:.1} B per forwarded packet, over {PER_PACKET_BOUND} B"
+    );
 }

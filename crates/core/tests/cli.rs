@@ -408,6 +408,45 @@ fn codegen_emits_rust_source() {
 }
 
 #[test]
+fn oversized_analysis_periods_exit_one_with_a_message() {
+    let dir = std::env::temp_dir().join(format!("abdex-cli-bins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace_path = dir.join("trace.txt");
+    let trace: String = (0..20u64)
+        .map(|k| format!("{} {k} 0 {k} 0 forward\n", k * 600))
+        .collect();
+    std::fs::write(&trace_path, trace).expect("trace written");
+
+    // 1e24 bins once wrapped `nbins + 2`; 1e13 bins asked for 80 TB.
+    for period in ["(0, 1e18, 1e-6)", "(0, 10, 1e-12)"] {
+        let formula = format!("time(forward[i+1]) - time(forward[i]) dist== {period}");
+        let analyze = [
+            "analyze",
+            "--formula",
+            &formula,
+            "--trace",
+            trace_path.to_str().unwrap(),
+        ];
+        let codegen = ["codegen", "--formula", &formula];
+        for args in [&analyze[..], &codegen[..]] {
+            let out = abdex().args(args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("invalid analysis period"),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(
+                out.stdout.is_empty(),
+                "{args:?} printed a program or a table"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_accepts_traffic_spec_grammar() {
     // The acceptance spec of the traffic-API redesign: a model that did
     // not exist before the TrafficModel trait opened this axis.

@@ -15,7 +15,7 @@
 
 use ccache::codec::{parse_recorded, recorded_payload};
 use desim::rng::derive_seed;
-use nepsim::{NpuConfig, SimReport, Simulator};
+use nepsim::{AnalyzerBank, NpuConfig, SimReport, Simulator};
 use obs::{MemRecorder, Recording};
 use traffic::{Thinned, TrafficModel};
 use xrun::{Job, JobError, JobSpec, Runner};
@@ -242,7 +242,8 @@ fn chip_key(config: &FleetConfig, seed: u64, share: f64, caps: Option<&(u64, Vec
 /// when the fleet tier assigned caps — the [`CappedPolicy`] shim. Every
 /// chip run carries a [`MemRecorder`], so the per-epoch timeline comes
 /// back alongside the report (recording is pure observation: the
-/// report is bit-identical to an unrecorded run).
+/// report is bit-identical to an unrecorded run). No fleet output reads
+/// the LOC trace, so an empty [`AnalyzerBank`] keeps it unbuilt.
 fn run_chip(
     config: &FleetConfig,
     seed: u64,
@@ -262,7 +263,8 @@ fn run_chip(
     let thinned = Thinned::new(model, share);
     let mut sim = Simulator::new(npu)
         .with_traffic(&thinned)
-        .with_recorder(Box::new(MemRecorder::new()));
+        .with_recorder(Box::new(MemRecorder::new()))
+        .with_analyzers(AnalyzerBank::new());
     if let Some((period, caps_w)) = caps {
         let chip = sim.config();
         let window = config

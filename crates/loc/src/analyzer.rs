@@ -275,6 +275,29 @@ impl DistributionReport {
     }
 }
 
+/// The most interior bins an analysis period may have, 2^20. The
+/// paper's periods have 175 and 320; a million bins is already an 8 MB
+/// count vector per analyzer.
+pub(crate) const MAX_BINS: usize = 1 << 20;
+
+/// The number of interior bins of the analysis period `(min, max,
+/// step)`, shared by [`Analyzer::from_formula`] and
+/// [`crate::codegen::generate`].
+///
+/// # Errors
+///
+/// [`EvalError::InvalidPeriod`] if a bound is non-finite, `step <= 0`,
+/// `max <= min`, or the period has no bin (`max - min` underflows
+/// against `step`) or more than [`MAX_BINS`].
+pub(crate) fn bin_count(min: f64, max: f64, step: f64) -> Result<usize, EvalError> {
+    let finite = min.is_finite() && max.is_finite() && step.is_finite();
+    let bins = ((max - min) / step).ceil();
+    if !finite || step <= 0.0 || max <= min || !(1.0..=MAX_BINS as f64).contains(&bins) {
+        return Err(EvalError::InvalidPeriod { min, max, step });
+    }
+    Ok(bins as usize)
+}
+
 /// A streaming distribution analyzer generated from a `dist` [`Formula`].
 ///
 /// # Example
@@ -317,8 +340,8 @@ impl Analyzer {
     /// # Errors
     ///
     /// * [`EvalError::WrongFormulaKind`] if the formula is an assertion.
-    /// * [`EvalError::InvalidPeriod`] if `step <= 0`, `max <= min`, or a
-    ///   bound is non-finite.
+    /// * [`EvalError::InvalidPeriod`] if a bound is non-finite, `step <=
+    ///   0`, `max <= min`, or the period has no bin or more than 2^20.
     /// * [`EvalError::NoEvents`] if the formula references no events.
     pub fn from_formula(formula: &Formula) -> Result<Self, EvalError> {
         let Formula::Dist {
@@ -333,16 +356,8 @@ impl Analyzer {
                 expected: "distribution",
             });
         };
-        if !(min.is_finite() && max.is_finite() && step.is_finite()) || *step <= 0.0 || *max <= *min
-        {
-            return Err(EvalError::InvalidPeriod {
-                min: *min,
-                max: *max,
-                step: *step,
-            });
-        }
+        let nbins = bin_count(*min, *max, *step)?;
         let window = EventWindow::from_formula(formula)?;
-        let nbins = ((max - min) / step).ceil() as usize;
         Ok(Analyzer {
             expr: expr.clone(),
             rel: *rel,
@@ -565,6 +580,35 @@ mod tests {
                 "period ({min},{max},{step}) should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn periods_with_too_many_bins_are_rejected() {
+        // 1e24 and 1e13 bins: the first wrapped `nbins + 2` to 1, the
+        // second asked the allocator for 80 TB. The analyzer and the
+        // generated program share the check.
+        for period in ["(0, 1e18, 1e-6)", "(0, 10, 1e-12)"] {
+            let f = parse(&format!("time(ev[i]) dist== {period}")).unwrap();
+            assert!(
+                matches!(
+                    Analyzer::from_formula(&f),
+                    Err(EvalError::InvalidPeriod { .. })
+                ),
+                "period {period} should be rejected"
+            );
+            assert!(
+                matches!(
+                    crate::codegen::generate(&f),
+                    Err(EvalError::InvalidPeriod { .. })
+                ),
+                "period {period} should not compile"
+            );
+        }
+        assert!(bin_count(0.0, 5e-324, 1e300).is_err(), "no bin at all");
+        assert_eq!(bin_count(0.5, 2.25, 0.01), Ok(175));
+        assert_eq!(bin_count(100.0, 3300.0, 10.0), Ok(320));
+        assert_eq!(bin_count(0.0, MAX_BINS as f64, 1.0), Ok(MAX_BINS));
+        assert!(bin_count(0.0, MAX_BINS as f64 + 1.0, 1.0).is_err());
     }
 
     #[test]

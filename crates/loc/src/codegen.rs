@@ -13,7 +13,9 @@
 
 use std::fmt::Write as _;
 
+use crate::analyzer::bin_count;
 use crate::ast::{AnnotKey, BinOp, BoolExpr, CmpOp, DistRel, Expr, Formula};
+use crate::error::EvalError;
 
 /// Generates a self-contained Rust program for `formula`.
 ///
@@ -22,18 +24,22 @@ use crate::ast::{AnnotKey, BinOp, BoolExpr, CmpOp, DistRel, Expr, Formula};
 /// exits non-zero when violations exist; for distribution formulas it
 /// prints the binned percentages.
 ///
+/// # Errors
+///
+/// [`EvalError::InvalidPeriod`] when a distribution formula's analysis
+/// period is one [`crate::Analyzer::from_formula`] rejects too.
+///
 /// # Example
 ///
 /// ```
-/// # fn main() -> Result<(), loc::ParseError> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let f = loc::parse("cycle(deq[i]) - cycle(enq[i]) <= 50")?;
-/// let source = loc::codegen::generate(&f);
+/// let source = loc::codegen::generate(&f)?;
 /// assert!(source.contains("fn main()"));
 /// # Ok(())
 /// # }
 /// ```
-#[must_use]
-pub fn generate(formula: &Formula) -> String {
+pub fn generate(formula: &Formula) -> Result<String, EvalError> {
     let mut out = String::new();
     let _ = writeln!(out, "//! Auto-generated LOC trace tool.");
     let _ = writeln!(out, "//! Formula: {formula}");
@@ -48,9 +54,12 @@ pub fn generate(formula: &Formula) -> String {
             min,
             max,
             step,
-        } => emit_analyzer_main(&mut out, expr, *rel, *min, *max, *step),
+        } => {
+            let nbins = bin_count(*min, *max, *step)?;
+            emit_analyzer_main(&mut out, expr, *rel, *min, *max, *step, nbins);
+        }
     }
-    out
+    Ok(out)
 }
 
 /// Shared trace-reading scaffold embedded in every generated program.
@@ -271,9 +280,16 @@ impl State {{
     emit_feed_loop(out, &step);
 }
 
-fn emit_analyzer_main(out: &mut String, expr: &Expr, rel: DistRel, min: f64, max: f64, step: f64) {
+fn emit_analyzer_main(
+    out: &mut String,
+    expr: &Expr,
+    rel: DistRel,
+    min: f64,
+    max: f64,
+    step: f64,
+    nbins: usize,
+) {
     let value = emit_expr(expr);
-    let nbins = ((max - min) / step).ceil() as usize;
     let rel_tag = match rel {
         DistRel::Eq => 0,
         DistRel::Le => 1,
@@ -350,7 +366,7 @@ mod tests {
     #[test]
     fn generates_checker_source() {
         let f = parse("cycle(deq[i]) - cycle(enq[i]) <= 50").unwrap();
-        let src = generate(&f);
+        let src = generate(&f).unwrap();
         assert!(src.contains("fn main()"));
         assert!(src.contains("violations"));
         assert!(src.contains("\"deq\""));
@@ -366,7 +382,7 @@ mod tests {
              (time(forward[i+100]) - time(forward[i])) dist== (0.5, 2.25, 0.01)",
         )
         .unwrap();
-        let src = generate(&f);
+        let src = generate(&f).unwrap();
         assert!(src.contains("const MIN: f64 = 0.5;"));
         assert!(src.contains("const MAX: f64 = 2.25;"));
         assert!(src.contains("const STEP: f64 = 0.01;"));
@@ -377,7 +393,7 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let f = parse("time(a[i]) - time(b[i-3]) dist>= (0, 9, 3)").unwrap();
-        assert_eq!(generate(&f), generate(&f));
+        assert_eq!(generate(&f).unwrap(), generate(&f).unwrap());
     }
 
     #[test]
@@ -388,14 +404,14 @@ mod tests {
             ("dist>=", "REL: u8 = 2"),
         ] {
             let f = parse(&format!("time(a[i]) {text} (0, 1, 0.5)")).unwrap();
-            assert!(generate(&f).contains(tag), "{text}");
+            assert!(generate(&f).unwrap().contains(tag), "{text}");
         }
     }
 
     #[test]
     fn first_i_accounts_for_negative_offsets() {
         let f = parse("time(a[i-5]) <= time(a[i])").unwrap();
-        let src = generate(&f);
+        let src = generate(&f).unwrap();
         assert!(src.contains("const FIRST_I: i64 = 5;"));
     }
 }

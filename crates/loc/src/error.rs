@@ -38,8 +38,8 @@ pub enum EvalError {
         /// What the tool expected ("distribution" or "assertion").
         expected: &'static str,
     },
-    /// A distribution period was invalid (`step <= 0` or `max <= min` or a
-    /// non-finite bound).
+    /// A distribution period was invalid (`step <= 0`, `max <= min`, a
+    /// non-finite bound, or a bin count outside 1 to 2^20).
     InvalidPeriod {
         /// Lower bound given.
         min: f64,
@@ -60,7 +60,12 @@ impl fmt::Display for EvalError {
                 write!(f, "formula kind mismatch: expected a {expected} formula")
             }
             EvalError::InvalidPeriod { min, max, step } => {
-                write!(f, "invalid analysis period ({min}, {max}, {step})")
+                write!(
+                    f,
+                    "invalid analysis period ({min}, {max}, {step}): need finite bounds, \
+                     step > 0, max > min and 1 to {} bins",
+                    crate::analyzer::MAX_BINS
+                )
             }
             EvalError::NoEvents => write!(f, "formula references no trace events"),
         }

@@ -84,7 +84,7 @@ fn generated_checker_agrees_with_in_process_checker() {
         return;
     }
     let formula = parse("cycle(deq[i]) - cycle(enq[i]) <= 50").unwrap();
-    let source = codegen::generate(&formula);
+    let source = codegen::generate(&formula).unwrap();
 
     // Passing trace: latency 20.
     let good = sample_trace(20);
@@ -113,7 +113,7 @@ fn generated_analyzer_prints_distribution() {
     // Latency 20 on every instance: all mass in the (15, 20] bin of a
     // (0, 50, 5) analysis period.
     let formula = parse("cycle(deq[i]) - cycle(enq[i]) dist== (0, 50, 5)").unwrap();
-    let source = codegen::generate(&formula);
+    let source = codegen::generate(&formula).unwrap();
     let trace = sample_trace(20);
     let (ok, stdout) = compile_and_run("dist", &source, &trace);
     assert!(ok, "analyzer exited non-zero:\n{stdout}");

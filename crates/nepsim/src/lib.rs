@@ -18,7 +18,9 @@
 //!   window boundaries with the paper's 10 µs switch penalty;
 //! * **trace emission** of `pipeline`, `forward` and `fifo` events with the
 //!   `cycle/time/energy/total_pkt/total_bit` annotations of paper Fig. 3/4,
-//!   consumable by the [`loc`] checkers and analyzers.
+//!   consumable by the [`loc`] checkers and analyzers: buffered by
+//!   default, or streamed into an [`AnalyzerBank`] attached with
+//!   [`Simulator::with_analyzers`], which buffers nothing.
 //!
 //! # Example
 //!
@@ -51,6 +53,7 @@ mod workload;
 pub use config::{NpuConfig, NpuConfigBuilder, PowerParams, TraceConfig};
 pub use dvs::PolicySpec;
 pub use engine::{MeMode, MeRole, ModeAcc};
+pub use loc::{AnalyzerBank, BankResults};
 pub use memory::{MemoryController, MemoryParams};
 pub use obs::{Channel, MemRecorder, NullRecorder, Recorder, Recording};
 pub use power::EnergyMeter;

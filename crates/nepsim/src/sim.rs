@@ -30,7 +30,7 @@ use dvs::{
     DvsPolicy, MeObservation, PolicyObservation, QueueObservation, ScalingDecision,
     MONITOR_ADDER_ENERGY_UJ, SWITCH_PENALTY,
 };
-use loc::{Annotations, Trace};
+use loc::{AnalyzerBank, Annotations, BankResults, Trace};
 use obs::{Channel, NullRecorder, Recorder, Recording};
 use traffic::{Packet, PacketSource, RecordedTrace, TrafficModel};
 
@@ -271,6 +271,34 @@ impl Simulator {
         self.recorder.take()
     }
 
+    /// Streams the trace into `bank` while the simulation runs: each
+    /// record goes to [`AnalyzerBank::push`] as it is emitted, in the
+    /// order a buffered trace would hold it, so the results equal
+    /// [`AnalyzerBank::analyze`] over [`Simulator::trace`] of an
+    /// unattached run bit for bit. Nothing is buffered, so `trace()`
+    /// stays empty, and a bank with no tools makes the simulator skip
+    /// building annotations altogether. Like a recorder, the bank never
+    /// feeds back into the simulation: the [`SimReport`] is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has already run.
+    #[must_use]
+    pub fn with_analyzers(mut self, bank: AnalyzerBank) -> Self {
+        assert!(!self.started, "cannot attach analyzers after running");
+        self.trace.attach(bank, self.mes.len());
+        self
+    }
+
+    /// Finishes the bank attached with [`Simulator::with_analyzers`] and
+    /// returns its results, indexed by the handles its `add_*` calls
+    /// returned. Finishing sorts each analyzer's values for exact
+    /// quantiles. Empty when no bank is attached; a second call returns
+    /// empty results too.
+    pub fn take_analysis(&mut self) -> BankResults {
+        self.trace.take_analysis()
+    }
+
     /// Replaces the configured policy with an arbitrary [`DvsPolicy`]
     /// implementation — the escape hatch for policies that live outside
     /// the `dvs` registry (see the trait docs for a walkthrough). The
@@ -390,7 +418,9 @@ impl Simulator {
         }
     }
 
-    /// The trace collected so far (borrow).
+    /// The trace collected so far (borrow). Empty while a
+    /// [`Simulator::with_analyzers`] bank is attached: its records
+    /// stream into the bank instead.
     #[must_use]
     pub fn trace(&self) -> &Trace {
         self.trace.trace()
@@ -410,7 +440,8 @@ impl Simulator {
         self.sram.mean_access_time()
     }
 
-    /// Consumes the simulator and returns the collected trace.
+    /// Consumes the simulator and returns the collected trace, which is
+    /// empty when a [`Simulator::with_analyzers`] bank was attached.
     #[must_use]
     pub fn into_trace(self) -> Trace {
         self.trace.into_trace()
@@ -458,7 +489,7 @@ impl Simulator {
             self.rx_fifo.push_back(p);
             // Annotations sum every ME's energy: build them only when
             // the trace keeps the event.
-            if self.config.trace.emit_fifo {
+            if self.trace.keeps_fifo() {
                 let annots = self.fifo_annotations(now);
                 self.trace.fifo(annots);
             }
@@ -745,7 +776,7 @@ impl Simulator {
                 let dt = freq.cycles_to_time(u64::from(n));
                 self.set_mode(m, now, MeMode::Busy);
                 self.queue.schedule(now + dt, self.me_step(m));
-                if self.config.trace.emit_pipeline {
+                if self.trace.keeps_pipeline() {
                     let annots = self.fifo_annotations(now);
                     self.trace.pipeline(m, annots);
                 }
@@ -801,8 +832,10 @@ impl Simulator {
                     self.window_wait_us += now.saturating_sub(pkt.arrival).as_us();
                     self.window_wait_n += 1;
                 }
-                let annots = self.forward_annotations(now);
-                self.trace.forward(annots);
+                if self.trace.keeps_forward() {
+                    let annots = self.forward_annotations(now);
+                    self.trace.forward(annots);
+                }
             }
         }
     }

@@ -23,7 +23,7 @@
 use ccache::codec::{parse_snapshots, snapshots_payload};
 use ccache::Cache;
 use dvs::PolicySpec;
-use nepsim::{MemRecorder, Recording, SimReport, Simulator};
+use nepsim::{AnalyzerBank, MemRecorder, Recording, SimReport, Simulator};
 use xrun::{derive_seed, Job, JobError, JobSpec, Runner};
 
 use crate::metrics::{SegmentDist, SegmentMetrics};
@@ -135,6 +135,9 @@ fn replicate_snapshots(
     spec: &JobSpec,
     bounds: &[u64],
 ) -> (Vec<SimReport>, Recording) {
+    // Segment metrics read no LOC trace, so an empty bank keeps the
+    // simulator from building or buffering one.
+    let simulator = || Simulator::new(spec.npu_config()).with_analyzers(AnalyzerBank::new());
     if let Some(cache) = cache {
         let key = cell_key(spec, bounds);
         // One profiler span per probe, renamed to its hit/miss outcome,
@@ -160,12 +163,12 @@ fn replicate_snapshots(
         if let Some(snapshots) = cached {
             return (snapshots, Recording::default());
         }
-        let mut sim = Simulator::new(spec.npu_config());
+        let mut sim = simulator();
         let snapshots = sim.run_cycle_segments(bounds);
         cache.publish(&key, &snapshots_payload(&snapshots));
         return (snapshots, sim.take_recording());
     }
-    let mut sim = Simulator::new(spec.npu_config());
+    let mut sim = simulator();
     if record {
         sim = sim.with_recorder(Box::new(MemRecorder::new()));
     }

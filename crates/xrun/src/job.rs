@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use nepsim::{Benchmark, NpuConfig, PolicySpec, SimReport, Simulator};
+use nepsim::{AnalyzerBank, Benchmark, NpuConfig, PolicySpec, SimReport, Simulator};
 use serde::{Deserialize, Serialize};
 use traffic::TrafficSpec;
 
@@ -56,10 +56,13 @@ impl JobSpec {
 
     /// Runs the bare simulation this spec describes and returns its
     /// end-of-run report — the `nepsim` entry point for callers that
-    /// need no trace analysis (e.g. the perf-baseline harness).
+    /// need no trace analysis. An empty [`AnalyzerBank`] keeps the
+    /// simulator from building or buffering a trace.
     #[must_use]
     pub fn simulate(&self) -> SimReport {
-        Simulator::new(self.npu_config()).run_cycles(self.cycles)
+        Simulator::new(self.npu_config())
+            .with_analyzers(AnalyzerBank::new())
+            .run_cycles(self.cycles)
     }
 
     /// This spec with its seed replaced — combine with [`derive_seed`]

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Generate a standalone checker program (the paper's "automatically
     //    generated trace checkers").
-    let source = codegen::generate(&assertion);
+    let source = codegen::generate(&assertion)?;
     println!(
         "\ngenerated standalone checker: {} lines of Rust (excerpt):",
         source.lines().count()

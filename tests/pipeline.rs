@@ -3,7 +3,7 @@
 
 use abdex::dvs::{EdvsConfig, TdvsConfig};
 use abdex::formulas::{power_distribution, throughput_distribution, PACKET_WINDOW};
-use abdex::loc::{parse, Analyzer, Checker, Trace};
+use abdex::loc::{parse, Analyzer, AnalyzerBank, Checker, DistRel, DistributionReport, Trace};
 use abdex::nepsim::{Benchmark, NpuConfig, Simulator, TraceConfig};
 use abdex::traffic::TrafficLevel;
 use abdex::{Experiment, PolicySpec};
@@ -151,4 +151,91 @@ fn seeds_change_results_but_not_determinism() {
     let b = run(11);
     assert_eq!(a1, a2, "same seed must reproduce");
     assert_ne!(a1, b, "different seeds should differ");
+}
+
+/// A distribution's state with every `f64` as its bit pattern, so
+/// `-0.0`/`+0.0` and NaN payloads compare exactly.
+fn dist_bits(d: &DistributionReport) -> (DistRel, Vec<u64>, Vec<u64>, u64, u64) {
+    let p = d.to_parts();
+    let floats = [p.min, p.max, p.step].into_iter().chain(p.sorted_values);
+    (
+        p.rel,
+        floats.map(f64::to_bits).collect(),
+        p.counts,
+        p.nan_count,
+        p.total,
+    )
+}
+
+#[test]
+fn streamed_analysis_equals_buffered_bit_for_bit() {
+    // A bank attached with `with_analyzers` sees the record sequence a
+    // buffered trace holds, so its results equal a replay of the twin
+    // run's trace; attaching it is pure observation, and it leaves the
+    // buffer empty.
+    let bank = || {
+        let mut bank = AnalyzerBank::new();
+        bank.add_analyzer(&power_distribution(PACKET_WINDOW))
+            .unwrap();
+        bank.add_analyzer(&throughput_distribution(PACKET_WINDOW))
+            .unwrap();
+        // Violated often, so violation indices are compared too.
+        bank.add_checker(&parse("time(forward[i+1]) - time(forward[i]) <= 1").unwrap())
+            .unwrap();
+        // Reads the optional events, which only the last run emits.
+        bank.add_checker(&parse("cycle(m1_pipeline[i]) - cycle(fifo[i]) <= 20000").unwrap())
+            .unwrap();
+        bank
+    };
+    let config = |benchmark: Benchmark, policy: &str| {
+        NpuConfig::builder()
+            .benchmark(benchmark)
+            .traffic(TrafficLevel::High)
+            .policy(policy.parse().unwrap())
+            .seed(3)
+            .build()
+    };
+    let mut configs: Vec<NpuConfig> = Benchmark::ALL
+        .into_iter()
+        .flat_map(|b| ["nodvs", "tdvs", "edvs"].map(|policy| config(b, policy)))
+        .collect();
+    let mut loud = config(Benchmark::Ipfwdr, "tdvs");
+    loud.trace = TraceConfig {
+        emit_fifo: true,
+        emit_pipeline: true,
+    };
+    configs.push(loud);
+
+    for config in configs {
+        let label = format!("{:?} {}", config.benchmark, config.policy.spec_string());
+        let optional_events = config.trace.emit_fifo && config.trace.emit_pipeline;
+        let mut buffered = Simulator::new(config.clone());
+        let buffered_report = buffered.run_cycles(QUICK_CYCLES);
+        let expected = bank().analyze(buffered.trace());
+
+        let mut streamed = Simulator::new(config).with_analyzers(bank());
+        let streamed_report = streamed.run_cycles(QUICK_CYCLES);
+        assert!(
+            streamed.trace().is_empty(),
+            "{label}: a streamed run buffered"
+        );
+        let got = streamed.take_analysis();
+
+        assert_eq!(
+            streamed_report, buffered_report,
+            "{label}: the bank perturbed the run"
+        );
+        assert_eq!(got.distributions.len(), 2);
+        for (g, e) in got.distributions.iter().zip(&expected.distributions) {
+            assert!(e.total_instances() > 0, "{label}: nothing analyzed");
+            assert_eq!(dist_bits(g), dist_bits(e), "{label}");
+        }
+        assert_eq!(got.check_reports, expected.check_reports, "{label}");
+        assert!(got.check_reports[0].violation_count > 0, "{label}");
+        assert_eq!(
+            got.check_reports[1].instances > 0,
+            optional_events,
+            "{label}"
+        );
+    }
 }
