@@ -5,7 +5,7 @@
 //! and bins them through LOC distribution analyzers.
 
 use abdex::loc::{parse, Analyzer, Annotations, TraceRecord};
-use abdex::nepsim::{Benchmark, MeRole, NpuConfig, Simulator};
+use abdex::nepsim::{AnalyzerBank, Benchmark, MeRole, NpuConfig, Simulator};
 use abdex::traffic::TrafficLevel;
 use abdex_bench::{bar, cycles_from_args, FIG_SEED};
 
@@ -17,8 +17,11 @@ fn main() {
         .traffic(TrafficLevel::High)
         .seed(FIG_SEED)
         .build();
-    let mut sim = Simulator::new(config);
-    let report = sim.run_cycles(cycles);
+    // The idle samples come from the report; an empty bank keeps the
+    // simulator from buffering a trace nobody reads.
+    let report = Simulator::new(config)
+        .with_analyzers(AnalyzerBank::new())
+        .run_cycles(cycles);
 
     let formula = parse("idle(window[i]) dist== (0.0, 0.5, 0.05)").expect("valid formula");
     let mut rx = Analyzer::from_formula(&formula).expect("valid analyzer");

@@ -243,7 +243,7 @@ fn chip_key(config: &FleetConfig, seed: u64, share: f64, caps: Option<&(u64, Vec
 /// chip run carries a [`MemRecorder`], so the per-epoch timeline comes
 /// back alongside the report (recording is pure observation: the
 /// report is bit-identical to an unrecorded run). No fleet output reads
-/// the LOC trace, so an empty [`AnalyzerBank`] keeps it unbuilt.
+/// the LOC trace, so an empty [`AnalyzerBank`] keeps it unbuffered.
 fn run_chip(
     config: &FleetConfig,
     seed: u64,

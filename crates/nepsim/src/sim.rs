@@ -276,9 +276,9 @@ impl Simulator {
     /// order a buffered trace would hold it, so the results equal
     /// [`AnalyzerBank::analyze`] over [`Simulator::trace`] of an
     /// unattached run bit for bit. Nothing is buffered, so `trace()`
-    /// stays empty, and a bank with no tools makes the simulator skip
-    /// building annotations altogether. Like a recorder, the bank never
-    /// feeds back into the simulation: the [`SimReport`] is unchanged.
+    /// stays empty; attach an empty bank to keep no trace at all. Like a
+    /// recorder, the bank never feeds back into the simulation: the
+    /// [`SimReport`] is unchanged.
     ///
     /// # Panics
     ///
@@ -489,7 +489,7 @@ impl Simulator {
             self.rx_fifo.push_back(p);
             // Annotations sum every ME's energy: build them only when
             // the trace keeps the event.
-            if self.trace.keeps_fifo() {
+            if self.config.trace.emit_fifo {
                 let annots = self.fifo_annotations(now);
                 self.trace.fifo(annots);
             }
@@ -776,7 +776,7 @@ impl Simulator {
                 let dt = freq.cycles_to_time(u64::from(n));
                 self.set_mode(m, now, MeMode::Busy);
                 self.queue.schedule(now + dt, self.me_step(m));
-                if self.trace.keeps_pipeline() {
+                if self.config.trace.emit_pipeline {
                     let annots = self.fifo_annotations(now);
                     self.trace.pipeline(m, annots);
                 }
@@ -832,10 +832,8 @@ impl Simulator {
                     self.window_wait_us += now.saturating_sub(pkt.arrival).as_us();
                     self.window_wait_n += 1;
                 }
-                if self.trace.keeps_forward() {
-                    let annots = self.forward_annotations(now);
-                    self.trace.forward(annots);
-                }
+                let annots = self.forward_annotations(now);
+                self.trace.forward(annots);
             }
         }
     }
@@ -1118,17 +1116,19 @@ mod tests {
 
     #[test]
     fn fifo_and_pipeline_events_obey_config() {
-        let config = NpuConfig::builder()
-            .seed(1)
-            .trace(TraceConfig {
-                emit_fifo: true,
-                emit_pipeline: false,
-            })
-            .build();
-        let mut sim = Simulator::new(config);
-        let _ = sim.run_cycles(200_000);
-        assert!(sim.trace().count_of("fifo") > 0);
-        assert_eq!(sim.trace().count_of("m0_pipeline"), 0);
+        for (emit_fifo, emit_pipeline) in [(true, false), (false, true)] {
+            let config = NpuConfig::builder()
+                .seed(1)
+                .trace(TraceConfig {
+                    emit_fifo,
+                    emit_pipeline,
+                })
+                .build();
+            let mut sim = Simulator::new(config);
+            let _ = sim.run_cycles(200_000);
+            assert_eq!(sim.trace().count_of("fifo") > 0, emit_fifo);
+            assert_eq!(sim.trace().count_of("m0_pipeline") > 0, emit_pipeline);
+        }
     }
 
     #[test]

@@ -59,25 +59,7 @@ impl TraceCollector {
             .finish()
     }
 
-    /// `true` when an emitted record reaches someone: the buffer, or an
-    /// attached bank with at least one tool. The simulator builds no
-    /// annotations otherwise.
-    pub(crate) fn keeps_forward(&self) -> bool {
-        self.stream.as_ref().is_none_or(|s| !s.bank.is_empty())
-    }
-
-    /// [`TraceCollector::keeps_forward`] for the optional `fifo` event.
-    pub(crate) fn keeps_fifo(&self) -> bool {
-        self.config.emit_fifo && self.keeps_forward()
-    }
-
-    /// [`TraceCollector::keeps_forward`] for the optional `mN_pipeline`
-    /// events.
-    pub(crate) fn keeps_pipeline(&self) -> bool {
-        self.config.emit_pipeline && self.keeps_forward()
-    }
-
-    /// Emits a `forward` event (an IP packet was forwarded).
+    /// Emits a `forward` event (an IP packet was forwarded). Always on.
     pub(crate) fn forward(&mut self, annots: Annotations) {
         match &mut self.stream {
             Some(s) => push(&mut s.bank, &mut s.forward, annots),
@@ -87,6 +69,9 @@ impl TraceCollector {
 
     /// Emits a `fifo` event (a packet entered the processing queue).
     pub(crate) fn fifo(&mut self, annots: Annotations) {
+        if !self.config.emit_fifo {
+            return;
+        }
         match &mut self.stream {
             Some(s) => push(&mut s.bank, &mut s.fifo, annots),
             None => self.trace.push(TraceRecord::new("fifo", annots)),
@@ -96,6 +81,9 @@ impl TraceCollector {
     /// Emits an `mN_pipeline` event (an execution bundle entered ME `n`'s
     /// pipeline).
     pub(crate) fn pipeline(&mut self, me: usize, annots: Annotations) {
+        if !self.config.emit_pipeline {
+            return;
+        }
         match &mut self.stream {
             Some(s) => push(&mut s.bank, &mut s.pipeline[me], annots),
             None => self
@@ -123,33 +111,27 @@ fn push(bank: &mut AnalyzerBank, record: &mut TraceRecord, annots: Annotations) 
 mod tests {
     use super::*;
 
-    fn loud() -> TraceConfig {
-        TraceConfig {
-            emit_fifo: true,
-            emit_pipeline: true,
-        }
-    }
-
     #[test]
     fn forward_always_emitted() {
         let mut c = TraceCollector::new(TraceConfig::default());
-        assert!(c.keeps_forward());
         c.forward(Annotations::default());
         assert_eq!(c.trace().count_of("forward"), 1);
     }
 
     #[test]
     fn optional_events_respect_config() {
-        let quiet = TraceCollector::new(TraceConfig {
+        let mut quiet = TraceCollector::new(TraceConfig {
             emit_fifo: false,
             emit_pipeline: false,
         });
-        assert!(!quiet.keeps_fifo());
-        assert!(!quiet.keeps_pipeline());
+        quiet.fifo(Annotations::default());
+        quiet.pipeline(2, Annotations::default());
+        assert_eq!(quiet.trace().len(), 0);
 
-        let mut loud = TraceCollector::new(loud());
-        assert!(loud.keeps_fifo());
-        assert!(loud.keeps_pipeline());
+        let mut loud = TraceCollector::new(TraceConfig {
+            emit_fifo: true,
+            emit_pipeline: true,
+        });
         loud.fifo(Annotations::default());
         loud.pipeline(2, Annotations::default());
         assert_eq!(loud.trace().count_of("fifo"), 1);
@@ -176,9 +158,11 @@ mod tests {
         let fwd = bank
             .add_checker(&loc::parse("cycle(forward[i]) < 2").unwrap())
             .unwrap();
-        let mut c = TraceCollector::new(loud());
+        let mut c = TraceCollector::new(TraceConfig {
+            emit_fifo: true,
+            emit_pipeline: true,
+        });
         c.attach(bank, 4);
-        assert!(c.keeps_forward() && c.keeps_fifo() && c.keeps_pipeline());
         for cycle in 0..3 {
             let annots = Annotations {
                 cycle,
@@ -195,14 +179,6 @@ mod tests {
         assert_eq!(results.check_reports[pipe].instances, 3);
         assert_eq!(results.check_reports[fwd].violation_count, 1);
         // The bank is spent: later records go nowhere.
-        assert!(!c.keeps_forward());
         assert!(c.take_analysis().check_reports.is_empty());
-    }
-
-    #[test]
-    fn an_empty_bank_keeps_nothing() {
-        let mut c = TraceCollector::new(loud());
-        c.attach(AnalyzerBank::new(), 4);
-        assert!(!c.keeps_forward() && !c.keeps_fifo() && !c.keeps_pipeline());
     }
 }

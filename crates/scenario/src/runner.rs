@@ -136,7 +136,7 @@ fn replicate_snapshots(
     bounds: &[u64],
 ) -> (Vec<SimReport>, Recording) {
     // Segment metrics read no LOC trace, so an empty bank keeps the
-    // simulator from building or buffering one.
+    // simulator from buffering one.
     let simulator = || Simulator::new(spec.npu_config()).with_analyzers(AnalyzerBank::new());
     if let Some(cache) = cache {
         let key = cell_key(spec, bounds);

@@ -57,7 +57,7 @@ impl JobSpec {
     /// Runs the bare simulation this spec describes and returns its
     /// end-of-run report — the `nepsim` entry point for callers that
     /// need no trace analysis. An empty [`AnalyzerBank`] keeps the
-    /// simulator from building or buffering a trace.
+    /// simulator from buffering a trace.
     #[must_use]
     pub fn simulate(&self) -> SimReport {
         Simulator::new(self.npu_config())
