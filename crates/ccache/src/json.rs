@@ -45,14 +45,19 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.
+/// No payload or record nests more than a few levels; the cap keeps a
+/// hostile document from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 impl Value {
-    /// Parses a complete JSON document; `None` on any syntax error or
-    /// trailing garbage.
+    /// Parses a complete JSON document; `None` on any syntax error,
+    /// trailing garbage, or nesting deeper than 128 arrays and objects.
     #[must_use]
     pub fn parse(text: &str) -> Option<Value> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         (pos == bytes.len()).then_some(v)
     }
@@ -534,11 +539,13 @@ fn string_body<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     Some(&bytes[start..end])
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     skip_ws(bytes, pos);
     match bytes.get(*pos)? {
-        b'{' => parse_obj(bytes, pos),
-        b'[' => parse_arr(bytes, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_obj(bytes, pos, depth + 1),
+        b'[' => parse_arr(bytes, pos, depth + 1),
         b'"' => parse_string(bytes, pos).map(Value::Str),
         b't' => parse_literal(bytes, pos, "true", Value::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -600,7 +607,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -609,7 +616,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
         return Some(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
             b',' => *pos += 1,
@@ -622,7 +629,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Value> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -638,7 +645,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
             return None;
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
@@ -665,6 +672,28 @@ mod tests {
         assert_eq!(v.arr_of("a").unwrap()[2].as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn nesting_is_capped_before_it_can_overflow_the_stack() {
+        // At the cap a document parses; one level past it, or 100,000
+        // levels, it is rejected, on a stack far smaller than a
+        // worker's 2 MiB.
+        let small_stack = std::thread::Builder::new().stack_size(256 * 1024);
+        small_stack
+            .spawn(|| {
+                let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+                let objects =
+                    |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+                assert!(Value::parse(&arrays(MAX_DEPTH)).is_some());
+                assert!(Value::parse(&objects(MAX_DEPTH)).is_some());
+                assert!(Value::parse(&arrays(MAX_DEPTH + 1)).is_none());
+                assert!(Value::parse(&objects(MAX_DEPTH + 1)).is_none());
+                assert!(Value::parse(&"[".repeat(100_000)).is_none());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

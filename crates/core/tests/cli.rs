@@ -1844,14 +1844,28 @@ fn profile_never_touches_stdout_on_run_sweep_or_fleet() {
     );
     assert!(doc.contains("\"dur\":"), "{doc}");
 
+    // A capping fleet gathers its telemetry in pool jobs: one
+    // `telemetry` span per chip and replicate, beside each `simulate`.
     let fleet_trace = dir.join("fleet.prof.json");
     compare(
         "fleet",
-        &["fleet", "run", "--chips", "2", "--cycles", "120000"],
+        &[
+            "fleet",
+            "run",
+            "--chips",
+            "2",
+            "--fleet-policy",
+            "cap-realloc:budget=2,period=40000",
+            "--seeds",
+            "2",
+            "--cycles",
+            "120000",
+        ],
         &["--profile", fleet_trace.to_str().unwrap()],
     );
     let doc = std::fs::read_to_string(&fleet_trace).expect("trace written");
-    assert!(doc.contains("\"name\":\"simulate\""), "{doc}");
+    assert_eq!(doc.matches("\"name\":\"simulate\"").count(), 4, "{doc}");
+    assert_eq!(doc.matches("\"name\":\"telemetry\"").count(), 4, "{doc}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -2052,9 +2066,28 @@ fn obs_summarize_json_is_byte_identical_across_jobs() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // So is a sample line of 100,000 nested brackets: the JSON parser's
+    // nesting cap rejects it before it can overflow the stack.
+    let header = std::fs::read_to_string(&record_path)
+        .unwrap()
+        .lines()
+        .next()
+        .unwrap()
+        .to_owned();
+    let deep = dir.join("deep.jsonl");
+    std::fs::write(&deep, format!("{header}\n{}\n", "[".repeat(100_000))).unwrap();
+    let out = abdex()
+        .args(["obs", "summarize", deep.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let excerpt: String = err.chars().take(300).collect();
+    assert_eq!(out.status.code(), Some(1), "{excerpt}");
+    assert!(err.contains("malformed sample line: [[["), "{excerpt}");
+    assert!(!err.contains("overflowed"), "{excerpt}");
     // A missing or malformed recording leaves nothing at the --json path.
     let json = dir.join("summary.json");
-    for input in [dir.join("missing.jsonl"), bogus] {
+    for input in [dir.join("missing.jsonl"), bogus, deep] {
         let out = abdex()
             .args(["obs", "summarize", input.to_str().unwrap()])
             .args(["--json", json.to_str().unwrap()])

@@ -63,7 +63,7 @@ mod runner;
 
 pub use job::{derive_seed, Job, JobError, JobResult, JobSpec};
 pub use progress::{Dots, Lines, ProgressMode, ProgressSink, Quiet};
-pub use runner::Runner;
+pub use runner::{panic_message, Runner};
 
 // Re-export the domain types a `JobSpec` is made of, so downstream
 // callers need only `xrun` to describe a batch.

@@ -120,6 +120,14 @@ impl Runner {
     /// `outcome: Err(JobError)` in its slot and the rest of the batch
     /// completes. With equal jobs, the returned batch is identical for
     /// any worker count.
+    ///
+    /// Jobs *start* in submission order on any worker count: an idle
+    /// worker always takes the oldest job that has not started. A job
+    /// may therefore block on a job submitted before it, which is
+    /// already running or done, but never on one submitted after it,
+    /// which may not start until the blocked job returns (on one
+    /// worker, never). The fleet runner's telemetry pipeline relies on
+    /// this.
     pub fn run<T: Send>(&self, jobs: Vec<Job<'_, T>>) -> Vec<JobResult<T>> {
         let total = jobs.len();
         let batch_start = Instant::now();
@@ -238,7 +246,12 @@ fn execute<T>(
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload, as a [`JobError`] carries
+/// it: the payload itself when it is a string (as `panic!` and
+/// `assert!` payloads are), a placeholder otherwise. For a job that
+/// catches a panic itself and reports it elsewhere.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -250,6 +263,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -264,6 +279,41 @@ mod tests {
     fn debug_shows_workers() {
         let text = format!("{:?}", Runner::new().with_workers(3));
         assert!(text.contains("workers: 3"), "{text}");
+    }
+
+    #[test]
+    fn jobs_start_in_submission_order() {
+        // Each job waits for its predecessor to start. A runner that
+        // started a job before an earlier one would leave it waiting
+        // out the timeout, and the batch would report the failure.
+        const JOBS: usize = 12;
+        for workers in [1, 2, 4] {
+            let started = Mutex::new([false; JOBS]);
+            let changed = std::sync::Condvar::new();
+            let jobs: Vec<Job<'_, ()>> = (0..JOBS)
+                .map(|k| {
+                    let (started, changed) = (&started, &changed);
+                    Job::new(format!("job {k}"), move || {
+                        let mut flags = started.lock().unwrap();
+                        if k > 0 {
+                            let (guard, wait) = changed
+                                .wait_timeout_while(flags, Duration::from_secs(5), |f| !f[k - 1])
+                                .unwrap();
+                            assert!(!wait.timed_out(), "job {} never started", k - 1);
+                            flags = guard;
+                        }
+                        flags[k] = true;
+                        changed.notify_all();
+                    })
+                })
+                .collect();
+            let results = Runner::new().with_workers(workers).run(jobs);
+            let failed: Vec<_> = results
+                .iter()
+                .filter_map(|r| r.outcome.as_ref().err())
+                .collect();
+            assert!(failed.is_empty(), "{workers} workers: {failed:?}");
+        }
     }
 
     #[test]
