@@ -304,6 +304,95 @@ const CASES: &[Case] = &[
         args: &["obs", "summarize", "run.jsonl", "--json", "out.json"],
         outputs: &["out.json"],
     },
+    // The registry listings, and one spec error per lookup rule: an
+    // unknown name lists the registry, an unknown key lists the
+    // entry's accepted keys, and a nested entry's error keeps its own.
+    Case {
+        name: "list_policies",
+        args: &["policies"],
+        outputs: &[],
+    },
+    Case {
+        name: "list_traffics",
+        args: &["traffics"],
+        outputs: &[],
+    },
+    Case {
+        name: "list_fleet_dispatchers",
+        args: &["fleet", "dispatchers"],
+        outputs: &[],
+    },
+    Case {
+        name: "list_fleet_policies",
+        args: &["fleet", "policies"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_policy_name",
+        args: &["run", "--policy", "bogus", "--cycles", "1000"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_policy_key",
+        args: &["run", "--policy", "tdvs:typo=1", "--cycles", "1000"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_traffic_key",
+        args: &["run", "--traffic", "stochastic:bogus=2", "--cycles", "1000"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_traffic_nested_dist_key",
+        args: &[
+            "run",
+            "--traffic",
+            "stochastic:gap=pareto:alpha=1.3,bogus=2",
+            "--cycles",
+            "1000",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "err_schedule_child_key",
+        args: &[
+            "run",
+            "--traffic",
+            "schedule:segments=[burst:typo=1@0..]",
+            "--cycles",
+            "1000",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "err_dispatch_key",
+        args: &[
+            "fleet",
+            "run",
+            "--dispatch",
+            "hash:typo=1",
+            "--cycles",
+            "1000",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "err_fleet_policy_name",
+        args: &["fleet", "run", "--fleet-policy", "nope", "--cycles", "1000"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_dist_name",
+        args: &[
+            "trace",
+            "generate",
+            "--traffic",
+            "stochastic:gap=nodist",
+            "--cycles",
+            "1000",
+        ],
+        outputs: &[],
+    },
 ];
 
 fn golden_dir() -> PathBuf {
