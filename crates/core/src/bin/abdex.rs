@@ -93,7 +93,7 @@ use std::process::ExitCode;
 
 use abdex::ccache::write_atomic;
 use abdex::compare::ComparisonConfig;
-use abdex::fleet::{run_fleet, DispatchRegistry, FleetConfig, FleetPolicyRegistry};
+use abdex::fleet::{run_fleet, FleetConfig, Params, Registry, DISPATCHERS, FLEET_POLICIES};
 use abdex::json::{
     experiment_json, fleet_json, grid_json, replicated_run_json, scenario_json, trace_analysis_json,
 };
@@ -112,8 +112,8 @@ use abdex::traceio::{analyze_trace, generate_trace};
 use abdex::traffic::RecordedTrace;
 use abdex::{
     optimal_tdvs, run_grid, run_replicated_experiments, Axis, ConfidenceLevel, DesignPriority,
-    Experiment, Grid, JobError, PolicyRegistry, PolicySpec, ProgressMode, Runner, TdvsGrid,
-    TrafficRegistry, TrafficSpec, PAPER_RUN_CYCLES,
+    Experiment, Grid, JobError, PolicySpec, ProgressMode, Runner, TdvsGrid, TrafficSpec,
+    PAPER_RUN_CYCLES, POLICIES, TRAFFIC_MODELS,
 };
 use loc::{parse, Analyzer, Checker, Trace};
 
@@ -405,8 +405,16 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             ],
         )
         .and_then(|()| cmd_compare(&opts)),
-        "policies" => check_opts(&opts, &[]).and_then(|()| cmd_policies()),
-        "traffics" => check_opts(&opts, &[]).and_then(|()| cmd_traffics()),
+        "policies" => check_opts(&opts, &[]).and_then(|()| {
+            cmd_list(
+                "DVS policies",
+                &POLICIES,
+                Some(|spec: &PolicySpec| spec.kind().to_string()),
+            )
+        }),
+        "traffics" => {
+            check_opts(&opts, &[]).and_then(|()| cmd_list("traffic models", &TRAFFIC_MODELS, None))
+        }
         "check" => check_opts(&opts, &["formula", "trace"]).and_then(|()| cmd_check(&opts)),
         "analyze" => check_opts(&opts, &["formula", "trace"]).and_then(|()| cmd_analyze(&opts)),
         "codegen" => check_opts(&opts, &["formula"]).and_then(|()| cmd_codegen(&opts)),
@@ -1115,13 +1123,11 @@ fn cmd_fleet(rest: &[String]) -> Result<(), String> {
         }
         "dispatchers" => {
             check_opts(&parse_opts(rest)?, &[])?;
-            cmd_fleet_dispatchers();
-            Ok(())
+            cmd_list("dispatchers", &DISPATCHERS, None)
         }
         "policies" => {
             check_opts(&parse_opts(rest)?, &[])?;
-            cmd_fleet_policies();
-            Ok(())
+            cmd_list("fleet policies", &FLEET_POLICIES, None)
         }
         other => Err(format!(
             "unknown fleet subcommand '{other}' (expected `run`, `dispatchers` or `policies`)"
@@ -1253,75 +1259,31 @@ fn cmd_obs_summarize(path: &str, opts: &Opts) -> Result<(), String> {
     write_json(opts, || abdex::summarize::render_summary_json(&summary))
 }
 
-fn cmd_fleet_dispatchers() {
-    let registry = DispatchRegistry::builtin();
-    println!("registered dispatchers (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
+/// Lists a spec registry: each entry's name, summary and aliases, then
+/// its accepted keys. With `kind`, a column after the name shows `kind`
+/// of the entry's default spec (`abdex policies` shows each policy's
+/// family there).
+fn cmd_list<S>(
+    title: &str,
+    registry: &Registry<S>,
+    kind: Option<fn(&S) -> String>,
+) -> Result<(), String> {
+    println!("registered {title} (spec grammar: name[:key=val,...]):\n");
+    for entry in registry.entries() {
+        let kind = match kind {
+            Some(kind) => {
+                let spec = (entry.build)(Params::default()).map_err(|e| e.to_string())?;
+                format!("{:<6} ", kind(&spec))
+            }
+            None => String::new(),
+        };
+        let aliases = if entry.aliases.is_empty() {
             String::new()
         } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
+            format!(" (aliases: {})", entry.aliases.join(", "))
         };
-        println!("{:<14} {}{}", info.name, info.summary, aliases);
-        for p in info.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
-        }
-        println!();
-    }
-}
-
-fn cmd_fleet_policies() {
-    let registry = FleetPolicyRegistry::builtin();
-    println!("registered fleet policies (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
-        };
-        println!("{:<14} {}{}", info.name, info.summary, aliases);
-        for p in info.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
-        }
-        println!();
-    }
-}
-
-fn cmd_policies() -> Result<(), String> {
-    let registry = PolicyRegistry::builtin();
-    println!("registered DVS policies (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
-        };
-        println!(
-            "{:<14} {:<6} {}{}",
-            info.name,
-            info.kind.to_string(),
-            info.summary,
-            aliases
-        );
-        for p in info.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
-        }
-        println!();
-    }
-    Ok(())
-}
-
-fn cmd_traffics() -> Result<(), String> {
-    let registry = TrafficRegistry::builtin();
-    println!("registered traffic models (spec grammar: name[:key=val,...]):\n");
-    for info in registry.infos() {
-        let aliases = if info.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", info.aliases.join(", "))
-        };
-        println!("{:<14} {}{}", info.name, info.summary, aliases);
-        for p in info.params {
+        println!("{:<14} {kind}{}{aliases}", entry.name, entry.summary);
+        for p in entry.params {
             println!("    {:<12} [{}] {}", p.key, p.default, p.help);
         }
         println!();

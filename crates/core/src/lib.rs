@@ -68,11 +68,11 @@ pub mod traceio;
 
 pub use cachefmt::run_cached;
 pub use ccache::{Cache, CacheCounters, CacheStats, CACHE_EPOCH};
-pub use dvs::{DvsPolicy, PolicyKind, PolicyRegistry, PolicySpec};
+pub use dvs::{DvsPolicy, PolicyKind, PolicySpec, POLICIES};
 pub use experiment::{run_experiments, Experiment, ExperimentResult, PAPER_RUN_CYCLES};
 pub use fleet::{
-    run_fleet, DispatchRegistry, DispatchSpec, Dispatcher, FleetConfig, FleetOutcome, FleetPolicy,
-    FleetPolicyRegistry, FleetPolicySpec, FleetReport,
+    run_fleet, DispatchSpec, Dispatcher, FleetConfig, FleetOutcome, FleetPolicy, FleetPolicySpec,
+    FleetReport, DISPATCHERS, FLEET_POLICIES,
 };
 pub use json::SCHEMA_VERSION;
 pub use optimal::{optimal_tdvs, DesignPriority};
@@ -95,7 +95,7 @@ pub use sweep::{run_grid, Axis, Cells, Grid, GridRun, TdvsGrid};
 pub use traceio::{
     analyze_trace, generate_trace, parse_provenance, StreamStats, TraceAnalysis, TraceProvenance,
 };
-pub use traffic::{TrafficModel, TrafficRegistry, TrafficSpec};
+pub use traffic::{TrafficModel, TrafficSpec, TRAFFIC_MODELS};
 pub use xrun::{Job, JobError, JobResult, JobSpec, ProgressMode, Runner};
 
 // Re-export the substrate crates so downstream users need only `abdex`.

@@ -5,8 +5,9 @@
 //! Weibull, Exponential, Poisson, Uniform or Constant) plus optional
 //! `min`/`max` clamps. Specs parse from and render to the spec grammar
 //! every other component family uses
-//! (`pareto:alpha=1.3,scale=200,max=1500`), resolved through the
-//! [`DistRegistry`] with the usual UnknownName/UnknownParam listings.
+//! (`pareto:alpha=1.3,scale=200,max=1500`), resolved through the entry
+//! table [`DISTRIBUTIONS`] (a `kvspec` `Registry`) with the usual
+//! UnknownName/UnknownParam listings.
 //!
 //! Two contracts matter downstream:
 //!
@@ -39,7 +40,7 @@ pub mod fit;
 pub mod math;
 mod registry;
 
-pub use registry::{DistInfo, DistRegistry};
+pub use registry::DISTRIBUTIONS;
 
 /// The distribution shapes the family knows, with their parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,16 +164,15 @@ impl DistSpec {
         params
     }
 
-    /// Parses the CLI grammar `name[:key=val[,key=val]...]` against the
-    /// built-in registry.
+    /// Parses the CLI grammar `name[:key=val[,key=val]...]` against
+    /// [`DISTRIBUTIONS`].
     ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] for unknown names/keys, unparsable
     /// values or values outside a distribution's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        DistRegistry::builtin().build_spec(&name, params)
+        DISTRIBUTIONS.parse(input)
     }
 
     /// Renders the spec in the CLI grammar; [`DistSpec::parse`] of the

@@ -1,46 +1,11 @@
-//! The distribution registry: every built-in [`DistKind`], discoverable
-//! by name — the same entry shape as `traffic::TrafficRegistry` and
-//! `dvs::PolicyRegistry`, so `abdex dists` can render it and error
-//! messages list what *would* have worked.
+//! The distribution entry table: every built-in [`DistKind`],
+//! discoverable by name — the same `kvspec` [`Registry`] as
+//! `traffic::TRAFFIC_MODELS` and `dvs::POLICIES`, so error messages
+//! list what *would* have worked.
 
-use std::sync::OnceLock;
-
-use kvspec::{ParamInfo, Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 
 use crate::{DistKind, DistSpec};
-
-/// Metadata for one registered distribution.
-#[derive(Debug, Clone, Copy)]
-pub struct DistInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters (every entry also accepts `min`/`max`).
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(&mut Params) -> Result<DistKind, SpecError>;
-
-struct Entry {
-    info: DistInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of distribution builders.
-pub struct DistRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for DistRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
 
 const MIN_PARAM: ParamInfo = ParamInfo {
     key: "min",
@@ -54,228 +19,167 @@ const MAX_PARAM: ParamInfo = ParamInfo {
     help: "lower samples above this to it (tames heavy tails)",
 };
 
-impl DistRegistry {
-    /// The registry of built-in distributions.
-    pub fn builtin() -> &'static DistRegistry {
-        static REGISTRY: OnceLock<DistRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| DistRegistry {
-            entries: vec![
-                Entry {
-                    info: DistInfo {
-                        name: "lognormal",
-                        aliases: &["log-normal"],
-                        summary: "exp(mu + sigma*Z): elephant-and-mice sizes",
-                        params: &[
-                            ParamInfo {
-                                key: "mu",
-                                default: "6",
-                                help: "mean of the underlying normal (log scale)",
-                            },
-                            ParamInfo {
-                                key: "sigma",
-                                default: "1",
-                                help: "std dev of the underlying normal, > 0",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_lognormal,
+/// The built-in distributions, in listing order. Every entry also
+/// accepts the `min`/`max` clamps.
+pub static DISTRIBUTIONS: Registry<DistSpec> = Registry::new(
+    "distribution",
+    &[
+        Entry {
+            name: "lognormal",
+            aliases: &["log-normal"],
+            summary: "exp(mu + sigma*Z): elephant-and-mice sizes",
+            params: &[
+                ParamInfo {
+                    key: "mu",
+                    default: "6",
+                    help: "mean of the underlying normal (log scale)",
                 },
-                Entry {
-                    info: DistInfo {
-                        name: "pareto",
-                        aliases: &["powerlaw"],
-                        summary: "power-law tail (alpha <= 1 needs max= for a finite mean)",
-                        params: &[
-                            ParamInfo {
-                                key: "alpha",
-                                default: "1.5",
-                                help: "tail index, > 0 (smaller = heavier)",
-                            },
-                            ParamInfo {
-                                key: "scale",
-                                default: "100",
-                                help: "scale (minimum value), > 0",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_pareto,
+                ParamInfo {
+                    key: "sigma",
+                    default: "1",
+                    help: "std dev of the underlying normal, > 0",
                 },
-                Entry {
-                    info: DistInfo {
-                        name: "weibull",
-                        aliases: &[],
-                        summary: "stretched exponential (shape < 1: sub-exponential tail)",
-                        params: &[
-                            ParamInfo {
-                                key: "shape",
-                                default: "1",
-                                help: "shape parameter, > 0",
-                            },
-                            ParamInfo {
-                                key: "scale",
-                                default: "100",
-                                help: "scale parameter, > 0",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_weibull,
-                },
-                Entry {
-                    info: DistInfo {
-                        name: "exponential",
-                        aliases: &["exp"],
-                        summary: "memoryless gaps with the given mean",
-                        params: &[
-                            ParamInfo {
-                                key: "mean",
-                                default: "100",
-                                help: "mean, > 0",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_exponential,
-                },
-                Entry {
-                    info: DistInfo {
-                        name: "poisson",
-                        aliases: &[],
-                        summary: "discrete counts with mean lambda",
-                        params: &[
-                            ParamInfo {
-                                key: "lambda",
-                                default: "100",
-                                help: "mean count, (0, 1e6]",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_poisson,
-                },
-                Entry {
-                    info: DistInfo {
-                        name: "uniform",
-                        aliases: &[],
-                        summary: "uniform on [low, high)",
-                        params: &[
-                            ParamInfo {
-                                key: "low",
-                                default: "0",
-                                help: "inclusive lower bound",
-                            },
-                            ParamInfo {
-                                key: "high",
-                                default: "1",
-                                help: "exclusive upper bound, > low",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_uniform,
-                },
-                Entry {
-                    info: DistInfo {
-                        name: "constant",
-                        aliases: &["fixed"],
-                        summary: "a point mass (consumes no randomness)",
-                        params: &[
-                            ParamInfo {
-                                key: "value",
-                                default: "100",
-                                help: "the value",
-                            },
-                            MIN_PARAM,
-                            MAX_PARAM,
-                        ],
-                    },
-                    build: build_constant,
-                },
+                MIN_PARAM,
+                MAX_PARAM,
             ],
-        })
-    }
+            build: build_lognormal,
+        },
+        Entry {
+            name: "pareto",
+            aliases: &["powerlaw"],
+            summary: "power-law tail (alpha <= 1 needs max= for a finite mean)",
+            params: &[
+                ParamInfo {
+                    key: "alpha",
+                    default: "1.5",
+                    help: "tail index, > 0 (smaller = heavier)",
+                },
+                ParamInfo {
+                    key: "scale",
+                    default: "100",
+                    help: "scale (minimum value), > 0",
+                },
+                MIN_PARAM,
+                MAX_PARAM,
+            ],
+            build: build_pareto,
+        },
+        Entry {
+            name: "weibull",
+            aliases: &[],
+            summary: "stretched exponential (shape < 1: sub-exponential tail)",
+            params: &[
+                ParamInfo {
+                    key: "shape",
+                    default: "1",
+                    help: "shape parameter, > 0",
+                },
+                ParamInfo {
+                    key: "scale",
+                    default: "100",
+                    help: "scale parameter, > 0",
+                },
+                MIN_PARAM,
+                MAX_PARAM,
+            ],
+            build: build_weibull,
+        },
+        Entry {
+            name: "exponential",
+            aliases: &["exp"],
+            summary: "memoryless gaps with the given mean",
+            params: &[
+                ParamInfo {
+                    key: "mean",
+                    default: "100",
+                    help: "mean, > 0",
+                },
+                MIN_PARAM,
+                MAX_PARAM,
+            ],
+            build: build_exponential,
+        },
+        Entry {
+            name: "poisson",
+            aliases: &[],
+            summary: "discrete counts with mean lambda",
+            params: &[
+                ParamInfo {
+                    key: "lambda",
+                    default: "100",
+                    help: "mean count, (0, 1e6]",
+                },
+                MIN_PARAM,
+                MAX_PARAM,
+            ],
+            build: build_poisson,
+        },
+        Entry {
+            name: "uniform",
+            aliases: &[],
+            summary: "uniform on [low, high)",
+            params: &[
+                ParamInfo {
+                    key: "low",
+                    default: "0",
+                    help: "inclusive lower bound",
+                },
+                ParamInfo {
+                    key: "high",
+                    default: "1",
+                    help: "exclusive upper bound, > low",
+                },
+                MIN_PARAM,
+                MAX_PARAM,
+            ],
+            build: build_uniform,
+        },
+        Entry {
+            name: "constant",
+            aliases: &["fixed"],
+            summary: "a point mass (consumes no randomness)",
+            params: &[
+                ParamInfo {
+                    key: "value",
+                    default: "100",
+                    help: "the value",
+                },
+                MIN_PARAM,
+                MAX_PARAM,
+            ],
+            build: build_constant,
+        },
+    ],
+);
 
-    /// Builds a validated spec for `name` (case-insensitive) from raw
-    /// parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, mut params: Params) -> Result<DistSpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "distribution",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        let build = || -> Result<DistSpec, SpecError> {
-            let kind = (entry.build)(&mut params)?;
-            let min = params.maybe_f64("min")?;
-            let max = params.maybe_f64("max")?;
-            params.finish(entry.info.name)?;
-            for (key, value) in [("min", min), ("max", max)] {
-                if let Some(v) = value {
-                    if !v.is_finite() {
-                        return Err(SpecError::InvalidValue {
-                            key: key.to_owned(),
-                            value: v.to_string(),
-                            expected: "a finite clamp bound",
-                        });
-                    }
-                }
+/// Takes the `min`/`max` clamps every distribution accepts, finishes
+/// `params` for `kind`'s entry and checks the clamps.
+fn clamped(mut params: Params, kind: DistKind) -> Result<DistSpec, SpecError> {
+    let min = params.maybe_f64("min")?;
+    let max = params.maybe_f64("max")?;
+    let spec = DistSpec { kind, min, max };
+    params.finish(spec.name())?;
+    for (key, value) in [("min", min), ("max", max)] {
+        if let Some(v) = value {
+            if !v.is_finite() {
+                return Err(SpecError::InvalidValue {
+                    key: key.to_owned(),
+                    value: v.to_string(),
+                    expected: "a finite clamp bound",
+                });
             }
-            if let (Some(a), Some(b)) = (min, max) {
-                if a > b {
-                    return Err(SpecError::InvalidValue {
-                        key: "min".to_owned(),
-                        value: a.to_string(),
-                        expected: "a lower bound not above max",
-                    });
-                }
-            }
-            Ok(DistSpec { kind, min, max })
-        };
-        build().map_err(|e| e.with_accepted_keys(entry.info.params))
+        }
     }
-
-    /// Metadata for every registered distribution, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &DistInfo> {
-        self.entries.iter().map(|e| &e.info)
+    if let (Some(a), Some(b)) = (min, max) {
+        if a > b {
+            return Err(SpecError::InvalidValue {
+                key: "min".to_owned(),
+                value: a.to_string(),
+                expected: "a lower bound not above max",
+            });
+        }
     }
-
-    /// Metadata for one distribution, by name or alias
-    /// (case-insensitive).
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&DistInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
+    Ok(spec)
 }
 
 fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
@@ -304,31 +208,31 @@ fn take_finite(params: &mut Params, key: &'static str, default: f64) -> Result<f
     }
 }
 
-fn build_lognormal(params: &mut Params) -> Result<DistKind, SpecError> {
-    let mu = take_finite(params, "mu", 6.0)?;
-    let sigma = take_positive(params, "sigma", 1.0)?;
-    Ok(DistKind::LogNormal { mu, sigma })
+fn build_lognormal(mut params: Params) -> Result<DistSpec, SpecError> {
+    let mu = take_finite(&mut params, "mu", 6.0)?;
+    let sigma = take_positive(&mut params, "sigma", 1.0)?;
+    clamped(params, DistKind::LogNormal { mu, sigma })
 }
 
-fn build_pareto(params: &mut Params) -> Result<DistKind, SpecError> {
-    let alpha = take_positive(params, "alpha", 1.5)?;
-    let scale = take_positive(params, "scale", 100.0)?;
-    Ok(DistKind::Pareto { alpha, scale })
+fn build_pareto(mut params: Params) -> Result<DistSpec, SpecError> {
+    let alpha = take_positive(&mut params, "alpha", 1.5)?;
+    let scale = take_positive(&mut params, "scale", 100.0)?;
+    clamped(params, DistKind::Pareto { alpha, scale })
 }
 
-fn build_weibull(params: &mut Params) -> Result<DistKind, SpecError> {
-    let shape = take_positive(params, "shape", 1.0)?;
-    let scale = take_positive(params, "scale", 100.0)?;
-    Ok(DistKind::Weibull { shape, scale })
+fn build_weibull(mut params: Params) -> Result<DistSpec, SpecError> {
+    let shape = take_positive(&mut params, "shape", 1.0)?;
+    let scale = take_positive(&mut params, "scale", 100.0)?;
+    clamped(params, DistKind::Weibull { shape, scale })
 }
 
-fn build_exponential(params: &mut Params) -> Result<DistKind, SpecError> {
-    let mean = take_positive(params, "mean", 100.0)?;
-    Ok(DistKind::Exponential { mean })
+fn build_exponential(mut params: Params) -> Result<DistSpec, SpecError> {
+    let mean = take_positive(&mut params, "mean", 100.0)?;
+    clamped(params, DistKind::Exponential { mean })
 }
 
-fn build_poisson(params: &mut Params) -> Result<DistKind, SpecError> {
-    let lambda = take_positive(params, "lambda", 100.0)?;
+fn build_poisson(mut params: Params) -> Result<DistSpec, SpecError> {
+    let lambda = take_positive(&mut params, "lambda", 100.0)?;
     // Sampling is O(λ) uniforms per draw; bound it to keep streams fast.
     if lambda > 1e6 {
         return Err(SpecError::InvalidValue {
@@ -337,12 +241,12 @@ fn build_poisson(params: &mut Params) -> Result<DistKind, SpecError> {
             expected: "a mean count in (0, 1e6]",
         });
     }
-    Ok(DistKind::Poisson { lambda })
+    clamped(params, DistKind::Poisson { lambda })
 }
 
-fn build_uniform(params: &mut Params) -> Result<DistKind, SpecError> {
-    let low = take_finite(params, "low", 0.0)?;
-    let high = take_finite(params, "high", 1.0)?;
+fn build_uniform(mut params: Params) -> Result<DistSpec, SpecError> {
+    let low = take_finite(&mut params, "low", 0.0)?;
+    let high = take_finite(&mut params, "high", 1.0)?;
     if low >= high {
         return Err(SpecError::InvalidValue {
             key: "high".to_owned(),
@@ -350,12 +254,12 @@ fn build_uniform(params: &mut Params) -> Result<DistKind, SpecError> {
             expected: "an upper bound strictly above low",
         });
     }
-    Ok(DistKind::Uniform { low, high })
+    clamped(params, DistKind::Uniform { low, high })
 }
 
-fn build_constant(params: &mut Params) -> Result<DistKind, SpecError> {
-    let value = take_finite(params, "value", 100.0)?;
-    Ok(DistKind::Constant { value })
+fn build_constant(mut params: Params) -> Result<DistSpec, SpecError> {
+    let value = take_finite(&mut params, "value", 100.0)?;
+    clamped(params, DistKind::Constant { value })
 }
 
 #[cfg(test)]
@@ -364,12 +268,11 @@ mod tests {
 
     #[test]
     fn every_entry_builds_with_defaults() {
-        let registry = DistRegistry::builtin();
-        for info in registry.infos() {
-            let spec = registry
-                .build_spec(info.name, Params::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", info.name));
-            assert_eq!(spec.name(), info.name, "{}", info.name);
+        for entry in DISTRIBUTIONS.entries() {
+            let spec = DISTRIBUTIONS
+                .build(entry.name, Params::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+            assert_eq!(spec.name(), entry.name, "{}", entry.name);
             assert_eq!(spec.min, None);
             assert_eq!(spec.max, None);
         }
@@ -377,11 +280,10 @@ mod tests {
 
     #[test]
     fn aliases_resolve_to_the_same_spec() {
-        let registry = DistRegistry::builtin();
-        for info in registry.infos() {
-            let canonical = registry.build_spec(info.name, Params::default()).unwrap();
-            for alias in info.aliases {
-                let via_alias = registry.build_spec(alias, Params::default()).unwrap();
+        for entry in DISTRIBUTIONS.entries() {
+            let canonical = DISTRIBUTIONS.build(entry.name, Params::default()).unwrap();
+            for alias in entry.aliases {
+                let via_alias = DISTRIBUTIONS.build(alias, Params::default()).unwrap();
                 assert_eq!(via_alias, canonical, "alias {alias}");
             }
         }
@@ -389,42 +291,40 @@ mod tests {
 
     #[test]
     fn documented_params_are_exactly_the_accepted_ones() {
-        let registry = DistRegistry::builtin();
-        for info in registry.infos() {
+        for entry in DISTRIBUTIONS.entries() {
             let mut params = Params::default();
-            for p in info.params {
+            for p in entry.params {
                 if p.default == "(unset)" {
                     continue; // min/max have no default value to insert
                 }
                 params.insert(p.key, p.default);
             }
-            registry
-                .build_spec(info.name, params)
-                .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", info.name));
+            DISTRIBUTIONS
+                .build(entry.name, params)
+                .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", entry.name));
 
             let mut bogus = Params::default();
             bogus.insert("definitely-not-a-param", "1");
             assert!(
                 matches!(
-                    registry.build_spec(info.name, bogus),
+                    DISTRIBUTIONS.build(entry.name, bogus),
                     Err(SpecError::UnknownParam { .. })
                 ),
                 "{} accepted a bogus key",
-                info.name
+                entry.name
             );
         }
     }
 
     #[test]
     fn every_entry_accepts_clamps() {
-        let registry = DistRegistry::builtin();
-        for info in registry.infos() {
+        for entry in DISTRIBUTIONS.entries() {
             let mut params = Params::default();
             params.insert("min", "1");
             params.insert("max", "1000");
-            let spec = registry
-                .build_spec(info.name, params)
-                .unwrap_or_else(|e| panic!("{}: {e}", info.name));
+            let spec = DISTRIBUTIONS
+                .build(entry.name, params)
+                .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
             assert_eq!(spec.min, Some(1.0));
             assert_eq!(spec.max, Some(1000.0));
         }
@@ -435,16 +335,12 @@ mod tests {
         let mut params = Params::default();
         params.insert("min", "10");
         params.insert("max", "5");
-        let err = DistRegistry::builtin()
-            .build_spec("exponential", params)
-            .unwrap_err();
+        let err = DISTRIBUTIONS.build("exponential", params).unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "min"));
 
         let mut params = Params::default();
         params.insert("max", "inf");
-        let err = DistRegistry::builtin()
-            .build_spec("exponential", params)
-            .unwrap_err();
+        let err = DISTRIBUTIONS.build("exponential", params).unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "max"));
     }
 
@@ -462,9 +358,7 @@ mod tests {
         ] {
             let mut params = Params::default();
             params.insert(key, value);
-            let err = DistRegistry::builtin()
-                .build_spec(name, params)
-                .unwrap_err();
+            let err = DISTRIBUTIONS.build(name, params).unwrap_err();
             assert!(
                 matches!(err, SpecError::InvalidValue { .. }),
                 "{name}:{key}={value} gave {err:?}"
@@ -474,8 +368,8 @@ mod tests {
 
     #[test]
     fn unknown_name_lists_the_registry() {
-        let err = DistRegistry::builtin()
-            .build_spec("cauchy", Params::default())
+        let err = DISTRIBUTIONS
+            .build("cauchy", Params::default())
             .unwrap_err();
         let text = err.to_string();
         assert!(text.contains("distribution"), "{text}");
@@ -487,8 +381,8 @@ mod tests {
     fn unknown_param_lists_accepted_keys() {
         let mut params = Params::default();
         params.insert("flux", "9");
-        let text = DistRegistry::builtin()
-            .build_spec("pareto", params)
+        let text = DISTRIBUTIONS
+            .build("pareto", params)
             .unwrap_err()
             .to_string();
         assert!(text.contains("no parameter 'flux'"), "{text}");

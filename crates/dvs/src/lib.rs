@@ -13,10 +13,10 @@
 //! Policies are *described* by a [`PolicySpec`] — serializable data that
 //! names a policy and its parameters — and *instantiated* with
 //! [`PolicySpec::build`]. Specs are written in the CLI grammar
-//! (`tdvs:threshold=1400,window=40000`) and resolved through the
-//! [`PolicyRegistry`]. Adding a policy is a
-//! single-crate change: implement the trait, add a spec variant, register
-//! it (see the `registry` module docs for the walkthrough).
+//! (`tdvs:threshold=1400,window=40000`) and resolved through the entry
+//! table [`POLICIES`], a `kvspec` [`Registry`]. Adding a policy is a
+//! single-crate change: implement the trait, add a spec variant, add
+//! its entry (see the `registry` module docs for the walkthrough).
 //!
 //! # Built-in policies
 //!
@@ -76,10 +76,11 @@ mod vf;
 pub use adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
 pub use combined::{Combined, CombinedConfig};
 pub use edvs::{Edvs, EdvsConfig};
+pub use kvspec::{Entry, ParamInfo, Registry};
 pub use policy::{DvsPolicy, MeObservation, PolicyObservation, PolicyResponse, QueueObservation};
 pub use proportional::{Proportional, ProportionalConfig};
 pub use queue::{QueueAware, QueueAwareConfig};
-pub use registry::{ParamInfo, PolicyInfo, PolicyRegistry};
+pub use registry::POLICIES;
 pub use spec::{Params, PolicySpec, SpecError};
 pub use tdvs::{HysteresisTdvsConfig, Tdvs, TdvsConfig};
 pub use vf::{VfLadder, VfPoint};

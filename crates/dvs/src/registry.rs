@@ -1,6 +1,6 @@
-//! The policy registry: every built-in policy, discoverable by name.
+//! The policy entry table: every built-in policy, discoverable by name.
 //!
-//! The registry is the single place a policy is wired into the
+//! [`POLICIES`] is the single place a policy is wired into the
 //! workspace's surfaces. One entry gives a policy:
 //!
 //! * a **name** (plus aliases) reachable from the spec grammar (see
@@ -8,230 +8,126 @@
 //! * self-describing **parameter metadata** (`abdex policies` renders it),
 //! * a **builder** that validates parameters and produces the spec.
 //!
-//! Adding a policy touches only this crate: implement
-//! [`DvsPolicy`](crate::DvsPolicy), add a [`PolicySpec`] variant, and
-//! register the entry in [`PolicyRegistry::builtin`].
+//! The lookup itself (case-insensitive names, the error listings) is
+//! `kvspec`'s [`Registry`]. Adding a policy touches only this crate:
+//! implement [`DvsPolicy`](crate::DvsPolicy), add a [`PolicySpec`]
+//! variant, and add its entry to [`POLICIES`].
 
-use std::sync::OnceLock;
-
-pub use kvspec::ParamInfo;
+use kvspec::{Entry, ParamInfo, Registry};
 
 use crate::spec::{Params, SpecError};
 use crate::{
-    CombinedConfig, EdvsConfig, PolicyKind, PolicySpec, ProportionalConfig, QueueAwareConfig,
-    TdvsConfig,
+    CombinedConfig, EdvsConfig, PolicySpec, ProportionalConfig, QueueAwareConfig, TdvsConfig,
 };
 
-/// Metadata for one registered policy.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// The policy family label reports use.
-    pub kind: PolicyKind,
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<PolicySpec, SpecError>;
-
-struct Entry {
-    info: PolicyInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of policy builders.
-pub struct PolicyRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
-impl PolicyRegistry {
-    /// The registry of built-in policies.
-    pub fn builtin() -> &'static PolicyRegistry {
-        static REGISTRY: OnceLock<PolicyRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| PolicyRegistry {
-            entries: vec![
-                Entry {
-                    info: PolicyInfo {
-                        name: "nodvs",
-                        aliases: &["none", "no-dvs"],
-                        kind: PolicyKind::NoDvs,
-                        summary: "baseline: every ME pinned at the top VF level",
-                        params: &[],
-                    },
-                    build: build_nodvs,
+/// The built-in policies, in listing order.
+pub static POLICIES: Registry<PolicySpec> = Registry::new(
+    "policy",
+    &[
+        Entry {
+            name: "nodvs",
+            aliases: &["none", "no-dvs"],
+            summary: "baseline: every ME pinned at the top VF level",
+            params: &[],
+            build: build_nodvs,
+        },
+        Entry {
+            name: "tdvs",
+            aliases: &["traffic"],
+            summary: "global traffic-threshold scaling (paper §4.1)",
+            params: &[
+                ParamInfo {
+                    key: "threshold",
+                    default: "1000",
+                    help: "traffic threshold at the top level, Mbps",
                 },
-                Entry {
-                    info: PolicyInfo {
-                        name: "tdvs",
-                        aliases: &["traffic"],
-                        kind: PolicyKind::Tdvs,
-                        summary: "global traffic-threshold scaling (paper §4.1)",
-                        params: &[
-                            ParamInfo {
-                                key: "threshold",
-                                default: "1000",
-                                help: "traffic threshold at the top level, Mbps",
-                            },
-                            WINDOW_PARAM,
-                            ParamInfo {
-                                key: "hysteresis",
-                                default: "0",
-                                help: "relative dead band around each threshold, [0, 1)",
-                            },
-                        ],
-                    },
-                    build: build_tdvs,
-                },
-                Entry {
-                    info: PolicyInfo {
-                        name: "edvs",
-                        aliases: &["execution"],
-                        kind: PolicyKind::Edvs,
-                        summary: "per-ME idle-time scaling (paper §4.2)",
-                        params: &[
-                            ParamInfo {
-                                key: "idle",
-                                default: "0.10",
-                                help: "idle-fraction threshold, (0, 1)",
-                            },
-                            WINDOW_PARAM,
-                        ],
-                    },
-                    build: build_edvs,
-                },
-                Entry {
-                    info: PolicyInfo {
-                        name: "combined",
-                        aliases: &["tedvs"],
-                        kind: PolicyKind::Combined,
-                        summary: "traffic AND idle must agree to scale down (TEDVS)",
-                        params: &[
-                            ParamInfo {
-                                key: "threshold",
-                                default: "1000",
-                                help: "traffic threshold at the top level, Mbps",
-                            },
-                            ParamInfo {
-                                key: "idle",
-                                default: "0.10",
-                                help: "idle-fraction threshold, (0, 1)",
-                            },
-                            WINDOW_PARAM,
-                        ],
-                    },
-                    build: build_combined,
-                },
-                Entry {
-                    info: PolicyInfo {
-                        name: "queue",
-                        aliases: &["qdvs", "queue-aware"],
-                        kind: PolicyKind::QueueAware,
-                        summary: "global scaling on receive-FIFO occupancy watermarks",
-                        params: &[
-                            ParamInfo {
-                                key: "high",
-                                default: "0.75",
-                                help: "fill fraction above which the chip steps up",
-                            },
-                            ParamInfo {
-                                key: "low",
-                                default: "0.20",
-                                help: "fill fraction below which the chip steps down",
-                            },
-                            WINDOW_PARAM,
-                        ],
-                    },
-                    build: build_queue,
-                },
-                Entry {
-                    info: PolicyInfo {
-                        name: "proportional",
-                        aliases: &["pid", "pdvs"],
-                        kind: PolicyKind::Proportional,
-                        summary: "per-ME PI controller driving idle time to a setpoint",
-                        params: &[
-                            ParamInfo {
-                                key: "target",
-                                default: "0.10",
-                                help: "idle-fraction setpoint, (0, 1)",
-                            },
-                            ParamInfo {
-                                key: "kp",
-                                default: "4",
-                                help: "proportional gain, levels per unit idle error",
-                            },
-                            ParamInfo {
-                                key: "ki",
-                                default: "0.5",
-                                help: "integral gain, levels per accumulated error",
-                            },
-                            WINDOW_PARAM,
-                        ],
-                    },
-                    build: build_proportional,
+                WINDOW_PARAM,
+                ParamInfo {
+                    key: "hysteresis",
+                    default: "0",
+                    help: "relative dead band around each threshold, [0, 1)",
                 },
             ],
-        })
-    }
-
-    /// Builds a validated spec for `name` from raw parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or invalid
-    /// values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<PolicySpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "policy",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        (entry.build)(params).map_err(|e| e.with_accepted_keys(entry.info.params))
-    }
-
-    /// Metadata for every registered policy, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &PolicyInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one policy, by name or alias.
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&PolicyInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
+            build: build_tdvs,
+        },
+        Entry {
+            name: "edvs",
+            aliases: &["execution"],
+            summary: "per-ME idle-time scaling (paper §4.2)",
+            params: &[
+                ParamInfo {
+                    key: "idle",
+                    default: "0.10",
+                    help: "idle-fraction threshold, (0, 1)",
+                },
+                WINDOW_PARAM,
+            ],
+            build: build_edvs,
+        },
+        Entry {
+            name: "combined",
+            aliases: &["tedvs"],
+            summary: "traffic AND idle must agree to scale down (TEDVS)",
+            params: &[
+                ParamInfo {
+                    key: "threshold",
+                    default: "1000",
+                    help: "traffic threshold at the top level, Mbps",
+                },
+                ParamInfo {
+                    key: "idle",
+                    default: "0.10",
+                    help: "idle-fraction threshold, (0, 1)",
+                },
+                WINDOW_PARAM,
+            ],
+            build: build_combined,
+        },
+        Entry {
+            name: "queue",
+            aliases: &["qdvs", "queue-aware"],
+            summary: "global scaling on receive-FIFO occupancy watermarks",
+            params: &[
+                ParamInfo {
+                    key: "high",
+                    default: "0.75",
+                    help: "fill fraction above which the chip steps up",
+                },
+                ParamInfo {
+                    key: "low",
+                    default: "0.20",
+                    help: "fill fraction below which the chip steps down",
+                },
+                WINDOW_PARAM,
+            ],
+            build: build_queue,
+        },
+        Entry {
+            name: "proportional",
+            aliases: &["pid", "pdvs"],
+            summary: "per-ME PI controller driving idle time to a setpoint",
+            params: &[
+                ParamInfo {
+                    key: "target",
+                    default: "0.10",
+                    help: "idle-fraction setpoint, (0, 1)",
+                },
+                ParamInfo {
+                    key: "kp",
+                    default: "4",
+                    help: "proportional gain, levels per unit idle error",
+                },
+                ParamInfo {
+                    key: "ki",
+                    default: "0.5",
+                    help: "integral gain, levels per accumulated error",
+                },
+                WINDOW_PARAM,
+            ],
+            build: build_proportional,
+        },
+    ],
+);
 
 const WINDOW_PARAM: ParamInfo = ParamInfo {
     key: "window",
@@ -385,25 +281,26 @@ fn build_proportional(mut params: Params) -> Result<PolicySpec, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn every_entry_builds_with_defaults() {
-        let registry = PolicyRegistry::builtin();
-        for info in registry.infos() {
-            let spec = registry
-                .build_spec(info.name, Params::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", info.name));
-            assert_eq!(spec.kind(), info.kind, "{}", info.name);
+        for entry in POLICIES.entries() {
+            let spec = POLICIES
+                .build(entry.name, Params::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+            // `abdex policies` shows this kind, so no entry may be a
+            // custom one.
+            assert_ne!(spec.kind(), PolicyKind::Custom, "{}", entry.name);
         }
     }
 
     #[test]
     fn aliases_resolve_to_the_same_spec() {
-        let registry = PolicyRegistry::builtin();
-        for info in registry.infos() {
-            let canonical = registry.build_spec(info.name, Params::default()).unwrap();
-            for alias in info.aliases {
-                let via_alias = registry.build_spec(alias, Params::default()).unwrap();
+        for entry in POLICIES.entries() {
+            let canonical = POLICIES.build(entry.name, Params::default()).unwrap();
+            for alias in entry.aliases {
+                let via_alias = POLICIES.build(alias, Params::default()).unwrap();
                 assert_eq!(via_alias, canonical, "alias {alias}");
             }
         }
@@ -411,43 +308,42 @@ mod tests {
 
     #[test]
     fn names_are_case_insensitive() {
-        let registry = PolicyRegistry::builtin();
-        assert!(registry.build_spec("TDVS", Params::default()).is_ok());
-        assert!(registry.info("QDVS").is_some());
+        assert!(POLICIES.build("TDVS", Params::default()).is_ok());
+        assert_eq!(
+            PolicySpec::parse("QDVS").unwrap(),
+            PolicySpec::parse("queue").unwrap()
+        );
     }
 
     #[test]
     fn documented_params_are_exactly_the_accepted_ones() {
         // Every documented key must be consumed, and the builders must
-        // reject everything else (exercised via build_spec).
-        let registry = PolicyRegistry::builtin();
-        for info in registry.infos() {
+        // reject everything else.
+        for entry in POLICIES.entries() {
             let mut params = Params::default();
-            for p in info.params {
+            for p in entry.params {
                 params.insert(p.key, p.default);
             }
-            registry
-                .build_spec(info.name, params)
-                .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", info.name));
+            POLICIES
+                .build(entry.name, params)
+                .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", entry.name));
 
             let mut bogus = Params::default();
             bogus.insert("definitely-not-a-param", "1");
             assert!(
                 matches!(
-                    registry.build_spec(info.name, bogus),
+                    POLICIES.build(entry.name, bogus),
                     Err(SpecError::UnknownParam { .. })
                 ),
                 "{} accepted a bogus key",
-                info.name
+                entry.name
             );
         }
     }
 
     #[test]
     fn unknown_name_lists_known_policies() {
-        let err = PolicyRegistry::builtin()
-            .build_spec("warp", Params::default())
-            .unwrap_err();
+        let err = POLICIES.build("warp", Params::default()).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("warp"));
         assert!(text.contains("tdvs"));

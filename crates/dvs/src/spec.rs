@@ -8,10 +8,10 @@
 //! `tdvs:threshold=1400,window=40000`, and render back into it
 //! ([`PolicySpec::spec_string`]).
 //!
-//! Names and parameters resolve through the
-//! [`PolicyRegistry`](crate::PolicyRegistry), so a policy registered in
-//! this crate is immediately reachable from every entry point — CLI
-//! flag, sweep list, scenario file.
+//! Names and parameters resolve through the entry table
+//! [`POLICIES`](crate::POLICIES), so a policy added there is
+//! immediately reachable from every entry point — CLI flag, sweep list,
+//! scenario file.
 //!
 //! The grammar machinery itself ([`Params`], [`SpecError`], the parser)
 //! lives in the shared [`kvspec`] crate; the traffic layer's
@@ -24,7 +24,7 @@ pub use kvspec::{Params, SpecError};
 use serde::{Deserialize, Serialize};
 
 use crate::adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
-use crate::registry::PolicyRegistry;
+use crate::registry::POLICIES;
 use crate::{
     CombinedConfig, DvsPolicy, EdvsConfig, HysteresisTdvsConfig, PolicyKind, Proportional,
     ProportionalConfig, QueueAware, QueueAwareConfig, TdvsConfig, VfLadder,
@@ -110,16 +110,15 @@ impl PolicySpec {
         }
     }
 
-    /// Parses the CLI grammar `name[:key=val[,key=val]...]` against the
-    /// built-in registry.
+    /// Parses the CLI grammar `name[:key=val[,key=val]...]` against
+    /// [`POLICIES`].
     ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] for unknown names/keys, unparsable values
     /// or values outside a policy's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        PolicyRegistry::builtin().build_spec(&name, params)
+        POLICIES.parse(input)
     }
 
     /// Renders the spec in the CLI grammar; `PolicySpec::parse` of the

@@ -7,8 +7,8 @@
 //! suite is the contract a new policy must satisfy to ship.
 
 use dvs::{
-    MeObservation, Params, PolicyObservation, PolicyRegistry, PolicySpec, QueueObservation,
-    ScalingDecision, VfLadder,
+    MeObservation, Params, PolicyObservation, PolicySpec, QueueObservation, ScalingDecision,
+    VfLadder, POLICIES,
 };
 use rand::{Rng, SeedableRng};
 
@@ -88,14 +88,10 @@ impl ObservationStream {
 }
 
 fn registered_specs() -> Vec<PolicySpec> {
-    let registry = PolicyRegistry::builtin();
-    registry
-        .infos()
-        .map(|info| {
-            registry
-                .build_spec(info.name, Params::default())
-                .expect("defaults build")
-        })
+    POLICIES
+        .entries()
+        .iter()
+        .map(|entry| (entry.build)(Params::default()).expect("defaults build"))
         .collect()
 }
 

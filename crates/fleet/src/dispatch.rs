@@ -22,16 +22,15 @@
 //!
 //! Like policies and traffic models, dispatchers are *described* by a
 //! [`DispatchSpec`] written in the shared `kvspec` spec grammar and
-//! resolved by the [`DispatchRegistry`].
+//! resolved through the entry table [`DISPATCHERS`].
 
 use std::fmt;
 use std::str::FromStr;
 
 use desim::rng::{derive_seed, derive_stream};
-use kvspec::{ParamInfo, Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// Pareto tail index of the synthetic flow-weight distribution. Between
 /// 1 and 2: finite mean, infinite variance — the canonical
@@ -152,8 +151,7 @@ impl Dispatcher for LeastLoaded {
 /// A fully parameterised, buildable dispatcher description.
 ///
 /// Mirrors `PolicySpec`/`TrafficSpec`: the canonical wire format is the
-/// spec grammar (`hash:flows=512`), resolved through the
-/// [`DispatchRegistry`].
+/// spec grammar (`hash:flows=512`), resolved through [`DISPATCHERS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(tag = "dispatch", rename_all = "kebab-case")]
 pub enum DispatchSpec {
@@ -199,8 +197,7 @@ impl DispatchSpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable values
     /// or values outside a dispatcher's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        DispatchRegistry::builtin().build_spec(&name, params)
+        DISPATCHERS.parse(input)
     }
 
     /// Renders the spec in the CLI grammar; [`DispatchSpec::parse`] of
@@ -228,127 +225,39 @@ impl FromStr for DispatchSpec {
     }
 }
 
-/// Metadata for one registered dispatcher.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<DispatchSpec, SpecError>;
-
-struct Entry {
-    info: DispatchInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of dispatcher builders.
-pub struct DispatchRegistry {
-    entries: Vec<Entry>,
-}
-
-impl fmt::Debug for DispatchRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DispatchRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
 const FLOWS_PARAM: ParamInfo = ParamInfo {
     key: "flows",
     default: "256",
     help: "statistical flows sharded across chips (heavy-tailed weights)",
 };
 
-impl DispatchRegistry {
-    /// The registry of built-in dispatchers.
-    pub fn builtin() -> &'static DispatchRegistry {
-        static REGISTRY: OnceLock<DispatchRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| DispatchRegistry {
-            entries: vec![
-                Entry {
-                    info: DispatchInfo {
-                        name: "round-robin",
-                        aliases: &["rr", "spray"],
-                        summary: "packet spraying: exactly 1/N of the load per chip",
-                        params: &[],
-                    },
-                    build: build_round_robin,
-                },
-                Entry {
-                    info: DispatchInfo {
-                        name: "hash",
-                        aliases: &["flow-hash"],
-                        summary: "flow hashing: sticky flows, elephant-skewed shares",
-                        params: &[FLOWS_PARAM],
-                    },
-                    build: build_hash,
-                },
-                Entry {
-                    info: DispatchInfo {
-                        name: "least-loaded",
-                        aliases: &["ll", "jsq"],
-                        summary: "greedy least-loaded flow placement, near-uniform shares",
-                        params: &[FLOWS_PARAM],
-                    },
-                    build: build_least_loaded,
-                },
-            ],
-        })
-    }
-
-    /// Builds a validated spec for `name` from raw parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<DispatchSpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "dispatcher",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        (entry.build)(params).map_err(|e| e.with_accepted_keys(entry.info.params))
-    }
-
-    /// Metadata for every registered dispatcher, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &DispatchInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one dispatcher, by name or alias.
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&DispatchInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
+/// The built-in dispatchers, in listing order.
+pub static DISPATCHERS: Registry<DispatchSpec> = Registry::new(
+    "dispatcher",
+    &[
+        Entry {
+            name: "round-robin",
+            aliases: &["rr", "spray"],
+            summary: "packet spraying: exactly 1/N of the load per chip",
+            params: &[],
+            build: build_round_robin,
+        },
+        Entry {
+            name: "hash",
+            aliases: &["flow-hash"],
+            summary: "flow hashing: sticky flows, elephant-skewed shares",
+            params: &[FLOWS_PARAM],
+            build: build_hash,
+        },
+        Entry {
+            name: "least-loaded",
+            aliases: &["ll", "jsq"],
+            summary: "greedy least-loaded flow placement, near-uniform shares",
+            params: &[FLOWS_PARAM],
+            build: build_least_loaded,
+        },
+    ],
+);
 
 fn take_flows(params: &mut Params) -> Result<u64, SpecError> {
     let flows = params.u64("flows", DEFAULT_FLOWS)?;

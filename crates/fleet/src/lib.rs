@@ -26,7 +26,8 @@
 //! Dispatchers and fleet policies are described by [`DispatchSpec`] and
 //! [`FleetPolicySpec`], written in the same `kvspec` spec grammar as
 //! policies and traffic models (`name:key=val,...`) and discoverable
-//! via [`DispatchRegistry`] / [`FleetPolicyRegistry`].
+//! through the entry tables [`DISPATCHERS`] / [`FLEET_POLICIES`], each
+//! a `kvspec` [`Registry`].
 //!
 //! # Example
 //!
@@ -54,16 +55,14 @@ mod runner;
 
 pub use capped::CappedPolicy;
 pub use config::FleetConfig;
-pub use dispatch::{
-    DispatchInfo, DispatchRegistry, DispatchSpec, Dispatcher, HashDispatch, LeastLoaded, RoundRobin,
-};
+pub use dispatch::{DispatchSpec, Dispatcher, HashDispatch, LeastLoaded, RoundRobin, DISPATCHERS};
 // Re-export the shared grammar machinery so custom tooling needs only
 // this crate.
-pub use kvspec::{ParamInfo, Params, SpecError};
+pub use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 pub use metrics::{ChipDist, FleetDist, FleetSample};
 pub use policy::{
-    cap_level, CapPlan, CapRealloc, FleetPolicy, FleetPolicyInfo, FleetPolicyRegistry,
-    FleetPolicySpec, FleetTelemetry, PassThrough, StaticCap,
+    cap_level, CapPlan, CapRealloc, FleetPolicy, FleetPolicySpec, FleetTelemetry, PassThrough,
+    StaticCap, FLEET_POLICIES,
 };
 pub use runner::{chip_seed, replicate_seeds, run_fleet, FleetOutcome, FleetReport};
 

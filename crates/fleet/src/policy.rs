@@ -24,9 +24,8 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
-use kvspec::{ParamInfo, Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 use nepsim::NpuConfig;
 use serde::{Deserialize, Serialize};
 
@@ -206,7 +205,7 @@ pub fn cap_level(cap_w: f64, config: &NpuConfig) -> usize {
 ///
 /// Same wire format as every other spec in the workspace: the spec
 /// grammar (`cap-realloc:budget=8,period=200000`), resolved through
-/// the [`FleetPolicyRegistry`].
+/// [`FLEET_POLICIES`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "fleet_policy", rename_all = "kebab-case")]
 pub enum FleetPolicySpec {
@@ -264,8 +263,7 @@ impl FleetPolicySpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable
     /// values or values outside a policy's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        FleetPolicyRegistry::builtin().build_spec(&name, params)
+        FLEET_POLICIES.parse(input)
     }
 
     /// Renders the spec in the CLI grammar; [`FleetPolicySpec::parse`]
@@ -297,139 +295,51 @@ impl FromStr for FleetPolicySpec {
     }
 }
 
-/// Metadata for one registered fleet policy.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetPolicyInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<FleetPolicySpec, SpecError>;
-
-struct Entry {
-    info: FleetPolicyInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of fleet-policy builders.
-pub struct FleetPolicyRegistry {
-    entries: Vec<Entry>,
-}
-
-impl fmt::Debug for FleetPolicyRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FleetPolicyRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
 const BUDGET_PARAM: ParamInfo = ParamInfo {
     key: "budget",
     default: "8",
     help: "fleet-wide power budget, watts",
 };
 
-impl FleetPolicyRegistry {
-    /// The registry of built-in fleet policies.
-    pub fn builtin() -> &'static FleetPolicyRegistry {
-        static REGISTRY: OnceLock<FleetPolicyRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| FleetPolicyRegistry {
-            entries: vec![
-                Entry {
-                    info: FleetPolicyInfo {
-                        name: "none",
-                        aliases: &["pass-through", "passthrough"],
-                        summary: "no fleet-level power management",
-                        params: &[],
-                    },
-                    build: build_pass_through,
+/// The built-in fleet policies, in listing order.
+pub static FLEET_POLICIES: Registry<FleetPolicySpec> = Registry::new(
+    "fleet policy",
+    &[
+        Entry {
+            name: "none",
+            aliases: &["pass-through", "passthrough"],
+            summary: "no fleet-level power management",
+            params: &[],
+            build: build_pass_through,
+        },
+        Entry {
+            name: "static-cap",
+            aliases: &["static"],
+            summary: "constant budget/N watts per chip",
+            params: &[BUDGET_PARAM],
+            build: build_static_cap,
+        },
+        Entry {
+            name: "cap-realloc",
+            aliases: &["realloc", "cap-and-reallocate"],
+            summary: "periodic load-proportional budget reallocation",
+            params: &[
+                BUDGET_PARAM,
+                ParamInfo {
+                    key: "period",
+                    default: "200000",
+                    help: "reallocation period, base-clock cycles",
                 },
-                Entry {
-                    info: FleetPolicyInfo {
-                        name: "static-cap",
-                        aliases: &["static"],
-                        summary: "constant budget/N watts per chip",
-                        params: &[BUDGET_PARAM],
-                    },
-                    build: build_static_cap,
-                },
-                Entry {
-                    info: FleetPolicyInfo {
-                        name: "cap-realloc",
-                        aliases: &["realloc", "cap-and-reallocate"],
-                        summary: "periodic load-proportional budget reallocation",
-                        params: &[
-                            BUDGET_PARAM,
-                            ParamInfo {
-                                key: "period",
-                                default: "200000",
-                                help: "reallocation period, base-clock cycles",
-                            },
-                            ParamInfo {
-                                key: "floor",
-                                default: "0.5",
-                                help: "minimum per-chip cap, watts",
-                            },
-                        ],
-                    },
-                    build: build_cap_realloc,
+                ParamInfo {
+                    key: "floor",
+                    default: "0.5",
+                    help: "minimum per-chip cap, watts",
                 },
             ],
-        })
-    }
-
-    /// Builds a validated spec for `name` from raw parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<FleetPolicySpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "fleet policy",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        (entry.build)(params).map_err(|e| e.with_accepted_keys(entry.info.params))
-    }
-
-    /// Metadata for every registered fleet policy, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &FleetPolicyInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one fleet policy, by name or alias.
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&FleetPolicyInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
+            build: build_cap_realloc,
+        },
+    ],
+);
 
 fn take_budget(params: &mut Params) -> Result<f64, SpecError> {
     let budget = params.f64("budget", 8.0)?;

@@ -1,39 +1,35 @@
-//! Conformance tests for the dispatcher and fleet-policy registries:
+//! Conformance tests for the dispatcher and fleet-policy entry tables:
 //! every built-in resolves through the spec grammar and renders back
 //! into it, names are case-insensitive, unknown names list
 //! the registered alternatives and unknown parameters list the
-//! accepted keys — the same contract `PolicyRegistry` and
-//! `TrafficRegistry` honour.
+//! accepted keys — the same `kvspec::Registry` contract `dvs::POLICIES`
+//! and `traffic::TRAFFIC_MODELS` honour.
 
-use fleet::{
-    DispatchRegistry, DispatchSpec, FleetPolicyRegistry, FleetPolicySpec, Params, SpecError,
-};
+use fleet::{DispatchSpec, FleetPolicySpec, Params, SpecError, DISPATCHERS, FLEET_POLICIES};
 
 #[test]
 fn every_dispatcher_builds_with_defaults() {
-    let registry = DispatchRegistry::builtin();
-    for info in registry.infos() {
-        let spec = registry
-            .build_spec(info.name, Params::default())
-            .unwrap_or_else(|e| panic!("{} failed with defaults: {e}", info.name));
-        assert_eq!(spec.name(), info.name);
+    for entry in DISPATCHERS.entries() {
+        let spec = DISPATCHERS
+            .build(entry.name, Params::default())
+            .unwrap_or_else(|e| panic!("{} failed with defaults: {e}", entry.name));
+        assert_eq!(spec.name(), entry.name);
         // The rendered spec string round-trips through the CLI grammar.
         assert_eq!(DispatchSpec::parse(&spec.spec_string()).unwrap(), spec);
         // A built dispatcher reports its canonical name.
-        assert_eq!(spec.build().name(), info.name);
+        assert_eq!(spec.build().name(), entry.name);
     }
 }
 
 #[test]
 fn every_fleet_policy_builds_with_defaults() {
-    let registry = FleetPolicyRegistry::builtin();
-    for info in registry.infos() {
-        let spec = registry
-            .build_spec(info.name, Params::default())
-            .unwrap_or_else(|e| panic!("{} failed with defaults: {e}", info.name));
-        assert_eq!(spec.name(), info.name);
+    for entry in FLEET_POLICIES.entries() {
+        let spec = FLEET_POLICIES
+            .build(entry.name, Params::default())
+            .unwrap_or_else(|e| panic!("{} failed with defaults: {e}", entry.name));
+        assert_eq!(spec.name(), entry.name);
         assert_eq!(FleetPolicySpec::parse(&spec.spec_string()).unwrap(), spec);
-        assert_eq!(spec.build().name(), info.name);
+        assert_eq!(spec.build().name(), entry.name);
     }
 }
 

@@ -13,9 +13,11 @@
 //!
 //! This crate owns that grammar, the typed parameter bag ([`Params`])
 //! with consumption tracking (typo protection), the shared error type
-//! ([`SpecError`]) and the self-description metadata ([`ParamInfo`])
-//! registries render as help output. The domain crates own their
-//! registries and the mapping from `(name, params)` to a concrete spec.
+//! ([`SpecError`]), the self-description metadata ([`ParamInfo`]) the
+//! listing commands render, and the one lookup every family resolves
+//! its names through ([`Registry`]). The domain crates own only their
+//! entry tables ([`Entry`]) and the builders that map `(name, params)`
+//! to a concrete spec.
 //!
 //! The grammar is deliberately *flat*: one name, scalar parameters, no
 //! nesting, which makes exact round-tripping ([`render_cli`] of a
@@ -38,8 +40,8 @@
 
 use std::fmt;
 
-/// Metadata for one accepted parameter key, rendered by `abdex
-/// policies` / `abdex traffics`.
+/// Metadata for one accepted parameter key, rendered by the listing
+/// commands (`abdex policies`, `abdex traffics`, ...).
 #[derive(Debug, Clone, Copy)]
 pub struct ParamInfo {
     /// The key as written in specs (`threshold`, `on_mbps`, ...).
@@ -218,9 +220,9 @@ pub enum SpecError {
         owner: String,
         /// The unrecognised key.
         key: String,
-        /// Comma-separated accepted keys (filled by the registry via
-        /// [`SpecError::with_accepted_keys`]; empty when the entry
-        /// takes no parameters or the error never passed a registry).
+        /// Comma-separated accepted keys (filled by [`Registry::build`];
+        /// empty when the entry takes no parameters or the error never
+        /// passed a registry).
         known: String,
     },
     /// A parameter value that failed to parse or is out of range.
@@ -253,11 +255,11 @@ impl SpecError {
     /// Fills an [`SpecError::UnknownParam`]'s accepted-key list from a
     /// registry entry's parameter metadata — mirroring the
     /// [`SpecError::UnknownName`] treatment, where the registry lists
-    /// the names it knows. Registries call this around their builders
-    /// so an unknown key names the keys that *would* have worked; every
-    /// other error passes through untouched.
+    /// the names it knows. [`Registry::build`] calls this around an
+    /// entry's builder so an unknown key names the keys that *would*
+    /// have worked; every other error passes through untouched.
     #[must_use]
-    pub fn with_accepted_keys(self, params: &[ParamInfo]) -> Self {
+    fn with_accepted_keys(self, params: &[ParamInfo]) -> Self {
         match self {
             SpecError::UnknownParam { owner, key, .. } => SpecError::UnknownParam {
                 owner,
@@ -300,6 +302,100 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// One member of a spec family: how a [`Registry`] finds, describes
+/// and builds it.
+#[derive(Debug)]
+pub struct Entry<S> {
+    /// Canonical name used in specs and help output.
+    pub name: &'static str,
+    /// Accepted alternative names.
+    pub aliases: &'static [&'static str],
+    /// One-line description.
+    pub summary: &'static str,
+    /// Accepted parameters.
+    pub params: &'static [ParamInfo],
+    /// Validates the parameters and produces the spec. It calls
+    /// [`Params::finish`] with the entry's own `name`, so an unknown
+    /// key gets this entry's accepted keys attached.
+    pub build: fn(Params) -> Result<S, SpecError>,
+}
+
+/// A spec family's name-indexed entry table and the one lookup every
+/// family resolves its spec strings through.
+///
+/// Names and aliases match case-insensitively. An unknown name lists
+/// the canonical names. An unknown key lists the accepted keys of the
+/// entry that rejected it: an error a builder passes up from a nested
+/// spec (a `dist` inside a traffic model, a `schedule` child) keeps the
+/// nested entry's keys.
+#[derive(Debug)]
+pub struct Registry<S: 'static> {
+    kind: &'static str,
+    entries: &'static [Entry<S>],
+}
+
+impl<S> Registry<S> {
+    /// A registry over `entries`; `kind` names the family in errors
+    /// (`"policy"`, `"traffic model"`).
+    #[must_use]
+    pub const fn new(kind: &'static str, entries: &'static [Entry<S>]) -> Self {
+        Registry { kind, entries }
+    }
+
+    /// Every entry, in registration order.
+    #[must_use]
+    pub fn entries(&self) -> &'static [Entry<S>] {
+        self.entries
+    }
+
+    /// Comma-separated canonical names (for error messages and help).
+    #[must_use]
+    pub fn name_list(&self) -> String {
+        let names: Vec<&str> = self.entries.iter().map(|e| e.name).collect();
+        names.join(", ")
+    }
+
+    /// Parses the CLI grammar `name[:key=val[,key=val]...]` and builds
+    /// the named entry's spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] for malformed input, unknown names,
+    /// unknown keys or invalid values.
+    pub fn parse(&self, input: &str) -> Result<S, SpecError> {
+        let (name, params) = parse_cli(input)?;
+        self.build(&name, params)
+    }
+
+    /// Builds a validated spec for `name` (or an alias) from raw
+    /// parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] for unknown names, unknown keys or
+    /// invalid values.
+    pub fn build(&self, name: &str, params: Params) -> Result<S, SpecError> {
+        let wanted = name.to_ascii_lowercase();
+        let Some(entry) = self
+            .entries
+            .iter()
+            .find(|e| e.name == wanted || e.aliases.contains(&wanted.as_str()))
+        else {
+            return Err(SpecError::UnknownName {
+                kind: self.kind,
+                name: wanted,
+                known: self.name_list(),
+            });
+        };
+        (entry.build)(params).map_err(|e| match e {
+            SpecError::UnknownParam { ref owner, .. } if owner == entry.name => {
+                e.with_accepted_keys(entry.params)
+            }
+            other => other,
+        })
+    }
+}
 
 /// Parses the CLI grammar `name[:key=val[,key=val]...]` into the name
 /// and its raw parameters.
@@ -750,6 +846,101 @@ mod tests {
         assert!(text.contains("traffic model"));
         assert!(text.contains("warp"));
         assert!(text.contains("burst"));
+    }
+
+    /// A two-entry family for the lookup tests: `stack:top=<shape>`
+    /// nests a shape spec, as `schedule` nests traffic models.
+    static SHAPES: Registry<String> = Registry::new(
+        "shape",
+        &[
+            Entry {
+                name: "circle",
+                aliases: &["round", "disc"],
+                summary: "a circle",
+                params: &[ParamInfo {
+                    key: "r",
+                    default: "1",
+                    help: "radius",
+                }],
+                build: build_circle,
+            },
+            Entry {
+                name: "stack",
+                aliases: &[],
+                summary: "a shape on top of another",
+                params: &[ParamInfo {
+                    key: "top",
+                    default: "circle",
+                    help: "the shape on top",
+                }],
+                build: build_stack,
+            },
+        ],
+    );
+
+    fn build_circle(mut params: Params) -> Result<String, SpecError> {
+        let r = params.f64("r", 1.0)?;
+        params.finish("circle")?;
+        Ok(format!("circle r={r}"))
+    }
+
+    fn build_stack(mut params: Params) -> Result<String, SpecError> {
+        let top = params.maybe_str("top");
+        params.finish("stack")?;
+        Ok(format!(
+            "stack on {}",
+            SHAPES.parse(&top.unwrap_or_default())?
+        ))
+    }
+
+    #[test]
+    fn registry_names_and_aliases_match_case_insensitively() {
+        assert_eq!(SHAPES.parse("circle:r=2").unwrap(), "circle r=2");
+        for name in ["CIRCLE", "Round", "disc"] {
+            assert_eq!(SHAPES.parse(name).unwrap(), "circle r=1", "{name}");
+        }
+        assert_eq!(SHAPES.name_list(), "circle, stack");
+        assert_eq!(SHAPES.entries().len(), 2);
+    }
+
+    #[test]
+    fn registry_unknown_name_lists_the_known_names() {
+        let err = SHAPES.parse("Hexagon:r=1").unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::UnknownName {
+                kind: "shape",
+                name: "hexagon".to_owned(),
+                known: "circle, stack".to_owned(),
+            }
+        );
+        assert!(matches!(
+            SHAPES.parse(":r=1"),
+            Err(SpecError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn registry_attaches_accepted_keys_only_to_the_entrys_own_errors() {
+        let own = SHAPES.parse("circle:typo=1").unwrap_err();
+        assert_eq!(
+            own.to_string(),
+            "'circle' accepts no parameter 'typo' (accepted: r)"
+        );
+        let outer = SHAPES.parse("stack:typo=1").unwrap_err();
+        assert_eq!(
+            outer.to_string(),
+            "'stack' accepts no parameter 'typo' (accepted: top)"
+        );
+        // A nested entry's error keeps the nested entry's keys...
+        let nested = SHAPES.parse("stack:top=circle:typo=1").unwrap_err();
+        assert_eq!(
+            nested.to_string(),
+            "'circle' accepts no parameter 'typo' (accepted: r)"
+        );
+        // ...and every other error passes through untouched.
+        let value = SHAPES.parse("stack:top=circle:r=x").unwrap_err();
+        assert!(matches!(value, SpecError::InvalidValue { ref key, .. } if key == "r"));
     }
 
     #[test]

@@ -4,21 +4,17 @@
 //! policy's `window_cycles` metadata declares.
 
 use desim::Frequency;
-use dvs::{Params, PolicyRegistry, PolicySpec, SWITCH_PENALTY};
+use dvs::{Params, PolicySpec, POLICIES, SWITCH_PENALTY};
 use nepsim::{Benchmark, MeMode, MemRecorder, NpuConfig, SimReport, Simulator};
 use traffic::TrafficLevel;
 
 const CYCLES: u64 = 1_500_000;
 
 fn registered_specs() -> Vec<PolicySpec> {
-    let registry = PolicyRegistry::builtin();
-    registry
-        .infos()
-        .map(|info| {
-            registry
-                .build_spec(info.name, Params::default())
-                .expect("defaults build")
-        })
+    POLICIES
+        .entries()
+        .iter()
+        .map(|entry| (entry.build)(Params::default()).expect("defaults build"))
         .collect()
 }
 

@@ -9,9 +9,10 @@
 //! * [`TrafficModel`] — a deterministic, self-describing packet source:
 //!   `stream(seed)` instantiates a reproducible iterator,
 //!   `mean_rate_mbps` / `expected_rate_mbps` describe the offered load;
-//! * [`TrafficSpec`] + [`TrafficRegistry`] — the declarative layer: every
+//! * [`TrafficSpec`] + [`TRAFFIC_MODELS`] — the declarative layer: every
 //!   model is reachable by name through the spec grammar
-//!   (`name:key=val,...`), with exact round-tripping.
+//!   (`name:key=val,...`), with exact round-tripping. The entry table
+//!   is this crate's; the lookup is `kvspec`'s [`Registry`].
 //!
 //! Built-in models:
 //!
@@ -83,11 +84,11 @@ pub use diurnal::{DiurnalConfig, DiurnalModel, DiurnalSample};
 pub use flash::FlashConfig;
 // Re-export the shared grammar machinery so custom tooling needs only
 // this crate.
-pub use kvspec::{ParamInfo, Params, SpecError};
+pub use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 pub use model::{PacketSource, TrafficModel};
 pub use onoff::OnOffConfig;
 pub use packet::{Packet, SizeMix, MAX_PACKET_BYTES};
-pub use registry::{TrafficInfo, TrafficRegistry};
+pub use registry::TRAFFIC_MODELS;
 pub use replay::{RecordedTrace, ReplayConfig};
 pub use schedule::{ScheduleConfig, ScheduleModel, ScheduleSegment};
 pub use spec::TrafficSpec;

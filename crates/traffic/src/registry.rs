@@ -1,5 +1,5 @@
-//! The traffic registry: every built-in traffic model, discoverable by
-//! name — the traffic-side twin of `dvs::PolicyRegistry`.
+//! The traffic-model entry table: every built-in traffic model,
+//! discoverable by name — the traffic-side twin of `dvs::POLICIES`.
 //!
 //! One entry gives a model:
 //!
@@ -8,15 +8,13 @@
 //! * self-describing **parameter metadata** (`abdex traffics` renders it),
 //! * a **builder** that validates parameters and produces the spec.
 //!
-//! Adding a traffic model touches only this crate: implement
-//! [`TrafficModel`](crate::TrafficModel), add a [`TrafficSpec`] variant,
-//! and register the entry in [`TrafficRegistry::builtin`]. The
-//! conformance suite in `crates/traffic/tests/` picks it up by name.
+//! The lookup itself is `kvspec`'s [`Registry`]. Adding a traffic model
+//! touches only this crate: implement [`TrafficModel`](crate::TrafficModel),
+//! add a [`TrafficSpec`] variant, and add its entry to
+//! [`TRAFFIC_MODELS`]. The conformance suite in `crates/traffic/tests/`
+//! picks it up by name.
 
-use std::sync::OnceLock;
-
-pub use kvspec::ParamInfo;
-use kvspec::{Params, SpecError};
+use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
 
 use dist::DistSpec;
 
@@ -25,347 +23,236 @@ use crate::{
     StochasticConfig, TrafficLevel, TrafficSpec, MAX_PACKET_BYTES,
 };
 
-/// Metadata for one registered traffic model.
-#[derive(Debug, Clone, Copy)]
-pub struct TrafficInfo {
-    /// Canonical name used in specs and help output.
-    pub name: &'static str,
-    /// Accepted alternative names.
-    pub aliases: &'static [&'static str],
-    /// One-line description.
-    pub summary: &'static str,
-    /// Accepted parameters.
-    pub params: &'static [ParamInfo],
-}
-
-type BuildFn = fn(Params) -> Result<TrafficSpec, SpecError>;
-
-struct Entry {
-    info: TrafficInfo,
-    build: BuildFn,
-}
-
-/// Name-indexed collection of traffic-model builders.
-pub struct TrafficRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for TrafficRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrafficRegistry")
-            .field("names", &self.name_list())
-            .finish()
-    }
-}
-
 const PORTS_PARAM: ParamInfo = ParamInfo {
     key: "ports",
     default: "16",
     help: "device ports packets are spread over",
 };
 
-impl TrafficRegistry {
-    /// The registry of built-in traffic models.
-    pub fn builtin() -> &'static TrafficRegistry {
-        static REGISTRY: OnceLock<TrafficRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| TrafficRegistry {
-            entries: vec![
-                level_entry("low", TrafficLevel::Low, "night-time lull (450 Mbps MMPP)"),
-                level_entry(
-                    "medium",
-                    TrafficLevel::Medium,
-                    "shoulder period (850 Mbps MMPP)",
-                ),
-                level_entry("high", TrafficLevel::High, "mid-day peak (1150 Mbps MMPP)"),
-                Entry {
-                    info: TrafficInfo {
-                        name: "mmpp",
-                        aliases: &["poisson", "bursty"],
-                        summary: "Markov-modulated Poisson arrivals (burstiness=1: plain Poisson)",
-                        params: &[
-                            ParamInfo {
-                                key: "rate",
-                                default: "850",
-                                help: "long-run mean aggregate rate, Mbps",
-                            },
-                            ParamInfo {
-                                key: "burstiness",
-                                default: "1.6",
-                                help: "burst-state rate as a multiple of the mean, >= 1",
-                            },
-                            ParamInfo {
-                                key: "dwell_us",
-                                default: "200",
-                                help: "mean dwell time per modulation state, microseconds",
-                            },
-                            PORTS_PARAM,
-                        ],
-                    },
-                    build: build_mmpp,
+/// The built-in traffic models, in listing order.
+pub static TRAFFIC_MODELS: Registry<TrafficSpec> = Registry::new(
+    "traffic model",
+    &[
+        Entry {
+            name: "low",
+            aliases: &[],
+            summary: "night-time lull (450 Mbps MMPP)",
+            params: &[],
+            build: |params| build_level(params, TrafficLevel::Low),
+        },
+        Entry {
+            name: "medium",
+            aliases: &[],
+            summary: "shoulder period (850 Mbps MMPP)",
+            params: &[],
+            build: |params| build_level(params, TrafficLevel::Medium),
+        },
+        Entry {
+            name: "high",
+            aliases: &[],
+            summary: "mid-day peak (1150 Mbps MMPP)",
+            params: &[],
+            build: |params| build_level(params, TrafficLevel::High),
+        },
+        Entry {
+            name: "mmpp",
+            aliases: &["poisson", "bursty"],
+            summary: "Markov-modulated Poisson arrivals (burstiness=1: plain Poisson)",
+            params: &[
+                ParamInfo {
+                    key: "rate",
+                    default: "850",
+                    help: "long-run mean aggregate rate, Mbps",
                 },
-                Entry {
-                    info: TrafficInfo {
-                        name: "diurnal",
-                        aliases: &["day"],
-                        summary: "sample the Fig. 2 day profile, drive MMPP at the median",
-                        params: &[
-                            ParamInfo {
-                                key: "hour",
-                                default: "16",
-                                help: "time of day to sample, hours [0, 24)",
-                            },
-                            ParamInfo {
-                                key: "scale",
-                                default: "5",
-                                help: "NPU aggregate / profiled-link median ratio",
-                            },
-                            ParamInfo {
-                                key: "peak_bps",
-                                default: "250000000",
-                                help: "day-profile peak rate, bits/s",
-                            },
-                            ParamInfo {
-                                key: "profile_seed",
-                                default: "0",
-                                help: "profile-jitter seed (fixed per spec)",
-                            },
-                        ],
-                    },
-                    build: build_diurnal,
+                ParamInfo {
+                    key: "burstiness",
+                    default: "1.6",
+                    help: "burst-state rate as a multiple of the mean, >= 1",
                 },
-                Entry {
-                    info: TrafficInfo {
-                        name: "burst",
-                        aliases: &["onoff", "on-off"],
-                        summary: "deterministic on/off bursts, Poisson arrivals inside phases",
-                        params: &[
-                            ParamInfo {
-                                key: "on_mbps",
-                                default: "1600",
-                                help: "aggregate rate during the on phase, Mbps",
-                            },
-                            ParamInfo {
-                                key: "off_mbps",
-                                default: "200",
-                                help: "aggregate rate during the off phase, Mbps (0 = silent)",
-                            },
-                            ParamInfo {
-                                key: "period_s",
-                                default: "0.002",
-                                help: "length of one on+off cycle, seconds",
-                            },
-                            ParamInfo {
-                                key: "duty",
-                                default: "0.5",
-                                help: "fraction of each period spent on, (0, 1)",
-                            },
-                            PORTS_PARAM,
-                        ],
-                    },
-                    build: build_burst,
+                ParamInfo {
+                    key: "dwell_us",
+                    default: "200",
+                    help: "mean dwell time per modulation state, microseconds",
                 },
-                Entry {
-                    info: TrafficInfo {
-                        name: "flash",
-                        aliases: &["spike", "flashcrowd"],
-                        summary: "baseline plus one trapezoidal flash-crowd spike",
-                        params: &[
-                            ParamInfo {
-                                key: "base_mbps",
-                                default: "400",
-                                help: "baseline aggregate rate, Mbps",
-                            },
-                            ParamInfo {
-                                key: "peak_mbps",
-                                default: "1800",
-                                help: "rate at the top of the spike, Mbps",
-                            },
-                            ParamInfo {
-                                key: "at_ms",
-                                default: "4",
-                                help: "spike start, milliseconds from stream start",
-                            },
-                            ParamInfo {
-                                key: "ramp_ms",
-                                default: "1",
-                                help: "linear ramp length (up and down), milliseconds",
-                            },
-                            ParamInfo {
-                                key: "hold_ms",
-                                default: "3",
-                                help: "time held at the peak, milliseconds",
-                            },
-                            PORTS_PARAM,
-                        ],
-                    },
-                    build: build_flash,
+                PORTS_PARAM,
+            ],
+            build: build_mmpp,
+        },
+        Entry {
+            name: "diurnal",
+            aliases: &["day"],
+            summary: "sample the Fig. 2 day profile, drive MMPP at the median",
+            params: &[
+                ParamInfo {
+                    key: "hour",
+                    default: "16",
+                    help: "time of day to sample, hours [0, 24)",
                 },
-                Entry {
-                    info: TrafficInfo {
-                        name: "constant",
-                        aliases: &["cbr", "fixed"],
-                        summary: "constant bit rate: equally spaced fixed-size packets (no RNG)",
-                        params: &[
-                            ParamInfo {
-                                key: "rate",
-                                default: "600",
-                                help: "aggregate rate, Mbps",
-                            },
-                            ParamInfo {
-                                key: "size",
-                                default: "576",
-                                help: "size of every packet, bytes",
-                            },
-                            PORTS_PARAM,
-                        ],
-                    },
-                    build: build_constant,
+                ParamInfo {
+                    key: "scale",
+                    default: "5",
+                    help: "NPU aggregate / profiled-link median ratio",
                 },
-                Entry {
-                    info: TrafficInfo {
-                        name: "trace",
-                        aliases: &["replay"],
-                        summary: "replay a recorded trace file (see `abdex trace --out`)",
-                        params: &[
-                            ParamInfo {
-                                key: "path",
-                                default: "(required)",
-                                help: "path of a trace in RecordedTrace text format",
-                            },
-                            ParamInfo {
-                                key: "file",
-                                default: "(required)",
-                                help: "synonym for path (trace:file=t.trace)",
-                            },
-                            ParamInfo {
-                                key: "scale",
-                                default: "1",
-                                help: "offered-rate multiplier via packet \
-                                       thinning (<1) or duplication (>1)",
-                            },
-                        ],
-                    },
-                    build: build_trace,
+                ParamInfo {
+                    key: "peak_bps",
+                    default: "250000000",
+                    help: "day-profile peak rate, bits/s",
                 },
-                Entry {
-                    info: TrafficInfo {
-                        name: "stochastic",
-                        aliases: &["renewal", "dist"],
-                        summary: "renewal arrivals: dist-driven gaps (us) and sizes (bytes)",
-                        params: &[
-                            ParamInfo {
-                                key: "gap",
-                                default: "pareto:alpha=1.5,scale=2.6,max=1000",
-                                help: "inter-arrival gap distribution, microseconds \
-                                       (a dist spec; following keys bind to it)",
-                            },
-                            ParamInfo {
-                                key: "size",
-                                default: "lognormal:mu=6,sigma=1.2,min=40,max=1500",
-                                help: "packet size distribution, bytes (a dist spec; \
-                                       following keys bind to it)",
-                            },
-                            PORTS_PARAM,
-                        ],
-                    },
-                    build: build_stochastic,
-                },
-                Entry {
-                    info: TrafficInfo {
-                        name: "schedule",
-                        aliases: &["piecewise", "composite"],
-                        summary: "piecewise composition of other models over cycle windows",
-                        params: &[ParamInfo {
-                            key: "segments",
-                            default: "(required)",
-                            help: "[child@start..end; ...] windows in 600 MHz base-clock \
-                                   cycles, contiguous from 0; the last end may stay open \
-                                   (start..)",
-                        }],
-                    },
-                    build: build_schedule,
+                ParamInfo {
+                    key: "profile_seed",
+                    default: "0",
+                    help: "profile-jitter seed (fixed per spec)",
                 },
             ],
-        })
-    }
-
-    /// Builds a validated spec for `name` (case-insensitive) from raw
-    /// parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] for unknown names, unknown keys or
-    /// invalid values.
-    pub fn build_spec(&self, name: &str, params: Params) -> Result<TrafficSpec, SpecError> {
-        let wanted = name.to_ascii_lowercase();
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.info.name == wanted || e.info.aliases.contains(&wanted.as_str()))
-            .ok_or_else(|| SpecError::UnknownName {
-                kind: "traffic model",
-                name: wanted,
-                known: self.name_list(),
-            })?;
-        // Fill the accepted-key list only for errors this entry itself
-        // raised: a `schedule` builder recurses into child entries, and
-        // a child's already-attributed error (its `owner` is the child)
-        // must keep the child's accepted keys, not gain schedule's.
-        (entry.build)(params).map_err(|e| match &e {
-            SpecError::UnknownParam { owner, .. } if owner != entry.info.name => e,
-            _ => e.with_accepted_keys(entry.info.params),
-        })
-    }
-
-    /// Metadata for every registered model, registration order.
-    pub fn infos(&self) -> impl Iterator<Item = &TrafficInfo> {
-        self.entries.iter().map(|e| &e.info)
-    }
-
-    /// Metadata for one model, by name or alias (case-insensitive).
-    #[must_use]
-    pub fn info(&self, name: &str) -> Option<&TrafficInfo> {
-        let wanted = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .map(|e| &e.info)
-            .find(|i| i.name == wanted || i.aliases.contains(&wanted.as_str()))
-    }
-
-    /// Comma-separated canonical names (for error messages and help).
-    #[must_use]
-    pub fn name_list(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| e.info.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
-
-fn level_entry(name: &'static str, level: TrafficLevel, summary: &'static str) -> Entry {
-    Entry {
-        info: TrafficInfo {
-            name,
-            aliases: &[],
-            summary,
-            params: &[],
+            build: build_diurnal,
         },
-        build: match level {
-            TrafficLevel::Low => |params| {
-                params.finish("low")?;
-                Ok(TrafficSpec::Level(TrafficLevel::Low))
-            },
-            TrafficLevel::Medium => |params| {
-                params.finish("medium")?;
-                Ok(TrafficSpec::Level(TrafficLevel::Medium))
-            },
-            TrafficLevel::High => |params| {
-                params.finish("high")?;
-                Ok(TrafficSpec::Level(TrafficLevel::High))
-            },
+        Entry {
+            name: "burst",
+            aliases: &["onoff", "on-off"],
+            summary: "deterministic on/off bursts, Poisson arrivals inside phases",
+            params: &[
+                ParamInfo {
+                    key: "on_mbps",
+                    default: "1600",
+                    help: "aggregate rate during the on phase, Mbps",
+                },
+                ParamInfo {
+                    key: "off_mbps",
+                    default: "200",
+                    help: "aggregate rate during the off phase, Mbps (0 = silent)",
+                },
+                ParamInfo {
+                    key: "period_s",
+                    default: "0.002",
+                    help: "length of one on+off cycle, seconds",
+                },
+                ParamInfo {
+                    key: "duty",
+                    default: "0.5",
+                    help: "fraction of each period spent on, (0, 1)",
+                },
+                PORTS_PARAM,
+            ],
+            build: build_burst,
         },
-    }
+        Entry {
+            name: "flash",
+            aliases: &["spike", "flashcrowd"],
+            summary: "baseline plus one trapezoidal flash-crowd spike",
+            params: &[
+                ParamInfo {
+                    key: "base_mbps",
+                    default: "400",
+                    help: "baseline aggregate rate, Mbps",
+                },
+                ParamInfo {
+                    key: "peak_mbps",
+                    default: "1800",
+                    help: "rate at the top of the spike, Mbps",
+                },
+                ParamInfo {
+                    key: "at_ms",
+                    default: "4",
+                    help: "spike start, milliseconds from stream start",
+                },
+                ParamInfo {
+                    key: "ramp_ms",
+                    default: "1",
+                    help: "linear ramp length (up and down), milliseconds",
+                },
+                ParamInfo {
+                    key: "hold_ms",
+                    default: "3",
+                    help: "time held at the peak, milliseconds",
+                },
+                PORTS_PARAM,
+            ],
+            build: build_flash,
+        },
+        Entry {
+            name: "constant",
+            aliases: &["cbr", "fixed"],
+            summary: "constant bit rate: equally spaced fixed-size packets (no RNG)",
+            params: &[
+                ParamInfo {
+                    key: "rate",
+                    default: "600",
+                    help: "aggregate rate, Mbps",
+                },
+                ParamInfo {
+                    key: "size",
+                    default: "576",
+                    help: "size of every packet, bytes",
+                },
+                PORTS_PARAM,
+            ],
+            build: build_constant,
+        },
+        Entry {
+            name: "trace",
+            aliases: &["replay"],
+            summary: "replay a recorded trace file (see `abdex trace --out`)",
+            params: &[
+                ParamInfo {
+                    key: "path",
+                    default: "(required)",
+                    help: "path of a trace in RecordedTrace text format",
+                },
+                ParamInfo {
+                    key: "file",
+                    default: "(required)",
+                    help: "synonym for path (trace:file=t.trace)",
+                },
+                ParamInfo {
+                    key: "scale",
+                    default: "1",
+                    help: "offered-rate multiplier via packet \
+                           thinning (<1) or duplication (>1)",
+                },
+            ],
+            build: build_trace,
+        },
+        Entry {
+            name: "stochastic",
+            aliases: &["renewal", "dist"],
+            summary: "renewal arrivals: dist-driven gaps (us) and sizes (bytes)",
+            params: &[
+                ParamInfo {
+                    key: "gap",
+                    default: "pareto:alpha=1.5,scale=2.6,max=1000",
+                    help: "inter-arrival gap distribution, microseconds \
+                           (a dist spec; following keys bind to it)",
+                },
+                ParamInfo {
+                    key: "size",
+                    default: "lognormal:mu=6,sigma=1.2,min=40,max=1500",
+                    help: "packet size distribution, bytes (a dist spec; \
+                           following keys bind to it)",
+                },
+                PORTS_PARAM,
+            ],
+            build: build_stochastic,
+        },
+        Entry {
+            name: "schedule",
+            aliases: &["piecewise", "composite"],
+            summary: "piecewise composition of other models over cycle windows",
+            params: &[ParamInfo {
+                key: "segments",
+                default: "(required)",
+                help: "[child@start..end; ...] windows in 600 MHz base-clock \
+                       cycles, contiguous from 0; the last end may stay open \
+                       (start..)",
+            }],
+            build: build_schedule,
+        },
+    ],
+);
+
+fn build_level(params: Params, level: TrafficLevel) -> Result<TrafficSpec, SpecError> {
+    let spec = TrafficSpec::Level(level);
+    params.finish(spec.name())?;
+    Ok(spec)
 }
 
 fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
@@ -661,28 +548,26 @@ mod tests {
 
     #[test]
     fn every_entry_builds_with_defaults() {
-        let registry = TrafficRegistry::builtin();
-        for info in registry.infos() {
+        for entry in TRAFFIC_MODELS.entries() {
             let mut params = Params::default();
-            fill_required(info.name, &mut params);
-            let spec = registry
-                .build_spec(info.name, params)
-                .unwrap_or_else(|e| panic!("{}: {e}", info.name));
-            assert_eq!(spec.name(), info.name, "{}", info.name);
+            fill_required(entry.name, &mut params);
+            let spec = TRAFFIC_MODELS
+                .build(entry.name, params)
+                .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+            assert_eq!(spec.name(), entry.name, "{}", entry.name);
         }
     }
 
     #[test]
     fn aliases_resolve_to_the_same_spec() {
-        let registry = TrafficRegistry::builtin();
-        for info in registry.infos() {
+        for entry in TRAFFIC_MODELS.entries() {
             let mut canonical_params = Params::default();
-            fill_required(info.name, &mut canonical_params);
-            let canonical = registry.build_spec(info.name, canonical_params).unwrap();
-            for alias in info.aliases {
+            fill_required(entry.name, &mut canonical_params);
+            let canonical = TRAFFIC_MODELS.build(entry.name, canonical_params).unwrap();
+            for alias in entry.aliases {
                 let mut params = Params::default();
-                fill_required(info.name, &mut params);
-                let via_alias = registry.build_spec(alias, params).unwrap();
+                fill_required(entry.name, &mut params);
+                let via_alias = TRAFFIC_MODELS.build(alias, params).unwrap();
                 assert_eq!(via_alias, canonical, "alias {alias}");
             }
         }
@@ -690,62 +575,61 @@ mod tests {
 
     #[test]
     fn names_are_case_insensitive() {
-        let registry = TrafficRegistry::builtin();
-        assert!(registry.build_spec("BURST", Params::default()).is_ok());
-        assert!(registry.build_spec("Medium", Params::default()).is_ok());
-        assert!(registry.info("CBR").is_some());
+        assert!(TRAFFIC_MODELS.build("BURST", Params::default()).is_ok());
+        assert!(TRAFFIC_MODELS.build("Medium", Params::default()).is_ok());
+        assert_eq!(
+            TrafficSpec::parse("CBR").unwrap(),
+            TrafficSpec::parse("constant").unwrap()
+        );
     }
 
     #[test]
     fn documented_params_are_exactly_the_accepted_ones() {
-        let registry = TrafficRegistry::builtin();
-        for info in registry.infos() {
+        for entry in TRAFFIC_MODELS.entries() {
             let mut params = Params::default();
-            for p in info.params {
+            for p in entry.params {
                 if p.default == "(required)" {
                     continue; // filled below with a valid sample value
                 }
                 params.insert(p.key, p.default);
             }
-            fill_required(info.name, &mut params);
-            registry
-                .build_spec(info.name, params)
-                .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", info.name));
+            fill_required(entry.name, &mut params);
+            TRAFFIC_MODELS
+                .build(entry.name, params)
+                .unwrap_or_else(|e| panic!("{} rejects its own defaults: {e}", entry.name));
 
             let mut bogus = Params::default();
             bogus.insert("definitely-not-a-param", "1");
-            fill_required(info.name, &mut bogus);
+            fill_required(entry.name, &mut bogus);
             assert!(
                 matches!(
-                    registry.build_spec(info.name, bogus),
+                    TRAFFIC_MODELS.build(entry.name, bogus),
                     Err(SpecError::UnknownParam { .. })
                 ),
                 "{} accepted a bogus key",
-                info.name
+                entry.name
             );
         }
     }
 
     #[test]
     fn trace_requires_a_path() {
-        let err = TrafficRegistry::builtin()
-            .build_spec("trace", Params::default())
+        let err = TRAFFIC_MODELS
+            .build("trace", Params::default())
             .unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "path"));
     }
 
     #[test]
     fn schedule_requires_a_segment_list() {
-        let err = TrafficRegistry::builtin()
-            .build_spec("schedule", Params::default())
+        let err = TRAFFIC_MODELS
+            .build("schedule", Params::default())
             .unwrap_err();
         assert!(matches!(err, SpecError::InvalidValue { ref key, .. } if key == "segments"));
         // A child error propagates with its own context.
         let mut params = Params::default();
         params.insert("segments", "[burst:flux=9@0..]");
-        let err = TrafficRegistry::builtin()
-            .build_spec("schedule", params)
-            .unwrap_err();
+        let err = TRAFFIC_MODELS.build("schedule", params).unwrap_err();
         assert!(
             matches!(err, SpecError::UnknownParam { ref key, .. } if key == "flux"),
             "{err}"
@@ -754,8 +638,8 @@ mod tests {
 
     #[test]
     fn unknown_name_lists_known_models() {
-        let err = TrafficRegistry::builtin()
-            .build_spec("tsunami", Params::default())
+        let err = TRAFFIC_MODELS
+            .build("tsunami", Params::default())
             .unwrap_err();
         let text = err.to_string();
         assert!(text.contains("tsunami"));

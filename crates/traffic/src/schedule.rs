@@ -26,7 +26,7 @@ use desim::{Frequency, SimTime};
 use kvspec::{PVal, SpecError};
 use serde::{Deserialize, Serialize};
 
-use crate::registry::TrafficRegistry;
+use crate::registry::TRAFFIC_MODELS;
 use crate::{Packet, PacketSource, TrafficModel, TrafficSpec};
 
 /// The base (normal) core clock schedules are expressed in: 600 MHz,
@@ -84,8 +84,7 @@ impl ScheduleSegment {
         } else {
             Some(parse_cycles(end_text)?)
         };
-        let (name, params) = kvspec::parse_cli(spec_text.trim())?;
-        let spec = TrafficRegistry::builtin().build_spec(&name, params)?;
+        let spec = TRAFFIC_MODELS.parse(spec_text)?;
         Ok(ScheduleSegment {
             spec,
             start_cycles,

@@ -10,8 +10,8 @@
 //! `low`, `medium` and `high` as bare-name shorthands for the paper's
 //! three sampling periods.
 //!
-//! Names and parameters resolve through the
-//! [`TrafficRegistry`](crate::TrafficRegistry), and every spec renders
+//! Names and parameters resolve through the entry table
+//! [`TRAFFIC_MODELS`](crate::TRAFFIC_MODELS), and every spec renders
 //! back into the grammar ([`TrafficSpec::spec_string`]) with exact
 //! round-tripping.
 
@@ -21,7 +21,7 @@ use std::str::FromStr;
 use kvspec::{PVal, SpecError};
 use serde::{Deserialize, Serialize};
 
-use crate::registry::TrafficRegistry;
+use crate::registry::TRAFFIC_MODELS;
 use crate::{
     ArrivalConfig, ConstantConfig, DiurnalConfig, FlashConfig, OnOffConfig, ReplayConfig,
     ScheduleConfig, StochasticConfig, TrafficLevel, TrafficModel,
@@ -160,8 +160,8 @@ impl TrafficSpec {
         }
     }
 
-    /// Parses the CLI grammar `name[:key=val[,key=val]...]` against the
-    /// built-in registry. `low`/`medium`/`high` remain accepted as
+    /// Parses the CLI grammar `name[:key=val[,key=val]...]` against
+    /// [`TRAFFIC_MODELS`]. `low`/`medium`/`high` remain accepted as
     /// bare-name shorthands for the paper's levels.
     ///
     /// # Errors
@@ -169,8 +169,7 @@ impl TrafficSpec {
     /// Returns a [`SpecError`] for unknown names/keys, unparsable values
     /// or values outside a model's valid range.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let (name, params) = kvspec::parse_cli(input)?;
-        TrafficRegistry::builtin().build_spec(&name, params)
+        TRAFFIC_MODELS.parse(input)
     }
 
     /// Renders the spec in the CLI grammar; [`TrafficSpec::parse`] of

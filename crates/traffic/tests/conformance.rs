@@ -1,6 +1,6 @@
 //! Conformance suite over every registered traffic model.
 //!
-//! Every model reachable through the [`TrafficRegistry`] must satisfy
+//! Every model reachable through [`TRAFFIC_MODELS`] must satisfy
 //! the [`TrafficModel`] contracts:
 //!
 //! 1. same seed → byte-identical packet sequence,
@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 
 use desim::SimTime;
-use traffic::{TrafficRegistry, TrafficSpec};
+use traffic::{TrafficSpec, TRAFFIC_MODELS};
 
 /// Horizon the statistical checks run over (microseconds).
 const HORIZON_US: f64 = 150_000.0;
@@ -100,7 +100,7 @@ fn is_deterministic(spec: &TrafficSpec) -> bool {
 #[test]
 fn tested_specs_cover_the_whole_registry() {
     let tested: BTreeSet<&str> = tested_specs().iter().map(|s| s.name()).collect();
-    let registered: BTreeSet<&str> = TrafficRegistry::builtin().infos().map(|i| i.name).collect();
+    let registered: BTreeSet<&str> = TRAFFIC_MODELS.entries().iter().map(|e| e.name).collect();
     assert_eq!(
         tested, registered,
         "conformance list out of sync with the registry"
