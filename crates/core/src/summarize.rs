@@ -22,6 +22,9 @@ use crate::json::{array, header, Obj};
 /// Sample lines per fold chunk. Fixed — see the module docs.
 const SUMMARIZE_CHUNK: usize = 65_536;
 
+/// The most bytes of a sample line an error message quotes.
+const EXCERPT_BYTES: usize = 80;
+
 /// One channel's folded statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelSummary {
@@ -101,25 +104,53 @@ impl ChannelFold {
     }
 }
 
-/// Folds one chunk of sample lines against the header's channel list.
-/// Strict: a line that is not a well-formed sample of a known channel
-/// fails the whole summary — a recording is machine-written, so damage
-/// should surface, not silently skew the statistics.
-fn fold_chunk(channels: &[String], lines: &[&str]) -> Result<Vec<ChannelFold>, String> {
+/// At most [`EXCERPT_BYTES`] of `s`, cut on a char boundary, with `…`
+/// appended when cut: an error quotes a line, never echoes it whole.
+fn excerpt(s: &str) -> String {
+    if s.len() <= EXCERPT_BYTES {
+        return s.to_owned();
+    }
+    let mut end = EXCERPT_BYTES;
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &s[..end])
+}
+
+/// The 1-based number of `line`, a line `str::lines` cut from `text`.
+fn line_number(text: &str, line: &str) -> usize {
+    let offset = line.as_ptr() as usize - text.as_ptr() as usize;
+    text.as_bytes()[..offset]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
+        + 1
+}
+
+/// Folds one chunk of sample lines (cut from `text`) against the
+/// header's channel list. Strict: a line that is not a well-formed
+/// sample of a known channel fails the whole summary — a recording is
+/// machine-written, so damage should surface, not silently skew the
+/// statistics. The error names the line by its number in `text`.
+fn fold_chunk(text: &str, channels: &[String], lines: &[&str]) -> Result<Vec<ChannelFold>, String> {
     let mut folds: Vec<ChannelFold> = channels.iter().map(|_| ChannelFold::new()).collect();
     for line in lines {
+        let fail = |what: String| format!("line {}: {what}", line_number(text, line));
         let sample = ccache::json::Value::parse(line)
-            .ok_or_else(|| format!("malformed sample line: {line}"))?;
+            .ok_or_else(|| fail(format!("malformed sample line: {}", excerpt(line))))?;
         let channel = sample
             .str_of("channel")
-            .ok_or_else(|| format!("sample line without a channel: {line}"))?;
-        let value = sample
-            .f64_of("value")
-            .ok_or_else(|| format!("sample line without a finite value: {line}"))?;
+            .ok_or_else(|| fail(format!("sample line without a channel: {}", excerpt(line))))?;
+        let value = sample.f64_of("value").ok_or_else(|| {
+            fail(format!(
+                "sample line without a finite value: {}",
+                excerpt(line)
+            ))
+        })?;
         let index = channels
             .iter()
             .position(|c| c == channel)
-            .ok_or_else(|| format!("sample of unknown channel {channel:?}"))?;
+            .ok_or_else(|| fail(format!("sample of unknown channel {:?}", excerpt(channel))))?;
         folds[index].push(value);
     }
     Ok(folds)
@@ -173,7 +204,9 @@ pub fn summarize_record(text: &str, runner: &Runner) -> Result<RecordSummary, St
         .enumerate()
         .map(|(i, chunk)| {
             let channels = &channels;
-            Job::new(format!("chunk {i}"), move || fold_chunk(channels, chunk))
+            Job::new(format!("chunk {i}"), move || {
+                fold_chunk(text, channels, chunk)
+            })
         })
         .collect();
     let mut results = runner.run(jobs);
@@ -362,5 +395,37 @@ mod tests {
         assert!(summarize_record(&alien, &Runner::serial())
             .unwrap_err()
             .contains("unknown channel"));
+    }
+
+    #[test]
+    fn errors_name_the_first_bad_line_with_a_bounded_excerpt() {
+        let header = recording().lines().next().unwrap().to_owned();
+        let good = "{\"series\":0,\"channel\":\"power_w\",\"cycle\":1,\"value\":2}";
+        // A blank line still counts, a multi-byte char straddles the
+        // cut, and a second bad line sits in a later fold chunk.
+        let bad = format!("{}é{}", "x".repeat(EXCERPT_BYTES - 1), "y".repeat(1000));
+        let mut doc = format!("{header}\n\n{good}\n{bad}\n");
+        for _ in 0..SUMMARIZE_CHUNK + 10 {
+            doc.push_str(good);
+            doc.push('\n');
+        }
+        doc.push_str("[[\n");
+        let want = format!(
+            "line 4: malformed sample line: {}…",
+            "x".repeat(EXCERPT_BYTES - 1)
+        );
+        for workers in [1, 4] {
+            let runner = Runner::new().with_workers(workers);
+            assert_eq!(summarize_record(&doc, &runner).unwrap_err(), want);
+        }
+
+        let doc = format!("{header}\n{}\n", good.replace("power_w", &"c".repeat(500)));
+        let err = summarize_record(&doc, &Runner::serial()).unwrap_err();
+        assert!(
+            err.starts_with("line 2: sample of unknown channel \"ccc"),
+            "{err}"
+        );
+        assert!(err.len() < 2 * EXCERPT_BYTES, "{err}");
+        assert_eq!(excerpt("short"), "short");
     }
 }

@@ -2067,7 +2067,8 @@ fn obs_summarize_json_is_byte_identical_across_jobs() {
         String::from_utf8_lossy(&out.stderr)
     );
     // So is a sample line of 100,000 nested brackets: the JSON parser's
-    // nesting cap rejects it before it can overflow the stack.
+    // nesting cap rejects it before it can overflow the stack, and the
+    // error names the line with a short excerpt instead of echoing it.
     let header = std::fs::read_to_string(&record_path)
         .unwrap()
         .lines()
@@ -2085,6 +2086,25 @@ fn obs_summarize_json_is_byte_identical_across_jobs() {
     assert_eq!(out.status.code(), Some(1), "{excerpt}");
     assert!(err.contains("malformed sample line: [[["), "{excerpt}");
     assert!(!err.contains("overflowed"), "{excerpt}");
+    assert!(
+        err.contains(&format!(
+            "line 2: malformed sample line: {}…",
+            "[".repeat(80)
+        )),
+        "{excerpt}"
+    );
+    assert!(
+        out.stderr.len() < 1024,
+        "{} bytes of stderr",
+        out.stderr.len()
+    );
+    for jobs in ["1", "4"] {
+        let again = abdex()
+            .args(["obs", "summarize", deep.to_str().unwrap(), "--jobs", jobs])
+            .output()
+            .expect("binary runs");
+        assert_eq!(again.stderr, out.stderr, "--jobs {jobs}");
+    }
     // A missing or malformed recording leaves nothing at the --json path.
     let json = dir.join("summary.json");
     for input in [dir.join("missing.jsonl"), bogus, deep] {
