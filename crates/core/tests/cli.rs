@@ -447,6 +447,47 @@ fn oversized_analysis_periods_exit_one_with_a_message() {
 }
 
 #[test]
+fn deeply_nested_formulas_exit_one_with_a_parse_error() {
+    let dir = std::env::temp_dir().join(format!("abdex-cli-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace_path = dir.join("trace.txt");
+    let trace: String = (0..20u64)
+        .map(|k| format!("{} {k} 0 {k} 0 forward\n", k * 600))
+        .collect();
+    std::fs::write(&trace_path, trace).expect("trace written");
+    let trace = trace_path.to_str().unwrap();
+
+    // Each of these once overflowed the stack and aborted (exit 134).
+    let atom = "time(forward[i])";
+    for body in [
+        format!("{}{atom}{}", "(".repeat(10_000), ")".repeat(10_000)),
+        format!("{}{atom}", "-".repeat(30_000)),
+        format!("{}{atom}", "1+".repeat(59_999)),
+    ] {
+        let assertion = format!("{body} <= 1");
+        let dist = format!("{body} dist== (0, 100, 1)");
+        for args in [
+            ["codegen", "--formula", &assertion, "", ""],
+            ["codegen", "--formula", &dist, "", ""],
+            ["check", "--formula", &assertion, "--trace", trace],
+            ["analyze", "--formula", &dist, "--trace", trace],
+        ] {
+            let args: Vec<&str> = args.into_iter().filter(|a| !a.is_empty()).collect();
+            let out = abdex().args(&args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+            assert!(
+                stderr.contains("nested deeper than 256 levels"),
+                "{}: {stderr}",
+                args[0]
+            );
+            assert!(out.stdout.is_empty(), "{} printed output", args[0]);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_accepts_traffic_spec_grammar() {
     // The acceptance spec of the traffic-API redesign: a model that did
     // not exist before the TrafficModel trait opened this axis.

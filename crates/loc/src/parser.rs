@@ -21,10 +21,16 @@ use crate::lexer::{tokenize, DistTok, Token, TokenKind};
 /// index    := 'i' (('+'|'-') NUMBER)?
 /// ```
 ///
+/// Every later pass (evaluation, codegen, display, drop) recurses over
+/// the tree, so nesting is capped at [`MAX_DEPTH`] levels. Each
+/// parenthesis pair, unary `-` or `!`, and binary, comparison or boolean
+/// operator adds a level to everything beneath it. A flat chain such as
+/// `1+1+1` is left-deep: each operator is one level.
+///
 /// # Errors
 ///
 /// Returns a [`ParseError`] with a byte position and message on any lexical
-/// or syntactic problem.
+/// or syntactic problem, or on a formula nested deeper than [`MAX_DEPTH`].
 ///
 /// # Example
 ///
@@ -37,18 +43,58 @@ use crate::lexer::{tokenize, DistTok, Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> Result<Formula, ParseError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        level: 0,
+    };
     let formula = p.formula()?;
     p.expect_eof()?;
     Ok(formula)
 }
 
+/// The deepest nesting [`parse`] accepts, in levels (see [`parse`]).
+/// Small enough that every recursive pass over a formula fits the
+/// 2 MiB stack of a pool worker thread.
+pub const MAX_DEPTH: usize = 256;
+
+/// A parsed node and its depth: the levels nested inside it.
+type Parsed<T> = Result<(T, usize), ParseError>;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels known to sit above the rule being parsed. Together with
+    /// the depth a rule returns, this bounds both the recursion and the
+    /// tree: no rule recurses or builds past [`MAX_DEPTH`].
+    level: usize,
 }
 
 impl Parser {
+    /// Fails when a node of `depth` at the current level would nest
+    /// deeper than [`MAX_DEPTH`].
+    fn check_depth(&self, depth: usize, pos: usize) -> Result<(), ParseError> {
+        if self.level + depth > MAX_DEPTH {
+            Err(ParseError::new(
+                pos,
+                format!("formula nested deeper than {MAX_DEPTH} levels"),
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Parses `rule` one level down (the operand of an operator, or a
+    /// parenthesised group) and returns its depth counting that level.
+    fn nested<T>(&mut self, rule: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        self.check_depth(1, self.peek_pos())?;
+        self.level += 1;
+        let parsed = rule(self);
+        self.level -= 1;
+        let (node, depth) = parsed?;
+        Ok((node, depth + 1))
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -111,7 +157,7 @@ impl Parser {
     fn formula(&mut self) -> Result<Formula, ParseError> {
         // Try a distribution formula first: expr distop (min, max, step).
         let save = self.pos;
-        if let Ok(expr) = self.expr() {
+        if let Ok((expr, _)) = self.expr() {
             if let TokenKind::Dist(d) = self.peek().clone() {
                 self.bump();
                 self.expect(TokenKind::LParen, "'('")?;
@@ -136,37 +182,41 @@ impl Parser {
             }
         }
         self.pos = save;
-        let b = self.bool_expr()?;
+        let (b, _) = self.bool_expr()?;
         Ok(Formula::Assert(b))
     }
 
-    fn bool_expr(&mut self) -> Result<BoolExpr, ParseError> {
-        let mut lhs = self.and_expr()?;
+    fn bool_expr(&mut self) -> Parsed<BoolExpr> {
+        let (mut lhs, mut depth) = self.and_expr()?;
         while self.eat(&TokenKind::OrOr) {
-            let rhs = self.and_expr()?;
+            let (rhs, rhs_depth) = self.nested(Self::and_expr)?;
+            depth = (depth + 1).max(rhs_depth);
+            self.check_depth(depth, self.peek_pos())?;
             lhs = BoolExpr::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn and_expr(&mut self) -> Result<BoolExpr, ParseError> {
-        let mut lhs = self.bool_unary()?;
+    fn and_expr(&mut self) -> Parsed<BoolExpr> {
+        let (mut lhs, mut depth) = self.bool_unary()?;
         while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.bool_unary()?;
+            let (rhs, rhs_depth) = self.nested(Self::bool_unary)?;
+            depth = (depth + 1).max(rhs_depth);
+            self.check_depth(depth, self.peek_pos())?;
             lhs = BoolExpr::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn bool_unary(&mut self) -> Result<BoolExpr, ParseError> {
+    fn bool_unary(&mut self) -> Parsed<BoolExpr> {
         if self.eat(&TokenKind::Bang) {
-            let inner = self.bool_unary()?;
-            return Ok(BoolExpr::Not(Box::new(inner)));
+            let (inner, depth) = self.nested(Self::bool_unary)?;
+            return Ok((BoolExpr::Not(Box::new(inner)), depth));
         }
         self.bool_atom()
     }
 
-    fn bool_atom(&mut self) -> Result<BoolExpr, ParseError> {
+    fn bool_atom(&mut self) -> Parsed<BoolExpr> {
         // Try `expr cmpop expr` with backtracking; on failure and a leading
         // '(' try a parenthesized boolean expression.
         let save = self.pos;
@@ -175,9 +225,11 @@ impl Parser {
             Err(first_err) => {
                 self.pos = save;
                 if self.eat(&TokenKind::LParen) {
-                    let inner = self.bool_expr()?;
-                    self.expect(TokenKind::RParen, "')'")?;
-                    Ok(inner)
+                    self.nested(|p| {
+                        let inner = p.bool_expr()?;
+                        p.expect(TokenKind::RParen, "')'")?;
+                        Ok(inner)
+                    })
                 } else {
                     Err(first_err)
                 }
@@ -185,8 +237,8 @@ impl Parser {
         }
     }
 
-    fn cmp(&mut self) -> Result<BoolExpr, ParseError> {
-        let lhs = self.expr()?;
+    fn cmp(&mut self) -> Parsed<BoolExpr> {
+        let (lhs, lhs_depth) = self.nested(Self::expr)?;
         let op = match self.peek() {
             TokenKind::Le => CmpOp::Le,
             TokenKind::Lt => CmpOp::Lt,
@@ -202,12 +254,12 @@ impl Parser {
             }
         };
         self.bump();
-        let rhs = self.expr()?;
-        Ok(BoolExpr::Cmp { op, lhs, rhs })
+        let (rhs, rhs_depth) = self.nested(Self::expr)?;
+        Ok((BoolExpr::Cmp { op, lhs, rhs }, lhs_depth.max(rhs_depth)))
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.term()?;
+    fn expr(&mut self) -> Parsed<Expr> {
+        let (mut lhs, mut depth) = self.term()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
@@ -215,18 +267,20 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let rhs = self.term()?;
+            let (rhs, rhs_depth) = self.nested(Self::term)?;
+            depth = (depth + 1).max(rhs_depth);
+            self.check_depth(depth, self.peek_pos())?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.factor()?;
+    fn term(&mut self) -> Parsed<Expr> {
+        let (mut lhs, mut depth) = self.factor()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
@@ -234,36 +288,40 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let rhs = self.factor()?;
+            let (rhs, rhs_depth) = self.nested(Self::factor)?;
+            depth = (depth + 1).max(rhs_depth);
+            self.check_depth(depth, self.peek_pos())?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn factor(&mut self) -> Result<Expr, ParseError> {
+    fn factor(&mut self) -> Parsed<Expr> {
         match self.peek().clone() {
             TokenKind::Number(n) => {
                 self.bump();
-                Ok(Expr::Const(n))
+                Ok((Expr::Const(n), 0))
             }
             TokenKind::Minus => {
                 self.bump();
-                let inner = self.factor()?;
-                Ok(Expr::Neg(Box::new(inner)))
+                let (inner, depth) = self.nested(Self::factor)?;
+                Ok((Expr::Neg(Box::new(inner)), depth))
             }
             TokenKind::LParen => {
                 self.bump();
-                let inner = self.expr()?;
-                self.expect(TokenKind::RParen, "')'")?;
-                Ok(inner)
+                self.nested(|p| {
+                    let inner = p.expr()?;
+                    p.expect(TokenKind::RParen, "')'")?;
+                    Ok(inner)
+                })
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                self.annot_access(&name)
+                Ok((self.annot_access(&name)?, 0))
             }
             other => Err(ParseError::new(
                 self.peek_pos(),
@@ -449,5 +507,75 @@ mod tests {
             let f2 = parse(&f1.to_string()).unwrap();
             assert_eq!(f1, f2, "round-trip failed for {src}");
         }
+    }
+
+    /// The four shapes that nest without bound, each `levels` deep
+    /// counting the comparison: parentheses, unary minus, `!`, and a
+    /// flat left-deep chain.
+    fn deep_formulas(levels: usize) -> [String; 4] {
+        let k = levels - 1;
+        let atom = "time(forward[i])";
+        [
+            format!("{}{atom}{} <= 1e9", "(".repeat(k), ")".repeat(k)),
+            format!("{}{atom} <= 1e9", "-".repeat(k)),
+            format!("{}{atom} <= 1e9", "!".repeat(k)),
+            format!("{}{atom} <= 1e9", "1+".repeat(k)),
+        ]
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack of a pool worker.
+    fn on_worker_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        on_worker_stack(|| {
+            let mut trace = crate::Trace::new();
+            for k in 0..4u64 {
+                let a = crate::Annotations {
+                    time: k as f64,
+                    ..Default::default()
+                };
+                trace.push(crate::TraceRecord::new("forward", a));
+            }
+            for src in deep_formulas(MAX_DEPTH) {
+                let f = parse(&src).unwrap_or_else(|e| panic!("{e}: {}", &src[..40]));
+                let report = crate::Checker::from_formula(&f).unwrap().check(&trace);
+                assert_eq!(report.instances, 4);
+                crate::codegen::generate(&f).unwrap();
+                assert!(!f.to_string().is_empty());
+            }
+            for src in deep_formulas(MAX_DEPTH + 1) {
+                let err = parse(&src).unwrap_err();
+                assert!(err.message.contains("nested deeper than 256"), "{err}");
+            }
+        });
+    }
+
+    #[test]
+    fn far_too_deep_formulas_are_rejected_without_overflow() {
+        on_worker_stack(|| {
+            for src in deep_formulas(60_000) {
+                let err = parse(&src).unwrap_err();
+                assert!(err.message.contains("nested deeper"), "{err}");
+            }
+            // A dist formula takes the same cap.
+            let src = format!("{}time(forward[i]) dist== (0, 1, 1)", "1+".repeat(60_000));
+            assert!(parse(&src).is_err());
+        });
+    }
+
+    #[test]
+    fn wide_formulas_are_not_deep() {
+        // Operands nested side by side share one level budget: a chain
+        // of 200 parenthesised sums is about 200 levels, not 400.
+        let src = format!("{}time(a[i]) <= 1", "(1+2)*".repeat(200));
+        parse(&src).unwrap();
     }
 }
