@@ -22,7 +22,7 @@
 //! abdex trace     generate --traffic "stochastic:gap=pareto:alpha=1.3,size=lognormal:mu=6" -o t.trace
 //! abdex trace     analyze t.trace [--json FILE|-] [--jobs N]
 //! abdex trace     --benchmark url --traffic medium [--cycles N] [--out FILE]
-//! abdex check     --formula "cycle(deq[i]) - cycle(enq[i]) <= 50" --trace FILE
+//! abdex check     --formula "energy(forward[i+1]) - energy(forward[i]) >= 0" --trace FILE
 //! abdex analyze   --formula "... dist== (a, b, s)" --trace FILE
 //! abdex codegen   --formula "..."
 //! ```

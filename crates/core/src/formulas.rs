@@ -62,24 +62,10 @@ pub fn throughput_distribution(window: i64) -> Formula {
     (db / dt).dist_eq(100.0, 3300.0, 10.0)
 }
 
-/// The §2.3 latency assertion: a `deq` happens no more than `bound`
-/// cycles after the matching `enq`.
-///
-/// ```
-/// let f = abdex::formulas::latency_assertion(50.0);
-/// assert_eq!(f.to_string(), "(cycle(deq[i]) - cycle(enq[i])) <= 50");
-/// ```
-#[must_use]
-pub fn latency_assertion(bound: f64) -> Formula {
-    (annot(AnnotKey::Cycle, "deq", 0) - annot(AnnotKey::Cycle, "enq", 0))
-        .le(bound)
-        .assert()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loc::{parse, Analyzer, Checker};
+    use loc::{parse, Analyzer};
 
     #[test]
     fn formulas_match_paper_text_syntax() {
@@ -110,11 +96,6 @@ mod tests {
         ] {
             assert!(Analyzer::from_formula(&f).is_ok(), "{f}");
         }
-    }
-
-    #[test]
-    fn checker_generates_from_assertion() {
-        assert!(Checker::from_formula(&latency_assertion(50.0)).is_ok());
     }
 
     #[test]
