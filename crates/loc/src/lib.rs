@@ -63,5 +63,5 @@ pub use ast::{AnnotKey, BinOp, BoolExpr, CmpOp, DistRel, Expr, Formula};
 pub use bank::{AnalyzerBank, BankResults};
 pub use checker::{CheckReport, Checker, Violation};
 pub use error::{EvalError, ParseError};
-pub use parser::parse;
+pub use parser::{parse, MAX_DEPTH};
 pub use trace::{Annotations, Trace, TraceRecord};
