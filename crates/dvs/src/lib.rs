@@ -76,7 +76,7 @@ mod vf;
 pub use adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
 pub use combined::{Combined, CombinedConfig};
 pub use edvs::{Edvs, EdvsConfig};
-pub use kvspec::{Entry, ParamInfo, Registry};
+pub use kvspec::{ParamInfo, Registry};
 pub use policy::{DvsPolicy, MeObservation, PolicyObservation, PolicyResponse, QueueObservation};
 pub use proportional::{Proportional, ProportionalConfig};
 pub use queue::{QueueAware, QueueAwareConfig};

@@ -58,7 +58,7 @@ pub use config::FleetConfig;
 pub use dispatch::{DispatchSpec, Dispatcher, HashDispatch, LeastLoaded, RoundRobin, DISPATCHERS};
 // Re-export the shared grammar machinery so custom tooling needs only
 // this crate.
-pub use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
+pub use kvspec::{ParamInfo, Params, Registry, SpecError};
 pub use metrics::{ChipDist, FleetDist, FleetSample};
 pub use policy::{
     cap_level, CapPlan, CapRealloc, FleetPolicy, FleetPolicySpec, FleetTelemetry, PassThrough,

@@ -84,7 +84,7 @@ pub use diurnal::{DiurnalConfig, DiurnalModel, DiurnalSample};
 pub use flash::FlashConfig;
 // Re-export the shared grammar machinery so custom tooling needs only
 // this crate.
-pub use kvspec::{Entry, ParamInfo, Params, Registry, SpecError};
+pub use kvspec::{ParamInfo, Params, Registry, SpecError};
 pub use model::{PacketSource, TrafficModel};
 pub use onoff::OnOffConfig;
 pub use packet::{Packet, SizeMix, MAX_PACKET_BYTES};
