@@ -3,8 +3,8 @@
 //! Runs a fixed command matrix (every batch shape, plain and with
 //! `--seeds`, at small `--cycles`) and compares what each invocation
 //! leaves behind — stdout, stderr, the exit code and every file it
-//! writes (`--json`, `--record`, `trace generate -o`) — byte for byte
-//! against `tests/golden/` at the repository root.
+//! writes (`--json`, `--record`, `trace generate -o`, `trace --out`) —
+//! byte for byte against `tests/golden/` at the repository root.
 //!
 //! Regenerate the corpus after an intended output change with
 //!
@@ -32,7 +32,7 @@ const TRAFFICS: &str = "low;constant:rate=500;burst:period_s=0.001;flash";
 
 /// The matrix, in execution order: later cases read files earlier ones
 /// wrote (`trace analyze` the generated trace, `obs summarize` the
-/// recording).
+/// recording, `check` and `analyze` the legacy trace).
 const CASES: &[Case] = &[
     Case {
         name: "run",
@@ -391,6 +391,102 @@ const CASES: &[Case] = &[
             "--cycles",
             "1000",
         ],
+        outputs: &[],
+    },
+    // The LOC commands: the legacy flag-form `trace` writes a NePSim
+    // event trace, and `check`/`analyze` read it back.
+    Case {
+        name: "trace_legacy",
+        args: &[
+            "trace",
+            "--benchmark",
+            "ipfwdr",
+            "--traffic",
+            "medium",
+            "--cycles",
+            "100000",
+            "--out",
+            "loc.trace",
+        ],
+        outputs: &["loc.trace"],
+    },
+    Case {
+        name: "check_pass",
+        args: &[
+            "check",
+            "--formula",
+            "energy(forward[i+1]) - energy(forward[i]) >= 0",
+            "--trace",
+            "loc.trace",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "check_violated",
+        args: &[
+            "check",
+            "--formula",
+            "time(forward[i+1]) - time(forward[i]) < 1",
+            "--trace",
+            "loc.trace",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "analyze_dist",
+        args: &[
+            "analyze",
+            "--formula",
+            "time(forward[i+10]) - time(forward[i]) dist== (0, 60, 6)",
+            "--trace",
+            "loc.trace",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "codegen",
+        args: &[
+            "codegen",
+            "--formula",
+            "time(forward[i+1]) - time(forward[i]) <= 50",
+        ],
+        outputs: &[],
+    },
+    Case {
+        name: "list_scenarios",
+        args: &["scenario", "list"],
+        outputs: &[],
+    },
+    Case {
+        name: "help",
+        args: &["help"],
+        outputs: &[],
+    },
+    // CLI misuse: an unknown flag, a flag of another command, a flag
+    // without its value, a stray positional and an unknown subcommand.
+    Case {
+        name: "err_unknown_flag",
+        args: &["run", "--bogus", "1"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_foreign_flag",
+        args: &["compare", "--benchmark", "nat"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_missing_value",
+        args: &["run", "--cycles"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_stray_positional",
+        args: &["scenario", "list", "extra"],
+        outputs: &[],
+    },
+    Case {
+        name: "err_unknown_subcommand",
+        args: &["fleet", "explode"],
         outputs: &[],
     },
 ];
