@@ -1,95 +1,46 @@
 //! `abdex` — command-line front end for the design-exploration library.
 //!
+//! Two const tables declare the whole command line. [`COMMANDS`] has one
+//! row per command path: its operand, the flags it accepts and its
+//! handler. [`FLAGS`] has one entry per flag: its value placeholder (or
+//! none, for a switch) and its help text. [`dispatch`] matches the row,
+//! takes the operand and parses the flags once; a flag outside the row,
+//! a flag given twice, a missing value and a stray positional are
+//! errors. `abdex help` renders both tables, so adding a flag to a
+//! command is a table edit. Rules that depend on values stay in the
+//! handlers: `--ci` needs `--seeds >= 2`, the legacy `--threshold` and
+//! `--window` need a bare `tdvs`/`edvs` policy, a sweep takes one axis,
+//! and `--cache` contradicts `--no-cache`. Stdout goes through one
+//! writer, which stops writing, without a panic, once the reader closes
+//! the pipe.
+//!
 //! ```text
-//! abdex run       --benchmark ipfwdr --traffic high --policy queue:high=0.8 [--cycles N]
-//! abdex run       --traffic burst:on_mbps=1800,off_mbps=120,period_s=2 [--record FILE]
+//! abdex run       --benchmark ipfwdr --traffic high --policy queue:high=0.8 --cycles 2000000
 //! abdex run       --traffic "schedule:segments=[low@0..2e6; flash@2e6..4e6; low@4e6..]"
-//! abdex replicate --policy tdvs:threshold=1400 --seeds 16 --ci 99 [--jobs N]
-//! abdex sweep     --benchmark ipfwdr --traffic high [--cycles N] [--seed S] [--jobs N]
-//! abdex sweep     --policies "nodvs;tdvs:threshold=1400;proportional:kp=6" [--seeds K]
-//! abdex sweep     --traffics "low;burst;flash:peak_mbps=2000" [--policy tdvs]
-//! abdex compare   [--traffics "low;high;flash"] [--seeds K] [--ci 90|95|99] [--json FILE]
-//! abdex scenario  run <name|file.toml> [--cycles N] [--seeds K] [--ci L] [--jobs N] [--json FILE|-]
-//! abdex scenario  list
-//! abdex fleet     run [--chips N] [--dispatch SPEC] [--fleet-policy SPEC] [--seeds K] [--ci L] [--jobs N] [--json FILE|-]
-//! abdex fleet     dispatchers
-//! abdex fleet     policies
-//! abdex cache     stats|clear [--cache-dir DIR]
-//! abdex cache     gc --max-bytes N [--cache-dir DIR]
-//! abdex obs       summarize rec.jsonl [--json FILE|-] [--jobs N]
-//! abdex policies
-//! abdex traffics
-//! abdex trace     generate --traffic "stochastic:gap=pareto:alpha=1.3,size=lognormal:mu=6" -o t.trace
-//! abdex trace     analyze t.trace [--json FILE|-] [--jobs N]
-//! abdex trace     --benchmark url --traffic medium [--cycles N] [--out FILE]
+//! abdex replicate --policy tdvs:threshold=1400 --seeds 16 --ci 99 --jobs 4
+//! abdex sweep     --policies "nodvs;tdvs:threshold=1400;proportional:kp=6" --seeds 4
+//! abdex compare   --traffics "low;high;flash" --json results.json
+//! abdex scenario  run diurnal-day --json - | jq .
+//! abdex fleet     run --chips 8 --dispatch least-loaded --fleet-policy cap-realloc:budget=8
+//! abdex trace     generate --traffic "stochastic:gap=pareto:alpha=1.3" -o t.trace
 //! abdex check     --formula "energy(forward[i+1]) - energy(forward[i]) >= 0" --trace FILE
-//! abdex analyze   --formula "... dist== (a, b, s)" --trace FILE
-//! abdex codegen   --formula "..."
 //! ```
 //!
-//! `--policy` and `--traffic` accept the full spec grammar
-//! `name[:key=val,...]` of [`PolicySpec::parse`] and
-//! [`TrafficSpec::parse`]; `abdex policies` / `abdex traffics` list
-//! every registered policy and traffic model with their parameters.
-//! Names are case-insensitive; `low|medium|high` remain shorthands for
-//! the paper's traffic levels.
-//!
-//! Sweeps and comparisons execute on the [`xrun`] thread pool: `--jobs`
-//! picks the worker count (default: one per CPU; results are
-//! bit-identical for any value), `--progress` selects a stderr progress
-//! style, and `--json` writes the results as a machine-readable document
-//! next to the human tables. `--record` additionally exports the
-//! recorded per-window timeseries as schema-versioned JSONL (`run`,
-//! `replicate`, `scenario run`, `fleet run`; byte-identical for any
-//! `--jobs`).
-//!
-//! `--seeds K` replicates every cell K times over seed-derived streams
-//! (`derive_seed(seed, i)`) and reports each metric as a `mean ±
-//! half-width` Student-t confidence interval at the `--ci` level
-//! (90/95/99, default 95). `abdex replicate` is the single-cell form
-//! with full per-metric statistics (and, unlike `run`, a `--jobs`
-//! flag).
-//!
-//! `abdex scenario run <name|file>` executes a time-varying composite
-//! scenario (see `abdex scenario list` for the built-in library): each
-//! policy × replicate simulates the whole horizon once, snapshotted at
-//! the schedule's segment boundaries, and the tables/JSON report
-//! per-segment metric breakdowns alongside the whole-run numbers.
-//!
-//! `abdex fleet run` simulates `--chips` NPUs behind a load balancer:
-//! `--dispatch` shards the aggregate `--traffic` stream across the
-//! chips (see `abdex fleet dispatchers`), every chip runs its own
-//! `--policy`, and `--fleet-policy` turns a fleet-wide watt budget into
-//! per-chip power caps (see `abdex fleet policies`). Results are
-//! bit-identical for any `--jobs` value.
-//!
-//! `--cache` (or any `--cache-dir`) consults a content-addressed result
-//! store before simulating and publishes fresh results after: a warm
-//! re-run of `run`/`replicate`/`sweep`/`compare`/`scenario run`/
-//! `fleet run` performs zero simulations yet produces byte-identical
-//! stdout. Hit/miss/store tallies land on stderr; `abdex cache
-//! stats|gc|clear` manage the store. `--record` always re-simulates
-//! single-chip paths so exported recordings are first-hand (fleet runs
-//! cache their recordings alongside the reports).
-//!
-//! `--json -` writes the machine-readable document to **stdout** (the
-//! human-readable tables move to stderr), so any command's results pipe
-//! without a temp file: `abdex scenario run diurnal-day --json - | jq .`
-//!
-//! `--profile FILE` (any command) writes a Chrome Trace Event JSON of
-//! the invocation's phases — parse/plan/simulate/fold/render spans,
-//! per-job worker spans, cache-lookup hit/miss spans — viewable in
-//! Perfetto or `chrome://tracing`; `--profile-summary` prints the one
-//! stderr telemetry report: the per-phase wall-time table, each
-//! thread's busy time and utilisation, and the counters (cache
-//! lookups, the event kernel's work, simulated cycles). Both are pure
-//! observability: stdout stays byte-identical to an unprofiled
-//! invocation. `abdex obs summarize <record.jsonl>` closes the
-//! `--record` loop, folding an exported recording back into
-//! per-channel statistics (bit-identical for any `--jobs`).
+//! `--policy`, `--traffic`, `--dispatch` and `--fleet-policy` take the
+//! spec grammar `name[:key=val,...]` ([`PolicySpec::parse`],
+//! [`TrafficSpec::parse`]); the listing commands show every registered
+//! name with its keys. Batches run on the [`xrun`] thread pool, and every
+//! table, `--json` document and `--record` export is byte-identical for
+//! any `--jobs` value and for a cold or warm `--cache`. `--seeds K`
+//! replicates every cell over `derive_seed(seed, i)` streams and reports
+//! Student-t intervals at the `--ci` level. `--profile`,
+//! `--profile-summary` and the cache tallies write only to stderr or
+//! their file, so stdout stays byte-identical to a plain invocation.
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use abdex::ccache::write_atomic;
 use abdex::compare::ComparisonConfig;
@@ -117,137 +68,227 @@ use abdex::{
 };
 use loc::{parse, Analyzer, Checker, Trace};
 
-const USAGE: &str = "\
-abdex — assertion-based design exploration of DVS in NPU architectures
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
 
-USAGE:
-    abdex <run|replicate|sweep|compare|scenario|fleet|cache|obs|policies|traffics|trace|check|analyze|codegen> [OPTIONS]
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
-SCENARIOS:
-    abdex scenario run <name|file.toml>  run a time-varying composite scenario
-                                         (per-segment metric breakdowns; the
-                                         usual --cycles/--seed/--seeds/--ci/
-                                         --jobs/--progress/--json apply)
-    abdex scenario list                  list the built-in scenario library
+/// A flag of the flag table: its name without the leading `--`, the
+/// placeholder of its value (`None` for a switch), its help text, and
+/// whether every command accepts it.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    help: &'static str,
+    everywhere: bool,
+}
 
-FLEETS:
-    abdex fleet run                      simulate --chips NPUs behind a load
-                                         balancer: --dispatch shards the
-                                         aggregate --traffic stream, each chip
-                                         runs --policy, --fleet-policy caps
-                                         chip power from a fleet watt budget
-                                         (plus --benchmark/--cycles/--seed/
-                                         --seeds/--ci/--jobs/--progress/--json)
-    abdex fleet dispatchers              list the registered dispatchers
-    abdex fleet policies                 list the registered fleet policies
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        help,
+        everywhere: false,
+    }
+}
 
-CACHE:
-    abdex cache stats                    entry count, bytes and lifetime
-                                         hit/miss/store tallies of the store
-    abdex cache gc --max-bytes <N>       evict oldest entries until the store
-                                         fits in N bytes
-    abdex cache clear                    remove every cache entry
-                                         (all three honour --cache-dir)
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        help,
+        everywhere: false,
+    }
+}
 
-OBSERVABILITY:
-    abdex obs summarize <record.jsonl>   per-channel n/min/mean/max and sketch
-                                         p50/p95/p99 of a --record export
-                                         (--json FILE|-, --jobs N; output is
-                                         byte-identical for any worker count)
+impl Flag {
+    const fn everywhere(self) -> Flag {
+        Flag {
+            everywhere: true,
+            ..self
+        }
+    }
+}
 
-TRACES:
-    abdex trace generate                 record --traffic's packet stream
-                                         (--seed, --cycles of 600 MHz base
-                                         clock) as a replayable trace file
-                                         (--out/-o FILE, else stdout); replay
-                                         it with --traffic trace:file=FILE
-    abdex trace analyze <file>           inter-arrival/size statistics and a
-                                         Hurst-style burstiness proxy of a
-                                         recorded trace (--json FILE|-,
-                                         --jobs N; output is byte-identical
-                                         for any worker count)
-    abdex trace --benchmark ...          legacy: LOC-event trace of one run
-                                         (--traffic/--cycles/--seed/--out)
+/// Every flag of every command. Each row of [`COMMANDS`] names the flags
+/// it accepts; `help` lists each flag's commands from those rows.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("benchmark", "<ipfwdr|url|nat|md4>", "benchmark application [ipfwdr]"),
+    flag("traffic", "<spec>", "traffic-model spec [high]; grammar name[:key=val,...], e.g. \
+        burst:on_mbps=1800,off_mbps=120 (low|medium|high are the paper's levels; see \
+        `abdex traffics` for names and keys)"),
+    flag("traffics", "<spec;spec;...>", "traffic-spec sweep list"),
+    flag("policy", "<spec>", "DVS policy spec [nodvs]; grammar name[:key=val,...], e.g. \
+        tdvs:threshold=1400,window=40000 (see `abdex policies` for names and keys); in \
+        sweep it fixes the policy of a --traffics sweep"),
+    flag("policies", "<spec;spec;...>", "policy-spec sweep list"),
+    flag("chips", "<N>", "fleet size [8]"),
+    flag("dispatch", "<spec>", "dispatcher sharding the aggregate stream [round-robin], \
+        e.g. least-loaded:flows=512 (see `abdex fleet dispatchers`)"),
+    flag("fleet-policy", "<spec>", "fleet-wide power policy [none], e.g. \
+        cap-realloc:budget=8 (see `abdex fleet policies`)"),
+    flag("threshold", "<Mbps>", "legacy: TDVS top threshold, only with bare --policy tdvs \
+        [1000]"),
+    flag("window", "<cycles>", "legacy: monitor window, only with bare --policy tdvs|edvs \
+        [40000]"),
+    flag("cycles", "<N>", "cycles per configuration [8000000; fleet run and trace: \
+        1000000; scenario run: the scenario's own]"),
+    flag("seed", "<N>", "experiment seed [42]"),
+    flag("seeds", "<K>", "replicates per cell over derived seeds; metrics become mean ± \
+        CI [1; replicate: 8]"),
+    flag("ci", "<90|95|99>", "confidence level of the reported intervals (needs --seeds \
+        >= 2) [95]"),
+    flag("jobs", "<N>", "parallel workers, 0 = one per CPU; output is byte-identical for \
+        any value [0]"),
+    flag("progress", "<quiet|dot|line>", "batch progress on stderr [quiet]"),
+    flag("json", "<file|->", "also write results as JSON; `-` writes the document to \
+        stdout and moves the human tables to stderr"),
+    switch("cache", "reuse cached results and cache fresh ones; warm runs skip \
+        simulation with byte-identical stdout; tallies go to stderr"),
+    switch("no-cache", "force caching off"),
+    flag("cache-dir", "<dir>", "cache directory [.abdex-cache]; implies --cache"),
+    flag("max-bytes", "<N>", "evict the oldest entries until the store fits in N bytes"),
+    flag("record", "<file>", "also write the recorded per-window timeseries as JSONL; \
+        byte-identical for any --jobs value"),
+    flag("profile", "<file>", "write a Chrome Trace Event JSON of this invocation's \
+        phases (open in Perfetto or chrome://tracing); stdout stays byte-identical to an \
+        unprofiled run").everywhere(),
+    switch("profile-summary", "print the telemetry report on stderr: per-phase wall \
+        time (count/total/self/mean), per-thread busy time and utilisation, and the \
+        counters (cache lookups, kernel events, simulated cycles)").everywhere(),
+    flag("formula", "<text>", "LOC formula"),
+    flag("trace", "<file>", "trace file in NePSim text format"),
+    flag("out", "<file>", "output path (-o for short) [stdout]"),
+];
 
-OPTIONS (where applicable):
-    --benchmark <ipfwdr|url|nat|md4>   benchmark application [ipfwdr]
-    --traffic   <spec>                 traffic-model spec [high]
-                                       grammar: name[:key=val,...], e.g.
-                                       burst:on_mbps=1800,off_mbps=120
-                                       (low|medium|high = paper levels;
-                                       see `abdex traffics` for names/keys)
-    --traffics  <spec;spec;...>        traffic-spec sweep list (sweep,
-                                       compare)
-    --policy    <spec>                 DVS policy spec (run; also fixes the
-                                       policy of sweep --traffics) [nodvs]
-                                       grammar: name[:key=val,...], e.g.
-                                       tdvs:threshold=1400,window=40000
-                                       (see `abdex policies` for names/keys)
-    --policies  <spec;spec;...>        policy-spec sweep list (sweep)
-    --chips     <N>                    fleet size (fleet run) [8]
-    --dispatch  <spec>                 dispatcher sharding the aggregate
-                                       stream (fleet run) [round-robin]
-                                       grammar: name[:key=val,...], e.g.
-                                       least-loaded:flows=512 (see
-                                       `abdex fleet dispatchers`)
-    --fleet-policy <spec>              fleet-wide power policy (fleet run)
-                                       [none], e.g. cap-realloc:budget=8
-                                       (see `abdex fleet policies`)
-    --threshold <Mbps>                 legacy: TDVS top threshold, only with
-                                       bare --policy tdvs [1000]
-    --window    <cycles>               legacy: monitor window, only with bare
-                                       --policy tdvs|edvs [40000]
-    --cycles    <N>                    cycles per configuration [8000000]
-    --seed      <N>                    experiment seed [42]
-    --seeds     <K>                    replicates per cell over derived
-                                       seeds; metrics become mean ± CI
-                                       (run/sweep/compare [1],
-                                       replicate [8])
-    --ci        <90|95|99>             confidence level of the reported
-                                       intervals (needs --seeds >= 2) [95]
-    --jobs      <N>                    parallel workers for
-                                       replicate/sweep/compare
-                                       (0 = one per CPU) [0]
-    --progress  <quiet|dot|line>       batch progress on stderr [quiet]
-    --json      <file|->               also write results as JSON
-                                       (run/replicate/sweep/compare/
-                                       scenario run); `-` writes the
-                                       document to stdout and moves the
-                                       human tables to stderr
-    --cache                            reuse cached results and cache fresh
-                                       ones (run/replicate/sweep/compare/
-                                       scenario run/fleet run); warm runs
-                                       skip simulation with byte-identical
-                                       stdout; tallies go to stderr
-    --no-cache                         force caching off
-    --cache-dir <dir>                  cache directory [.abdex-cache];
-                                       implies --cache
-    --record    <file>                 also write the recorded per-window
-                                       timeseries as JSONL (run/replicate/
-                                       scenario run/fleet run); byte-
-                                       identical for any --jobs value
-    --profile   <file>                 write a Chrome Trace Event JSON of
-                                       this invocation's phases (every
-                                       command; open in Perfetto or
-                                       chrome://tracing); stdout stays
-                                       byte-identical to an unprofiled run
-    --profile-summary                  print the telemetry report on
-                                       stderr: per-phase wall time
-                                       (count/total/self/mean), per-thread
-                                       busy time and utilisation, and the
-                                       counters (cache lookups, kernel
-                                       events, simulated cycles)
-    --formula   <text>                 LOC formula (check/analyze/codegen)
-    --trace     <file>                 trace file in NePSim text format
-    --out       <file>                 output path (trace)
-";
+/// A row of the command table: its path of words, its positional
+/// operand, the flags it accepts besides the global ones (names from
+/// [`FLAGS`], space-separated), a one-line summary and its handler.
+struct Command {
+    path: &'static str,
+    operand: Option<&'static str>,
+    flags: &'static str,
+    about: &'static str,
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+impl Command {
+    fn accepts(&self, flag: &Flag) -> bool {
+        flag.everywhere || self.flags.split_whitespace().any(|name| name == flag.name)
+    }
+}
+
+/// Every command `abdex` runs: [`dispatch`] routes by the path, parses
+/// the row's operand and flags, and calls its handler; `help` renders
+/// this table and [`FLAGS`].
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { path: "run", operand: None, run: cmd_run,
+        flags: "benchmark traffic policy threshold window cycles seed seeds ci json record \
+            cache no-cache cache-dir",
+        about: "one experiment: --benchmark under --traffic and --policy; --seeds K \
+            replicates it serially" },
+    Command { path: "replicate", operand: None, run: cmd_replicate,
+        flags: "benchmark traffic policy cycles seed seeds ci jobs progress json record \
+            cache no-cache cache-dir",
+        about: "one cell over --seeds replicates with per-metric confidence intervals" },
+    Command { path: "sweep", operand: None, run: cmd_sweep,
+        flags: "benchmark traffic traffics policy policies cycles seed seeds ci jobs \
+            progress json cache no-cache cache-dir",
+        about: "the paper's TDVS threshold x window grid with its power and throughput \
+            surfaces and both optima, or a --policies or --traffics sweep" },
+    Command { path: "compare", operand: None, run: cmd_compare,
+        flags: "traffics cycles seed seeds ci jobs progress json cache no-cache cache-dir",
+        about: "every policy on every benchmark at each traffic level (Fig. 11)" },
+    Command { path: "scenario run", operand: Some("<name|file.toml>"), run: cmd_scenario_run,
+        flags: "cycles seed seeds ci jobs progress json record cache no-cache cache-dir",
+        about: "run a time-varying composite scenario, with per-segment metric breakdowns" },
+    Command { path: "scenario list", operand: None, run: cmd_scenario_list, flags: "",
+        about: "list the built-in scenario library" },
+    Command { path: "fleet run", operand: None, run: cmd_fleet_run,
+        flags: "chips dispatch fleet-policy benchmark traffic policy cycles seed seeds ci \
+            jobs progress json record cache no-cache cache-dir",
+        about: "simulate --chips NPUs behind a load balancer: --dispatch shards the \
+            aggregate --traffic stream, each chip runs --policy, and --fleet-policy caps \
+            chip power from a fleet watt budget" },
+    Command { path: "fleet dispatchers", operand: None, flags: "",
+        run: |_| cmd_list("dispatchers", &DISPATCHERS, None),
+        about: "list the registered dispatchers" },
+    Command { path: "fleet policies", operand: None, flags: "",
+        run: |_| cmd_list("fleet policies", &FLEET_POLICIES, None),
+        about: "list the registered fleet policies" },
+    Command { path: "cache stats", operand: None, run: cmd_cache_stats, flags: "cache-dir",
+        about: "entry count, bytes and lifetime hit/miss/store tallies of the store" },
+    Command { path: "cache gc", operand: None, run: cmd_cache_gc, flags: "cache-dir max-bytes",
+        about: "evict the oldest entries until the store fits in --max-bytes" },
+    Command { path: "cache clear", operand: None, run: cmd_cache_clear, flags: "cache-dir",
+        about: "remove every cache entry" },
+    Command { path: "obs summarize", operand: Some("<record.jsonl>"), run: cmd_obs_summarize,
+        flags: "json jobs progress",
+        about: "per-channel n/min/mean/max and sketch p50/p95/p99 of a --record export" },
+    Command { path: "policies", operand: None, flags: "",
+        run: |_| cmd_list("DVS policies", &POLICIES, Some(|s: &PolicySpec| s.kind().to_string())),
+        about: "list the registered DVS policies and their parameters" },
+    Command { path: "traffics", operand: None, flags: "",
+        run: |_| cmd_list("traffic models", &TRAFFIC_MODELS, None),
+        about: "list the registered traffic models and their parameters" },
+    Command { path: "trace generate", operand: None, run: cmd_trace_generate,
+        flags: "traffic cycles seed out",
+        about: "record --traffic's packet stream as a replayable trace file; replay it \
+            with --traffic trace:file=FILE" },
+    Command { path: "trace analyze", operand: Some("<file>"), run: cmd_trace_analyze,
+        flags: "json jobs progress",
+        about: "inter-arrival and size statistics and a Hurst-style burstiness proxy of a \
+            recorded trace" },
+    Command { path: "trace", operand: None, run: cmd_trace,
+        flags: "benchmark traffic cycles seed out",
+        about: "legacy: the LOC-event trace of one run" },
+    Command { path: "check", operand: None, run: cmd_check, flags: "formula trace",
+        about: "check a LOC assertion over a trace file; exit 1 when it is violated" },
+    Command { path: "analyze", operand: None, run: cmd_analyze, flags: "formula trace",
+        about: "the distribution of a LOC formula's values over a trace file" },
+    Command { path: "codegen", operand: None, run: cmd_codegen, flags: "formula",
+        about: "Rust source of a standalone checker for a LOC formula" },
+    Command { path: "help", operand: None, run: |_| { out!("{}", usage()); Ok(()) }, flags: "",
+        about: "print this help (also --help, -h)" },
+];
+
+/// Set once stdout's reader has gone away; see [`write_stdout`].
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout for [`out!`] and [`outln!`]. Unlike `print!`, which
+/// panics when the reader has closed the pipe (`abdex policies | head
+/// -1`), this drops the write and every later one, so the invocation
+/// still ends with the exit status its work earned.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        result => result.unwrap_or_else(|e| panic!("failed printing to stdout: {e}")),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Arm the profiler before any work so the `parse` span and every
     // later phase land in the trace. The raw-args scan (rather than the
-    // per-command option parser) is deliberate: the flags are global,
-    // and the export must happen even when a command fails early.
+    // command's parsed flags) is deliberate: the flags are global, and
+    // the export must happen even when a command fails early.
     let profiling = args
         .iter()
         .any(|a| a == "--profile" || a == "--profile-summary");
@@ -299,176 +340,201 @@ fn finish_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Routes `args` to its row of [`COMMANDS`], parses the row's operand
+/// and flags, and runs its handler. Without arguments it prints the
+/// help on stderr and fails.
 fn dispatch(args: &[String]) -> Result<(), String> {
-    let Some((command, rest)) = args.split_first() else {
-        eprint!("{USAGE}");
+    if args.is_empty() {
+        eprint!("{}", usage());
         return Err(String::new());
-    };
-    // `scenario`, `fleet`, `trace` and `obs` take positional arguments
-    // (`run <name|file>`, `analyze <file>`, `summarize <file>`), so
-    // they dispatch before the flag-only parser below.
-    if ["scenario", "fleet", "trace", "cache", "obs"].contains(&command.as_str()) {
-        return match command.as_str() {
-            "scenario" => cmd_scenario(rest),
-            "fleet" => cmd_fleet(rest),
-            "cache" => cmd_cache(rest),
-            "obs" => cmd_obs(rest),
-            _ => cmd_trace_dispatch(rest),
-        };
     }
-    let opts = match parse_opts(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            return Err(String::new());
-        }
-    };
-    // Every command rejects options it would otherwise silently ignore
-    // (`sweep --policy ...` must not quietly run the default TDVS grid).
-    let result = match command.as_str() {
-        "run" => check_opts(
-            &opts,
-            &[
-                "benchmark",
-                "traffic",
-                "policy",
-                "threshold",
-                "window",
-                "cycles",
-                "seed",
-                "seeds",
-                "ci",
-                "json",
-                "record",
-                "cache",
-                "no-cache",
-                "cache-dir",
-            ],
-        )
-        .and_then(|()| cmd_run(&opts)),
-        "replicate" => check_opts(
-            &opts,
-            &[
-                "benchmark",
-                "traffic",
-                "policy",
-                "cycles",
-                "seed",
-                "seeds",
-                "ci",
-                "jobs",
-                "progress",
-                "json",
-                "record",
-                "cache",
-                "no-cache",
-                "cache-dir",
-            ],
-        )
-        .and_then(|()| cmd_replicate(&opts)),
-        "sweep" => check_opts(
-            &opts,
-            &[
-                "benchmark",
-                "traffic",
-                "traffics",
-                "policy",
-                "policies",
-                "cycles",
-                "seed",
-                "seeds",
-                "ci",
-                "jobs",
-                "progress",
-                "json",
-                "cache",
-                "no-cache",
-                "cache-dir",
-            ],
-        )
-        .and_then(|()| cmd_sweep(&opts)),
-        "compare" => check_opts(
-            &opts,
-            &[
-                "traffics",
-                "cycles",
-                "seed",
-                "seeds",
-                "ci",
-                "jobs",
-                "progress",
-                "json",
-                "cache",
-                "no-cache",
-                "cache-dir",
-            ],
-        )
-        .and_then(|()| cmd_compare(&opts)),
-        "policies" => check_opts(&opts, &[]).and_then(|()| {
-            cmd_list(
-                "DVS policies",
-                &POLICIES,
-                Some(|spec: &PolicySpec| spec.kind().to_string()),
-            )
-        }),
-        "traffics" => {
-            check_opts(&opts, &[]).and_then(|()| cmd_list("traffic models", &TRAFFIC_MODELS, None))
-        }
-        "check" => check_opts(&opts, &["formula", "trace"]).and_then(|()| cmd_check(&opts)),
-        "analyze" => check_opts(&opts, &["formula", "trace"]).and_then(|()| cmd_analyze(&opts)),
-        "codegen" => check_opts(&opts, &["formula"]).and_then(|()| cmd_codegen(&opts)),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    result
+    let (command, rest) = find_command(args)?;
+    let opts = parse_opts(command, rest)?;
+    (command.run)(&opts)
 }
 
-type Opts = HashMap<String, String>;
+/// Finds the row `args` names and returns it with the arguments after
+/// its path. A word after a command group names a subcommand; a group
+/// with a row of its own (the legacy `trace`) runs that row when a flag
+/// or nothing follows.
+fn find_command(args: &[String]) -> Result<(&'static Command, &[String]), String> {
+    let group = match args[0].as_str() {
+        "--help" | "-h" => "help",
+        word => word,
+    };
+    let mut bare = None;
+    let mut subs = Vec::new();
+    for command in COMMANDS {
+        match command.path.split_once(' ') {
+            None if command.path == group => bare = Some(command),
+            Some((head, sub)) if head == group => subs.push((sub, command)),
+            _ => {}
+        }
+    }
+    let expected = || {
+        let names: Vec<String> = subs.iter().map(|(sub, _)| format!("`{sub}`")).collect();
+        match names.split_last() {
+            Some((last, [])) => last.clone(),
+            Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
+            None => String::new(),
+        }
+    };
+    match args.get(1) {
+        Some(word) if !subs.is_empty() && !word.starts_with('-') => {
+            match subs.iter().find(|(sub, _)| sub == word) {
+                Some((_, command)) => Ok((command, &args[2..])),
+                None => Err(format!(
+                    "unknown {group} subcommand '{word}' (expected {})",
+                    expected()
+                )),
+            }
+        }
+        _ => match bare {
+            Some(command) => Ok((command, &args[1..])),
+            None if subs.is_empty() => Err(format!("unknown command '{group}'")),
+            None => Err(format!("{group} needs a subcommand: {}", expected())),
+        },
+    }
+}
 
-/// The flags that are switches rather than `--flag value` pairs.
-const VALUELESS_FLAGS: &[&str] = &["cache", "no-cache", "profile-summary"];
+/// One invocation's parsed arguments: the row's operand (empty when it
+/// takes none) and the flags given, by name (a switch maps to "").
+struct Opts {
+    operand: String,
+    flags: HashMap<&'static str, String>,
+}
 
-/// The global profiling flags, accepted by every command (see
-/// [`check_opts`]).
-const PROFILE_FLAGS: &[&str] = &["profile", "profile-summary"];
+impl Opts {
+    fn get(&self, name: &str) -> Option<&String> {
+        self.flags.get(name)
+    }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+    fn has(&self, name: &str) -> bool {
+        self.flags.contains_key(name)
+    }
+}
+
+/// Parses the arguments after a command's path: its operand first, then
+/// flags from its row (`-o` is short for `--out`). A flag outside the
+/// row, a flag given twice, a missing value and a stray positional are
+/// errors.
+fn parse_opts(command: &Command, args: &[String]) -> Result<Opts, String> {
     let _prof = abdex::obs::prof::span("parse");
-    let mut opts = HashMap::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("expected --flag, found '{flag}'"));
-        };
-        if VALUELESS_FLAGS.contains(&name) {
-            opts.insert(name.to_owned(), String::new());
-            continue;
+    let (operand, args) = match (command.operand, args.split_first()) {
+        (None, _) => (String::new(), args),
+        (Some(operand), None) => {
+            return Err(format!(
+                "{} needs {operand}: `abdex {} {operand} [OPTIONS]`",
+                command.path, command.path
+            ))
         }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        opts.insert(name.to_owned(), value.clone());
+        (Some(operand), Some((first, _))) if first.starts_with("--") => {
+            return Err(format!(
+                "{} takes {operand} first, found flag '{first}'",
+                command.path
+            ))
+        }
+        (Some(_), Some((first, rest))) => (first.clone(), rest),
+    };
+    let mut flags = HashMap::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let name = match arg.as_str() {
+            "-o" => "out",
+            arg => arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected --flag, found '{arg}'"))?,
+        };
+        let Some(flag) = FLAGS
+            .iter()
+            .find(|flag| flag.name == name && command.accepts(flag))
+        else {
+            return Err(format!(
+                "--{name} is not an option of this command (see `abdex help`)"
+            ));
+        };
+        let value = match flag.value {
+            None => String::new(),
+            Some(_) => it
+                .next()
+                .ok_or_else(|| format!("--{name} needs a value"))?
+                .clone(),
+        };
+        if flags.insert(flag.name, value).is_some() {
+            return Err(format!("--{name} given twice"));
+        }
     }
-    Ok(opts)
+    Ok(Opts { operand, flags })
 }
 
-fn check_opts(opts: &Opts, allowed: &[&str]) -> Result<(), String> {
-    // The profiling flags are global: every command accepts them, so
-    // they are allowed by construction rather than listed per command.
-    let mut stray: Vec<&str> = opts
-        .keys()
-        .map(String::as_str)
-        .filter(|key| !allowed.contains(key) && !PROFILE_FLAGS.contains(key))
-        .collect();
-    stray.sort_unstable();
-    match stray.first() {
-        None => Ok(()),
-        Some(key) => Err(format!(
-            "--{key} is not an option of this command (see `abdex help`)"
-        )),
+/// The column where help text starts, and the width it wraps at.
+const HELP_INDENT: usize = 39;
+const HELP_WIDTH: usize = 79;
+
+/// Renders `abdex help` from the two tables: every command with its
+/// operand and summary, then every flag with its value, its help and
+/// the commands that accept it.
+fn usage() -> String {
+    let mut text = String::from(
+        "abdex — assertion-based design exploration of DVS in NPU architectures\n\n\
+         USAGE:\n    abdex <command> [OPTIONS]\n\nCOMMANDS:\n",
+    );
+    for command in COMMANDS {
+        let head = match command.operand {
+            Some(operand) => format!("{} {operand}", command.path),
+            None => command.path.to_owned(),
+        };
+        help_entry(&mut text, &head, command.about.split_whitespace());
     }
+    text.push_str("\nOPTIONS:\n");
+    for flag in FLAGS {
+        let head = match flag.value {
+            Some(value) => format!("--{:<9} {value}", flag.name),
+            None => format!("--{}", flag.name),
+        };
+        help_entry(&mut text, &head, flag.help.split_whitespace());
+        let users: Vec<&str> = if flag.everywhere {
+            vec!["every command"]
+        } else {
+            COMMANDS
+                .iter()
+                .filter(|command| command.accepts(flag))
+                .map(|command| command.path)
+                .collect()
+        };
+        // Wrapped after the commas only, so no path breaks across lines.
+        let users = format!("({})", users.join(", "));
+        help_entry(
+            &mut text,
+            "",
+            users.split_inclusive(", ").map(str::trim_end),
+        );
+    }
+    text
+}
+
+/// Appends one help entry: `head` in the left column, then `chunks`
+/// joined by spaces and wrapped into the right one.
+fn help_entry<S: AsRef<str>>(text: &mut String, head: &str, chunks: impl IntoIterator<Item = S>) {
+    let mut line = format!("    {head}");
+    let mut empty = true;
+    for chunk in chunks {
+        let chunk = chunk.as_ref();
+        let width = line.chars().count();
+        if empty && width < HELP_INDENT {
+            line.push_str(&" ".repeat(HELP_INDENT - width));
+        } else if empty || width + 1 + chunk.chars().count() > HELP_WIDTH {
+            text.push_str(&line);
+            text.push('\n');
+            line = " ".repeat(HELP_INDENT);
+        } else {
+            line.push(' ');
+        }
+        line.push_str(chunk);
+        empty = false;
+    }
+    text.push_str(&line);
+    text.push('\n');
 }
 
 fn benchmark(opts: &Opts) -> Result<Benchmark, String> {
@@ -543,7 +609,7 @@ fn policy(opts: &Opts) -> Result<PolicySpec, String> {
     };
     if let Some(stray) = ["threshold", "window"]
         .into_iter()
-        .find(|f| opts.contains_key(*f) && !consumed.contains(f))
+        .find(|f| opts.has(f) && !consumed.contains(f))
     {
         return Err(format!(
             "--{stray} does not apply to this policy; put the parameter in the \
@@ -584,12 +650,10 @@ fn replication_opts(opts: &Opts, default_seeds: u64) -> Result<(u64, ConfidenceL
 /// `--no-cache` forces it off, and asking for both ways at once is
 /// rejected rather than silently resolved.
 fn cache(opts: &Opts) -> Result<Option<abdex::Cache>, String> {
-    if opts.contains_key("cache") && opts.contains_key("no-cache") {
+    if opts.has("cache") && opts.has("no-cache") {
         return Err("--cache and --no-cache contradict each other".to_owned());
     }
-    if opts.contains_key("no-cache")
-        || !(opts.contains_key("cache") || opts.contains_key("cache-dir"))
-    {
+    if opts.has("no-cache") || !(opts.has("cache") || opts.has("cache-dir")) {
         return Ok(None);
     }
     let dir = opts
@@ -646,7 +710,7 @@ fn emit(opts: &Opts, text: &str) {
     if json_to_stdout(opts) {
         eprintln!("{text}");
     } else {
-        println!("{text}");
+        outln!("{text}");
     }
 }
 
@@ -699,7 +763,7 @@ fn write_json(opts: &Opts, render: impl FnOnce() -> String) -> Result<(), String
     match opts.get("json").map(String::as_str) {
         None => Ok(()),
         Some("-") => {
-            println!("{}", render());
+            outln!("{}", render());
             Ok(())
         }
         Some(path) => {
@@ -755,7 +819,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     // also bypasses the cache: a recording export must come from a real
     // simulation of this invocation.
     let cache = cache(opts)?;
-    let (r, series) = if opts.contains_key("record") {
+    let (r, series) = if opts.has("record") {
         let (r, recording) = experiment.run_recorded();
         (
             r,
@@ -830,7 +894,7 @@ fn finish_replicated_run(
     seeds: u64,
     level: ConfidenceLevel,
 ) -> Result<(), String> {
-    let (replicated, series) = if opts.contains_key("record") {
+    let (replicated, series) = if opts.has("record") {
         try_replicated_run_recorded(pool, experiment, seeds).map_err(|e| e.to_string())?
     } else {
         let replicated = run_replicated_experiments(pool, vec![experiment.clone()], seeds)
@@ -889,12 +953,12 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     // `--policy` fixes the policy of a traffic sweep and nothing else;
     // `--traffic` fixes the traffic of the policy/TDVS sweeps. Reject
     // the combinations that would be silently ignored.
-    if opts.contains_key("policy") && traffics.is_none() {
+    if opts.has("policy") && traffics.is_none() {
         return Err(
             "--policy only applies with --traffics; use --policies for a policy sweep".to_owned(),
         );
     }
-    if opts.contains_key("traffic") && traffics.is_some() {
+    if opts.has("traffic") && traffics.is_some() {
         return Err("--traffic does not apply with --traffics (the list is the axis)".to_owned());
     }
     let grid = match (specs, traffics) {
@@ -976,49 +1040,6 @@ fn finish_grid(
     finish_batch(pool, json, run.failures)
 }
 
-/// Dispatches the `scenario` command: `run <name|file>` and `list`.
-fn cmd_scenario(rest: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err("scenario needs a subcommand: `run <name|file>` or `list`".to_owned());
-    };
-    match sub.as_str() {
-        "list" => {
-            check_opts(&parse_opts(rest)?, &[])?;
-            cmd_scenario_list();
-            Ok(())
-        }
-        "run" => {
-            let Some((target, rest)) = rest.split_first() else {
-                return Err(format!(
-                    "scenario run needs a <name|file.toml> (builtin: {})",
-                    scenario::builtin_names()
-                ));
-            };
-            let opts = parse_opts(rest)?;
-            check_opts(
-                &opts,
-                &[
-                    "cycles",
-                    "seed",
-                    "seeds",
-                    "ci",
-                    "jobs",
-                    "progress",
-                    "json",
-                    "record",
-                    "cache",
-                    "no-cache",
-                    "cache-dir",
-                ],
-            )?;
-            cmd_scenario_run(target, &opts)
-        }
-        other => Err(format!(
-            "unknown scenario subcommand '{other}' (expected `run` or `list`)"
-        )),
-    }
-}
-
 /// Resolves a scenario target: a built-in name first, then a TOML file
 /// path.
 fn resolve_scenario(target: &str) -> Result<Scenario, String> {
@@ -1034,9 +1055,9 @@ fn resolve_scenario(target: &str) -> Result<Scenario, String> {
     ))
 }
 
-fn cmd_scenario_run(target: &str, opts: &Opts) -> Result<(), String> {
+fn cmd_scenario_run(opts: &Opts) -> Result<(), String> {
     let plan = abdex::obs::prof::span("plan");
-    let mut scenario = resolve_scenario(target)?;
+    let mut scenario = resolve_scenario(&opts.operand)?;
     // CLI flags override the scenario's own run parameters.
     scenario.cycles = cycles(opts, scenario.cycles)?;
     scenario.seed = number(opts, "seed", scenario.seed)?;
@@ -1047,7 +1068,7 @@ fn cmd_scenario_run(target: &str, opts: &Opts) -> Result<(), String> {
     drop(plan);
     // The recorded runner is taken only with `--record`, so a plain
     // `scenario run` keeps the exact execution it always had.
-    let (run, errors) = if opts.contains_key("record") {
+    let (run, errors) = if opts.has("record") {
         let (run, errors, recordings) = scenario::try_run_scenario_recorded(&pool, &scenario);
         write_record(
             opts,
@@ -1063,11 +1084,11 @@ fn cmd_scenario_run(target: &str, opts: &Opts) -> Result<(), String> {
     finish_batch(&pool, json, errors)
 }
 
-fn cmd_scenario_list() {
-    println!("built-in scenarios (run with `abdex scenario run <name>`):\n");
+fn cmd_scenario_list(_: &Opts) -> Result<(), String> {
+    outln!("built-in scenarios (run with `abdex scenario run <name>`):\n");
     for s in scenario::builtin_scenarios() {
-        println!("{:<12} {}", s.name, s.summary);
-        println!(
+        outln!("{:<12} {}", s.name, s.summary);
+        outln!(
             "    {} on {}, {} policies, {} cycles, {} seed(s)",
             s.traffic.name(),
             s.benchmark,
@@ -1075,64 +1096,16 @@ fn cmd_scenario_list() {
             s.cycles,
             s.seeds
         );
-        println!("    traffic  {}", s.traffic.spec_string());
+        outln!("    traffic  {}", s.traffic.spec_string());
         let policies: Vec<String> = s.policies.iter().map(PolicySpec::spec_string).collect();
-        println!("    policies {}\n", policies.join(";"));
+        outln!("    policies {}\n", policies.join(";"));
     }
-    println!(
+    outln!(
         "a TOML file works too (`abdex scenario run my.toml`); its fields are\n\
          name/summary/benchmark/traffic/policies/cycles/seed/seeds — the same\n\
          shape `scenario::Scenario::to_toml_string` renders."
     );
-}
-
-/// Dispatches the `fleet` command: `run`, `dispatchers` and
-/// `policies`.
-fn cmd_fleet(rest: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err(
-            "fleet needs a subcommand: `run [OPTIONS]`, `dispatchers` or `policies`".to_owned(),
-        );
-    };
-    match sub.as_str() {
-        "run" => {
-            let opts = parse_opts(rest)?;
-            check_opts(
-                &opts,
-                &[
-                    "chips",
-                    "dispatch",
-                    "benchmark",
-                    "traffic",
-                    "policy",
-                    "fleet-policy",
-                    "cycles",
-                    "seed",
-                    "seeds",
-                    "ci",
-                    "jobs",
-                    "progress",
-                    "json",
-                    "record",
-                    "cache",
-                    "no-cache",
-                    "cache-dir",
-                ],
-            )?;
-            cmd_fleet_run(&opts)
-        }
-        "dispatchers" => {
-            check_opts(&parse_opts(rest)?, &[])?;
-            cmd_list("dispatchers", &DISPATCHERS, None)
-        }
-        "policies" => {
-            check_opts(&parse_opts(rest)?, &[])?;
-            cmd_list("fleet policies", &FLEET_POLICIES, None)
-        }
-        other => Err(format!(
-            "unknown fleet subcommand '{other}' (expected `run`, `dispatchers` or `policies`)"
-        )),
-    }
+    Ok(())
 }
 
 fn cmd_fleet_run(opts: &Opts) -> Result<(), String> {
@@ -1163,94 +1136,55 @@ fn cmd_fleet_run(opts: &Opts) -> Result<(), String> {
     finish_batch(&pool, json, outcome.errors)
 }
 
-/// Dispatches the `cache` command: `stats`, `gc --max-bytes N` and
-/// `clear`, all against `--cache-dir` (default `.abdex-cache/`).
-fn cmd_cache(rest: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err(
-            "cache needs a subcommand: `stats`, `gc --max-bytes <N>` or `clear`".to_owned(),
-        );
-    };
-    let opts = parse_opts(rest)?;
-    let open = |opts: &Opts| -> Result<abdex::Cache, String> {
-        let dir = opts
-            .get("cache-dir")
-            .map(String::as_str)
-            .unwrap_or(abdex::ccache::DEFAULT_DIR);
-        abdex::Cache::open(dir)
-    };
-    match sub.as_str() {
-        "stats" => {
-            check_opts(&opts, &["cache-dir"])?;
-            let cache = open(&opts)?;
-            let stats = cache.stats();
-            println!("cache dir : {}", cache.root().display());
-            println!("epoch     : {}", cache.epoch());
-            println!("entries   : {}", stats.entries);
-            println!("bytes     : {}", stats.bytes);
-            println!("lifetime  : {}", cache.persisted_counters());
-            Ok(())
-        }
-        "gc" => {
-            check_opts(&opts, &["cache-dir", "max-bytes"])?;
-            if !opts.contains_key("max-bytes") {
-                return Err("cache gc needs --max-bytes <N>".to_owned());
-            }
-            let max_bytes: u64 = number(&opts, "max-bytes", 0)?;
-            let cache = open(&opts)?;
-            let removed = cache.gc(max_bytes);
-            let left = cache.stats();
-            println!(
-                "evicted {} entries ({} bytes); {} entries ({} bytes) remain",
-                removed.entries, removed.bytes, left.entries, left.bytes
-            );
-            Ok(())
-        }
-        "clear" => {
-            check_opts(&opts, &["cache-dir"])?;
-            let cache = open(&opts)?;
-            let removed = cache.clear();
-            println!("removed {removed} entries");
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown cache subcommand '{other}' (expected `stats`, `gc` or `clear`)"
-        )),
-    }
+/// Opens the result store at `--cache-dir` (default `.abdex-cache/`)
+/// for the `cache` subcommands.
+fn open_cache(opts: &Opts) -> Result<abdex::Cache, String> {
+    let dir = opts
+        .get("cache-dir")
+        .map(String::as_str)
+        .unwrap_or(abdex::ccache::DEFAULT_DIR);
+    abdex::Cache::open(dir)
 }
 
-/// Dispatches the `obs` command: `summarize <record.jsonl>`.
-fn cmd_obs(rest: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err("obs needs a subcommand: `summarize <record.jsonl>`".to_owned());
-    };
-    match sub.as_str() {
-        "summarize" => {
-            let Some((path, flags)) = rest.split_first() else {
-                return Err(
-                    "obs summarize needs a recording: `abdex obs summarize <record.jsonl> \
-                     [--json FILE|-] [--jobs N]`"
-                        .to_owned(),
-                );
-            };
-            if path.starts_with("--") {
-                return Err(format!(
-                    "obs summarize takes the record file first, found flag '{path}'"
-                ));
-            }
-            let opts = parse_opts(flags)?;
-            check_opts(&opts, &["json", "jobs", "progress"])?;
-            cmd_obs_summarize(path, &opts)
-        }
-        other => Err(format!(
-            "unknown obs subcommand '{other}' (expected `summarize`)"
-        )),
+fn cmd_cache_stats(opts: &Opts) -> Result<(), String> {
+    let cache = open_cache(opts)?;
+    let stats = cache.stats();
+    outln!("cache dir : {}", cache.root().display());
+    outln!("epoch     : {}", cache.epoch());
+    outln!("entries   : {}", stats.entries);
+    outln!("bytes     : {}", stats.bytes);
+    outln!("lifetime  : {}", cache.persisted_counters());
+    Ok(())
+}
+
+fn cmd_cache_gc(opts: &Opts) -> Result<(), String> {
+    if !opts.has("max-bytes") {
+        return Err("cache gc needs --max-bytes <N>".to_owned());
     }
+    let max_bytes: u64 = number(opts, "max-bytes", 0)?;
+    let cache = open_cache(opts)?;
+    let removed = cache.gc(max_bytes);
+    let left = cache.stats();
+    outln!(
+        "evicted {} entries ({} bytes); {} entries ({} bytes) remain",
+        removed.entries,
+        removed.bytes,
+        left.entries,
+        left.bytes
+    );
+    Ok(())
+}
+
+fn cmd_cache_clear(opts: &Opts) -> Result<(), String> {
+    let removed = open_cache(opts)?.clear();
+    outln!("removed {removed} entries");
+    Ok(())
 }
 
 /// `obs summarize`: fold a `--record` JSONL export back into
 /// per-channel statistics (table and/or `obs_summary` JSON document).
-fn cmd_obs_summarize(path: &str, opts: &Opts) -> Result<(), String> {
+fn cmd_obs_summarize(opts: &Opts) -> Result<(), String> {
+    let path = &opts.operand;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let pool = runner(opts)?;
     let summary =
@@ -1268,7 +1202,7 @@ fn cmd_list<S>(
     registry: &Registry<S>,
     kind: Option<fn(&S) -> String>,
 ) -> Result<(), String> {
-    println!("registered {title} (spec grammar: name[:key=val,...]):\n");
+    outln!("registered {title} (spec grammar: name[:key=val,...]):\n");
     for entry in registry.entries() {
         let kind = match kind {
             Some(kind) => {
@@ -1282,64 +1216,13 @@ fn cmd_list<S>(
         } else {
             format!(" (aliases: {})", entry.aliases.join(", "))
         };
-        println!("{:<14} {kind}{}{aliases}", entry.name, entry.summary);
+        outln!("{:<14} {kind}{}{aliases}", entry.name, entry.summary);
         for p in entry.params {
-            println!("    {:<12} [{}] {}", p.key, p.default, p.help);
+            outln!("    {:<12} [{}] {}", p.key, p.default, p.help);
         }
-        println!();
+        outln!();
     }
     Ok(())
-}
-
-/// `trace` grew positional subcommands (`generate`, `analyze`) around
-/// the original flag-only LOC-event form; a leading flag (or nothing)
-/// keeps the legacy behaviour byte-for-byte.
-fn cmd_trace_dispatch(rest: &[String]) -> Result<(), String> {
-    match rest.first().map(String::as_str) {
-        Some("generate") => {
-            // `-o` is the conventional shorthand for `--out`.
-            let args: Vec<String> = rest[1..]
-                .iter()
-                .map(|a| {
-                    if a == "-o" {
-                        "--out".to_owned()
-                    } else {
-                        a.clone()
-                    }
-                })
-                .collect();
-            let opts = parse_opts(&args)?;
-            check_opts(&opts, &["traffic", "cycles", "seed", "out"])?;
-            cmd_trace_generate(&opts)
-        }
-        Some("analyze") => {
-            let Some((path, flags)) = rest[1..].split_first() else {
-                return Err(
-                    "trace analyze needs a trace file: `abdex trace analyze <file> \
-                     [--json FILE|-] [--jobs N]`"
-                        .to_owned(),
-                );
-            };
-            if path.starts_with("--") {
-                return Err(format!(
-                    "trace analyze takes the trace file first, found flag '{path}'"
-                ));
-            }
-            let opts = parse_opts(flags)?;
-            check_opts(&opts, &["json", "jobs", "progress"])?;
-            cmd_trace_analyze(path, &opts)
-        }
-        None => cmd_trace(&Opts::new()),
-        Some(flag) if flag.starts_with("--") => {
-            let opts = parse_opts(rest)?;
-            check_opts(&opts, &["benchmark", "traffic", "cycles", "seed", "out"])?;
-            cmd_trace(&opts)
-        }
-        Some(other) => Err(format!(
-            "unknown trace subcommand '{other}' (expected `generate`, `analyze`, \
-             or the legacy flag form `abdex trace --benchmark ...`)"
-        )),
-    }
 }
 
 /// `trace generate`: materialise a traffic spec into a replayable
@@ -1352,20 +1235,21 @@ fn cmd_trace_generate(opts: &Opts) -> Result<(), String> {
     match opts.get("out") {
         Some(path) => {
             write_atomic(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!(
+            outln!(
                 "recorded {} packets of `{}` (seed {seed}, {cycles} cycles) to {path}",
                 trace.len(),
                 spec.spec_string()
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
 
 /// `trace analyze`: characterise a recorded trace file (table and/or
 /// `trace_analysis` JSON document).
-fn cmd_trace_analyze(path: &str, opts: &Opts) -> Result<(), String> {
+fn cmd_trace_analyze(opts: &Opts) -> Result<(), String> {
+    let path = &opts.operand;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = RecordedTrace::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
     let runner = runner(opts)?;
@@ -1392,9 +1276,9 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     match opts.get("out") {
         Some(path) => {
             write_atomic(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {} bytes to {path}", text.len());
+            outln!("wrote {} bytes to {path}", text.len());
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -1420,15 +1304,15 @@ fn cmd_check(opts: &Opts) -> Result<(), String> {
     let report = Checker::from_formula(&formula)
         .map_err(|e| e.to_string())?
         .check(&trace);
-    println!("formula    : {formula}");
-    println!("instances  : {}", report.instances);
-    println!("violations : {}", report.violation_count);
+    outln!("formula    : {formula}");
+    outln!("instances  : {}", report.instances);
+    outln!("violations : {}", report.violation_count);
     if report.passed() {
-        println!("PASS");
+        outln!("PASS");
         Ok(())
     } else {
         for v in report.violations.iter().take(10) {
-            println!("  violated at i = {}", v.index);
+            outln!("  violated at i = {}", v.index);
         }
         Err("assertion violated".to_owned())
     }
@@ -1440,15 +1324,100 @@ fn cmd_analyze(opts: &Opts) -> Result<(), String> {
     let report = Analyzer::from_formula(&formula)
         .map_err(|e| e.to_string())?
         .analyze(&trace);
-    println!("formula   : {formula}");
-    println!("instances : {}", report.total_instances());
-    print!("{}", report.to_table());
+    outln!("formula   : {formula}");
+    outln!("instances : {}", report.total_instances());
+    out!("{}", report.to_table());
     Ok(())
 }
 
 fn cmd_codegen(opts: &Opts) -> Result<(), String> {
     let formula = formula(opts)?;
     let source = loc::codegen::generate(&formula).map_err(|e| e.to_string())?;
-    print!("{source}");
+    out!("{source}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
+    #[test]
+    fn every_row_flag_is_declared_and_every_flag_is_used() {
+        for command in COMMANDS {
+            for name in command.flags.split_whitespace() {
+                assert!(
+                    FLAGS.iter().any(|flag| flag.name == name),
+                    "`{}` names the undeclared flag --{name}",
+                    command.path
+                );
+            }
+        }
+        for flag in FLAGS {
+            assert!(
+                flag.everywhere || COMMANDS.iter().any(|command| command.accepts(flag)),
+                "no command accepts --{}",
+                flag.name
+            );
+        }
+    }
+
+    #[test]
+    fn every_path_is_unique_and_routes_to_its_row() {
+        for (i, command) in COMMANDS.iter().enumerate() {
+            assert!(
+                COMMANDS[..i].iter().all(|other| other.path != command.path),
+                "two rows share the path `{}`",
+                command.path
+            );
+            let words = args(&command.path.split(' ').collect::<Vec<_>>());
+            let (found, rest) = find_command(&words).expect("a row's path routes");
+            assert_eq!(found.path, command.path);
+            assert!(rest.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_flag_outside_the_row_is_rejected() {
+        for command in COMMANDS {
+            for flag in FLAGS.iter().filter(|flag| !command.accepts(flag)) {
+                let mut words = Vec::new();
+                if command.operand.is_some() {
+                    words.push("operand");
+                }
+                let name = format!("--{}", flag.name);
+                words.extend([name.as_str(), "1"]);
+                let Err(e) = parse_opts(command, &args(&words)) else {
+                    panic!("`{}` accepted {name}", command.path);
+                };
+                assert_eq!(
+                    e,
+                    format!("{name} is not an option of this command (see `abdex help`)")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn help_lists_every_command_and_flag() {
+        let text = usage();
+        for command in COMMANDS {
+            assert!(
+                text.contains(&format!("    {}", command.path)),
+                "{}",
+                command.path
+            );
+        }
+        for flag in FLAGS {
+            assert!(
+                text.contains(&format!("    --{}", flag.name)),
+                "--{}",
+                flag.name
+            );
+        }
+        assert!(text.lines().all(|line| line.chars().count() <= HELP_WIDTH));
+    }
 }

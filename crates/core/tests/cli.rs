@@ -2266,3 +2266,67 @@ fn concurrent_cached_sweeps_persist_every_lookup() {
     assert!(text.contains(&lifetime), "{lifetime:?} not in {text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_closed_stdout_ends_the_command_without_a_panic() {
+    // The reader is dropped before the child starts, so the child's
+    // first stdout write fails with a broken pipe. Each command still
+    // exits with the status its work earns, without a panic.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-epipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace = dir.join("loc.trace");
+    let out = abdex()
+        .args(["trace", "--cycles", "100000", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let violated = "time(forward[i+1]) - time(forward[i]) < 1";
+    let cases: [(&[&str], i32); 3] = [
+        (&["policies"], 0),
+        (&["trace", "generate", "--cycles", "200000"], 0),
+        (&["check", "--formula", violated, "--trace"], 1),
+    ];
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let mut command = abdex();
+        command.args(args).stdout(writer);
+        if args[0] == "check" {
+            command.arg(&trace);
+        }
+        let out = command.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+        if code == 1 {
+            assert_eq!(stderr, "error: assertion violated\n", "{args:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flag_given_twice_is_rejected() {
+    // The second value would silently win; a repeated switch is as
+    // likely a slip. Both fail before anything runs.
+    for (args, flag) in [
+        (
+            ["run", "--cycles", "1000", "--cycles", "2000"].as_slice(),
+            "--cycles",
+        ),
+        (
+            &["run", "--cycles", "1000", "--no-cache", "--no-cache"],
+            "--no-cache",
+        ),
+    ] {
+        let out = abdex().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {flag} given twice\n")
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
