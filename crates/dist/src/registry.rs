@@ -182,19 +182,6 @@ fn clamped(mut params: Params, kind: DistKind) -> Result<DistSpec, SpecError> {
     Ok(spec)
 }
 
-fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
-    let value = params.f64(key, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_string(),
-            expected: "a positive number",
-        })
-    }
-}
-
 fn take_finite(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
     let value = params.f64(key, default)?;
     if value.is_finite() {
@@ -210,29 +197,29 @@ fn take_finite(params: &mut Params, key: &'static str, default: f64) -> Result<f
 
 fn build_lognormal(mut params: Params) -> Result<DistSpec, SpecError> {
     let mu = take_finite(&mut params, "mu", 6.0)?;
-    let sigma = take_positive(&mut params, "sigma", 1.0)?;
+    let sigma = params.positive_f64("sigma", 1.0)?;
     clamped(params, DistKind::LogNormal { mu, sigma })
 }
 
 fn build_pareto(mut params: Params) -> Result<DistSpec, SpecError> {
-    let alpha = take_positive(&mut params, "alpha", 1.5)?;
-    let scale = take_positive(&mut params, "scale", 100.0)?;
+    let alpha = params.positive_f64("alpha", 1.5)?;
+    let scale = params.positive_f64("scale", 100.0)?;
     clamped(params, DistKind::Pareto { alpha, scale })
 }
 
 fn build_weibull(mut params: Params) -> Result<DistSpec, SpecError> {
-    let shape = take_positive(&mut params, "shape", 1.0)?;
-    let scale = take_positive(&mut params, "scale", 100.0)?;
+    let shape = params.positive_f64("shape", 1.0)?;
+    let scale = params.positive_f64("scale", 100.0)?;
     clamped(params, DistKind::Weibull { shape, scale })
 }
 
 fn build_exponential(mut params: Params) -> Result<DistSpec, SpecError> {
-    let mean = take_positive(&mut params, "mean", 100.0)?;
+    let mean = params.positive_f64("mean", 100.0)?;
     clamped(params, DistKind::Exponential { mean })
 }
 
 fn build_poisson(mut params: Params) -> Result<DistSpec, SpecError> {
-    let lambda = take_positive(&mut params, "lambda", 100.0)?;
+    let lambda = params.positive_f64("lambda", 100.0)?;
     // Sampling is O(λ) uniforms per draw; bound it to keep streams fast.
     if lambda > 1e6 {
         return Err(SpecError::InvalidValue {

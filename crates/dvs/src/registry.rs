@@ -160,26 +160,13 @@ fn take_fraction(params: &mut Params, key: &'static str, default: f64) -> Result
     }
 }
 
-fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
-    let value = params.f64(key, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_string(),
-            expected: "a positive number",
-        })
-    }
-}
-
 fn build_nodvs(params: Params) -> Result<PolicySpec, SpecError> {
     params.finish("nodvs")?;
     Ok(PolicySpec::NoDvs)
 }
 
 fn build_tdvs(mut params: Params) -> Result<PolicySpec, SpecError> {
-    let top_threshold_mbps = take_positive(&mut params, "threshold", 1000.0)?;
+    let top_threshold_mbps = params.positive_f64("threshold", 1000.0)?;
     let window_cycles = take_window(&mut params)?;
     let hysteresis = params.maybe_f64("hysteresis")?;
     params.finish("tdvs")?;
@@ -213,7 +200,7 @@ fn build_edvs(mut params: Params) -> Result<PolicySpec, SpecError> {
 }
 
 fn build_combined(mut params: Params) -> Result<PolicySpec, SpecError> {
-    let top_threshold_mbps = take_positive(&mut params, "threshold", 1000.0)?;
+    let top_threshold_mbps = params.positive_f64("threshold", 1000.0)?;
     let idle_threshold = take_fraction(&mut params, "idle", 0.10)?;
     let window_cycles = take_window(&mut params)?;
     params.finish("combined")?;

@@ -341,32 +341,19 @@ pub static FLEET_POLICIES: Registry<FleetPolicySpec> = Registry::new(
     ],
 );
 
-fn take_budget(params: &mut Params) -> Result<f64, SpecError> {
-    let budget = params.f64("budget", 8.0)?;
-    if budget.is_finite() && budget > 0.0 {
-        Ok(budget)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: "budget".to_owned(),
-            value: budget.to_string(),
-            expected: "a positive wattage",
-        })
-    }
-}
-
 fn build_pass_through(params: Params) -> Result<FleetPolicySpec, SpecError> {
     params.finish("none")?;
     Ok(FleetPolicySpec::PassThrough)
 }
 
 fn build_static_cap(mut params: Params) -> Result<FleetPolicySpec, SpecError> {
-    let budget_w = take_budget(&mut params)?;
+    let budget_w = params.positive_f64("budget", 8.0)?;
     params.finish("static-cap")?;
     Ok(FleetPolicySpec::StaticCap { budget_w })
 }
 
 fn build_cap_realloc(mut params: Params) -> Result<FleetPolicySpec, SpecError> {
-    let budget_w = take_budget(&mut params)?;
+    let budget_w = params.positive_f64("budget", 8.0)?;
     let period_cycles = params.u64("period", 200_000)?;
     let floor_w = params.f64("floor", 0.5)?;
     params.finish("cap-realloc")?;

@@ -150,6 +150,26 @@ impl Params {
         Ok(self.maybe_f64(key)?.unwrap_or(default))
     }
 
+    /// Takes a float parameter that must be finite and above zero,
+    /// falling back to `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::InvalidValue`] when present but unparsable,
+    /// and when the value is zero, negative, NaN or infinite.
+    pub fn positive_f64(&mut self, key: &str, default: f64) -> Result<f64, SpecError> {
+        let value = self.f64(key, default)?;
+        if value.is_finite() && value > 0.0 {
+            Ok(value)
+        } else {
+            Err(SpecError::InvalidValue {
+                key: key.to_owned(),
+                value: value.to_string(),
+                expected: "a positive number",
+            })
+        }
+    }
+
     /// Takes an integer parameter, falling back to `default` when absent.
     /// Accepts float notation for whole numbers (`4e4`, `40000.0`).
     ///
@@ -737,6 +757,35 @@ mod tests {
         assert_eq!(p.u64("known", 0).unwrap(), 1);
         let err = p.finish("thing").unwrap_err();
         assert!(matches!(err, SpecError::UnknownParam { ref key, .. } if key == "typo"));
+    }
+
+    #[test]
+    fn positive_f64_takes_only_finite_values_above_zero() {
+        let take = |raw: &str| {
+            let mut p = Params::default();
+            p.insert("rate", raw);
+            p.positive_f64("rate", 1.0)
+        };
+        assert_eq!(take("2.5").unwrap(), 2.5);
+        assert_eq!(Params::default().positive_f64("rate", 7.0).unwrap(), 7.0);
+        for raw in ["0", "-3", "NaN", "inf", "-inf"] {
+            let err = take(raw).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SpecError::InvalidValue { ref key, expected: "a positive number", .. }
+                        if key == "rate"
+                ),
+                "{raw}: {err:?}"
+            );
+        }
+        assert!(matches!(
+            take("x"),
+            Err(SpecError::InvalidValue {
+                expected: "a number",
+                ..
+            })
+        ));
     }
 
     #[test]

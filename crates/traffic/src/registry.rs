@@ -255,19 +255,6 @@ fn build_level(params: Params, level: TrafficLevel) -> Result<TrafficSpec, SpecE
     Ok(spec)
 }
 
-fn take_positive(params: &mut Params, key: &'static str, default: f64) -> Result<f64, SpecError> {
-    let value = params.f64(key, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(SpecError::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_string(),
-            expected: "a positive number",
-        })
-    }
-}
-
 fn take_non_negative(
     params: &mut Params,
     key: &'static str,
@@ -299,9 +286,9 @@ fn take_ports(params: &mut Params) -> Result<u8, SpecError> {
 }
 
 fn build_mmpp(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let mean_rate_mbps = take_positive(&mut params, "rate", 850.0)?;
+    let mean_rate_mbps = params.positive_f64("rate", 850.0)?;
     let burstiness = params.f64("burstiness", 1.6)?;
-    let dwell_mean_us = take_positive(&mut params, "dwell_us", 200.0)?;
+    let dwell_mean_us = params.positive_f64("dwell_us", 200.0)?;
     let ports = take_ports(&mut params)?;
     params.finish("mmpp")?;
     if !burstiness.is_finite() || burstiness < 1.0 {
@@ -322,8 +309,8 @@ fn build_mmpp(mut params: Params) -> Result<TrafficSpec, SpecError> {
 
 fn build_diurnal(mut params: Params) -> Result<TrafficSpec, SpecError> {
     let hour = params.f64("hour", 16.0)?;
-    let aggregate_scale = take_positive(&mut params, "scale", 5.0)?;
-    let peak_bps = take_positive(&mut params, "peak_bps", 2.5e8)?;
+    let aggregate_scale = params.positive_f64("scale", 5.0)?;
+    let peak_bps = params.positive_f64("peak_bps", 2.5e8)?;
     let profile_seed = params.u64("profile_seed", 0)?;
     params.finish("diurnal")?;
     if !hour.is_finite() || !(0.0..24.0).contains(&hour) {
@@ -342,9 +329,9 @@ fn build_diurnal(mut params: Params) -> Result<TrafficSpec, SpecError> {
 }
 
 fn build_burst(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let on_mbps = take_positive(&mut params, "on_mbps", 1600.0)?;
+    let on_mbps = params.positive_f64("on_mbps", 1600.0)?;
     let off_mbps = take_non_negative(&mut params, "off_mbps", 200.0)?;
-    let period_s = take_positive(&mut params, "period_s", 0.002)?;
+    let period_s = params.positive_f64("period_s", 0.002)?;
     let duty = params.f64("duty", 0.5)?;
     let ports = take_ports(&mut params)?;
     params.finish("burst")?;
@@ -366,8 +353,8 @@ fn build_burst(mut params: Params) -> Result<TrafficSpec, SpecError> {
 }
 
 fn build_flash(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let base_mbps = take_positive(&mut params, "base_mbps", 400.0)?;
-    let peak_mbps = take_positive(&mut params, "peak_mbps", 1800.0)?;
+    let base_mbps = params.positive_f64("base_mbps", 400.0)?;
+    let peak_mbps = params.positive_f64("peak_mbps", 1800.0)?;
     let at_ms = take_non_negative(&mut params, "at_ms", 4.0)?;
     let ramp_ms = take_non_negative(&mut params, "ramp_ms", 1.0)?;
     let hold_ms = take_non_negative(&mut params, "hold_ms", 3.0)?;
@@ -385,7 +372,7 @@ fn build_flash(mut params: Params) -> Result<TrafficSpec, SpecError> {
 }
 
 fn build_constant(mut params: Params) -> Result<TrafficSpec, SpecError> {
-    let rate_mbps = take_positive(&mut params, "rate", 600.0)?;
+    let rate_mbps = params.positive_f64("rate", 600.0)?;
     let size = params.u64("size", 576)?;
     let ports = take_ports(&mut params)?;
     params.finish("constant")?;
@@ -409,7 +396,7 @@ fn build_trace(mut params: Params) -> Result<TrafficSpec, SpecError> {
     let path = params.maybe_str("path");
     let file = params.maybe_str("file");
     let path = path.or(file);
-    let scale = take_positive(&mut params, "scale", 1.0)?;
+    let scale = params.positive_f64("scale", 1.0)?;
     params.finish("trace")?;
     let path = path.ok_or_else(|| SpecError::InvalidValue {
         key: "path".to_owned(),
