@@ -58,9 +58,9 @@ impl ReplicatedResult {
 /// The k × cells jobs are submitted cell-major (cell 0's replicates,
 /// then cell 1's, ...), so submission order — and therefore every fold
 /// — is a pure function of the batch description. Every job reduces
-/// its replicate to [`ExperimentResult::metrics`] on the worker, so the
-/// batch keeps the distributions of at most one replicate per worker,
-/// never of the whole grid.
+/// its replicate to [`crate::ExperimentResult::metrics`] on the worker,
+/// so the batch keeps the distributions of at most one replicate per
+/// worker, never of the whole grid.
 ///
 /// # Panics
 ///

@@ -29,7 +29,7 @@ pub enum Segment {
     /// One SRAM read/write (thread blocks until completion).
     Sram,
     /// One SDRAM access (~100 core cycles at the controller, plus
-    /// queueing). Workload programs chain [`SDRAM_CHAIN`] of these
+    /// queueing). Workload programs chain `SDRAM_CHAIN` (3) of these
     /// back-to-back to model dependent transactions (descriptor read →
     /// data burst → status update); the thread re-blocks on each.
     Sdram,

@@ -198,8 +198,8 @@ pub struct ReplayConfig {
     /// Filesystem path of the trace file.
     pub path: String,
     /// Offered-rate multiplier applied on replay (1 = byte-exact).
-    /// Realised by deterministic thinning (< 1) or duplication (> 1) —
-    /// see [`ReplayModel`].
+    /// Realised by deterministic thinning (< 1) or duplication (> 1) of
+    /// the recorded packets.
     pub scale: f64,
 }
 
