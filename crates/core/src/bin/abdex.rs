@@ -374,9 +374,8 @@ fn find_command(args: &[String]) -> Result<(&'static Command, &[String]), String
     let expected = || {
         let names: Vec<String> = subs.iter().map(|(sub, _)| format!("`{sub}`")).collect();
         match names.split_last() {
-            Some((last, [])) => last.clone(),
-            Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
-            None => String::new(),
+            Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+            _ => names.concat(),
         }
     };
     match args.get(1) {
@@ -515,11 +514,10 @@ fn usage() -> String {
 
 /// Appends one help entry: `head` in the left column, then `chunks`
 /// joined by spaces and wrapped into the right one.
-fn help_entry<S: AsRef<str>>(text: &mut String, head: &str, chunks: impl IntoIterator<Item = S>) {
+fn help_entry<'a>(text: &mut String, head: &str, chunks: impl IntoIterator<Item = &'a str>) {
     let mut line = format!("    {head}");
     let mut empty = true;
     for chunk in chunks {
-        let chunk = chunk.as_ref();
         let width = line.chars().count();
         if empty && width < HELP_INDENT {
             line.push_str(&" ".repeat(HELP_INDENT - width));
@@ -656,11 +654,16 @@ fn cache(opts: &Opts) -> Result<Option<abdex::Cache>, String> {
     if opts.has("no-cache") || !(opts.has("cache") || opts.has("cache-dir")) {
         return Ok(None);
     }
+    open_cache(opts).map(Some)
+}
+
+/// Opens the result store at `--cache-dir` (default `.abdex-cache/`).
+fn open_cache(opts: &Opts) -> Result<abdex::Cache, String> {
     let dir = opts
         .get("cache-dir")
         .map(String::as_str)
         .unwrap_or(abdex::ccache::DEFAULT_DIR);
-    abdex::Cache::open(dir).map(Some)
+    abdex::Cache::open(dir)
 }
 
 /// Attaches the `--cache` result store to a runner, when asked for.
@@ -1134,16 +1137,6 @@ fn cmd_fleet_run(opts: &Opts) -> Result<(), String> {
     write_record(opts, "fleet", &fleet_record_series(&outcome))?;
     let json = write_json(opts, || fleet_json(&outcome, ci));
     finish_batch(&pool, json, outcome.errors)
-}
-
-/// Opens the result store at `--cache-dir` (default `.abdex-cache/`)
-/// for the `cache` subcommands.
-fn open_cache(opts: &Opts) -> Result<abdex::Cache, String> {
-    let dir = opts
-        .get("cache-dir")
-        .map(String::as_str)
-        .unwrap_or(abdex::ccache::DEFAULT_DIR);
-    abdex::Cache::open(dir)
 }
 
 fn cmd_cache_stats(opts: &Opts) -> Result<(), String> {
