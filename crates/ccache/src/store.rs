@@ -188,6 +188,31 @@ impl Cache {
         Some(text)
     }
 
+    /// Looks a spec up and decodes its payload with `decode`: the one
+    /// cache probe of every axis. The probe is one profiler span,
+    /// `cache.lookup`, renamed `cache.lookup.hit` or `cache.lookup.miss`
+    /// once resolved, with a running `cache.hits` or `cache.misses`
+    /// counter event beside it. An intact entry whose payload `decode`
+    /// rejects (damage, or another payload version) is demoted to a
+    /// miss, so the caller re-simulates and republishes it.
+    pub fn probe<T>(&self, spec: &str, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let mut prof = obs::prof::span("cache.lookup");
+        let found = self.lookup(spec).and_then(|payload| {
+            let decoded = decode(&payload);
+            if decoded.is_none() {
+                self.demote_hit();
+            }
+            decoded
+        });
+        let (name, counter) = match found {
+            Some(_) => ("cache.lookup.hit", "cache.hits"),
+            None => ("cache.lookup.miss", "cache.misses"),
+        };
+        prof.set_name(name);
+        obs::prof::count(counter, 1.0);
+        found
+    }
+
     /// Re-books one counted hit as a miss — for callers whose payload
     /// decode failed after a structurally valid entry was returned.
     pub fn demote_hit(&self) {
@@ -437,6 +462,19 @@ mod tests {
         assert_eq!(cache.lookup("spec a").as_deref(), Some("{\"v\":1}"));
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.stores), (1, 1, 1));
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn probe_decodes_hits_and_demotes_rejected_payloads() {
+        let cache = temp_cache("probe");
+        assert_eq!(cache.probe("k", |p| Some(p.len())), None);
+        cache.publish("k", "four");
+        assert_eq!(cache.probe("k", |p| Some(p.len())), Some(4));
+        // An intact entry whose payload the decoder rejects is a miss.
+        assert_eq!(cache.probe("k", |_| None::<usize>), None);
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses, c.stores), (1, 2, 1));
         let _ = fs::remove_dir_all(cache.root());
     }
 

@@ -132,32 +132,7 @@ pub fn run_cached(cache: Option<&Cache>, experiment: &Experiment) -> ExperimentR
         return experiment.run();
     };
     let key = experiment_key(experiment);
-    // The probe is one profiler span that renames itself once resolved:
-    // `cache.lookup` becomes `cache.lookup.hit` on an intact entry and
-    // `cache.lookup.miss` otherwise (including decode demotions), with running
-    // hit/miss counter events alongside.
-    let cached = {
-        let mut prof = obs::prof::span("cache.lookup");
-        match cache.lookup(&key).and_then(|p| {
-            let decoded = decode_result(experiment, &p);
-            if decoded.is_none() {
-                cache.demote_hit();
-            }
-            decoded
-        }) {
-            Some(result) => {
-                prof.set_name("cache.lookup.hit");
-                obs::prof::count("cache.hits", 1.0);
-                Some(result)
-            }
-            None => {
-                prof.set_name("cache.lookup.miss");
-                obs::prof::count("cache.misses", 1.0);
-                None
-            }
-        }
-    };
-    if let Some(result) = cached {
+    if let Some(result) = cache.probe(&key, |payload| decode_result(experiment, payload)) {
         return result;
     }
     let result = experiment.run();

@@ -452,27 +452,7 @@ fn simulate_chip(
         return run_chip(config, seed, share, caps, arrivals);
     };
     let key = chip_key(config, seed, share, caps);
-    // One profiler span per probe, renamed to its hit/miss outcome,
-    // with running counters (mirrors `core::cachefmt::run_cached`).
-    let cached = {
-        let mut prof = obs::prof::span("cache.lookup");
-        let found = cache.lookup(&key).and_then(|payload| {
-            let parsed = parse_recorded(&payload);
-            if parsed.is_none() {
-                cache.demote_hit();
-            }
-            parsed
-        });
-        if found.is_some() {
-            prof.set_name("cache.lookup.hit");
-            obs::prof::count("cache.hits", 1.0);
-        } else {
-            prof.set_name("cache.lookup.miss");
-            obs::prof::count("cache.misses", 1.0);
-        }
-        found
-    };
-    if let Some(cell) = cached {
+    if let Some(cell) = cache.probe(&key, parse_recorded) {
         return cell;
     }
     let cell = run_chip(config, seed, share, caps, arrivals);

@@ -140,27 +140,7 @@ fn replicate_snapshots(
     let simulator = || Simulator::new(spec.npu_config()).with_analyzers(AnalyzerBank::new());
     if let Some(cache) = cache {
         let key = cell_key(spec, bounds);
-        // One profiler span per probe, renamed to its hit/miss outcome,
-        // with running counters (mirrors `core::cachefmt::run_cached`).
-        let cached = {
-            let mut prof = obs::prof::span("cache.lookup");
-            let found = cache.lookup(&key).and_then(|payload| {
-                let parsed = parse_snapshots(&payload);
-                if parsed.is_none() {
-                    cache.demote_hit();
-                }
-                parsed
-            });
-            if found.is_some() {
-                prof.set_name("cache.lookup.hit");
-                obs::prof::count("cache.hits", 1.0);
-            } else {
-                prof.set_name("cache.lookup.miss");
-                obs::prof::count("cache.misses", 1.0);
-            }
-            found
-        };
-        if let Some(snapshots) = cached {
+        if let Some(snapshots) = cache.probe(&key, parse_snapshots) {
             return (snapshots, Recording::default());
         }
         let mut sim = simulator();
