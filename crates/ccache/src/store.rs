@@ -192,13 +192,19 @@ impl Cache {
     /// cache probe of every axis. The probe is one profiler span,
     /// `cache.lookup`, renamed `cache.lookup.hit` or `cache.lookup.miss`
     /// once resolved, with a running `cache.hits` or `cache.misses`
-    /// counter event beside it. An intact entry whose payload `decode`
-    /// rejects (damage, or another payload version) is demoted to a
-    /// miss, so the caller re-simulates and republishes it.
+    /// counter event beside it. The decode is a child span,
+    /// `cache.decode`. An intact entry whose payload `decode` rejects
+    /// (damage, or another payload version) is demoted to a miss, so the
+    /// caller re-simulates and republishes it.
     pub fn probe<T>(&self, spec: &str, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
         let mut prof = obs::prof::span("cache.lookup");
         let found = self.lookup(spec).and_then(|payload| {
-            let decoded = decode(&payload);
+            // Closed before the rename below, which renames the
+            // innermost open span.
+            let decoded = {
+                let _prof = obs::prof::span("cache.decode");
+                decode(&payload)
+            };
             if decoded.is_none() {
                 self.demote_hit();
             }
@@ -223,8 +229,9 @@ impl Cache {
     /// Publishes a payload under its spec's key: temp file + rename, so
     /// racing writers leave exactly one valid entry. Best-effort — an
     /// I/O failure drops the entry (and the store count), never the
-    /// result.
+    /// result. One profiler span, `cache.publish`.
     pub fn publish(&self, spec: &str, payload: &str) {
+        let _prof = obs::prof::span("cache.publish");
         debug_assert!(!spec.contains('\n'), "cache specs are single-line");
         let key = Key::with_epoch(self.epoch, spec);
         if self.write_entry(key, spec, payload).is_some() {

@@ -1952,6 +1952,66 @@ fn profile_summary_folds_a_sweeps_jobs_into_one_row() {
 }
 
 #[test]
+fn profile_summary_shows_the_cache_publish_and_decode_phases() {
+    // A cold cached compare publishes every replicate it simulates; the
+    // warm rerun decodes every hit. Each phase is one summary row.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-prof-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache_dir = dir.join("store");
+    let summary = || {
+        let out = abdex()
+            .args([
+                "compare",
+                "--traffics",
+                "low",
+                "--seeds",
+                "2",
+                "--cycles",
+                "60000",
+                "--cache-dir",
+                cache_dir.to_str().unwrap(),
+                "--profile-summary",
+            ])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{err}");
+        err
+    };
+    // The call count of `phase`'s row, if the summary has one.
+    let calls = |err: &str, phase: &str| {
+        err.lines().find_map(|line| {
+            let mut cols = line.split_whitespace();
+            (cols.next() == Some(phase)).then(|| cols.next().unwrap().to_owned())
+        })
+    };
+    // 6 policies x 4 benchmarks x 1 traffic x 2 seeds.
+    let cold = summary();
+    assert!(
+        cold.contains("cache: 0 hits, 48 misses, 48 stores"),
+        "{cold}"
+    );
+    assert_eq!(
+        calls(&cold, "cache.publish").as_deref(),
+        Some("48"),
+        "{cold}"
+    );
+    assert_eq!(calls(&cold, "cache.decode"), None, "{cold}");
+    let warm = summary();
+    assert!(
+        warm.contains("cache: 48 hits, 0 misses, 0 stores"),
+        "{warm}"
+    );
+    assert_eq!(
+        calls(&warm, "cache.decode").as_deref(),
+        Some("48"),
+        "{warm}"
+    );
+    assert_eq!(calls(&warm, "cache.publish"), None, "{warm}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn profile_flag_is_global_and_preflighted() {
     // Every subcommand accepts the pair — including the five flagless
     // listing commands.
