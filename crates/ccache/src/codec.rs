@@ -30,7 +30,7 @@ use dvs::PolicyKind;
 use nepsim::{MeMode, MeReport, MeRole, ModeAcc, SimReport, WindowIdleSample};
 use obs::{Channel, KernelCounters, Recording, Sample};
 
-use crate::json::{Reader, Writer, NUMBER_BYTES, PACKED_F64_BYTES};
+use crate::json::{PackedF64s, Reader, Writer, NUMBER_BYTES, PACKED_F64_BYTES};
 
 /// The payload-format version leading every payload. Bump it with any
 /// change to a payload's layout: entries written under another version
@@ -221,9 +221,31 @@ pub fn write_sim_report(w: &mut Writer, r: &SimReport) {
 /// Reads the object [`write_sim_report`] wrote.
 #[must_use]
 pub fn read_sim_report(r: &mut Reader<'_>) -> Option<SimReport> {
+    let (mut report, idle) = read_sim_report_packed(r)?;
+    let n = report.mes.len();
+    report.window_idle = idle
+        .iter()
+        .enumerate()
+        .map(|(i, idle)| WindowIdleSample {
+            window: (i / n) as u64,
+            me: i % n,
+            role: report.mes[i % n].role,
+            idle,
+        })
+        .collect();
+    Some(report)
+}
+
+/// Reads the object [`write_sim_report`] wrote, with its `window_idle`
+/// samples validated but not decoded: the report's `window_idle` is
+/// empty, and the view holds the samples' idle fractions in order. It
+/// accepts exactly what [`read_sim_report`] accepts, for a caller that
+/// reads only the report's scalars.
+#[must_use]
+pub fn read_sim_report_packed<'a>(r: &mut Reader<'a>) -> Option<(SimReport, PackedF64s<'a>)> {
     r.begin_obj()?;
     // Struct fields evaluate in the order written: the layout's order.
-    let mut report = SimReport {
+    let report = SimReport {
         policy: policy_kind(r.key("policy")?.name()?)?,
         duration: SimTime::from_ps(r.key("duration_ps")?.u64()?),
         arrived_packets: r.key("arrived_packets")?.u64()?,
@@ -263,19 +285,9 @@ pub fn read_sim_report(r: &mut Reader<'_>) -> Option<SimReport> {
     if Some(count) != usize::try_from(report.windows).ok()?.checked_mul(n) {
         return None;
     }
-    let idle = r.key("window_idle")?.packed_f64s(count)?;
-    report.window_idle = idle
-        .into_iter()
-        .enumerate()
-        .map(|(i, idle)| WindowIdleSample {
-            window: (i / n) as u64,
-            me: i % n,
-            role: report.mes[i % n].role,
-            idle,
-        })
-        .collect();
+    let idle = r.key("window_idle")?.packed(count)?;
     r.end_obj()?;
-    Some(report)
+    Some((report, idle))
 }
 
 /// Writes a [`Recording`] as one object: emission-ordered

@@ -387,26 +387,33 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
-    /// The `count` values [`Writer::packed_f64s`] wrote. The count fixes
-    /// where the string ends, so the reader scans nothing, and allocates
-    /// nothing until it has found the closing quote where the count says
-    /// it is. `None` when it is not there, on any byte outside the
-    /// alphabet, and on a first digit above 15 (a pattern wider than 64
-    /// bits).
-    pub fn packed_f64s(&mut self, count: usize) -> Option<Vec<f64>> {
+    /// The `count` values [`Writer::packed_f64s`] wrote, validated but
+    /// not decoded. The count fixes where the string ends, so the reader
+    /// scans nothing past it and allocates nothing. `None` when the
+    /// closing quote is not where the count puts it, on any byte outside
+    /// the alphabet, and on a first digit above 15 (a pattern wider than
+    /// 64 bits). This is the one acceptance rule for a packed string:
+    /// once it holds, no value of the view can fail to decode.
+    pub fn packed(&mut self, count: usize) -> Option<PackedF64s<'a>> {
         self.sep()?;
         let start = self.pos.checked_add(1)?;
         let end = count.checked_mul(PACKED_F64_BYTES)?.checked_add(start)?;
         if self.bytes.get(self.pos) != Some(&b'"') || self.bytes.get(end) != Some(&b'"') {
             return None;
         }
-        let mut values = Vec::with_capacity(count);
-        for digits in self.bytes[start..end].chunks_exact(PACKED_F64_BYTES) {
-            values.push(f64::from_bits(unpack(digits)?));
+        let digits = &self.bytes[start..end];
+        if !packed_digits_are_valid(digits) {
+            return None;
         }
         self.pos = end + 1;
         self.comma = true;
-        Some(values)
+        Some(PackedF64s { digits })
+    }
+
+    /// The `count` values [`Writer::packed_f64s`] wrote: [`Reader::packed`],
+    /// then every value decoded. The one allocation is the output.
+    pub fn packed_f64s(&mut self, count: usize) -> Option<Vec<f64>> {
+        Some(self.packed(count)?.iter().collect())
     }
 
     /// A string without escapes, borrowed from the input.
@@ -452,19 +459,72 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-/// The bit pattern one packed value's digits spell: eleven independent
-/// table lookups, combined by shifts. `None` when a byte is outside the
-/// alphabet (its entry has the top bits set) or the first digit is
-/// above 15.
-fn unpack(digits: &[u8]) -> Option<u64> {
-    let mut bits = 0u64;
-    let mut seen = 0u8;
-    for &b in digits {
-        let d = DIGIT_OF[usize::from(b)];
-        seen |= d;
-        bits = bits << 6 | u64::from(d);
+/// A packed string [`Reader::packed`] has validated: a view of its
+/// digits that decodes one value by index, or all of them in order.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedF64s<'a> {
+    /// [`PACKED_F64_BYTES`] valid digits per value.
+    digits: &'a [u8],
+}
+
+impl<'a> PackedF64s<'a> {
+    /// The number of values.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.digits.len() / PACKED_F64_BYTES
     }
-    (DIGIT_OF[usize::from(digits[0])] <= 15 && seen < 64).then_some(bits)
+
+    /// Whether the string holds no value.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.digits.is_empty()
+    }
+
+    /// Value `i`, decoded alone; `None` past the end.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<f64> {
+        let start = i.checked_mul(PACKED_F64_BYTES)?;
+        let digits = self
+            .digits
+            .get(start..start.checked_add(PACKED_F64_BYTES)?)?;
+        Some(f64::from_bits(unpack(digits)))
+    }
+
+    /// Every value, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.digits
+            .chunks_exact(PACKED_F64_BYTES)
+            .map(|digits| f64::from_bits(unpack(digits)))
+    }
+}
+
+/// Whether `digits` is a run of whole packed values: every byte in the
+/// base64url alphabet, and every value's first digit at most 15. Both
+/// checks fold every byte without a branch, so the compiler can
+/// vectorise them.
+fn packed_digits_are_valid(digits: &[u8]) -> bool {
+    let in_alphabet = |b: u8| {
+        (b.wrapping_sub(b'A') < 26)
+            | (b.wrapping_sub(b'a') < 26)
+            | (b.wrapping_sub(b'0') < 10)
+            | (b == b'-')
+            | (b == b'_')
+    };
+    // A first digit at most 15 is one of `A` to `P`.
+    let narrow = |b: u8| b.wrapping_sub(b'A') < 16;
+    digits.iter().fold(true, |ok, &b| ok & in_alphabet(b))
+        && digits
+            .iter()
+            .step_by(PACKED_F64_BYTES)
+            .fold(true, |ok, &b| ok & narrow(b))
+}
+
+/// The bit pattern one validated value's digits spell: eleven
+/// independent table lookups, combined by shifts.
+fn unpack(digits: &[u8]) -> u64 {
+    digits.iter().fold(0, |bits, &b| {
+        bits << 6 | u64::from(DIGIT_OF[usize::from(b)])
+    })
 }
 
 /// Moves `*pos` past the run of ASCII digits there, reading them

@@ -84,6 +84,18 @@ fn read_packed_doc(text: &str) -> Option<Vec<f64>> {
     Some(xs)
 }
 
+/// The number of values the document's packed string holds, read
+/// through the validated view: nothing is decoded.
+fn view_len(text: &str) -> Option<usize> {
+    let mut r = Reader::new(text);
+    r.begin_obj()?;
+    let n = r.key("n")?.usize()?;
+    let len = r.key("xs")?.packed(n)?.len();
+    r.end_obj()?;
+    r.finish()?;
+    Some(len)
+}
+
 /// `text` with its first `"name":<count>` member's count replaced.
 fn with_count(text: &str, name: &str, count: u64) -> String {
     let key = format!("\"{name}\":");
@@ -117,6 +129,31 @@ fn damaged_counts_are_rejected_before_any_allocation() {
         // The closing quote is not where the count puts it, so the reader
         // stops before it allocates anything.
         assert_eq!(largest, 0, "count {count}: allocated {largest} bytes");
+        assert_eq!(view_len(&bad), None, "view of count {count} accepted");
+    }
+}
+
+#[test]
+fn the_view_validates_without_allocating_and_decodes_by_index() {
+    let values: Vec<f64> = (0..1000)
+        .map(|i| f64::from(i).ln())
+        .chain([f64::NAN, -0.0, f64::INFINITY, f64::MIN_POSITIVE / 3.0])
+        .collect();
+    let text = packed_doc(&values);
+    let (len, largest) = largest_allocation(|| view_len(&text));
+    assert_eq!(len, Some(values.len()));
+    assert_eq!(largest, 0, "the view allocated {largest} bytes");
+
+    let mut r = Reader::new(&text);
+    r.begin_obj().unwrap();
+    let n = r.key("n").unwrap().usize().unwrap();
+    let view = r.key("xs").unwrap().packed(n).unwrap();
+    let bits = |xs: &mut dyn Iterator<Item = f64>| xs.map(f64::to_bits).collect::<Vec<_>>();
+    let expected = bits(&mut values.iter().copied());
+    assert_eq!(bits(&mut (0..n).map(|i| view.get(i).unwrap())), expected);
+    assert_eq!(bits(&mut view.iter()), expected);
+    for past in [n, n + 1, usize::MAX / PACKED_F64_BYTES, usize::MAX] {
+        assert_eq!(view.get(past), None, "index {past}");
     }
 }
 
@@ -140,11 +177,12 @@ fn bad_digits_are_rejected_with_allocation_bounded_by_the_input() {
         let bad = String::from_utf8(bad).unwrap();
         let (decoded, largest) = largest_allocation(|| read_packed_doc(&bad));
         assert_eq!(decoded, None, "{byte:?} at digit {at} accepted");
-        // The one buffer the reader sizes is the output, once the string
-        // has been found to hold exactly `count` values.
-        assert!(
-            largest <= 8 * values.len(),
-            "{byte:?} at {at}: allocated {largest} bytes"
+        // The whole string is validated before the output is sized.
+        assert_eq!(largest, 0, "{byte:?} at {at}: allocated {largest} bytes");
+        assert_eq!(
+            view_len(&bad),
+            None,
+            "view: {byte:?} at digit {at} accepted"
         );
     }
 }

@@ -20,12 +20,13 @@
 //! the CLI's single-run path go through it, so hit/miss accounting and
 //! fallback semantics live in exactly one place.
 
-use ccache::codec::{self, read_sim_report, write_sim_report};
-use ccache::json::{Reader, Writer, PACKED_F64_BYTES};
+use ccache::codec::{self, read_sim_report, read_sim_report_packed, write_sim_report};
+use ccache::json::{PackedF64s, Reader, Writer, PACKED_F64_BYTES};
 use ccache::Cache;
 use loc::{DistParts, DistRel, DistributionReport};
+use stats::RunMetrics;
 
-use crate::experiment::{Experiment, ExperimentResult};
+use crate::experiment::{run_metrics, Experiment, ExperimentResult, Kept, P80};
 
 /// The spec string keying an experiment cell: a domain tag plus the
 /// canonical `kvspec` rendering ([`Experiment::label`]) that already
@@ -69,29 +70,42 @@ fn write_dist(w: &mut Writer, parts: &DistParts) {
 }
 
 fn read_dist(r: &mut Reader<'_>) -> Option<DistributionReport> {
+    let (mut parts, values) = read_packed_dist(r)?;
+    parts.sorted_values = values.iter().collect();
+    Some(DistributionReport::from_parts(parts))
+}
+
+/// Reads the object [`write_dist`] wrote, its sorted values validated
+/// but not decoded: `sorted_values` is empty, and the view holds them.
+/// It accepts exactly what [`read_dist`] accepts.
+fn read_packed_dist<'a>(r: &mut Reader<'a>) -> Option<(DistParts, PackedF64s<'a>)> {
     r.begin_obj()?;
-    // Struct fields evaluate in the order written: the layout's order.
+    // Read in the layout's order.
+    let rel = match r.key("rel")?.name()? {
+        "eq" => DistRel::Eq,
+        "le" => DistRel::Le,
+        "ge" => DistRel::Ge,
+        _ => return None,
+    };
+    let min = r.key("min")?.f64()?;
+    let max = r.key("max")?.f64()?;
+    let step = r.key("step")?.f64()?;
+    let counts = r.key("counts")?.list(Reader::u64)?;
+    let count = r.key("values_len")?.usize()?;
+    let values = r.key("values")?.packed(count)?;
     let parts = DistParts {
-        rel: match r.key("rel")?.name()? {
-            "eq" => DistRel::Eq,
-            "le" => DistRel::Le,
-            "ge" => DistRel::Ge,
-            _ => return None,
-        },
-        min: r.key("min")?.f64()?,
-        max: r.key("max")?.f64()?,
-        step: r.key("step")?.f64()?,
-        counts: r.key("counts")?.list(Reader::u64)?,
-        sorted_values: {
-            let count = r.key("values_len")?.usize()?;
-            r.key("values")?.packed_f64s(count)?
-        },
+        rel,
+        min,
+        max,
+        step,
+        counts,
+        sorted_values: Vec::new(),
         nan_count: r.key("nan")?.u64()?,
         total: r.key("total")?.u64()?,
     };
     r.end_obj()?;
     // The two outer bins always exist; the report's edges rely on them.
-    (parts.counts.len() >= 2).then(|| DistributionReport::from_parts(parts))
+    (parts.counts.len() >= 2).then_some((parts, values))
 }
 
 /// Encodes a result's computed pieces as a cache payload.
@@ -122,22 +136,44 @@ pub fn decode_result(experiment: &Experiment, payload: &str) -> Option<Experimen
     })
 }
 
-/// Runs one experiment through the cache: lookup, fall back to
-/// [`Experiment::run`] on a miss (or a decode failure, demoted to a
-/// miss), publish the fresh result. With no cache this **is**
-/// `experiment.run()`.
+/// Decodes a payload straight to the [`RunMetrics`] of the result it
+/// holds: [`decode_result`]`(..).metrics()`, bit for bit, and `None`
+/// exactly where [`decode_result`] is `None`. It validates every byte
+/// [`decode_result`] validates, but decodes only the report's scalars
+/// and the two p80 values, each fetched by index from its packed
+/// array: never the window samples or the rest of the sorted values.
 #[must_use]
-pub fn run_cached(cache: Option<&Cache>, experiment: &Experiment) -> ExperimentResult {
+pub fn decode_metrics(payload: &str) -> Option<RunMetrics> {
+    codec::read_payload(payload, |r| {
+        let (sim, _) = read_sim_report_packed(r.key("sim")?)?;
+        let (_, power) = read_packed_dist(r.key("power")?)?;
+        let (_, throughput) = read_packed_dist(r.key("throughput")?)?;
+        Some(run_metrics(
+            &sim,
+            DistributionReport::quantile_index(P80, power.len()).and_then(|i| power.get(i)),
+            DistributionReport::quantile_above_index(P80, throughput.len())
+                .and_then(|i| throughput.get(i)),
+        ))
+    })
+}
+
+/// Runs one experiment through the cache and keeps `T` of it: probe
+/// the cache with `T`'s decoder, and on a miss (or a decode failure,
+/// demoted to a miss) run [`Experiment::run`], publish the fresh
+/// result and keep `T` of it. With no cache this **is**
+/// `T::keep(experiment.run())`.
+#[must_use]
+pub fn run_cached<T: Kept>(cache: Option<&Cache>, experiment: &Experiment) -> T {
     let Some(cache) = cache else {
-        return experiment.run();
+        return T::keep(experiment.run());
     };
     let key = experiment_key(experiment);
-    if let Some(result) = cache.probe(&key, |payload| decode_result(experiment, payload)) {
-        return result;
+    if let Some(kept) = cache.probe(&key, |payload| T::decode(experiment, payload)) {
+        return kept;
     }
     let result = experiment.run();
     cache.publish(&key, &encode_result(&result));
-    result
+    T::keep(result)
 }
 
 #[cfg(test)]
@@ -204,12 +240,15 @@ mod tests {
     fn warm_run_equals_cold_run() {
         let cache = temp_cache("warm");
         let e = experiment();
-        let cold = run_cached(Some(&cache), &e);
-        let warm = run_cached(Some(&cache), &e);
+        let cold: ExperimentResult = run_cached(Some(&cache), &e);
+        let warm: ExperimentResult = run_cached(Some(&cache), &e);
         assert_eq!(cold.sim, warm.sim);
         assert_eq!(cold.power, warm.power);
+        // A batch keeping metrics decodes the same entry to them.
+        let metrics: RunMetrics = run_cached(Some(&cache), &e);
+        assert_eq!(metric_bits(&metrics), metric_bits(&cold.metrics()));
         let counters = cache.counters();
-        assert_eq!((counters.hits, counters.misses, counters.stores), (1, 1, 1));
+        assert_eq!((counters.hits, counters.misses, counters.stores), (2, 1, 1));
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
@@ -219,23 +258,80 @@ mod tests {
         let e = experiment();
         // A structurally valid entry whose payload is not a result.
         cache.publish(&experiment_key(&e), "{\"v\":1,\"sim\":{}}");
-        let result = run_cached(Some(&cache), &e);
+        let result: ExperimentResult = run_cached(Some(&cache), &e);
         assert!(result.sim.forwarded_packets > 0);
         let counters = cache.counters();
         assert_eq!(counters.hits, 0, "decode failure demotes the hit");
         assert_eq!(counters.misses, 1);
         // The healed entry now hits.
-        let again = run_cached(Some(&cache), &e);
+        let again: ExperimentResult = run_cached(Some(&cache), &e);
         assert_eq!(again.sim, result.sim);
         assert_eq!(cache.counters().hits, 1);
         let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    /// Every metric as its bits; NaN compares by pattern, as the
+    /// renderers would print it.
+    fn metric_bits(m: &RunMetrics) -> Vec<u64> {
+        let mut bits: Vec<u64> = m.fields().iter().map(|(_, v)| v.to_bits()).collect();
+        bits.extend([m.total_switches, m.forwarded_packets]);
+        bits
+    }
+
+    /// What the metrics decoder returns for `payload`, as bits, after
+    /// checking that it is what the full decoder's result reports.
+    fn decoded_metric_bits(e: &Experiment, payload: &str) -> Option<Vec<u64>> {
+        let metrics = decode_metrics(payload).map(|m| metric_bits(&m));
+        let full = decode_result(e, payload).map(|r| metric_bits(&r.metrics()));
+        assert_eq!(metrics, full, "the two decoders disagree");
+        metrics
+    }
+
+    #[test]
+    fn metrics_decoder_equals_the_full_decoder_bit_for_bit() {
+        let e = experiment();
+        assert!(decoded_metric_bits(&e, PAYLOAD_V3).is_some());
+        // A fresh cell of each of the six policies.
+        for policy in crate::compare::ComparisonConfig::default().policies() {
+            let e = Experiment {
+                policy,
+                ..experiment()
+            };
+            let result = e.run();
+            let payload = encode_result(&result);
+            assert_eq!(
+                decoded_metric_bits(&e, &payload),
+                Some(metric_bits(&result.metrics())),
+                "{}",
+                e.label()
+            );
+        }
+        // Too short for any 100-packet window: both p80 values fall back
+        // to the run's means.
+        let short = Experiment {
+            cycles: 20_000,
+            ..experiment()
+        };
+        let result = short.run();
+        assert_eq!(result.power.quantile(P80), None);
+        assert_eq!(result.throughput.quantile_above(P80), None);
+        let metrics = decode_metrics(&encode_result(&result)).expect("short cell decodes");
+        assert_eq!(
+            metrics.p80_power_w.to_bits(),
+            result.sim.mean_power_w().to_bits()
+        );
+        assert_eq!(
+            decoded_metric_bits(&short, &encode_result(&result)),
+            Some(metric_bits(&result.metrics()))
+        );
     }
 
     /// A decoder under test: `true` when the payload decoded.
     type Decodes = Box<dyn Fn(&str) -> bool>;
 
     /// One payload of each kind the cache stores, with its decoder:
-    /// an experiment cell, scenario segment snapshots, and a fleet
+    /// an experiment cell, decoded in full and to its metrics (the two
+    /// decoders must agree), scenario segment snapshots, and a fleet
     /// chip's report plus recording.
     fn payload_kinds() -> Vec<(&'static str, String, Decodes)> {
         let e = experiment();
@@ -248,11 +344,17 @@ mod tests {
         let mut sim = Simulator::new(config).with_recorder(Box::new(MemRecorder::new()));
         let report = sim.run_cycles(400_000);
         let recording = sim.take_recording();
+        let full = e.clone();
         vec![
             (
                 "cell",
+                cell.clone(),
+                Box::new(move |p| decode_result(&full, p).is_some()),
+            ),
+            (
+                "cell metrics",
                 cell,
-                Box::new(move |p| decode_result(&e, p).is_some()),
+                Box::new(move |p| decoded_metric_bits(&e, p).is_some()),
             ),
             (
                 "snapshots",
@@ -437,6 +539,10 @@ mod tests {
             dist_bits(&result.throughput)
         );
         assert_eq!(encode_result(&decoded), payload);
+        assert_eq!(
+            decoded_metric_bits(&result.experiment, &payload),
+            Some(metric_bits(&result.metrics()))
+        );
 
         let snapshots = vec![
             result.sim.clone(),
@@ -497,7 +603,7 @@ mod tests {
             (0, 2, 2),
             "the flipped entry is a miss, and is rewritten"
         );
-        let again = run_cached(Some(&cache), &e);
+        let again: ExperimentResult = run_cached(Some(&cache), &e);
         assert_eq!(again.sim, cold.sim);
         assert_eq!(cache.counters().hits, 1);
         let _ = std::fs::remove_dir_all(cache.root());

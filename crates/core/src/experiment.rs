@@ -5,6 +5,7 @@ use nepsim::{
     AnalyzerBank, Benchmark, MemRecorder, NpuConfig, PolicySpec, Recording, SimReport, Simulator,
 };
 use serde::{Deserialize, Serialize};
+use stats::RunMetrics;
 use traffic::TrafficSpec;
 use xrun::{Job, JobError, JobSpec, Runner};
 
@@ -159,8 +160,44 @@ impl From<JobSpec> for Experiment {
     }
 }
 
-/// Runs a batch of experiments on an [`xrun::Runner`], returning one
-/// reduced outcome per experiment **in submission order**.
+/// What a batch keeps of each cell, named by its type: the whole
+/// [`ExperimentResult`], or its [`RunMetrics`] (a replicated batch
+/// folds nothing else). The one choice picks both the reduction of a
+/// freshly simulated result and the decoder of a cache hit, so a hit
+/// never builds what the batch would drop.
+pub trait Kept: Send + Sized {
+    /// What the batch keeps of a fresh result.
+    fn keep(result: ExperimentResult) -> Self;
+
+    /// What the batch keeps of a cached payload of `experiment`'s
+    /// result; `None` exactly where
+    /// [`decode_result`](crate::cachefmt::decode_result) is `None`.
+    fn decode(experiment: &Experiment, payload: &str) -> Option<Self>;
+}
+
+impl Kept for ExperimentResult {
+    fn keep(result: ExperimentResult) -> Self {
+        result
+    }
+
+    fn decode(experiment: &Experiment, payload: &str) -> Option<Self> {
+        crate::cachefmt::decode_result(experiment, payload)
+    }
+}
+
+impl Kept for RunMetrics {
+    fn keep(result: ExperimentResult) -> Self {
+        result.metrics()
+    }
+
+    fn decode(_: &Experiment, payload: &str) -> Option<Self> {
+        crate::cachefmt::decode_metrics(payload)
+    }
+}
+
+/// Runs a batch of experiments on an [`xrun::Runner`], returning what
+/// the batch keeps ([`Kept`]) of each experiment **in submission
+/// order**.
 ///
 /// This is the single execution path every grid
 /// ([`crate::sweep::run_grid`]) funnels through: each experiment
@@ -172,27 +209,20 @@ impl From<JobSpec> for Experiment {
 /// bit-identical to a cold simulation, so the batch's results are
 /// unchanged by caching.
 ///
-/// Each job hands its [`ExperimentResult`] to `reduce` on the worker
-/// and returns only what `reduce` keeps. Plain grids pass the identity,
-/// so their cells keep their distributions. Replicated batches pass
-/// [`ExperimentResult::metrics`], the only part of a replicate their
-/// fold reads, so they hold the distributions of at most one replicate
-/// per worker at a time rather than of every cell until the last job
-/// ends.
-pub fn run_experiments<T: Send>(
+/// Each job reduces its cell to `T` on the worker and returns only
+/// that. Plain grids keep the [`ExperimentResult`], distributions and
+/// all. Replicated batches keep the [`RunMetrics`], the only part of a
+/// replicate their fold reads, so they hold the distributions of at
+/// most one replicate per worker at a time rather than of every cell
+/// until the last job ends, and a cache hit decodes only those metrics.
+pub fn run_experiments<T: Kept>(
     runner: &Runner,
     experiments: Vec<Experiment>,
-    reduce: impl Fn(ExperimentResult) -> T + Sync,
 ) -> Vec<Result<T, JobError>> {
     let cache = runner.cache();
-    let reduce = &reduce;
     let jobs: Vec<Job<'_, T>> = experiments
         .into_iter()
-        .map(|e| {
-            Job::new(e.label(), move || {
-                reduce(crate::cachefmt::run_cached(cache, &e))
-            })
-        })
+        .map(|e| Job::new(e.label(), move || crate::cachefmt::run_cached(cache, &e)))
         .collect();
     runner.run(jobs).into_iter().map(|r| r.outcome).collect()
 }
@@ -224,15 +254,17 @@ pub struct ExperimentResult {
     pub throughput: DistributionReport,
 }
 
+/// The share of formula instances the paper's Fig. 8 and Fig. 9
+/// quantities bound: 80 %.
+pub(crate) const P80: f64 = 0.8;
+
 impl ExperimentResult {
     /// The paper's Fig. 8 quantity: the power below which 80 % of
     /// formula-(2) instances fall. Falls back to the run's mean power when
     /// the trace is too short for any 100-packet window.
     #[must_use]
     pub fn p80_power_w(&self) -> f64 {
-        self.power
-            .quantile(0.8)
-            .unwrap_or_else(|| self.sim.mean_power_w())
+        self.metrics().p80_power_w
     }
 
     /// The paper's Fig. 9 quantity: the throughput above which 80 % of
@@ -240,9 +272,7 @@ impl ExperimentResult {
     /// when the trace is too short.
     #[must_use]
     pub fn p80_throughput_mbps(&self) -> f64 {
-        self.throughput
-            .quantile_above(0.8)
-            .unwrap_or_else(|| self.sim.throughput_mbps())
+        self.metrics().p80_throughput_mbps
     }
 
     /// The ten scalar metrics of this result as a [`stats::RunMetrics`]
@@ -250,19 +280,36 @@ impl ExperimentResult {
     /// summaries, and exactly what the JSON documents' `"metrics"`
     /// object reports.
     #[must_use]
-    pub fn metrics(&self) -> stats::RunMetrics {
-        stats::RunMetrics {
-            offered_mbps: self.sim.offered_mbps(),
-            throughput_mbps: self.sim.throughput_mbps(),
-            mean_power_w: self.sim.mean_power_w(),
-            p80_power_w: self.p80_power_w(),
-            p80_throughput_mbps: self.p80_throughput_mbps(),
-            loss_ratio: self.sim.loss_ratio(),
-            rx_idle_fraction: self.sim.rx_idle_fraction(),
-            total_energy_uj: self.sim.total_energy_uj(),
-            total_switches: self.sim.total_switches,
-            forwarded_packets: self.sim.forwarded_packets,
-        }
+    pub fn metrics(&self) -> RunMetrics {
+        run_metrics(
+            &self.sim,
+            self.power.quantile(P80),
+            self.throughput.quantile_above(P80),
+        )
+    }
+}
+
+/// The ten [`RunMetrics`] of a run, from its report and the p80 values
+/// of its two distributions (`None` for a distribution without a finite
+/// value, when the p80 falls back to the run's mean). The one
+/// constructor of a fresh result's metrics and of a cache hit's
+/// ([`crate::cachefmt::decode_metrics`]).
+pub(crate) fn run_metrics(
+    sim: &SimReport,
+    p80_power_w: Option<f64>,
+    p80_throughput_mbps: Option<f64>,
+) -> RunMetrics {
+    RunMetrics {
+        offered_mbps: sim.offered_mbps(),
+        throughput_mbps: sim.throughput_mbps(),
+        mean_power_w: sim.mean_power_w(),
+        p80_power_w: p80_power_w.unwrap_or_else(|| sim.mean_power_w()),
+        p80_throughput_mbps: p80_throughput_mbps.unwrap_or_else(|| sim.throughput_mbps()),
+        loss_ratio: sim.loss_ratio(),
+        rx_idle_fraction: sim.rx_idle_fraction(),
+        total_energy_uj: sim.total_energy_uj(),
+        total_switches: sim.total_switches,
+        forwarded_packets: sim.forwarded_packets,
     }
 }
 
@@ -345,11 +392,8 @@ mod tests {
                 seed: 11,
             })
             .collect();
-        let batch = run_experiments(
-            &Runner::new().with_workers(2),
-            experiments.clone(),
-            std::convert::identity,
-        );
+        let batch: Vec<Result<ExperimentResult, _>> =
+            run_experiments(&Runner::new().with_workers(2), experiments.clone());
         assert_eq!(batch.len(), 2);
         for (outcome, e) in batch.iter().zip(&experiments) {
             let got = outcome.as_ref().expect("no cell failed");
@@ -357,14 +401,13 @@ mod tests {
             assert_eq!(got.sim.forwarded_packets, direct.sim.forwarded_packets);
             assert_eq!(got.p80_power_w().to_bits(), direct.p80_power_w().to_bits());
         }
-        // A reducing batch returns exactly what the reduction keeps of
-        // each cell, still in submission order.
-        let reduced = run_experiments(&Runner::serial(), experiments.clone(), |r| {
-            r.sim.forwarded_packets
-        });
+        // A batch that keeps metrics returns exactly each cell's
+        // metrics, still in submission order.
+        let reduced: Vec<Result<RunMetrics, _>> =
+            run_experiments(&Runner::serial(), experiments.clone());
         for (outcome, full) in reduced.iter().zip(&batch) {
             let full = full.as_ref().expect("no cell failed");
-            assert_eq!(outcome.as_ref().ok(), Some(&full.sim.forwarded_packets));
+            assert_eq!(outcome.as_ref().ok(), Some(&full.metrics()));
         }
     }
 }

@@ -69,7 +69,7 @@ pub mod traceio;
 pub use cachefmt::run_cached;
 pub use ccache::{Cache, CacheCounters, CacheStats, CACHE_EPOCH};
 pub use dvs::{DvsPolicy, PolicyKind, PolicySpec, POLICIES};
-pub use experiment::{run_experiments, Experiment, ExperimentResult, PAPER_RUN_CYCLES};
+pub use experiment::{run_experiments, Experiment, ExperimentResult, Kept, PAPER_RUN_CYCLES};
 pub use fleet::{
     run_fleet, DispatchSpec, Dispatcher, FleetConfig, FleetOutcome, FleetPolicy, FleetPolicySpec,
     FleetReport, DISPATCHERS, FLEET_POLICIES,

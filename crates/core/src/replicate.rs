@@ -78,7 +78,7 @@ pub fn run_replicated_experiments(
         .iter()
         .flat_map(|r| r.specs().into_iter().map(Experiment::from))
         .collect();
-    let mut outcomes = run_experiments(runner, jobs, |r| r.metrics()).into_iter();
+    let mut outcomes = run_experiments::<RunMetrics>(runner, jobs).into_iter();
     let _prof = obs::prof::span("fold");
     experiments
         .into_iter()

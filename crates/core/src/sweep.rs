@@ -311,7 +311,7 @@ pub struct GridRun {
 pub fn run_grid(runner: &Runner, grid: &Grid, seeds: u64) -> GridRun {
     let experiments = grid.cells.clone();
     let (cells, failures) = if seeds == 1 {
-        let outcomes = run_experiments(runner, experiments, std::convert::identity);
+        let outcomes = run_experiments::<ExperimentResult>(runner, experiments);
         let _prof = obs::prof::span("fold");
         let (cells, failures) = partition_cells(outcomes);
         (Cells::Plain(cells), failures)

@@ -526,21 +526,26 @@ fn cached_tdvs_sweep_is_byte_identical_to_cold() {
     // The cache acceptance gate at the library level: an uncached
     // sweep, a cold cached sweep and a warm cached sweep render the
     // same table and the same JSON document byte-for-byte — and the
-    // warm pass simulates nothing.
-    let uncached = tdvs_run(1);
-    let runner = Runner::serial().with_cache(scratch_cache("tdvs"));
-    let cold = complete(&runner, &tdvs_grid(), 1);
-    let warm = complete(&runner, &tdvs_grid(), 1);
-    let counters = runner.cache().unwrap().counters();
-    assert_eq!(counters.hits, 4, "warm pass must hit every cell");
-    assert_eq!(counters.misses, 4, "cold pass must miss every cell");
-    assert_eq!(counters.stores, 4);
-    let level = ConfidenceLevel::default();
-    assert_eq!(render_grid(&uncached, level), render_grid(&cold, level));
-    assert_eq!(render_grid(&cold, level), render_grid(&warm, level));
-    assert_eq!(grid_json(&uncached, level), grid_json(&cold, level));
-    assert_eq!(grid_json(&cold, level), grid_json(&warm, level));
-    let _ = std::fs::remove_dir_all(runner.cache().unwrap().root());
+    // warm pass simulates nothing. One seed keeps whole results, so a
+    // hit decodes in full; two seeds keep each replicate's metrics, so
+    // a hit decodes only those.
+    for seeds in [1, 2] {
+        let uncached = complete(&Runner::new().with_workers(1), &tdvs_grid(), seeds);
+        let runner = Runner::serial().with_cache(scratch_cache(&format!("tdvs-{seeds}")));
+        let cold = complete(&runner, &tdvs_grid(), seeds);
+        let warm = complete(&runner, &tdvs_grid(), seeds);
+        let counters = runner.cache().unwrap().counters();
+        let lookups = 4 * seeds;
+        assert_eq!(counters.hits, lookups, "warm pass must hit every cell");
+        assert_eq!(counters.misses, lookups, "cold pass must miss every cell");
+        assert_eq!(counters.stores, lookups);
+        let level = ConfidenceLevel::default();
+        assert_eq!(render_grid(&uncached, level), render_grid(&cold, level));
+        assert_eq!(render_grid(&cold, level), render_grid(&warm, level));
+        assert_eq!(grid_json(&uncached, level), grid_json(&cold, level));
+        assert_eq!(grid_json(&cold, level), grid_json(&warm, level));
+        let _ = std::fs::remove_dir_all(runner.cache().unwrap().root());
+    }
 }
 
 #[test]

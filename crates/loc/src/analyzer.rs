@@ -21,6 +21,14 @@ pub struct BinStat {
     pub fraction: f64,
 }
 
+/// How many of `n` values a share `p` of them spans, rounded up and at
+/// least one: the rank both quantiles count, from below and from above.
+/// `None` when `n` is 0.
+fn rank(p: f64, n: usize) -> Option<usize> {
+    assert!((0.0..=1.0).contains(&p), "quantile requires p in [0,1]");
+    (n > 0).then(|| ((p * n as f64).ceil() as usize).clamp(1, n))
+}
+
 /// The output of an [`Analyzer`] run.
 ///
 /// For a `dist==` formula, [`DistributionReport::bins`] returns the
@@ -208,13 +216,7 @@ impl DistributionReport {
     /// Panics if `p` is outside `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "quantile requires p in [0,1]");
-        if self.sorted_values.is_empty() {
-            return None;
-        }
-        let n = self.sorted_values.len();
-        let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.sorted_values[rank - 1])
+        Self::quantile_index(p, self.sorted_values.len()).map(|i| self.sorted_values[i])
     }
 
     /// The largest value `v` such that at least `p` of all instances are
@@ -228,13 +230,32 @@ impl DistributionReport {
     /// Panics if `p` is outside `[0, 1]`.
     #[must_use]
     pub fn quantile_above(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "quantile requires p in [0,1]");
-        if self.sorted_values.is_empty() {
-            return None;
-        }
-        let n = self.sorted_values.len();
-        let count = ((p * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.sorted_values[n - count])
+        Self::quantile_above_index(p, self.sorted_values.len()).map(|i| self.sorted_values[i])
+    }
+
+    /// The index, among `n` ascending values, of the value
+    /// [`DistributionReport::quantile`] returns: its rank rule, for a
+    /// caller that holds sorted values elsewhere (a cache hit reads one
+    /// value of a packed array). `None` when `n` is 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    #[must_use]
+    pub fn quantile_index(p: f64, n: usize) -> Option<usize> {
+        Some(rank(p, n)? - 1)
+    }
+
+    /// The index, among `n` ascending values, of the value
+    /// [`DistributionReport::quantile_above`] returns. `None` when `n`
+    /// is 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    #[must_use]
+    pub fn quantile_above_index(p: f64, n: usize) -> Option<usize> {
+        Some(n - rank(p, n)?)
     }
 
     /// Mean of the finite instance values; `None` when empty.
@@ -525,6 +546,18 @@ mod tests {
         // 80% of instances are >= 21.
         assert_eq!(report.quantile_above(0.8), Some(21.0));
         assert_eq!(report.mean(), Some(50.5));
+        // The index rule names the value each quantile returns.
+        assert_eq!(DistributionReport::quantile_index(0.8, 100), Some(79));
+        assert_eq!(DistributionReport::quantile_above_index(0.8, 100), Some(20));
+        for n in 1..=7 {
+            for p in [0.0, 0.1, 0.5, 0.8, 1.0] {
+                let below = DistributionReport::quantile_index(p, n).unwrap();
+                let above = DistributionReport::quantile_above_index(p, n).unwrap();
+                assert!(below < n && above < n, "n {n}, p {p}");
+            }
+        }
+        assert_eq!(DistributionReport::quantile_index(0.8, 0), None);
+        assert_eq!(DistributionReport::quantile_above_index(0.8, 0), None);
     }
 
     #[test]
