@@ -510,18 +510,31 @@ pub fn render_trace_analysis(path: &str, a: &TraceAnalysis) -> String {
             p.traffic, p.seed, p.cycles
         ));
     }
+    let rows: [(&str, &Option<StreamStats>, &[FitCandidate]); 2] = [
+        ("gap_us", &a.gap_us, &a.gap_fits),
+        ("size_bytes", &a.size_bytes, &a.size_fits),
+    ];
+    // The best-fit column is as wide as the longest spec a rendered row
+    // prints, and at least 40 characters, so every `fit err` value ends
+    // under its header.
+    let width = rows
+        .iter()
+        .filter(|(_, stats, _)| stats.is_some())
+        .filter_map(|(_, _, fits)| fits.first())
+        .map(|best| best.spec.spec_string().len())
+        .fold(40, usize::max);
     out.push_str(&format!(
-        "{:<12} {:>12} {:>8} {:>12} {:>12} {:>12}  {:<40} {:>8}\n",
+        "{:<12} {:>12} {:>8} {:>12} {:>12} {:>12}  {:<width$} {:>8}\n",
         "stream", "mean", "cv", "p50", "p95", "p99", "best fit", "fit err"
     ));
-    let row = |out: &mut String, name: &str, s: &Option<StreamStats>, fits: &[FitCandidate]| {
-        let Some(s) = s else {
+    for (name, stats, fits) in rows {
+        let Some(s) = stats else {
             out.push_str(&format!("{name:<12} {:>12}\n", "(empty)"));
-            return;
+            continue;
         };
         let fit = match fits.first() {
-            Some(best) => format!("  {:<40} {:>8.4}", best.spec.spec_string(), best.error),
-            None => format!("  {:<40}", "(no fit)"),
+            Some(best) => format!("  {:<width$} {:>8.4}", best.spec.spec_string(), best.error),
+            None => format!("  {:<width$}", "(no fit)"),
         };
         out.push_str(&format!(
             "{name:<12} {:>12.4} {:>8.3} {:>12.4} {:>12.4} {:>12.4}{}\n",
@@ -532,9 +545,7 @@ pub fn render_trace_analysis(path: &str, a: &TraceAnalysis) -> String {
             s.p99,
             fit.trim_end()
         ));
-    };
-    row(&mut out, "gap_us", &a.gap_us, &a.gap_fits);
-    row(&mut out, "size_bytes", &a.size_bytes, &a.size_fits);
+    }
     match a.hurst {
         Some(h) => out.push_str(&format!(
             "hurst estimate {h:.3} (aggregated-variance proxy; 0.5 ~ Poisson, -> 1 long-range dependent)\n"
@@ -683,6 +694,48 @@ mod tests {
     #[should_panic(expected = "at least two sample points")]
     fn cdf_rejects_single_point() {
         let _ = render_cdf(&tiny_report(), 0.0, 1.0, 1);
+    }
+
+    #[test]
+    fn trace_analysis_fit_errors_end_under_their_header() {
+        let stats = StreamStats {
+            mean: 4.3417,
+            cv: 0.794,
+            p50: 2.75,
+            p95: 15.0,
+            p99: 16.0,
+        };
+        let fit = |spec: &str, error: f64| FitCandidate {
+            spec: spec.parse().unwrap(),
+            error,
+        };
+        let analysis = TraceAnalysis {
+            packets: 76,
+            duration_us: 325.6,
+            total_bytes: 55_880,
+            mean_rate_mbps: 1372.9,
+            gap_us: Some(stats),
+            size_bytes: Some(stats),
+            gap_fits: vec![fit("exponential:mean=4.341692280000001", 0.0214)],
+            size_fits: vec![fit(
+                "weibull:shape=0.9023956225721594,scale=699.8104644536935",
+                0.0095,
+            )],
+            provenance: None,
+            hurst: None,
+        };
+        let text = render_trace_analysis("t.trace", &analysis);
+        let lines: Vec<&str> = text.lines().collect();
+        let header = lines[1];
+        assert!(header.ends_with("fit err"), "{text}");
+        for (row, error) in [(lines[2], "0.0214"), (lines[3], "0.0095")] {
+            assert!(row.ends_with(error), "{text}");
+            assert_eq!(row.len(), header.len(), "misaligned row:\n{text}");
+        }
+        assert!(
+            lines[3].contains("scale=699.8104644536935   0.0095"),
+            "{text}"
+        );
     }
 
     #[test]
