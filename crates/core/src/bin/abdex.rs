@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use abdex::ccache::write_atomic;
 use abdex::compare::ComparisonConfig;
@@ -266,20 +266,35 @@ const COMMANDS: &[Command] = &[
         about: "print this help (also --help, -h)" },
 ];
 
-/// Set once stdout's reader has gone away; see [`write_stdout`].
-static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+/// The first stdout write that failed; see [`write_stdout`].
+static STDOUT_ERROR: OnceLock<std::io::Error> = OnceLock::new();
 
 /// Writes to stdout for [`out!`] and [`outln!`]. Unlike `print!`, which
-/// panics when the reader has closed the pipe (`abdex policies | head
-/// -1`), this drops the write and every later one, so the invocation
-/// still ends with the exit status its work earned.
+/// panics when a write fails, this keeps the first failure and drops
+/// every later write. A reader that closed the pipe (`abdex policies |
+/// head -1`) just ends the output, and the invocation ends with the
+/// exit status its work earned; any other failure, such as a full disk
+/// behind a redirect, is an error ([`flush_stdout`]).
 fn write_stdout(args: std::fmt::Arguments) {
-    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+    if STDOUT_ERROR.get().is_some() {
         return;
     }
-    match std::io::stdout().lock().write_fmt(args) {
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
-        result => result.unwrap_or_else(|e| panic!("failed printing to stdout: {e}")),
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        let _ = STDOUT_ERROR.set(e);
+    }
+}
+
+/// Flushes stdout; the first stdout failure that was not a closed pipe
+/// is the error.
+fn flush_stdout() -> Result<(), String> {
+    if STDOUT_ERROR.get().is_none() {
+        if let Err(e) = std::io::stdout().lock().flush() {
+            let _ = STDOUT_ERROR.set(e);
+        }
+    }
+    match STDOUT_ERROR.get() {
+        Some(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
+        _ => Ok(()),
     }
 }
 
@@ -295,7 +310,9 @@ fn main() -> ExitCode {
     if profiling {
         abdex::obs::prof::set_enabled(true);
     }
-    let mut result = dispatch(&args);
+    // Output that could not be written fails the invocation, but never
+    // eats the command's own error.
+    let mut result = dispatch(&args).and(flush_stdout());
     if profiling {
         // The command's work is over; exporting now captures every
         // span, including the worker threads' (each thread flushes its

@@ -2368,6 +2368,37 @@ fn a_closed_stdout_ends_the_command_without_a_panic() {
 }
 
 #[test]
+fn a_full_stdout_is_one_error_line_not_a_panic() {
+    // A stdout write that fails for another reason than a closed pipe,
+    // here a full device behind a redirect, fails the invocation with
+    // one error line and exit status 1.
+    let cases: [&[&str]; 2] = [&["policies"], &["run", "--cycles", "1000", "--json", "-"]];
+    for args in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens");
+        let out = abdex()
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let errors: Vec<&str> = stderr
+            .lines()
+            .filter(|line| line.starts_with("error:"))
+            .collect();
+        assert_eq!(
+            errors,
+            ["error: cannot write to stdout: No space left on device (os error 28)"],
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn a_flag_given_twice_is_rejected() {
     // The second value would silently win; a repeated switch is as
     // likely a slip. Both fail before anything runs.
