@@ -9,10 +9,18 @@
 //! reproduce a cold run byte-for-byte through every renderer. A scalar
 //! `f64` is written as its pattern's decimal `u64` ([`Writer::f64`],
 //! [`Reader::f64`]). A bulk array of them is packed into one string of
-//! fixed-width base64url digits ([`Writer::packed_f64s`],
-//! [`Reader::packed_f64s`]): eleven bytes per value instead of up to
-//! twenty-one, and eleven table lookups to decode one instead of a
-//! decimal parse.
+//! fixed-width base64url digits ([`Writer::packed_f64s`]): eleven bytes
+//! per value instead of up to twenty-one, and eleven table lookups to
+//! decode one instead of a decimal parse.
+//!
+//! A packed string has one acceptance rule, [`Reader::packed`]: the
+//! closing quote sits where the count puts it, every byte is in the
+//! alphabet (checked in one branch-free pass the compiler vectorises),
+//! and every value's first digit is at most 15. The [`PackedF64s`] view
+//! it returns then decodes one value by index or all of them in order,
+//! and cannot fail; [`Reader::packed_f64s`] is that view, collected. So
+//! a reader that needs two values of an array still rejects every byte
+//! the full decode would.
 //!
 //! [`Value`] parses any JSON document into a tree whose numbers keep
 //! their **raw token** (a `u64` parses back exactly, with no 2^53 loss).

@@ -23,7 +23,10 @@
 //! an entry whose payload another [`codec::PAYLOAD_VERSION`] wrote: a
 //! hit is decoded by a typed pull reader ([`json::Reader`]) that
 //! accepts only the current fixed layout, and the caller rewrites the
-//! entry on first use.
+//! entry on first use. Every axis probes the store through
+//! [`Cache::probe`], which counts the hit or miss, records the
+//! `cache.lookup` and `cache.decode` profiler spans and demotes an
+//! entry its decoder rejects.
 //! "Dependency-free" the same way `xrun` is: nothing outside this
 //! workspace and `std`.
 

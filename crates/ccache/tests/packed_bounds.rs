@@ -1,5 +1,7 @@
 //! Damaged packed `f64` strings and counts: each returns `None` without
-//! panicking, and without allocating for the count it claims. A
+//! panicking, and without allocating for the count it claims, both
+//! through the validated view (`Reader::packed`) and through the
+//! collecting reader (`Reader::packed_f64s`). A
 //! counting global allocator records the largest single allocation the
 //! decoding thread makes, so a reader that sized a buffer from a
 //! damaged count would show here even where the system could satisfy

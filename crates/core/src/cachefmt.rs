@@ -15,10 +15,20 @@
 //! [`PAYLOAD_VERSION`](ccache::codec::PAYLOAD_VERSION) wrote decodes to
 //! `None`, so [`run_cached`] counts it as a miss and rewrites it.
 //!
+//! A payload has two decoders, and they accept exactly the same bytes.
+//! [`decode_result`] rebuilds the whole result. [`decode_metrics`]
+//! validates the whole payload the same way but decodes only what a
+//! replicated batch folds: the report's scalars and the two p80 values,
+//! each fetched by index from its packed array (a paper-length cell
+//! holds about 9,000 packed values, none of which it builds). The
+//! batch's kept type ([`Kept`]) picks the decoder.
+//!
 //! [`run_cached`] is the one cached execution path: every batch
 //! funnelled through [`run_experiments`](crate::run_experiments) and
-//! the CLI's single-run path go through it, so hit/miss accounting and
-//! fallback semantics live in exactly one place.
+//! the CLI's single-run path go through it. It probes the store through
+//! [`Cache::probe`], which owns the hit/miss accounting, the profiler
+//! spans and the demotion of an entry that fails to decode, for every
+//! axis.
 
 use ccache::codec::{self, read_sim_report, read_sim_report_packed, write_sim_report};
 use ccache::json::{PackedF64s, Reader, Writer, PACKED_F64_BYTES};

@@ -10,9 +10,12 @@
 //! results folded **in replicate order** — which keeps the workspace's
 //! bit-determinism contract: means and half-widths are bit-identical
 //! for any worker count (`crates/core/tests/determinism.rs` guards
-//! this). Each job reduces its replicate to the ten [`RunMetrics`]
-//! scalars before it returns, so a batch's memory does not grow with
-//! cells × seeds (`crates/core/tests/bounded_memory.rs` guards this).
+//! this). Each job keeps only the ten [`RunMetrics`] scalars of its
+//! replicate, so a batch's memory does not grow with cells × seeds
+//! (`crates/core/tests/bounded_memory.rs` guards this), and a cached
+//! replicate decodes only those scalars
+//! ([`crate::cachefmt::decode_metrics`]): its window samples and
+//! distributions are validated, never built.
 //!
 //! Error semantics follow the plain batches: a panicking replicate
 //! fails its *cell* (reported as the first failing replicate's
@@ -57,10 +60,11 @@ impl ReplicatedResult {
 ///
 /// The k × cells jobs are submitted cell-major (cell 0's replicates,
 /// then cell 1's, ...), so submission order — and therefore every fold
-/// — is a pure function of the batch description. Every job reduces
-/// its replicate to [`crate::ExperimentResult::metrics`] on the worker,
-/// so the batch keeps the distributions of at most one replicate per
-/// worker, never of the whole grid.
+/// — is a pure function of the batch description. Every job keeps its
+/// replicate's [`RunMetrics`] ([`crate::ExperimentResult::metrics`] of
+/// a simulated replicate, [`crate::cachefmt::decode_metrics`] of a
+/// cached one), so the batch keeps the distributions of at most one
+/// replicate per worker, never of the whole grid.
 ///
 /// # Panics
 ///
