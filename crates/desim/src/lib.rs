@@ -10,8 +10,6 @@
 //!   insertion order, so simulations are reproducible), with FIFO lanes
 //!   that make events from monotone streams cheaper without changing the
 //!   order anything pops in,
-//! * [`stats`] — streaming statistics (counters, online mean/variance,
-//!   fixed-bin histograms, time-weighted averages),
 //! * [`rng`] — seeded random-number helpers so every experiment is
 //!   reproducible from a single `u64` seed.
 //!
@@ -60,7 +58,6 @@
 
 mod queue;
 pub mod rng;
-pub mod stats;
 mod time;
 
 pub use obs::KernelCounters;

@@ -3,7 +3,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use desim::stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
 use desim::{EventQueue, Frequency, KernelCounters, SimTime};
 use proptest::prelude::*;
 
@@ -123,117 +122,6 @@ proptest! {
         prop_assert!(
             f.time_to_cycles(SimTime::from_ps(lo)) <= f.time_to_cycles(SimTime::from_ps(hi))
         );
-    }
-
-    /// OnlineStats matches a straightforward two-pass computation.
-    #[test]
-    fn online_stats_matches_two_pass(values in prop::collection::vec(-1e3f64..1e3, 2..200)) {
-        let mut s = OnlineStats::new();
-        for &v in &values {
-            s.push(v);
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((s.mean() - mean).abs() < 1e-6);
-        prop_assert!((s.variance() - var).abs() < 1e-4);
-        prop_assert_eq!(s.min().unwrap(), values.iter().copied().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max().unwrap(), values.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// Merging partitions of a sample equals accumulating the whole sample.
-    #[test]
-    fn online_stats_merge_is_partition_invariant(
-        values in prop::collection::vec(-1e3f64..1e3, 2..100),
-        split in 0usize..100,
-    ) {
-        let split = split % values.len();
-        let mut whole = OnlineStats::new();
-        for &v in &values {
-            whole.push(v);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &values[..split] {
-            left.push(v);
-        }
-        for &v in &values[split..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        prop_assert!((left.variance() - whole.variance()).abs() < 1e-6);
-    }
-
-    /// Histogram total always equals the number of recorded samples, and
-    /// the CDF is monotone.
-    #[test]
-    fn histogram_conservation(values in prop::collection::vec(-10.0f64..10.0, 0..300)) {
-        let mut h = Histogram::new(-5.0, 5.0, 20);
-        for &v in &values {
-            h.record(v);
-        }
-        let binned: u64 = (0..h.bins()).map(|k| h.bin_count(k)).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), values.len() as u64);
-        let mut last = 0.0;
-        for x in [-6.0, -5.0, -2.5, 0.0, 2.5, 5.0, 6.0] {
-            let c = h.cdf(x);
-            prop_assert!(c + 1e-12 >= last, "cdf not monotone at {x}");
-            last = c;
-        }
-    }
-
-    /// The P² estimate stays within the sample range and, for large
-    /// samples, lands near the exact quantile.
-    #[test]
-    fn p2_estimate_close_to_exact(
-        values in prop::collection::vec(-1e3f64..1e3, 50..2000),
-        p in 0.1f64..0.9,
-    ) {
-        let mut est = P2Quantile::new(p);
-        for &v in &values {
-            est.push(v);
-        }
-        let estimate = est.estimate().unwrap();
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let lo = sorted[0];
-        let hi = sorted[sorted.len() - 1];
-        prop_assert!(estimate >= lo && estimate <= hi, "estimate escaped range");
-        // For well-populated samples the estimate should sit within a
-        // generous rank band of the exact quantile.
-        if values.len() >= 500 {
-            let exact_rank = (p * sorted.len() as f64) as usize;
-            let band = sorted.len() / 5;
-            let lo_b = sorted[exact_rank.saturating_sub(band)];
-            let hi_b = sorted[(exact_rank + band).min(sorted.len() - 1)];
-            prop_assert!(
-                estimate >= lo_b && estimate <= hi_b,
-                "estimate {estimate} outside rank band [{lo_b}, {hi_b}] for p={p}"
-            );
-        }
-    }
-
-    /// A time-weighted average always lies within the min/max of the
-    /// recorded values.
-    #[test]
-    fn time_weighted_average_is_bounded(
-        updates in prop::collection::vec((1u64..1000, -100.0f64..100.0), 1..50),
-    ) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        let mut now = SimTime::ZERO;
-        let mut lo = 0.0f64;
-        let mut hi = 0.0f64;
-        for (dt, v) in updates {
-            now += SimTime::from_ns(dt);
-            tw.update(now, v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let end = now + SimTime::from_ns(10);
-        let avg = tw.average(end);
-        prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "avg {avg} outside [{lo}, {hi}]");
     }
 }
 
