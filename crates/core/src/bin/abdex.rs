@@ -12,7 +12,7 @@
 //! `--window` need a bare `tdvs`/`edvs` policy, a sweep takes one axis,
 //! and `--cache` contradicts `--no-cache`. Stdout goes through one
 //! writer, which stops writing, without a panic, once the reader closes
-//! the pipe.
+//! the pipe; stderr goes through another, which drops a failed write.
 //!
 //! ```text
 //! abdex run       --benchmark ipfwdr --traffic high --policy queue:high=0.8 --cycles 2000000
@@ -82,6 +82,13 @@ macro_rules! outln {
     };
     ($($arg:tt)*) => {
         write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_stderr(&format!("{}\n", format_args!($($arg)*)))
     };
 }
 
@@ -298,6 +305,14 @@ fn flush_stdout() -> Result<(), String> {
     }
 }
 
+/// Writes `text` to stderr in one write for [`errln!`]. Unlike
+/// `eprint!`, which panics when a write fails, this drops a failed
+/// write: stderr is where a failure would be reported, so its own
+/// failure changes no exit status.
+fn write_stderr(text: &str) {
+    let _ = std::io::stderr().lock().write_all(text.as_bytes());
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Arm the profiler before any work so the `parse` span and every
@@ -327,7 +342,7 @@ fn main() -> ExitCode {
         Err(e) => {
             // An empty message means usage was already printed.
             if !e.is_empty() {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
             }
             ExitCode::FAILURE
         }
@@ -346,13 +361,13 @@ fn finish_profile(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| "--profile needs a value".to_owned())?;
         write_atomic(path, profile.chrome_trace_json().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!(
+        errln!(
             "wrote Chrome trace of {} span(s) to {path} (open in Perfetto or chrome://tracing)",
             profile.spans.len()
         );
     }
     if args.iter().any(|a| a == "--profile-summary") {
-        eprint!("{}", profile.summary_table());
+        write_stderr(&profile.summary_table());
     }
     Ok(())
 }
@@ -362,7 +377,7 @@ fn finish_profile(args: &[String]) -> Result<(), String> {
 /// help on stderr and fails.
 fn dispatch(args: &[String]) -> Result<(), String> {
     if args.is_empty() {
-        eprint!("{}", usage());
+        write_stderr(&usage());
         return Err(String::new());
     }
     let (command, rest) = find_command(args)?;
@@ -697,7 +712,7 @@ fn with_cache(runner: Runner, opts: &Opts) -> Result<Runner, String> {
 /// counters are deliberately stderr-only.
 fn report_cache(cache: Option<&abdex::Cache>) {
     let Some(cache) = cache else { return };
-    eprintln!("cache: {}", cache.counters());
+    errln!("cache: {}", cache.counters());
     cache.flush_counters();
 }
 
@@ -728,7 +743,7 @@ fn json_to_stdout(opts: &Opts) -> bool {
 fn emit(opts: &Opts, text: &str) {
     let _prof = abdex::obs::prof::span("render");
     if json_to_stdout(opts) {
-        eprintln!("{text}");
+        errln!("{text}");
     } else {
         outln!("{text}");
     }
@@ -764,7 +779,7 @@ fn write_record(opts: &Opts, source: &str, series: &[RecordedSeries]) -> Result<
     };
     let doc = record_jsonl(source, series);
     write_atomic(path, doc.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
+    errln!(
         "wrote {} bytes of record JSONL ({} series) to {path}",
         doc.len(),
         series.len()
@@ -789,7 +804,7 @@ fn write_json(opts: &Opts, render: impl FnOnce() -> String) -> Result<(), String
         Some(path) => {
             let doc = render();
             write_atomic(path, doc.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {} bytes of JSON to {path}", doc.len());
+            errln!("wrote {} bytes of JSON to {path}", doc.len());
             Ok(())
         }
     }
@@ -806,7 +821,7 @@ fn finish_batch(
 ) -> Result<(), String> {
     report_cache(pool.cache());
     for e in &errors {
-        eprintln!("cell failed: {e}");
+        errln!("cell failed: {e}");
     }
     match (json, errors.len()) {
         (json, 0) => json,

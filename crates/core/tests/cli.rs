@@ -2399,6 +2399,62 @@ fn a_full_stdout_is_one_error_line_not_a_panic() {
 }
 
 #[test]
+fn a_full_stderr_changes_no_exit_status_and_no_stdout() {
+    // Stderr is where a failure would be reported, so a write to it
+    // that fails is dropped: each command exits as it would with a
+    // working stderr, and its stdout is the same bytes.
+    let dir = std::env::temp_dir().join(format!("abdex-cli-errfull-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cache_dir = dir.join("store");
+    let json = dir.join("out.json");
+    let json = json.to_str().unwrap();
+    let sweep = [
+        "sweep",
+        "--cycles",
+        "20000",
+        "--policies",
+        "nodvs",
+        "--cache-dir",
+        cache_dir.to_str().unwrap(),
+    ];
+    let progress = [&sweep[..], &["--progress", "lines"]].concat();
+    let to_file = [&sweep[..], &["--json", json]].concat();
+    // Each case with the stderr line it writes, which the run on
+    // `/dev/full` then fails to write.
+    let cases: [(&[&str], i32, &str); 4] = [
+        (&sweep, 0, "cache: "),
+        (&progress, 0, "batch done: "),
+        (&to_file, 0, "bytes of JSON to"),
+        (&["run", "--bogus", "1"], 1, "error: "),
+    ];
+    for (args, code, line) in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens");
+        let on_full = abdex()
+            .args(args)
+            .stderr(full)
+            .output()
+            .expect("binary runs");
+        let err_path = dir.join("stderr.txt");
+        let err_file = std::fs::File::create(&err_path).expect("stderr file");
+        let on_file = abdex()
+            .args(args)
+            .stderr(err_file)
+            .output()
+            .expect("binary runs");
+        let stderr = std::fs::read_to_string(&err_path).expect("stderr file reads");
+        assert_eq!(on_file.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(line), "{args:?}: {stderr}");
+        assert_eq!(on_full.status.code(), Some(code), "{args:?}");
+        assert_eq!(on_full.stdout, on_file.stdout, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_flag_given_twice_is_rejected() {
     // The second value would silently win; a repeated switch is as
     // likely a slip. Both fail before anything runs.

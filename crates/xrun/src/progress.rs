@@ -4,7 +4,7 @@
 //! feedback; the runner reports every job start/finish to a
 //! [`ProgressSink`] so front ends can choose their own verbosity. All
 //! built-in sinks write to **stderr**, keeping stdout clean for tables
-//! and JSON.
+//! and JSON, and drop a write that fails instead of panicking.
 
 use std::fmt;
 use std::io::Write;
@@ -61,7 +61,8 @@ impl ProgressSink for Dots {
     }
 
     fn batch_finished(&self, total: usize, failed: usize, elapsed: Duration) {
-        eprintln!(
+        let _ = writeln!(
+            std::io::stderr(),
             " {total} jobs, {failed} failed, {:.2}s",
             elapsed.as_secs_f64()
         );
@@ -107,7 +108,8 @@ impl ProgressSink for Lines {
         } else {
             String::new()
         };
-        eprintln!(
+        let _ = writeln!(
+            std::io::stderr(),
             "[{done:>width$}/{total}] {} {:>7.2}s {name}{pace}",
             if ok { "ok  " } else { "FAIL" },
             elapsed.as_secs_f64(),
@@ -119,7 +121,10 @@ impl ProgressSink for Lines {
         *self.state.lock().expect("progress state poisoned") = LinesState::default();
         let secs = elapsed.as_secs_f64();
         let rate = if secs > 0.0 { total as f64 / secs } else { 0.0 };
-        eprintln!("batch done: {total} jobs, {failed} failed, {secs:.2}s ({rate:.1} jobs/s)");
+        let _ = writeln!(
+            std::io::stderr(),
+            "batch done: {total} jobs, {failed} failed, {secs:.2}s ({rate:.1} jobs/s)"
+        );
     }
 }
 
