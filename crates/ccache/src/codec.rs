@@ -79,17 +79,7 @@ pub fn read_payload<T>(text: &str, body: impl FnOnce(&mut Reader<'_>) -> Option<
 }
 
 fn policy_kind(name: &str) -> Option<PolicyKind> {
-    [
-        PolicyKind::NoDvs,
-        PolicyKind::Tdvs,
-        PolicyKind::Edvs,
-        PolicyKind::Combined,
-        PolicyKind::QueueAware,
-        PolicyKind::Proportional,
-        PolicyKind::Custom,
-    ]
-    .into_iter()
-    .find(|k| k.to_string() == name)
+    PolicyKind::ALL.into_iter().find(|k| k.name() == name)
 }
 
 fn role_name(role: MeRole) -> &'static str {
@@ -179,7 +169,7 @@ fn window_idle_is_positional(r: &SimReport) -> bool {
 /// Writes a [`SimReport`] as one object.
 pub fn write_sim_report(w: &mut Writer, r: &SimReport) {
     w.begin_obj();
-    w.key("policy").name(&r.policy.to_string());
+    w.key("policy").name(r.policy.name());
     w.key("duration_ps").u64(r.duration.as_ps());
     w.key("arrived_packets").u64(r.arrived_packets);
     w.key("arrived_bits").u64(r.arrived_bits);
@@ -448,17 +438,11 @@ mod tests {
 
     #[test]
     fn policy_kind_names_round_trip() {
-        for kind in [
-            PolicyKind::NoDvs,
-            PolicyKind::Tdvs,
-            PolicyKind::Edvs,
-            PolicyKind::Combined,
-            PolicyKind::QueueAware,
-            PolicyKind::Proportional,
-            PolicyKind::Custom,
-        ] {
+        for kind in PolicyKind::ALL {
             assert_eq!(policy_kind(&kind.to_string()), Some(kind));
         }
+        let names: std::collections::HashSet<_> = PolicyKind::ALL.map(PolicyKind::name).into();
+        assert_eq!(names.len(), PolicyKind::ALL.len(), "names are distinct");
         assert_eq!(policy_kind("nonesuch"), None);
     }
 

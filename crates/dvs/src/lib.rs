@@ -130,9 +130,22 @@ pub enum PolicyKind {
     Custom,
 }
 
-impl std::fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl PolicyKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [PolicyKind; 7] = [
+        PolicyKind::NoDvs,
+        PolicyKind::Tdvs,
+        PolicyKind::Edvs,
+        PolicyKind::Combined,
+        PolicyKind::QueueAware,
+        PolicyKind::Proportional,
+        PolicyKind::Custom,
+    ];
+
+    /// The kind's label in reports and tables (`noDVS`, `TDVS`, ...).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
             PolicyKind::NoDvs => "noDVS",
             PolicyKind::Tdvs => "TDVS",
             PolicyKind::Edvs => "EDVS",
@@ -140,7 +153,13 @@ impl std::fmt::Display for PolicyKind {
             PolicyKind::QueueAware => "QDVS",
             PolicyKind::Proportional => "PDVS",
             PolicyKind::Custom => "custom",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for PolicyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
