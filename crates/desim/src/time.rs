@@ -83,12 +83,6 @@ impl SimTime {
         self.0 as f64 * 1e-6
     }
 
-    /// This time expressed in nanoseconds.
-    #[must_use]
-    pub fn as_ns(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
-
     /// Saturating subtraction: returns [`SimTime::ZERO`] rather than
     /// underflowing.
     #[must_use]
@@ -211,27 +205,10 @@ impl Frequency {
         Frequency(mhz * 1_000)
     }
 
-    /// Creates a frequency from kilohertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `khz` is zero.
-    #[must_use]
-    pub fn from_khz(khz: u64) -> Self {
-        assert!(khz > 0, "frequency must be positive");
-        Frequency(khz)
-    }
-
     /// The frequency in megahertz (fractional if not a whole number).
     #[must_use]
     pub fn as_mhz(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// The frequency in hertz.
-    #[must_use]
-    pub fn as_hz(self) -> f64 {
-        self.0 as f64 * 1_000.0
     }
 
     /// Raw kilohertz value.

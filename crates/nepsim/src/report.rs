@@ -185,17 +185,6 @@ impl SimReport {
         mean_idle(self.mes.iter().filter(|m| m.role == MeRole::Tx))
     }
 
-    /// Mean utilisation of the IX transmit bus over the run.
-    #[must_use]
-    pub fn bus_utilization(&self) -> f64 {
-        let capacity_bits = self.bus_rate_mbps * self.duration.as_us();
-        if capacity_bits <= 0.0 {
-            0.0
-        } else {
-            self.bus_bits as f64 / capacity_bits
-        }
-    }
-
     /// The fraction of total chip energy attributable to the DVS monitor
     /// hardware — the paper reports this is below 1 % (§4.1).
     #[must_use]

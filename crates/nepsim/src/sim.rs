@@ -434,12 +434,6 @@ impl Simulator {
         self.sdram.mean_access_time()
     }
 
-    /// Mean end-to-end SRAM access time observed so far.
-    #[must_use]
-    pub fn sram_mean_access_time(&self) -> SimTime {
-        self.sram.mean_access_time()
-    }
-
     /// Consumes the simulator and returns the collected trace, which is
     /// empty when a [`Simulator::with_analyzers`] bank was attached.
     #[must_use]

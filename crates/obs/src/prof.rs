@@ -123,12 +123,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether spans are currently being recorded.
-#[must_use]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// One closed span: a complete Chrome-trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
