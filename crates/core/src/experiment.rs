@@ -32,18 +32,6 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// A paper-length experiment with the given policy on `ipfwdr`.
-    #[must_use]
-    pub fn paper_default(policy: PolicySpec) -> Self {
-        Experiment {
-            benchmark: Benchmark::Ipfwdr,
-            traffic: traffic::TrafficLevel::High.into(),
-            policy,
-            cycles: PAPER_RUN_CYCLES,
-            seed: 42,
-        }
-    }
-
     /// The [`xrun::JobSpec`] describing this experiment's simulation —
     /// an `Experiment` is exactly one runner job plus trace analysis.
     #[must_use]
@@ -366,15 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_uses_paper_cycles() {
-        let e = Experiment::paper_default(PolicySpec::NoDvs);
-        assert_eq!(e.cycles, PAPER_RUN_CYCLES);
-        assert_eq!(e.benchmark, Benchmark::Ipfwdr);
-    }
-
-    #[test]
     fn job_spec_round_trips_through_xrun() {
-        let e = Experiment::paper_default(PolicySpec::NoDvs);
+        let e = Experiment {
+            benchmark: Benchmark::Ipfwdr,
+            traffic: traffic::TrafficLevel::High.into(),
+            policy: PolicySpec::NoDvs,
+            cycles: PAPER_RUN_CYCLES,
+            seed: 42,
+        };
         let spec: JobSpec = e.clone().into();
         assert_eq!(spec.label(), e.label());
         assert_eq!(Experiment::from(spec), e);

@@ -1,29 +1,14 @@
-//! The paper's LOC formulas, ready to instantiate.
+//! The paper's LOC formulas (2) and (3), ready to instantiate.
 //!
-//! All three formulas quantify over `forward` events — one per transmitted
+//! Both formulas quantify over `forward` events — one per transmitted
 //! IP packet — and compare instance `i` with instance `i + window` to form
 //! sliding-window averages.
 
-use loc::builder::annot;
-use loc::{AnnotKey, Formula};
+use loc::{AnnotKey, BinOp, DistRel, Expr, Formula};
 
 /// The packet window the paper uses everywhere: statistics are computed
 /// "for each 100 packets forwarded".
 pub const PACKET_WINDOW: i64 = 100;
-
-/// Paper formula (1): distribution of the time to forward `window`
-/// packets, binned over `(40, 80, 5)` µs.
-///
-/// ```
-/// let f = abdex::formulas::latency_distribution(100);
-/// assert_eq!(f.to_string(),
-///     "(time(forward[i+100]) - time(forward[i])) dist== (40, 80, 5)");
-/// ```
-#[must_use]
-pub fn latency_distribution(window: i64) -> Formula {
-    let dt = annot(AnnotKey::Time, "forward", window) - annot(AnnotKey::Time, "forward", 0);
-    dt.dist_eq(40.0, 80.0, 5.0)
-}
 
 /// Paper formula (2): the distribution of average power (W) per `window`
 /// forwarded packets, analysis period `(0.5, 2.25, 0.01)`.
@@ -37,18 +22,14 @@ pub fn latency_distribution(window: i64) -> Formula {
 /// ```
 #[must_use]
 pub fn power_distribution(window: i64) -> Formula {
-    let de = annot(AnnotKey::Energy, "forward", window) - annot(AnnotKey::Energy, "forward", 0);
-    let dt = annot(AnnotKey::Time, "forward", window) - annot(AnnotKey::Time, "forward", 0);
-    (de / dt).dist_eq(0.5, 2.25, 0.01)
+    per_time_distribution(AnnotKey::Energy, window, 0.5, 2.25, 0.01)
 }
 
 /// Paper formula (3): the distribution of average forwarding throughput
 /// (Mbps) per `window` forwarded packets, analysis period `(100, 3300, 10)`.
 ///
-/// `total_bit` is in bits and time in µs; dividing by 10⁶… the paper
-/// divides the bit count by 10⁶ and the µs difference yields Mbps×10⁻⁶…
-/// — concretely, `bits / us == Mbps`, matching the paper's `10⁶` scaling
-/// of seconds-based time.
+/// `total_bit` is in bits and time in µs, so the ratio is directly in
+/// Mbps.
 ///
 /// ```
 /// let f = abdex::formulas::throughput_distribution(100);
@@ -57,9 +38,29 @@ pub fn power_distribution(window: i64) -> Formula {
 /// ```
 #[must_use]
 pub fn throughput_distribution(window: i64) -> Formula {
-    let db = annot(AnnotKey::TotalBit, "forward", window) - annot(AnnotKey::TotalBit, "forward", 0);
-    let dt = annot(AnnotKey::Time, "forward", window) - annot(AnnotKey::Time, "forward", 0);
-    (db / dt).dist_eq(100.0, 3300.0, 10.0)
+    per_time_distribution(AnnotKey::TotalBit, window, 100.0, 3300.0, 10.0)
+}
+
+/// The distribution of how much `key` grows per µs over each `window`
+/// forwarded packets: `(key(forward[i+window]) - key(forward[i])) /
+/// (time(forward[i+window]) - time(forward[i])) dist== (min, max, step)`.
+fn per_time_distribution(key: AnnotKey, window: i64, min: f64, max: f64, step: f64) -> Formula {
+    let delta = |key: AnnotKey| Expr::Binary {
+        op: BinOp::Sub,
+        lhs: Box::new(Expr::annot(key.clone(), "forward", window)),
+        rhs: Box::new(Expr::annot(key, "forward", 0)),
+    };
+    Formula::Dist {
+        expr: Expr::Binary {
+            op: BinOp::Div,
+            lhs: Box::new(delta(key)),
+            rhs: Box::new(delta(AnnotKey::Time)),
+        },
+        rel: DistRel::Eq,
+        min,
+        max,
+        step,
+    }
 }
 
 #[cfg(test)]
@@ -82,18 +83,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(throughput_distribution(PACKET_WINDOW), f3);
-
-        let f1 = parse("time(forward[i+100]) - time(forward[i]) dist== (40, 80, 5)").unwrap();
-        assert_eq!(latency_distribution(PACKET_WINDOW), f1);
     }
 
     #[test]
     fn analyzers_generate_from_all_distribution_formulas() {
-        for f in [
-            latency_distribution(100),
-            power_distribution(100),
-            throughput_distribution(100),
-        ] {
+        for f in [power_distribution(100), throughput_distribution(100)] {
             assert!(Analyzer::from_formula(&f).is_ok(), "{f}");
         }
     }

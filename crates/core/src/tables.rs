@@ -1,7 +1,6 @@
 //! Text rendering of figures and tables — the workspace's stand-in for
 //! the paper's gnuplot output.
 
-use loc::DistributionReport;
 use scenario::ScenarioRun;
 use stats::{ConfidenceLevel, Summary};
 
@@ -9,42 +8,6 @@ use crate::replicate::{ReplicatedComparison, ReplicatedResult};
 use crate::sweep::{vs_nodvs, Axis, CellRef, GridRun};
 use crate::traceio::{StreamStats, TraceAnalysis};
 use dist::fit::FitCandidate;
-
-/// Renders a cumulative "fraction of instances ≤ x" curve (Fig. 6 style)
-/// sampled at `points` evenly spaced x values over `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics if `points < 2` or `lo >= hi`.
-#[must_use]
-pub fn render_cdf(report: &DistributionReport, lo: f64, hi: f64, points: usize) -> String {
-    assert!(points >= 2, "need at least two sample points");
-    assert!(lo < hi, "lo must be below hi");
-    let mut out = String::from("x fraction_le\n");
-    for k in 0..points {
-        let x = lo + (hi - lo) * k as f64 / (points - 1) as f64;
-        out.push_str(&format!("{x:.4} {:.4}\n", report.fraction_le(x)));
-    }
-    out
-}
-
-/// Renders a complementary "fraction of instances ≥ x" curve (Fig. 7
-/// style).
-///
-/// # Panics
-///
-/// Panics if `points < 2` or `lo >= hi`.
-#[must_use]
-pub fn render_ccdf(report: &DistributionReport, lo: f64, hi: f64, points: usize) -> String {
-    assert!(points >= 2, "need at least two sample points");
-    assert!(lo < hi, "lo must be below hi");
-    let mut out = String::from("x fraction_ge\n");
-    for k in 0..points {
-        let x = lo + (hi - lo) * k as f64 / (points - 1) as f64;
-        out.push_str(&format!("{x:.4} {:.4}\n", report.fraction_ge(x)));
-    }
-    out
-}
 
 /// Renders a Fig. 8/9-style surface as a table: one row per threshold, one
 /// column per window size.
@@ -559,10 +522,8 @@ pub fn render_trace_analysis(path: &str, a: &TraceAnalysis) -> String {
 mod tests {
     use super::*;
     use crate::compare::ComparisonConfig;
-    use crate::formulas::power_distribution;
     use crate::sweep::{run_grid, Grid};
     use crate::Runner;
-    use loc::{Analyzer, Annotations, TraceRecord};
     use nepsim::Benchmark;
     use traffic::{TrafficLevel, TrafficSpec};
 
@@ -571,42 +532,6 @@ mod tests {
         let run = run_grid(&Runner::new(), grid, seeds);
         assert!(run.failures.is_empty(), "{:?}", run.failures);
         run
-    }
-
-    fn tiny_report() -> DistributionReport {
-        let mut a = Analyzer::from_formula(&power_distribution(1)).unwrap();
-        for k in 0..50u64 {
-            let annots = Annotations {
-                time: k as f64,
-                energy: k as f64 * 1.2, // constant 1.2 W
-                ..Annotations::default()
-            };
-            a.push(&TraceRecord::new("forward", annots));
-        }
-        a.finish()
-    }
-
-    #[test]
-    fn cdf_rendering_is_monotone() {
-        let text = render_cdf(&tiny_report(), 0.5, 2.25, 10);
-        let fracs: Vec<f64> = text
-            .lines()
-            .skip(1)
-            .map(|l| l.split_whitespace().nth(1).unwrap().parse().unwrap())
-            .collect();
-        assert_eq!(fracs.len(), 10);
-        assert!(fracs.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn ccdf_rendering_is_antitone() {
-        let text = render_ccdf(&tiny_report(), 0.5, 2.25, 10);
-        let fracs: Vec<f64> = text
-            .lines()
-            .skip(1)
-            .map(|l| l.split_whitespace().nth(1).unwrap().parse().unwrap())
-            .collect();
-        assert!(fracs.windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]
@@ -688,12 +613,6 @@ mod tests {
         assert!(text.contains("low"));
         assert!(text.contains("constant:rate=500,size=576,ports=16"));
         assert_eq!(text.lines().count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two sample points")]
-    fn cdf_rejects_single_point() {
-        let _ = render_cdf(&tiny_report(), 0.0, 1.0, 1);
     }
 
     #[test]

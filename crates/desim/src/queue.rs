@@ -181,12 +181,6 @@ impl<E> EventQueue<E> {
         key
     }
 
-    /// Schedules `payload` at `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        let at = self.now + delay;
-        self.schedule(at, payload);
-    }
-
     /// The key of the earliest pending event and where it sits.
     fn head(&self) -> Option<(Key, Head)> {
         let mut head = self.heap.peek().map(|e| (e.key, Head::Heap));
@@ -227,12 +221,6 @@ impl<E> EventQueue<E> {
         self.now = time;
         self.counters.events_processed += 1;
         Some((time, entry.payload))
-    }
-
-    /// Time of the next event without popping it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.head().map(|(key, _)| key.time())
     }
 
     /// Number of pending events, heap and lanes together.
@@ -304,22 +292,12 @@ mod tests {
     fn now_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(5), ());
-        q.schedule_in(SimTime::from_ns(9), ());
+        q.schedule(SimTime::from_ns(9), ());
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(5));
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(9));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(10), "first");
-        q.pop();
-        q.schedule_in(SimTime::from_ns(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_ns(15));
     }
 
     #[test]
@@ -358,10 +336,8 @@ mod tests {
         q.schedule(SimTime::from_ns(1), ());
         q.schedule(SimTime::from_ns(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
     }
 
@@ -371,7 +347,6 @@ mod tests {
         q.schedule(SimTime::from_ns(4), "heap");
         q.schedule_lane(0, SimTime::from_ns(2), "lane");
         q.schedule_lane(0, SimTime::from_ns(9), "late");
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
         let due: Vec<_> =
             std::iter::from_fn(|| q.pop_until(SimTime::from_ns(4)).map(|(_, e)| e)).collect();
         assert_eq!(due, ["lane", "heap"]);

@@ -33,15 +33,6 @@ impl VfPoint {
         let v0 = top.voltage();
         (v * v * f64::from(self.freq_mhz)) / (v0 * v0 * f64::from(top.freq_mhz))
     }
-
-    /// Dynamic *energy-per-cycle* scale factor relative to `top`: `V²/V₀²`
-    /// (energy per cycle is `C·V²`, independent of frequency).
-    #[must_use]
-    pub fn energy_per_cycle_scale(&self, top: &VfPoint) -> f64 {
-        let v = self.voltage();
-        let v0 = top.voltage();
-        (v * v) / (v0 * v0)
-    }
 }
 
 impl std::fmt::Display for VfPoint {
@@ -199,24 +190,6 @@ mod tests {
             "bottom scale {}",
             scales[0]
         );
-    }
-
-    #[test]
-    fn energy_per_cycle_scale_ignores_frequency() {
-        let top = VfPoint {
-            freq_mhz: 600,
-            voltage_mv: 1300,
-        };
-        let p = VfPoint {
-            freq_mhz: 400,
-            voltage_mv: 1300,
-        };
-        assert!((p.energy_per_cycle_scale(&top) - 1.0).abs() < 1e-12);
-        let q = VfPoint {
-            freq_mhz: 600,
-            voltage_mv: 650,
-        };
-        assert!((q.energy_per_cycle_scale(&top) - 0.25).abs() < 1e-12);
     }
 
     #[test]

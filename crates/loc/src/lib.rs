@@ -49,7 +49,6 @@
 pub mod analyzer;
 pub mod ast;
 pub mod bank;
-pub mod builder;
 pub mod checker;
 pub mod codegen;
 mod error;

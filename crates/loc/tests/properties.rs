@@ -1,7 +1,9 @@
 //! Property-based tests for the LOC language and tools.
 
-use loc::builder::{annot, con, ExprBuilder};
-use loc::{parse, Analyzer, AnnotKey, Annotations, Checker, Formula, TraceRecord};
+use loc::{
+    parse, Analyzer, AnnotKey, Annotations, BinOp, BoolExpr, Checker, CmpOp, DistRel, Expr,
+    Formula, TraceRecord,
+};
 use proptest::prelude::*;
 
 const EVENTS: [&str; 3] = ["forward", "enq", "deq"];
@@ -12,22 +14,32 @@ const KEYS: [AnnotKey; 5] = [
     AnnotKey::TotalPkt,
     AnnotKey::TotalBit,
 ];
+const OPS: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+const CMPS: [CmpOp; 6] = [
+    CmpOp::Le,
+    CmpOp::Lt,
+    CmpOp::Ge,
+    CmpOp::Gt,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
 
 /// A strategy for random arithmetic expressions (non-negative constants so
 /// display/parse round-trips are structural identities).
-fn expr_strategy() -> impl Strategy<Value = ExprBuilder> {
+fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (0usize..5, 0usize..3, -3i64..5)
-            .prop_map(|(k, e, off)| { annot(KEYS[k].clone(), EVENTS[e], off) }),
-        (0u32..1000).prop_map(|c| con(f64::from(c) / 8.0)),
+            .prop_map(|(k, e, off)| { Expr::annot(KEYS[k].clone(), EVENTS[e], off) }),
+        (0u32..1000).prop_map(|c| Expr::Const(f64::from(c) / 8.0)),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
-        (inner.clone(), inner, 0usize..5).prop_map(|(a, b, op)| match op {
-            0 => a + b,
-            1 => a - b,
-            2 => a * b,
-            3 => a / b,
-            _ => -a,
+        (inner.clone(), inner, 0usize..5).prop_map(|(a, b, op)| match OPS.get(op) {
+            Some(&op) => Expr::Binary {
+                op,
+                lhs: Box::new(a),
+                rhs: Box::new(b),
+            },
+            None => Expr::Neg(Box::new(a)),
         })
     })
 }
@@ -43,7 +55,13 @@ proptest! {
         width in 1.0f64..100.0,
         step in 0.25f64..10.0,
     ) {
-        let formula = expr.dist_eq(min, min + width, step);
+        let formula = Formula::Dist {
+            expr,
+            rel: DistRel::Eq,
+            min,
+            max: min + width,
+            step,
+        };
         let text = formula.to_string();
         let reparsed = parse(&text);
         prop_assert!(reparsed.is_ok(), "failed to reparse `{text}`: {reparsed:?}");
@@ -57,15 +75,7 @@ proptest! {
         rhs in expr_strategy(),
         op in 0usize..6,
     ) {
-        let formula = match op {
-            0 => lhs.le(rhs),
-            1 => lhs.lt(rhs),
-            2 => lhs.ge(rhs),
-            3 => lhs.gt(rhs),
-            4 => lhs.eq(rhs),
-            _ => lhs.ne(rhs),
-        }
-        .assert();
+        let formula = Formula::Assert(BoolExpr::Cmp { op: CMPS[op], lhs, rhs });
         let text = formula.to_string();
         let reparsed = parse(&text);
         prop_assert!(reparsed.is_ok(), "failed to reparse `{text}`: {reparsed:?}");

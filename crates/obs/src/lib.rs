@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -307,40 +306,6 @@ impl fmt::Display for CacheCounters {
     }
 }
 
-/// A deterministic per-channel tally over many samples, used by fleet
-/// folds that accumulate counts keyed by channel without caring about
-/// insertion order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChannelSketches {
-    sketches: BTreeMap<Channel, HistogramSketch>,
-}
-
-impl ChannelSketches {
-    /// A fresh, empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value into a channel's sketch.
-    pub fn record(&mut self, channel: Channel, value: f64) {
-        self.sketches.entry(channel).or_default().record(value);
-    }
-
-    /// Folds a whole recording in, channel by channel.
-    pub fn absorb(&mut self, recording: &Recording) {
-        for sample in recording.samples() {
-            self.record(sample.channel, sample.value);
-        }
-    }
-
-    /// The sketch of one channel, if any sample arrived.
-    #[must_use]
-    pub fn sketch(&self, channel: Channel) -> Option<&HistogramSketch> {
-        self.sketches.get(&channel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,20 +354,6 @@ mod tests {
             manual.record(v);
         }
         assert_eq!(sketch, manual);
-    }
-
-    #[test]
-    fn channel_sketches_absorb_equals_per_sample_record() {
-        let mut r = MemRecorder::new();
-        r.record(Channel::Power, 0, 0.5);
-        r.record(Channel::QueueDepth, 0, 12.0);
-        r.record(Channel::Power, 1, 0.75);
-        let rec = r.take();
-        let mut folded = ChannelSketches::new();
-        folded.absorb(&rec);
-        assert_eq!(folded.sketch(Channel::Power).unwrap().count(), 2);
-        assert_eq!(folded.sketch(Channel::QueueDepth).unwrap().count(), 1);
-        assert!(folded.sketch(Channel::Drops).is_none());
     }
 
     #[test]
