@@ -1,6 +1,8 @@
 //! Ablation: the EDVS idle threshold. The paper picks 10 % from the idle
 //! distribution (§4.2); this sweep shows what 5–40 % would have done.
 
+use std::io::Write;
+
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
 use abdex::{run_grid, Grid, Runner};
@@ -10,7 +12,8 @@ use abdex_bench::{cycles_from_args, FIG_SEED};
 fn main() {
     let cycles = cycles_from_args();
     let thresholds = [0.05, 0.10, 0.20, 0.30, 0.40];
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "abl_edvs_threshold: {} EDVS thresholds on ipfwdr/high at {cycles} cycles each...",
         thresholds.len()
     );

@@ -2,6 +2,8 @@
 //! 20k-window throughput cliff to VF oscillation burning 6000-cycle
 //! penalties; this quantifies how much a dead band recovers.
 
+use std::io::Write;
+
 use abdex::dvs::TdvsConfig;
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
@@ -16,7 +18,8 @@ fn main() {
         top_threshold_mbps: 1000.0,
         window_cycles: 20_000, // the paper's worst case
     };
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "abl_tdvs_hysteresis: {} bands on ipfwdr/high, 20k windows, {cycles} cycles each...",
         bands.len()
     );

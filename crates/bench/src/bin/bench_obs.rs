@@ -16,6 +16,7 @@
 //! proves nothing). Rounds interleave disarmed/armed passes so clock
 //! drift and cache warmth hit both sides equally.
 
+use std::io::Write;
 use std::time::Instant;
 
 use abdex::nepsim::Benchmark;
@@ -39,7 +40,8 @@ fn main() {
         windows_cycles: vec![10_000, 20_000, 30_000, 40_000],
     };
     let runner = Runner::new();
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "bench_obs: {} cells x {cycles} cycles, {rounds} interleaved rounds on {} workers",
         grid.len(),
         runner.workers()
@@ -105,7 +107,8 @@ fn main() {
         spans / rounds,
     );
     std::fs::write(&out, &doc).expect("write baseline JSON");
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "disarmed {disarmed_s:.4}s, armed {armed_s:.4}s ({:+.2}% overhead, \
          {} spans/round) -> {out}",
         overhead * 100.0,

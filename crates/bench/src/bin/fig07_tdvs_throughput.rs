@@ -2,6 +2,8 @@
 //! instances above x) for TDVS on `ipfwdr`, per threshold and window size,
 //! plus the noDVS baseline.
 
+use std::io::Write;
+
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
 use abdex::{run_grid, Experiment, Grid, PolicySpec, Runner, TdvsGrid};
@@ -10,7 +12,8 @@ use abdex_bench::{bar, cycles_from_args, FIG_SEED};
 fn main() {
     let cycles = cycles_from_args();
     let grid = TdvsGrid::default();
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "fig07: sweeping {} TDVS cells of ipfwdr/high at {cycles} cycles each...",
         grid.len()
     );

@@ -1,6 +1,8 @@
 //! Paper Fig. 8: the 3-D surface of the power value below which 80 % of
 //! formula-(2) instances fall, over the threshold × window grid.
 
+use std::io::Write;
+
 use abdex::nepsim::Benchmark;
 use abdex::sweep::power_surface;
 use abdex::tables::render_surface;
@@ -11,7 +13,8 @@ use abdex_bench::{cycles_from_args, FIG_SEED};
 fn main() {
     let cycles = cycles_from_args();
     let grid = TdvsGrid::default();
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "fig08: sweeping {} cells at {cycles} cycles each...",
         grid.len()
     );

@@ -1,6 +1,8 @@
 //! Paper Fig. 9: the 3-D surface of the throughput above which 80 % of
 //! formula-(3) instances fall, over the threshold × window grid.
 
+use std::io::Write;
+
 use abdex::nepsim::Benchmark;
 use abdex::sweep::throughput_surface;
 use abdex::tables::render_surface;
@@ -11,7 +13,8 @@ use abdex_bench::{cycles_from_args, FIG_SEED};
 fn main() {
     let cycles = cycles_from_args();
     let grid = TdvsGrid::default();
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "fig09: sweeping {} cells at {cycles} cycles each...",
         grid.len()
     );

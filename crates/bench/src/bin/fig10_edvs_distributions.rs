@@ -1,6 +1,8 @@
 //! Paper Fig. 10: power and throughput distributions under EDVS on
 //! `ipfwdr`, for window sizes 20k–80k, against the noDVS baseline.
 
+use std::io::Write;
+
 use abdex::dvs::EdvsConfig;
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
@@ -21,7 +23,8 @@ fn run(policy: PolicySpec, cycles: u64) -> ExperimentResult {
 fn main() {
     let cycles = cycles_from_args();
     let windows = [20_000u64, 40_000, 60_000, 80_000];
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "fig10: running {} EDVS windows + baseline at {cycles} cycles each...",
         windows.len()
     );

@@ -1,6 +1,8 @@
 //! Paper Fig. 11: power-distribution comparison of noDVS / EDVS / TDVS
 //! across all four benchmarks and the three traffic levels (12 subplots).
 
+use std::io::Write;
+
 use abdex::compare::ComparisonConfig;
 use abdex::dvs::PolicyKind;
 use abdex::nepsim::Benchmark;
@@ -16,7 +18,8 @@ fn main() {
         seed: FIG_SEED,
         ..ComparisonConfig::default()
     };
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "fig11: running {} cells at {cycles} cycles each...",
         Benchmark::ALL.len() * TrafficLevel::ALL.len() * 3
     );

@@ -4,6 +4,8 @@
 //! simulation, samples per-ME idle fractions at every 40k-cycle window,
 //! and bins them through LOC distribution analyzers.
 
+use std::io::Write;
+
 use abdex::loc::{parse, Analyzer, Annotations, TraceRecord};
 use abdex::nepsim::{AnalyzerBank, Benchmark, MeRole, NpuConfig, Simulator};
 use abdex::traffic::TrafficLevel;
@@ -11,7 +13,10 @@ use abdex_bench::{bar, cycles_from_args, FIG_SEED};
 
 fn main() {
     let cycles = cycles_from_args();
-    eprintln!("obs_idle_bimodal: simulating ipfwdr/high for {cycles} cycles...");
+    let _ = writeln!(
+        std::io::stderr(),
+        "obs_idle_bimodal: simulating ipfwdr/high for {cycles} cycles..."
+    );
     let config = NpuConfig::builder()
         .benchmark(Benchmark::Ipfwdr)
         .traffic(TrafficLevel::High)

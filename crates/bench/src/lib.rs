@@ -17,6 +17,8 @@
 
 pub mod ablation;
 
+use std::io::Write;
+
 use abdex::PAPER_RUN_CYCLES;
 
 /// Reads the per-configuration cycle budget from `argv[1]`: the paper's
@@ -26,7 +28,7 @@ use abdex::PAPER_RUN_CYCLES;
 #[must_use]
 pub fn cycles_from_args() -> u64 {
     parse_cycles(std::env::args().nth(1).as_deref()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
+        let _ = writeln!(std::io::stderr(), "error: {e}");
         std::process::exit(1)
     })
 }
