@@ -14,8 +14,8 @@
 //! recorded sample:
 //!
 //! ```text
-//! {"schema_version":9,"cache_epoch":3,"kind":"record","source":"run","series":["rep0"],"channels":["power_w",...]}
-//! {"series":0,"channel":"power_w","cycle":40000,"value":2.0625}
+//! {"schema_version":9,"cache_epoch":1,"kind":"record","source":"run","series":["rep0"],"channels":["power_w",...]}
+//! {"series":0,"channel":"power_w","cycle":39999,"value":1.235756895429569}
 //! ...
 //! ```
 //!
