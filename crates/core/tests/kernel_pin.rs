@@ -12,7 +12,8 @@
 //! The cells cover the paths a kernel rework can break: every benchmark
 //! under no DVS, global TDVS and per-ME EDVS (parked-ME stalls and stale
 //! steps), an overloaded MMPP source (RX loss and switches), a
-//! heavy-tailed size mix (many distinct program lengths) and a staged
+//! heavy-tailed size mix (many distinct program lengths), the other
+//! built-in policies (TEDVS, hysteresis TDVS, QDVS and PDVS) and a staged
 //! drain (`run_cycle_segments`). A failure prints the digest table the
 //! current code produces; paste it in only for an intended change to
 //! simulated results.
@@ -231,6 +232,14 @@ const CELLS: &[(&str, u64, u64)] = &[
         600000,
         0xaaefdf1d8a9bd0d0,
     ),
+    ("ipfwdr high combined", 400000, 0xadc7341eaee65894),
+    (
+        "ipfwdr high tdvs:threshold=1200,hysteresis=0.1",
+        400000,
+        0x5fb3bdd253769bc9,
+    ),
+    ("ipfwdr high queue", 400000, 0xfe4d0333b387f76c),
+    ("ipfwdr high proportional", 400000, 0x8fbf7057682c5101),
 ];
 
 /// The staged-drain cell: `("benchmark traffic policy", boundaries, digest)`.
