@@ -16,7 +16,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{EdvsConfig, ScalingDecision, TdvsConfig, VfLadder, VfPoint};
+use crate::edvs::checked_idle;
+use crate::tdvs::scaled_threshold;
+use crate::{
+    DvsPolicy, EdvsConfig, PolicyKind, PolicyObservation, PolicyResponse, ScalingDecision,
+    TdvsConfig, VfLadder,
+};
 
 /// Configuration of the combined policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -28,28 +33,38 @@ pub struct CombinedConfig {
     pub edvs: EdvsConfig,
 }
 
-/// Per-ME combined policy automaton.
+/// The combined policy: every microengine keeps its own level, and its
+/// traffic threshold scales with that level as TDVS's does (Fig. 5).
 ///
 /// # Example
 ///
 /// ```
-/// use dvs::{Combined, CombinedConfig, ScalingDecision, VfLadder};
+/// use dvs::{Combined, CombinedConfig, DvsPolicy, MeObservation, PolicyObservation};
+/// use dvs::{QueueObservation, ScalingDecision, VfLadder};
 /// let mut p = Combined::new(CombinedConfig::default(), VfLadder::xscale_npu());
+/// let fifo = QueueObservation { occupancy: 0, capacity: 2048, dropped: 0 };
+/// let mut window = |aggregate_mbps, idle_fraction| {
+///     let mes = [MeObservation { idle_fraction, level: 4 }];
+///     let obs = PolicyObservation {
+///         window: 0, window_us: 66.6, aggregate_mbps, mes: &mes, rx_fifo: fifo, tx_queue: fifo,
+///     };
+///     p.on_window(&obs).decisions
+/// };
 /// // Light traffic but a busy ME: signals disagree -> hold.
-/// assert_eq!(p.on_window(400.0, 0.02), ScalingDecision::Hold);
+/// assert_eq!(window(400.0, 0.02), [ScalingDecision::Hold]);
 /// // Light traffic and an idle ME: both agree -> scale down.
-/// assert_eq!(p.on_window(400.0, 0.30), ScalingDecision::Down);
+/// assert_eq!(window(400.0, 0.30), [ScalingDecision::Down]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Combined {
     config: CombinedConfig,
     ladder: VfLadder,
-    level: usize,
-    switches: u64,
+    /// Each ME's level, sized from the first observation.
+    levels: Vec<usize>,
 }
 
 impl Combined {
-    /// Creates the policy at the top VF level.
+    /// Creates the policy with every ME at the top VF level.
     ///
     /// # Panics
     ///
@@ -68,139 +83,119 @@ impl Combined {
             config.tdvs.window_cycles, config.edvs.window_cycles,
             "combined policy drives both signals from one window"
         );
-        let level = ladder.top_index();
         Combined {
             config,
             ladder,
-            level,
-            switches: 0,
+            levels: Vec::new(),
         }
     }
+}
 
-    /// The policy's configuration.
-    #[must_use]
-    pub fn config(&self) -> &CombinedConfig {
-        &self.config
+impl DvsPolicy for Combined {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Combined
     }
 
-    /// The current operating point.
-    #[must_use]
-    pub fn level(&self) -> VfPoint {
-        self.ladder.point(self.level)
+    fn window_cycles(&self) -> Option<u64> {
+        Some(self.config.tdvs.window_cycles)
     }
 
-    /// Index of the current level in the ladder.
-    #[must_use]
-    pub fn level_index(&self) -> usize {
-        self.level
+    fn monitors_traffic(&self) -> bool {
+        true
     }
 
-    /// Number of VF switches performed so far.
-    #[must_use]
-    pub fn switch_count(&self) -> u64 {
-        self.switches
-    }
-
-    /// The traffic threshold in force at the current level (Fig. 5
-    /// scaling).
-    #[must_use]
-    pub fn current_threshold(&self) -> f64 {
-        let f = f64::from(self.ladder.point(self.level).freq_mhz);
-        let f_top = f64::from(self.ladder.top().freq_mhz);
-        self.config.tdvs.top_threshold_mbps * f / f_top
-    }
-
-    /// Reports one window's traffic volume (Mbps) and this ME's idle
-    /// fraction; applies the conservative composition rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idle_fraction` is outside `[0, 1]`.
-    pub fn on_window(&mut self, observed_mbps: f64, idle_fraction: f64) -> ScalingDecision {
-        assert!(
-            (0.0..=1.0).contains(&idle_fraction),
-            "idle fraction must be in [0, 1], got {idle_fraction}"
-        );
-        let threshold = self.current_threshold();
-        let traffic_low = observed_mbps < threshold;
-        let traffic_high = observed_mbps > threshold;
-        let idle_high = idle_fraction > self.config.edvs.idle_threshold;
-        let idle_low = idle_fraction < self.config.edvs.idle_threshold;
-
-        if traffic_low && idle_high && self.level > 0 {
-            self.level -= 1;
-            self.switches += 1;
-            ScalingDecision::Down
-        } else if (traffic_high || idle_low) && self.level < self.ladder.top_index() {
-            self.level += 1;
-            self.switches += 1;
-            ScalingDecision::Up
-        } else {
-            ScalingDecision::Hold
-        }
+    fn on_window(&mut self, obs: &PolicyObservation<'_>) -> PolicyResponse {
+        let top_mbps = self.config.tdvs.top_threshold_mbps;
+        let idle_threshold = self.config.edvs.idle_threshold;
+        let top = self.ladder.top_index();
+        self.levels.resize(obs.mes.len(), top);
+        let decisions = self
+            .levels
+            .iter_mut()
+            .zip(obs.mes)
+            .map(|(level, me)| {
+                let idle = checked_idle(me);
+                let threshold = scaled_threshold(top_mbps, &self.ladder, *level);
+                let down = obs.aggregate_mbps < threshold && idle > idle_threshold;
+                let up = obs.aggregate_mbps > threshold || idle < idle_threshold;
+                ScalingDecision::step(level, top, down, up)
+            })
+            .collect();
+        PolicyResponse::per_me(decisions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_window::Window;
+    use ScalingDecision::{Down, Hold, Up};
 
     fn policy() -> Combined {
         Combined::new(CombinedConfig::default(), VfLadder::xscale_npu())
     }
 
+    /// The decision for one window of `mbps` traffic in which the one ME
+    /// is idle `idle`.
+    fn decide(p: &mut Combined, mbps: f64, idle: f64) -> ScalingDecision {
+        Window::new(mbps, &[idle]).decide(p)[0]
+    }
+
     #[test]
     fn down_requires_both_signals() {
         let mut p = policy();
-        assert_eq!(p.on_window(400.0, 0.02), ScalingDecision::Hold, "idle low");
+        assert_eq!(decide(&mut p, 400.0, 0.02), Hold, "idle low");
         // At the top, an up-demand holds (already at max).
-        assert_eq!(
-            p.on_window(1400.0, 0.30),
-            ScalingDecision::Hold,
-            "traffic high"
-        );
-        assert_eq!(
-            p.on_window(400.0, 0.30),
-            ScalingDecision::Down,
-            "both agree"
-        );
-        assert_eq!(p.level().freq_mhz, 550);
+        assert_eq!(decide(&mut p, 1400.0, 0.30), Hold, "traffic high");
+        // Both agree: down to 550 MHz.
+        assert_eq!(decide(&mut p, 400.0, 0.30), Down, "both agree");
+        assert!(p.monitors_traffic());
+    }
+
+    #[test]
+    fn mes_scale_independently() {
+        let mut p = policy();
+        // Light traffic: the idle ME steps down, the busy one holds.
+        let window = Window::new(100.0, &[0.5, 0.02]);
+        assert_eq!(window.decide(&mut p), [Down, Hold]);
+        // Heavy traffic: only the ME below the top can step up.
+        let window = Window::new(2000.0, &[0.5, 0.5]);
+        assert_eq!(window.decide(&mut p), [Up, Hold]);
     }
 
     #[test]
     fn up_on_either_signal() {
         let mut p = policy();
-        // Walk down twice.
-        p.on_window(100.0, 0.5);
-        p.on_window(100.0, 0.5);
-        assert_eq!(p.level().freq_mhz, 500);
+        // Walk down twice, to 500 MHz.
+        assert_eq!(decide(&mut p, 100.0, 0.5), Down);
+        assert_eq!(decide(&mut p, 100.0, 0.5), Down);
         // Busy ME alone forces up even with light traffic.
-        assert_eq!(p.on_window(100.0, 0.01), ScalingDecision::Up);
-        // Heavy traffic alone forces up even with idle ME.
-        assert_eq!(p.on_window(2000.0, 0.5), ScalingDecision::Up);
-        assert_eq!(p.level().freq_mhz, 600);
+        assert_eq!(decide(&mut p, 100.0, 0.01), Up);
+        // Heavy traffic alone forces up even with idle ME: back at 600 MHz.
+        assert_eq!(decide(&mut p, 2000.0, 0.5), Up);
+        assert_eq!(decide(&mut p, 2000.0, 0.5), Hold);
     }
 
     #[test]
     fn clamps_at_ladder_bounds() {
         let mut p = policy();
-        for _ in 0..10 {
-            p.on_window(0.0, 1.0);
-        }
-        assert_eq!(p.level().freq_mhz, 400);
-        for _ in 0..10 {
-            p.on_window(5000.0, 0.0);
-        }
-        assert_eq!(p.level().freq_mhz, 600);
-        assert_eq!(p.switch_count(), 8);
+        let down: Vec<_> = (0..10).map(|_| decide(&mut p, 0.0, 1.0)).collect();
+        let up: Vec<_> = (0..10).map(|_| decide(&mut p, 5000.0, 0.0)).collect();
+        // Four steps reach the 400 MHz bottom, four more the 600 MHz top.
+        assert_eq!(down[..5], [Down, Down, Down, Down, Hold]);
+        assert_eq!(up[..5], [Up, Up, Up, Up, Hold]);
+        let switches = down.iter().chain(&up).filter(|&&d| d != Hold).count();
+        assert_eq!(switches, 8);
     }
 
     #[test]
     fn threshold_scales_with_level() {
+        // 950 Mbps is below the 1000 Mbps threshold at 600 MHz but above
+        // the 917 Mbps one at 550 MHz, so the same window first steps the
+        // idle ME down and then back up.
         let mut p = policy();
-        let top = p.current_threshold();
-        p.on_window(100.0, 0.5);
-        assert!(p.current_threshold() < top);
+        assert_eq!(decide(&mut p, 950.0, 0.5), Down);
+        assert_eq!(decide(&mut p, 950.0, 0.5), Up);
     }
 
     #[test]
@@ -223,6 +218,6 @@ mod tests {
     #[should_panic(expected = "idle fraction")]
     fn rejects_bad_idle_input() {
         let mut p = policy();
-        let _ = p.on_window(500.0, 2.0);
+        let _ = decide(&mut p, 500.0, 2.0);
     }
 }

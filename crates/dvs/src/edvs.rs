@@ -2,7 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ScalingDecision, VfLadder, VfPoint};
+use crate::{
+    DvsPolicy, MeObservation, PolicyKind, PolicyObservation, PolicyResponse, ScalingDecision,
+    VfLadder,
+};
 
 /// Tunable parameters of an EDVS policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,34 +28,43 @@ impl Default for EdvsConfig {
     }
 }
 
-/// The EDVS policy state machine for **one microengine**.
+/// The EDVS policy: every microengine scales on its own idle time.
 ///
-/// Each ME owns an independent `Edvs` instance (paper: "in EDVS, each ME
-/// changes its VF independently"). At every window boundary the platform
-/// reports the fraction of the window the ME spent idle (all threads
-/// blocked on memory); idle time above the threshold scales the ME down,
-/// idle time below scales it up.
+/// Each ME keeps its own level (paper: "in EDVS, each ME changes its VF
+/// independently"). At every window boundary the platform reports the
+/// fraction of the window each ME spent idle (all threads blocked on
+/// memory); idle time above the threshold scales that ME down, idle time
+/// below scales it up.
 ///
 /// # Example
 ///
 /// ```
-/// use dvs::{Edvs, EdvsConfig, ScalingDecision, VfLadder};
-/// let mut me0 = Edvs::new(EdvsConfig::default(), VfLadder::xscale_npu());
-/// // A memory-bound window (35% idle) scales this ME down...
-/// assert_eq!(me0.on_window(0.35), ScalingDecision::Down);
-/// // ...while a busy window scales it back up.
-/// assert_eq!(me0.on_window(0.01), ScalingDecision::Up);
+/// use dvs::{DvsPolicy, Edvs, EdvsConfig, MeObservation, PolicyObservation};
+/// use dvs::{QueueObservation, ScalingDecision, VfLadder};
+/// let mut p = Edvs::new(EdvsConfig::default(), VfLadder::xscale_npu());
+/// let fifo = QueueObservation { occupancy: 0, capacity: 2048, dropped: 0 };
+/// let mut window = |idle: [f64; 2]| {
+///     let mes = idle.map(|idle_fraction| MeObservation { idle_fraction, level: 4 });
+///     let obs = PolicyObservation {
+///         window: 0, window_us: 66.6, aggregate_mbps: 900.0, mes: &mes, rx_fifo: fifo, tx_queue: fifo,
+///     };
+///     p.on_window(&obs).decisions
+/// };
+/// // A memory-bound window (35% idle) scales ME 0 down; busy ME 1 holds...
+/// assert_eq!(window([0.35, 0.01]), [ScalingDecision::Down, ScalingDecision::Hold]);
+/// // ...and a busy window scales ME 0 back up.
+/// assert_eq!(window([0.01, 0.01]), [ScalingDecision::Up, ScalingDecision::Hold]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Edvs {
     config: EdvsConfig,
-    ladder: VfLadder,
-    level: usize,
-    switches: u64,
+    top: usize,
+    /// Each ME's level, sized from the first observation.
+    levels: Vec<usize>,
 }
 
 impl Edvs {
-    /// Creates the policy at the top VF level.
+    /// Creates the policy with every ME at the top VF level.
     ///
     /// # Panics
     ///
@@ -64,83 +76,76 @@ impl Edvs {
             "idle threshold must be a fraction in (0, 1)"
         );
         assert!(config.window_cycles > 0, "window must be non-empty");
-        let level = ladder.top_index();
         Edvs {
             config,
-            ladder,
-            level,
-            switches: 0,
+            top: ladder.top_index(),
+            levels: Vec::new(),
         }
     }
+}
 
-    /// The policy's configuration.
-    #[must_use]
-    pub fn config(&self) -> &EdvsConfig {
-        &self.config
+/// An ME's idle fraction, checked to lie within `[0, 1]`.
+///
+/// # Panics
+///
+/// Panics if it does not.
+pub(crate) fn checked_idle(me: &MeObservation) -> f64 {
+    let idle = me.idle_fraction;
+    assert!(
+        (0.0..=1.0).contains(&idle),
+        "idle fraction must be in [0, 1], got {idle}"
+    );
+    idle
+}
+
+impl DvsPolicy for Edvs {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Edvs
     }
 
-    /// The current operating point of this microengine.
-    #[must_use]
-    pub fn level(&self) -> VfPoint {
-        self.ladder.point(self.level)
+    fn window_cycles(&self) -> Option<u64> {
+        Some(self.config.window_cycles)
     }
 
-    /// Index of the current level in the ladder.
-    #[must_use]
-    pub fn level_index(&self) -> usize {
-        self.level
-    }
-
-    /// Number of VF switches performed so far.
-    #[must_use]
-    pub fn switch_count(&self) -> u64 {
-        self.switches
-    }
-
-    /// Reports the idle fraction of the last window and returns the
-    /// scaling decision for this microengine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idle_fraction` is not within `[0, 1]`.
-    pub fn on_window(&mut self, idle_fraction: f64) -> ScalingDecision {
-        assert!(
-            (0.0..=1.0).contains(&idle_fraction),
-            "idle fraction must be in [0, 1], got {idle_fraction}"
-        );
-        if idle_fraction > self.config.idle_threshold && self.level > 0 {
-            self.level -= 1;
-            self.switches += 1;
-            ScalingDecision::Down
-        } else if idle_fraction < self.config.idle_threshold && self.level < self.ladder.top_index()
-        {
-            self.level += 1;
-            self.switches += 1;
-            ScalingDecision::Up
-        } else {
-            ScalingDecision::Hold
-        }
+    fn on_window(&mut self, obs: &PolicyObservation<'_>) -> PolicyResponse {
+        let (top, threshold) = (self.top, self.config.idle_threshold);
+        self.levels.resize(obs.mes.len(), top);
+        let decisions = self
+            .levels
+            .iter_mut()
+            .zip(obs.mes)
+            .map(|(level, me)| {
+                let idle = checked_idle(me);
+                ScalingDecision::step(level, top, idle > threshold, idle < threshold)
+            })
+            .collect();
+        PolicyResponse::per_me(decisions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_window::Window;
+    use ScalingDecision::{Down, Hold, Up};
 
     fn policy() -> Edvs {
         Edvs::new(EdvsConfig::default(), VfLadder::xscale_npu())
+    }
+
+    /// The decision for one window in which the one ME is idle `idle`.
+    fn decide(p: &mut Edvs, idle: f64) -> ScalingDecision {
+        Window::new(900.0, &[idle]).decide(p)[0]
     }
 
     #[test]
     fn busy_me_never_scales_down() {
         // The paper's transmitting MEs: idle almost always under 5%.
         let mut p = policy();
-        for _ in 0..100 {
-            let d = p.on_window(0.03);
-            assert!(matches!(d, ScalingDecision::Hold | ScalingDecision::Up));
-        }
-        assert_eq!(p.level().freq_mhz, 600);
-        assert_eq!(p.switch_count(), 0);
+        let decisions: Vec<_> = (0..100).map(|_| decide(&mut p, 0.03)).collect();
+        assert!(decisions.iter().all(|&d| matches!(d, Hold | Up)));
+        // Starting at the top, it never leaves 600 MHz.
+        assert_eq!(decisions.iter().filter(|&&d| d != Hold).count(), 0);
     }
 
     #[test]
@@ -148,37 +153,43 @@ mod tests {
         // The paper's receiving MEs in the 30-40% idle mode.
         let mut p = policy();
         for _ in 0..4 {
-            assert_eq!(p.on_window(0.35), ScalingDecision::Down);
+            assert_eq!(decide(&mut p, 0.35), Down);
         }
-        assert_eq!(p.level().freq_mhz, 400);
-        assert_eq!(p.on_window(0.35), ScalingDecision::Hold);
+        // Four steps from 600 MHz: the 400 MHz bottom holds.
+        assert_eq!(decide(&mut p, 0.35), Hold);
     }
 
     #[test]
     fn recovery_when_load_returns() {
         let mut p = policy();
-        for _ in 0..4 {
-            p.on_window(0.5);
-        }
-        for _ in 0..4 {
-            assert_eq!(p.on_window(0.0), ScalingDecision::Up);
-        }
-        assert_eq!(p.level().freq_mhz, 600);
-        assert_eq!(p.on_window(0.0), ScalingDecision::Hold);
-        assert_eq!(p.switch_count(), 8);
+        let idle = [0.5; 4].into_iter().chain([0.0; 5]);
+        let decisions: Vec<_> = idle.map(|idle| decide(&mut p, idle)).collect();
+        // Down to 400 MHz, back up to 600 MHz, where it holds.
+        assert_eq!(decisions, [Down, Down, Down, Down, Up, Up, Up, Up, Hold]);
+        assert_eq!(decisions.iter().filter(|&&d| d != Hold).count(), 8);
+    }
+
+    #[test]
+    fn mes_scale_independently() {
+        let mut p = policy();
+        let window = Window::new(0.0, &[0.5, 0.0]);
+        assert_eq!(window.decide(&mut p), [Down, Hold]);
+        // The idle ME keeps walking down while the busy one holds at top.
+        assert_eq!(window.decide(&mut p), [Down, Hold]);
+        assert!(!p.monitors_traffic());
     }
 
     #[test]
     fn exact_threshold_holds() {
         let mut p = policy();
-        assert_eq!(p.on_window(0.10), ScalingDecision::Hold);
+        assert_eq!(decide(&mut p, 0.10), Hold);
     }
 
     #[test]
     #[should_panic(expected = "idle fraction must be in [0, 1]")]
     fn rejects_out_of_range_idle() {
         let mut p = policy();
-        let _ = p.on_window(1.5);
+        let _ = decide(&mut p, 1.5);
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! | `queue`        | QDVS    | rx-FIFO occupancy       | global |
 //! | `proportional` | PDVS    | idle time (PI control)  | per-ME |
 //!
-//! The paper's two policies ([`Tdvs`], [`Edvs`]) and the TEDVS extension
-//! ([`Combined`]) remain standalone automata with their signal-specific
-//! APIs, adapted to the trait by thin wrappers; [`QueueAware`] and
-//! [`Proportional`] are written directly against the trait.
+//! Every built-in policy is a [`DvsPolicy`]: the paper's two ([`Tdvs`],
+//! [`Edvs`]), the TEDVS extension ([`Combined`]), [`QueueAware`],
+//! [`Proportional`] and the [`NoDvsPolicy`] baseline.
 //!
 //! All built-ins operate on the XScale-style VF ladder of
 //! [`VfLadder::xscale_npu`] — 400–600 MHz in 50 MHz steps, 1.1–1.3 V —
@@ -42,27 +41,18 @@
 //! # Example
 //!
 //! ```
-//! use dvs::{PolicySpec, ScalingDecision, Tdvs, TdvsConfig, VfLadder};
+//! use dvs::{PolicySpec, VfLadder};
 //!
-//! // The automaton API, unchanged from the paper...
-//! let ladder = VfLadder::xscale_npu();
-//! let mut tdvs = Tdvs::new(TdvsConfig {
-//!     top_threshold_mbps: 1000.0,
-//!     window_cycles: 40_000,
-//! }, ladder.clone());
-//! assert_eq!(tdvs.on_window(500.0), ScalingDecision::Down);
-//! assert_eq!(tdvs.level().freq_mhz, 550);
-//!
-//! // ...and the spec-string route to the same policy as a trait object.
+//! // The spec-string route to a policy as a trait object.
 //! let spec: PolicySpec = "tdvs:threshold=1000,window=40000".parse().unwrap();
-//! let policy = spec.build(&ladder);
+//! let policy = spec.build(&VfLadder::xscale_npu());
 //! assert_eq!(policy.window_cycles(), Some(40_000));
+//! assert!(policy.monitors_traffic());
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod adapters;
 mod combined;
 mod edvs;
 mod policy;
@@ -73,11 +63,12 @@ mod spec;
 mod tdvs;
 mod vf;
 
-pub use adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
 pub use combined::{Combined, CombinedConfig};
 pub use edvs::{Edvs, EdvsConfig};
 pub use kvspec::{ParamInfo, Registry};
-pub use policy::{DvsPolicy, MeObservation, PolicyObservation, PolicyResponse, QueueObservation};
+pub use policy::{
+    DvsPolicy, MeObservation, NoDvsPolicy, PolicyObservation, PolicyResponse, QueueObservation,
+};
 pub use proportional::{Proportional, ProportionalConfig};
 pub use queue::{QueueAware, QueueAwareConfig};
 pub use registry::POLICIES;
@@ -108,6 +99,24 @@ pub enum ScalingDecision {
     /// Stay at the current level (also returned when a step is requested
     /// but the ladder bound is already reached).
     Hold,
+}
+
+impl ScalingDecision {
+    /// Steps `level` one rung down when `down` asks and it is above the
+    /// bottom, else one rung up when `up` asks and it is below `top`,
+    /// else holds, and returns the step taken: the rule of every built-in
+    /// policy that keeps its own level.
+    pub(crate) fn step(level: &mut usize, top: usize, down: bool, up: bool) -> Self {
+        if down && *level > 0 {
+            *level -= 1;
+            ScalingDecision::Down
+        } else if up && *level < top {
+            *level += 1;
+            ScalingDecision::Up
+        } else {
+            ScalingDecision::Hold
+        }
+    }
 }
 
 /// Identifies which policy family an experiment runs — the label used by
@@ -183,5 +192,73 @@ mod tests {
         assert_eq!(PolicyKind::QueueAware.to_string(), "QDVS");
         assert_eq!(PolicyKind::Proportional.to_string(), "PDVS");
         assert_eq!(PolicyKind::Custom.to_string(), "custom");
+    }
+}
+
+/// The observation builder of the policies' unit tests.
+#[cfg(test)]
+pub(crate) mod test_window {
+    use crate::{DvsPolicy, MeObservation, PolicyObservation, QueueObservation, ScalingDecision};
+
+    /// One monitor window as a policy sees it.
+    pub(crate) struct Window {
+        mbps: f64,
+        mes: Vec<MeObservation>,
+        rx_fifo: QueueObservation,
+    }
+
+    impl Window {
+        /// `mbps` of aggregate traffic over one ME per entry of `idle`,
+        /// each idle that fraction of the window and reported at the top
+        /// level of the XScale ladder, with an empty 1000-packet receive
+        /// FIFO.
+        pub(crate) fn new(mbps: f64, idle: &[f64]) -> Window {
+            let mes = idle
+                .iter()
+                .map(|&idle_fraction| MeObservation {
+                    idle_fraction,
+                    level: 4,
+                })
+                .collect();
+            let rx_fifo = QueueObservation {
+                occupancy: 0,
+                capacity: 1000,
+                dropped: 0,
+            };
+            Window { mbps, mes, rx_fifo }
+        }
+
+        /// The same window with the MEs reported at `levels`.
+        pub(crate) fn levels(mut self, levels: &[usize]) -> Window {
+            for (me, &level) in self.mes.iter_mut().zip(levels) {
+                me.level = level;
+            }
+            self
+        }
+
+        /// The same window with `occupancy` packets in the receive FIFO
+        /// and `dropped` packets dropped there during the window.
+        pub(crate) fn fifo(mut self, occupancy: usize, dropped: u64) -> Window {
+            self.rx_fifo.occupancy = occupancy;
+            self.rx_fifo.dropped = dropped;
+            self
+        }
+
+        /// Hands the window to `policy` and returns its decisions.
+        pub(crate) fn decide(&self, policy: &mut dyn DvsPolicy) -> Vec<ScalingDecision> {
+            let obs = PolicyObservation {
+                window: 0,
+                window_us: 66.6,
+                aggregate_mbps: self.mbps,
+                mes: &self.mes,
+                rx_fifo: self.rx_fifo,
+                tx_queue: QueueObservation {
+                    occupancy: 0,
+                    capacity: 1000,
+                    dropped: 0,
+                },
+            };
+            policy.on_window(&obs).decisions
+        }
     }
 }

@@ -103,8 +103,10 @@ impl PolicyResponse {
 /// [`ScalingDecision`]s. The platform owns the actual VF levels, clamps
 /// steps at the ladder bounds and charges switch penalties; the
 /// observation's [`MeObservation::level`] always reflects the applied
-/// state, so a policy need not track levels itself (though the built-in
-/// automata do, to keep their standalone APIs).
+/// state, so a policy need not track levels itself. The built-in
+/// threshold policies keep their own all the same: a fleet power cap
+/// can hold the applied level below the one they stepped to, and their
+/// state must advance as it would uncapped.
 ///
 /// # Writing your own policy
 ///
@@ -154,9 +156,37 @@ pub trait DvsPolicy: std::fmt::Debug {
     fn on_window(&mut self, obs: &PolicyObservation<'_>) -> PolicyResponse;
 }
 
+/// The baseline: never scales, every ME pinned at the top VF level.
+#[derive(Debug, Clone, Default)]
+pub struct NoDvsPolicy;
+
+impl DvsPolicy for NoDvsPolicy {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::NoDvs
+    }
+
+    fn window_cycles(&self) -> Option<u64> {
+        None
+    }
+
+    fn on_window(&mut self, obs: &PolicyObservation<'_>) -> PolicyResponse {
+        PolicyResponse::hold(obs.mes.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_window::Window;
+
+    #[test]
+    fn nodvs_always_holds() {
+        let mut p = NoDvsPolicy;
+        let decisions = Window::new(2000.0, &[0.9, 0.0]).decide(&mut p);
+        assert_eq!(decisions, vec![ScalingDecision::Hold; 2]);
+        assert_eq!(p.window_cycles(), None);
+        assert!(!p.monitors_traffic());
+    }
 
     #[test]
     fn queue_fill_fraction() {

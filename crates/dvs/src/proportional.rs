@@ -114,12 +114,6 @@ impl Proportional {
         }
     }
 
-    /// The policy's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ProportionalConfig {
-        &self.config
-    }
-
     /// The level this controller wants ME `state` at, given one idle
     /// observation. Steps the integrator.
     fn desired_level(&self, state: &mut MeState, idle: f64) -> usize {
@@ -175,36 +169,16 @@ impl DvsPolicy for Proportional {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MeObservation, QueueObservation};
-
-    fn obs(mes: &[MeObservation]) -> PolicyObservation<'_> {
-        PolicyObservation {
-            window: 0,
-            window_us: 66.6,
-            aggregate_mbps: 500.0,
-            mes,
-            rx_fifo: QueueObservation {
-                occupancy: 0,
-                capacity: 2048,
-                dropped: 0,
-            },
-            tx_queue: QueueObservation {
-                occupancy: 0,
-                capacity: 2048,
-                dropped: 0,
-            },
-        }
-    }
+    use crate::test_window::Window;
 
     fn policy() -> Proportional {
         Proportional::new(ProportionalConfig::default(), VfLadder::xscale_npu())
     }
 
-    fn me(idle: f64, level: usize) -> MeObservation {
-        MeObservation {
-            idle_fraction: idle,
-            level,
-        }
+    /// The decision for one window in which the one ME, at `level`, is
+    /// idle `idle`.
+    fn decide(p: &mut Proportional, idle: f64, level: usize) -> ScalingDecision {
+        Window::new(500.0, &[idle]).levels(&[level]).decide(p)[0]
     }
 
     #[test]
@@ -212,13 +186,11 @@ mod tests {
         let mut p = policy();
         // A single moderately idle window: proportional term alone
         // (4 * 0.08 = 0.32) rounds to no move.
-        let mes = [me(0.18, 4)];
-        assert_eq!(p.on_window(&obs(&mes)).decisions[0], ScalingDecision::Hold);
+        assert_eq!(decide(&mut p, 0.18, 4), ScalingDecision::Hold);
         // ...but the error integrates: a few more such windows move it.
         let mut level = 4;
         for _ in 0..12 {
-            let mes = [me(0.18, level)];
-            if p.on_window(&obs(&mes)).decisions[0] == ScalingDecision::Down {
+            if decide(&mut p, 0.18, level) == ScalingDecision::Down {
                 level -= 1;
             }
         }
@@ -228,8 +200,7 @@ mod tests {
     #[test]
     fn large_error_moves_immediately() {
         let mut p = policy();
-        let mes = [me(0.60, 4)];
-        assert_eq!(p.on_window(&obs(&mes)).decisions[0], ScalingDecision::Down);
+        assert_eq!(decide(&mut p, 0.60, 4), ScalingDecision::Down);
     }
 
     #[test]
@@ -238,16 +209,14 @@ mod tests {
         // Drive one ME down...
         let mut level: usize = 4;
         for _ in 0..20 {
-            let mes = [me(0.8, level)];
-            if p.on_window(&obs(&mes)).decisions[0] == ScalingDecision::Down {
+            if decide(&mut p, 0.8, level) == ScalingDecision::Down {
                 level = level.saturating_sub(1);
             }
         }
         assert_eq!(level, 0);
         // ...then saturate it: the controller must unwind back to top.
         for _ in 0..40 {
-            let mes = [me(0.0, level)];
-            if p.on_window(&obs(&mes)).decisions[0] == ScalingDecision::Up {
+            if decide(&mut p, 0.0, level) == ScalingDecision::Up {
                 level += 1;
             }
         }
@@ -257,10 +226,9 @@ mod tests {
     #[test]
     fn mes_are_controlled_independently() {
         let mut p = policy();
-        let mes = [me(0.9, 4), me(0.0, 4)];
-        let r = p.on_window(&obs(&mes));
-        assert_eq!(r.decisions[0], ScalingDecision::Down);
-        assert_eq!(r.decisions[1], ScalingDecision::Hold);
+        let decisions = Window::new(500.0, &[0.9, 0.0]).decide(&mut p);
+        assert_eq!(decisions[0], ScalingDecision::Down);
+        assert_eq!(decisions[1], ScalingDecision::Hold);
     }
 
     #[test]
@@ -270,8 +238,7 @@ mod tests {
             ..ProportionalConfig::default()
         };
         let mut p = Proportional::new(cfg, VfLadder::xscale_npu());
-        let mes = [me(0.6, 4)];
-        assert_eq!(p.on_window(&obs(&mes)).decisions[0], ScalingDecision::Down);
+        assert_eq!(decide(&mut p, 0.6, 4), ScalingDecision::Down);
     }
 
     #[test]

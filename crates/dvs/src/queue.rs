@@ -93,18 +93,6 @@ impl QueueAware {
             level,
         }
     }
-
-    /// The policy's configuration.
-    #[must_use]
-    pub fn config(&self) -> &QueueAwareConfig {
-        &self.config
-    }
-
-    /// The chip-wide level this policy currently commands.
-    #[must_use]
-    pub fn level_index(&self) -> usize {
-        self.level
-    }
 }
 
 impl DvsPolicy for QueueAware {
@@ -119,15 +107,9 @@ impl DvsPolicy for QueueAware {
     fn on_window(&mut self, obs: &PolicyObservation<'_>) -> PolicyResponse {
         let fill = obs.rx_fifo.fill_fraction();
         let pressured = obs.rx_fifo.dropped > 0 || fill > self.config.high_occupancy;
-        let decision = if pressured && self.level < self.ladder.top_index() {
-            self.level += 1;
-            ScalingDecision::Up
-        } else if !pressured && fill < self.config.low_occupancy && self.level > 0 {
-            self.level -= 1;
-            ScalingDecision::Down
-        } else {
-            ScalingDecision::Hold
-        };
+        let down = !pressured && fill < self.config.low_occupancy;
+        let top = self.ladder.top_index();
+        let decision = ScalingDecision::step(&mut self.level, top, down, pressured);
         PolicyResponse::uniform(decision, obs.mes.len())
     }
 }
@@ -135,85 +117,56 @@ impl DvsPolicy for QueueAware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MeObservation, QueueObservation};
-
-    fn obs(mes: &[MeObservation], occupancy: usize, dropped: u64) -> PolicyObservation<'_> {
-        PolicyObservation {
-            window: 0,
-            window_us: 66.6,
-            aggregate_mbps: 900.0,
-            mes,
-            rx_fifo: QueueObservation {
-                occupancy,
-                capacity: 1000,
-                dropped,
-            },
-            tx_queue: QueueObservation {
-                occupancy: 0,
-                capacity: 1000,
-                dropped: 0,
-            },
-        }
-    }
+    use crate::test_window::Window;
+    use ScalingDecision::{Down, Hold, Up};
 
     fn policy() -> QueueAware {
         QueueAware::new(QueueAwareConfig::default(), VfLadder::xscale_npu())
     }
 
-    const MES: [MeObservation; 2] = [
-        MeObservation {
-            idle_fraction: 0.0,
-            level: 4,
-        },
-        MeObservation {
-            idle_fraction: 0.0,
-            level: 4,
-        },
-    ];
+    /// The decisions for one window over two MEs that ends with
+    /// `occupancy` of 1000 packets in the receive FIFO after `dropped`
+    /// drops.
+    fn decide(p: &mut QueueAware, occupancy: usize, dropped: u64) -> Vec<ScalingDecision> {
+        Window::new(900.0, &[0.0; 2])
+            .fifo(occupancy, dropped)
+            .decide(p)
+    }
 
     #[test]
     fn empty_fifo_walks_down_and_clamps() {
         let mut p = policy();
         for _ in 0..4 {
-            let r = p.on_window(&obs(&MES, 0, 0));
-            assert_eq!(r.decisions, vec![ScalingDecision::Down; 2]);
+            assert_eq!(decide(&mut p, 0, 0), [Down; 2]);
         }
-        assert_eq!(p.level_index(), 0);
-        let r = p.on_window(&obs(&MES, 0, 0));
-        assert_eq!(r.decisions, vec![ScalingDecision::Hold; 2]);
+        // Four steps from the top reach the bottom, which holds.
+        assert_eq!(decide(&mut p, 0, 0), [Hold; 2]);
     }
 
     #[test]
     fn drops_force_scale_up() {
         let mut p = policy();
-        p.on_window(&obs(&MES, 0, 0));
-        p.on_window(&obs(&MES, 0, 0));
-        assert_eq!(p.level_index(), 2);
+        assert_eq!(decide(&mut p, 0, 0), [Down; 2]);
+        assert_eq!(decide(&mut p, 0, 0), [Down; 2]);
         // Even with a near-empty FIFO, a drop means the window lost data.
-        let r = p.on_window(&obs(&MES, 10, 3));
-        assert_eq!(r.decisions, vec![ScalingDecision::Up; 2]);
+        assert_eq!(decide(&mut p, 10, 3), [Up; 2]);
     }
 
     #[test]
     fn dead_band_holds() {
         let mut p = policy();
-        // 50% fill sits between the 20%/75% watermarks.
-        let r = p.on_window(&obs(&MES, 500, 0));
-        assert_eq!(r.decisions, vec![ScalingDecision::Hold; 2]);
-        assert_eq!(p.level_index(), 4);
+        // 50% fill sits between the 20%/75% watermarks: the top level holds.
+        assert_eq!(decide(&mut p, 500, 0), [Hold; 2]);
     }
 
     #[test]
     fn high_occupancy_scales_up_from_below() {
         let mut p = policy();
-        p.on_window(&obs(&MES, 0, 0));
-        assert_eq!(p.level_index(), 3);
-        let r = p.on_window(&obs(&MES, 800, 0));
-        assert_eq!(r.decisions, vec![ScalingDecision::Up; 2]);
-        assert_eq!(p.level_index(), 4);
-        // At the top, pressure holds.
-        let r = p.on_window(&obs(&MES, 900, 1));
-        assert_eq!(r.decisions, vec![ScalingDecision::Hold; 2]);
+        assert_eq!(decide(&mut p, 0, 0), [Down; 2]);
+        // Back at the top...
+        assert_eq!(decide(&mut p, 800, 0), [Up; 2]);
+        // ...pressure holds.
+        assert_eq!(decide(&mut p, 900, 1), [Hold; 2]);
     }
 
     #[test]

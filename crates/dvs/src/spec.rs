@@ -23,11 +23,11 @@ use std::str::FromStr;
 pub use kvspec::{Params, SpecError};
 use serde::{Deserialize, Serialize};
 
-use crate::adapters::{CombinedPolicy, EdvsPolicy, NoDvsPolicy, TdvsPolicy};
 use crate::registry::POLICIES;
 use crate::{
-    CombinedConfig, DvsPolicy, EdvsConfig, HysteresisTdvsConfig, PolicyKind, Proportional,
-    ProportionalConfig, QueueAware, QueueAwareConfig, TdvsConfig, VfLadder,
+    Combined, CombinedConfig, DvsPolicy, Edvs, EdvsConfig, HysteresisTdvsConfig, NoDvsPolicy,
+    PolicyKind, Proportional, ProportionalConfig, QueueAware, QueueAwareConfig, Tdvs, TdvsConfig,
+    VfLadder,
 };
 
 /// A fully parameterised, buildable policy description.
@@ -99,12 +99,10 @@ impl PolicySpec {
     pub fn build(&self, ladder: &VfLadder) -> Box<dyn DvsPolicy> {
         match self {
             PolicySpec::NoDvs => Box::new(NoDvsPolicy),
-            PolicySpec::Tdvs(c) => Box::new(TdvsPolicy::new(*c, ladder.clone())),
-            PolicySpec::TdvsHysteresis(c) => {
-                Box::new(TdvsPolicy::with_hysteresis(*c, ladder.clone()))
-            }
-            PolicySpec::Edvs(c) => Box::new(EdvsPolicy::new(*c, ladder.clone())),
-            PolicySpec::Combined(c) => Box::new(CombinedPolicy::new(*c, ladder.clone())),
+            PolicySpec::Tdvs(c) => Box::new(Tdvs::new(*c, ladder.clone())),
+            PolicySpec::TdvsHysteresis(c) => Box::new(Tdvs::with_hysteresis(*c, ladder.clone())),
+            PolicySpec::Edvs(c) => Box::new(Edvs::new(*c, ladder.clone())),
+            PolicySpec::Combined(c) => Box::new(Combined::new(*c, ladder.clone())),
             PolicySpec::QueueAware(c) => Box::new(QueueAware::new(*c, ladder.clone())),
             PolicySpec::Proportional(c) => Box::new(Proportional::new(*c, ladder.clone())),
         }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ScalingDecision, VfLadder, VfPoint};
+use crate::{DvsPolicy, PolicyKind, PolicyObservation, PolicyResponse, ScalingDecision, VfLadder};
 
 /// Tunable parameters of a TDVS policy: the two axes explored in the
 /// paper's Figures 6–9.
@@ -61,20 +61,27 @@ pub struct HysteresisTdvsConfig {
 /// # Example
 ///
 /// ```
+/// use dvs::{DvsPolicy, MeObservation, PolicyObservation, QueueObservation};
 /// use dvs::{ScalingDecision, Tdvs, TdvsConfig, VfLadder};
 /// let mut p = Tdvs::new(TdvsConfig::default(), VfLadder::xscale_npu());
+/// let fifo = QueueObservation { occupancy: 0, capacity: 2048, dropped: 0 };
+/// let mes = [MeObservation { idle_fraction: 0.0, level: 4 }; 2];
+/// let mut window = |aggregate_mbps| {
+///     let obs = PolicyObservation {
+///         window: 0, window_us: 66.6, aggregate_mbps, mes: &mes, rx_fifo: fifo, tx_queue: fifo,
+///     };
+///     p.on_window(&obs).decisions
+/// };
 /// // Heavy traffic at the top level: nothing above 600MHz to scale to.
-/// assert_eq!(p.on_window(1400.0), ScalingDecision::Hold);
-/// // Light traffic scales down step by step.
-/// assert_eq!(p.on_window(100.0), ScalingDecision::Down);
-/// assert_eq!(p.level().freq_mhz, 550);
+/// assert_eq!(window(1400.0), vec![ScalingDecision::Hold; 2]);
+/// // Light traffic scales the whole chip down step by step.
+/// assert_eq!(window(100.0), vec![ScalingDecision::Down; 2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tdvs {
     config: TdvsConfig,
     ladder: VfLadder,
     level: usize,
-    switches: u64,
     hysteresis: f64,
 }
 
@@ -96,7 +103,6 @@ impl Tdvs {
             config,
             ladder,
             level,
-            switches: 0,
             hysteresis: 0.0,
         }
     }
@@ -124,69 +130,50 @@ impl Tdvs {
         policy
     }
 
-    /// The policy's configuration.
-    #[must_use]
-    pub fn config(&self) -> &TdvsConfig {
-        &self.config
-    }
-
-    /// The current operating point.
-    #[must_use]
-    pub fn level(&self) -> VfPoint {
-        self.ladder.point(self.level)
-    }
-
-    /// Index of the current level in the ladder.
-    #[must_use]
-    pub fn level_index(&self) -> usize {
-        self.level
-    }
-
-    /// Number of VF switches performed so far.
-    #[must_use]
-    pub fn switch_count(&self) -> u64 {
-        self.switches
-    }
-
     /// The traffic threshold (Mbps) that applies while operating at ladder
     /// `index` — the scaled values of paper Fig. 5.
     #[must_use]
     pub fn threshold_at(&self, index: usize) -> f64 {
-        let f = f64::from(self.ladder.point(index).freq_mhz);
-        let f_top = f64::from(self.ladder.top().freq_mhz);
-        self.config.top_threshold_mbps * f / f_top
+        scaled_threshold(self.config.top_threshold_mbps, &self.ladder, index)
+    }
+}
+
+/// The traffic threshold at ladder `index` for a top-level threshold of
+/// `top_mbps`: `top_mbps * f(index) / f(top)` (paper Fig. 5).
+pub(crate) fn scaled_threshold(top_mbps: f64, ladder: &VfLadder, index: usize) -> f64 {
+    let f = f64::from(ladder.point(index).freq_mhz);
+    let f_top = f64::from(ladder.top().freq_mhz);
+    top_mbps * f / f_top
+}
+
+impl DvsPolicy for Tdvs {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Tdvs
     }
 
-    /// The threshold in force at the current level.
-    #[must_use]
-    pub fn current_threshold(&self) -> f64 {
-        self.threshold_at(self.level)
+    fn window_cycles(&self) -> Option<u64> {
+        Some(self.config.window_cycles)
     }
 
-    /// Reports the traffic volume (Mbps) observed over the last monitor
-    /// window and returns the scaling decision. The policy's level is
-    /// already updated when this returns.
-    pub fn on_window(&mut self, observed_mbps: f64) -> ScalingDecision {
-        let threshold = self.current_threshold();
-        let down_at = threshold * (1.0 - self.hysteresis);
-        let up_at = threshold * (1.0 + self.hysteresis);
-        if observed_mbps < down_at && self.level > 0 {
-            self.level -= 1;
-            self.switches += 1;
-            ScalingDecision::Down
-        } else if observed_mbps > up_at && self.level < self.ladder.top_index() {
-            self.level += 1;
-            self.switches += 1;
-            ScalingDecision::Up
-        } else {
-            ScalingDecision::Hold
-        }
+    fn monitors_traffic(&self) -> bool {
+        true
+    }
+
+    fn on_window(&mut self, obs: &PolicyObservation<'_>) -> PolicyResponse {
+        let threshold = self.threshold_at(self.level);
+        let down = obs.aggregate_mbps < threshold * (1.0 - self.hysteresis);
+        let up = obs.aggregate_mbps > threshold * (1.0 + self.hysteresis);
+        let top = self.ladder.top_index();
+        let decision = ScalingDecision::step(&mut self.level, top, down, up);
+        PolicyResponse::uniform(decision, obs.mes.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_window::Window;
+    use ScalingDecision::{Down, Hold, Up};
 
     fn policy(top: f64) -> Tdvs {
         Tdvs::new(
@@ -196,6 +183,11 @@ mod tests {
             },
             VfLadder::xscale_npu(),
         )
+    }
+
+    /// The decision for one window of `mbps` traffic over one ME.
+    fn decide(p: &mut Tdvs, mbps: f64) -> ScalingDecision {
+        Window::new(mbps, &[0.0]).decide(p)[0]
     }
 
     #[test]
@@ -213,43 +205,45 @@ mod tests {
     }
 
     #[test]
+    fn decides_for_the_whole_chip() {
+        let mut p = Tdvs::new(TdvsConfig::default(), VfLadder::xscale_npu());
+        assert_eq!(Window::new(100.0, &[0.0; 3]).decide(&mut p), [Down; 3]);
+        assert!(p.monitors_traffic());
+        assert_eq!(p.window_cycles(), Some(40_000));
+    }
+
+    #[test]
     fn scales_down_to_bottom_and_clamps() {
         let mut p = policy(1000.0);
-        for _ in 0..4 {
-            assert_eq!(p.on_window(100.0), ScalingDecision::Down);
-        }
-        assert_eq!(p.level().freq_mhz, 400);
-        assert_eq!(p.on_window(100.0), ScalingDecision::Hold);
-        assert_eq!(p.level().freq_mhz, 400);
-        assert_eq!(p.switch_count(), 4);
+        let decisions: Vec<_> = (0..5).map(|_| decide(&mut p, 100.0)).collect();
+        // Four steps take 600 MHz to the 400 MHz bottom, which holds.
+        assert_eq!(decisions, [Down, Down, Down, Down, Hold]);
+        assert_eq!(decisions.iter().filter(|&&d| d != Hold).count(), 4);
     }
 
     #[test]
     fn scales_back_up_under_load() {
         let mut p = policy(1000.0);
         for _ in 0..4 {
-            p.on_window(0.0);
+            assert_eq!(decide(&mut p, 0.0), Down);
         }
-        assert_eq!(p.level().freq_mhz, 400);
-        // 700 Mbps exceeds the 666 Mbps threshold at 400MHz: scale up.
-        assert_eq!(p.on_window(700.0), ScalingDecision::Up);
-        assert_eq!(p.level().freq_mhz, 450);
+        // At 400MHz, 700 Mbps exceeds the 666 Mbps threshold: scale up.
+        assert_eq!(decide(&mut p, 700.0), Up);
         // ...but 700 < 750 at 450MHz: scale back down (the oscillation the
         // paper attributes small-window throughput loss to).
-        assert_eq!(p.on_window(700.0), ScalingDecision::Down);
+        assert_eq!(decide(&mut p, 700.0), Down);
     }
 
     #[test]
     fn at_top_high_traffic_holds() {
         let mut p = policy(800.0);
-        assert_eq!(p.on_window(1200.0), ScalingDecision::Hold);
-        assert_eq!(p.level().freq_mhz, 600);
+        assert_eq!(decide(&mut p, 1200.0), Hold);
     }
 
     #[test]
     fn exact_threshold_holds() {
         let mut p = policy(1000.0);
-        assert_eq!(p.on_window(1000.0), ScalingDecision::Hold);
+        assert_eq!(decide(&mut p, 1000.0), Hold);
     }
 
     #[test]
@@ -258,10 +252,17 @@ mod tests {
         // threshold <= 700 are 400MHz (666); the policy should oscillate
         // between 400 and 450 MHz once settled.
         let mut p = policy(1000.0);
+        let ladder = VfLadder::xscale_npu();
+        let mut level = ladder.top_index();
         for _ in 0..10 {
-            p.on_window(700.0);
+            match decide(&mut p, 700.0) {
+                Up => level += 1,
+                Down => level -= 1,
+                Hold => {}
+            }
         }
-        assert!(p.level().freq_mhz <= 450, "settled at {}", p.level());
+        let settled = ladder.point(level);
+        assert!(settled.freq_mhz <= 450, "settled at {settled}");
     }
 
     #[test]
@@ -269,12 +270,9 @@ mod tests {
         // Offered load exactly between two per-level thresholds (916 at
         // 550MHz and 1000 at 600MHz): the plain rule flip-flops...
         let mut plain = policy(1000.0);
-        let mut flips = 0;
-        for _ in 0..20 {
-            if plain.on_window(950.0) != ScalingDecision::Hold {
-                flips += 1;
-            }
-        }
+        let flips = (0..20)
+            .filter(|_| decide(&mut plain, 950.0) != Hold)
+            .count();
         assert!(flips >= 19, "plain rule should oscillate, saw {flips}");
 
         // ...while a 10% dead band settles after the first step.
@@ -284,14 +282,10 @@ mod tests {
         }
         .with_hysteresis(0.10);
         let mut damped = Tdvs::with_hysteresis(cfg, VfLadder::xscale_npu());
-        for _ in 0..20 {
-            let _ = damped.on_window(950.0);
-        }
-        assert!(
-            damped.switch_count() <= 2,
-            "hysteresis policy switched {} times",
-            damped.switch_count()
-        );
+        let switches = (0..20)
+            .filter(|_| decide(&mut damped, 950.0) != Hold)
+            .count();
+        assert!(switches <= 2, "hysteresis policy switched {switches} times");
     }
 
     #[test]
@@ -300,9 +294,9 @@ mod tests {
         let mut a = Tdvs::with_hysteresis(cfg, VfLadder::xscale_npu());
         // The window size plays no role in the decision rule.
         let mut b = policy(1000.0);
+        // Both start at the top, so equal decisions keep equal levels.
         for obs in [500.0, 1200.0, 700.0, 900.0, 1100.0, 300.0] {
-            assert_eq!(a.on_window(obs), b.on_window(obs));
-            assert_eq!(a.level_index(), b.level_index());
+            assert_eq!(decide(&mut a, obs), decide(&mut b, obs));
         }
     }
 

@@ -1,7 +1,6 @@
 //! Cross-crate property tests: invariants that must hold across the
 //! traffic → simulator → analyzer stack, checked with proptest.
 
-use abdex::dvs::{Edvs, EdvsConfig, ScalingDecision, Tdvs, TdvsConfig, VfLadder};
 use abdex::formulas::power_distribution;
 use abdex::loc::{Analyzer, Annotations, TraceRecord};
 use abdex::nepsim::{Benchmark, NpuConfig, Simulator};
@@ -28,39 +27,6 @@ proptest! {
         let p = r.mean_power_w();
         prop_assert!(p > 0.1 && p < 5.0, "power {p}");
         prop_assert!(r.throughput_mbps() <= r.offered_mbps() + 1.0);
-    }
-
-    /// The TDVS automaton never leaves the ladder and only moves one step
-    /// per window.
-    #[test]
-    fn tdvs_stays_on_ladder(observations in prop::collection::vec(0.0f64..2000.0, 1..200)) {
-        let ladder = VfLadder::xscale_npu();
-        let mut policy = Tdvs::new(TdvsConfig::default(), ladder.clone());
-        let mut prev = policy.level_index();
-        for obs in observations {
-            let decision = policy.on_window(obs);
-            let now = policy.level_index();
-            prop_assert!(now < ladder.len());
-            let delta = now as i64 - prev as i64;
-            prop_assert!(delta.abs() <= 1, "moved {delta} steps");
-            match decision {
-                ScalingDecision::Up => prop_assert_eq!(delta, 1),
-                ScalingDecision::Down => prop_assert_eq!(delta, -1),
-                ScalingDecision::Hold => prop_assert_eq!(delta, 0),
-            }
-            prev = now;
-        }
-    }
-
-    /// Same for EDVS, with idle fractions in [0, 1].
-    #[test]
-    fn edvs_stays_on_ladder(observations in prop::collection::vec(0.0f64..=1.0, 1..200)) {
-        let ladder = VfLadder::xscale_npu();
-        let mut policy = Edvs::new(EdvsConfig::default(), ladder.clone());
-        for obs in observations {
-            let _ = policy.on_window(obs);
-            prop_assert!(policy.level_index() < ladder.len());
-        }
     }
 
     /// The packet stream is monotone in time and respects the port count
