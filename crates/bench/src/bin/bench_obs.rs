@@ -16,19 +16,18 @@
 //! proves nothing). Rounds interleave disarmed/armed passes so clock
 //! drift and cache warmth hit both sides equally.
 
-use std::io::Write;
 use std::time::Instant;
 
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
-use abdex::{run_grid, Grid, Runner, TdvsGrid};
+use abdex::{errln, run_grid, stdio, Grid, Runner, TdvsGrid};
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let mut args = std::env::args().skip(1);
     let cycles: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(800_000);
     let rounds: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(5);
@@ -40,8 +39,7 @@ fn main() {
         windows_cycles: vec![10_000, 20_000, 30_000, 40_000],
     };
     let runner = Runner::new();
-    let _ = writeln!(
-        std::io::stderr(),
+    errln!(
         "bench_obs: {} cells x {cycles} cycles, {rounds} interleaved rounds on {} workers",
         grid.len(),
         runner.workers()
@@ -107,11 +105,11 @@ fn main() {
         spans / rounds,
     );
     std::fs::write(&out, &doc).expect("write baseline JSON");
-    let _ = writeln!(
-        std::io::stderr(),
+    errln!(
         "disarmed {disarmed_s:.4}s, armed {armed_s:.4}s ({:+.2}% overhead, \
          {} spans/round) -> {out}",
         overhead * 100.0,
         spans / rounds
     );
+    stdio::exit_status(stdio::flush_stdout())
 }

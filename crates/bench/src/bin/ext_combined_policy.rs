@@ -5,10 +5,10 @@
 use abdex::dvs::{CombinedConfig, EdvsConfig, TdvsConfig};
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
-use abdex::{Experiment, PolicySpec};
+use abdex::{outln, stdio, Experiment, PolicySpec};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let cycles = cycles_from_args();
     let window = 40_000;
     let tdvs = TdvsConfig {
@@ -26,10 +26,15 @@ fn main() {
         ("TEDVS", PolicySpec::Combined(CombinedConfig { tdvs, edvs })),
     ];
 
-    println!("combined-policy extension (TEDVS), ipfwdr, {cycles} cycles per cell:\n");
-    println!(
+    outln!("combined-policy extension (TEDVS), ipfwdr, {cycles} cycles per cell:\n");
+    outln!(
         "{:>7} {:>8} {:>12} {:>14} {:>9} {:>10}",
-        "traffic", "policy", "mean_power_w", "tput_mbps", "switches", "monitor_uj"
+        "traffic",
+        "policy",
+        "mean_power_w",
+        "tput_mbps",
+        "switches",
+        "monitor_uj"
     );
     for traffic in TrafficLevel::ALL {
         for (name, policy) in &policies {
@@ -41,7 +46,7 @@ fn main() {
                 seed: FIG_SEED,
             }
             .run();
-            println!(
+            outln!(
                 "{:>7} {:>8} {:>12.3} {:>14.1} {:>9} {:>10.4}",
                 traffic.to_string(),
                 name,
@@ -51,10 +56,11 @@ fn main() {
                 r.sim.monitor_energy_uj,
             );
         }
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "TEDVS scales a ME down only when traffic is light AND the ME is idle,\n\
          and pays the TDVS monitor-adder energy on every arriving packet."
     );
+    stdio::exit_status(stdio::flush_stdout())
 }

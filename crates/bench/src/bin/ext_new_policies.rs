@@ -5,10 +5,10 @@
 
 use abdex::nepsim::Benchmark;
 use abdex::traffic::TrafficLevel;
-use abdex::{Experiment, PolicySpec};
+use abdex::{outln, stdio, Experiment, PolicySpec};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let cycles = cycles_from_args();
     let specs: Vec<PolicySpec> = [
         "nodvs",
@@ -21,10 +21,15 @@ fn main() {
     .map(|s| s.parse().expect("valid builtin spec"))
     .collect();
 
-    println!("new-policy extension (QDVS, PDVS), ipfwdr, {cycles} cycles per cell:\n");
-    println!(
+    outln!("new-policy extension (QDVS, PDVS), ipfwdr, {cycles} cycles per cell:\n");
+    outln!(
         "{:>7} {:>6} {:>12} {:>14} {:>9} {:>11}",
-        "traffic", "policy", "mean_power_w", "tput_mbps", "switches", "loss_ratio"
+        "traffic",
+        "policy",
+        "mean_power_w",
+        "tput_mbps",
+        "switches",
+        "loss_ratio"
     );
     for traffic in TrafficLevel::ALL {
         let mut baseline = None;
@@ -39,7 +44,7 @@ fn main() {
             .run();
             let power = r.sim.mean_power_w();
             let baseline = *baseline.get_or_insert(power);
-            println!(
+            outln!(
                 "{:>7} {:>6} {:>7.3} (-{:>2.0}%) {:>14.1} {:>9} {:>11.4}",
                 traffic.to_string(),
                 spec.kind().to_string(),
@@ -50,11 +55,12 @@ fn main() {
                 r.sim.loss_ratio(),
             );
         }
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "QDVS reads one FIFO-occupancy register per window (no per-packet\n\
          monitor energy); PDVS integrates the idle error instead of\n\
          thresholding it, trading EDVS's oscillation for settling time."
     );
+    stdio::exit_status(stdio::flush_stdout())
 }

@@ -2,11 +2,12 @@
 //! from the synthetic NLANR-like diurnal model.
 
 use abdex::traffic::{DiurnalModel, TrafficLevel};
+use abdex::{outln, stdio};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let model = DiurnalModel::nlanr_like(abdex_bench::FIG_SEED);
-    println!("Fig. 2 — Example IP packets distribution (bits/s)");
-    println!("{:>6} {:>12} {:>12} {:>12}", "time", "max", "med", "min");
+    outln!("Fig. 2 — Example IP packets distribution (bits/s)");
+    outln!("{:>6} {:>12} {:>12} {:>12}", "time", "max", "med", "min");
     // The paper's x-axis runs 9:47 to 16:43; we print the whole day at
     // 30-minute resolution.
     for half_hour in 0..48 {
@@ -14,20 +15,23 @@ fn main() {
         let s = model.sample(t);
         let hh = half_hour / 2;
         let mm = (half_hour % 2) * 30;
-        println!(
+        outln!(
             "{hh:>4}:{mm:02} {:>12.3e} {:>12.3e} {:>12.3e}",
-            s.max_bps, s.med_bps, s.min_bps
+            s.max_bps,
+            s.med_bps,
+            s.min_bps
         );
     }
-    println!("\nsampling periods used by the experiments (paper §3.2):");
+    outln!("\nsampling periods used by the experiments (paper §3.2):");
     for level in TrafficLevel::ALL {
         let t = DiurnalModel::sampling_time_for(level);
         let s = model.sample(t);
-        println!(
+        outln!(
             "  {level:>6}: {:02.0}:00, median {:.3e} bits/s -> {} Mbps aggregate target",
             t / 3600.0,
             s.med_bps,
             level.mean_rate_mbps()
         );
     }
+    stdio::exit_status(stdio::flush_stdout())
 }

@@ -3,13 +3,14 @@
 
 use abdex::nepsim::{Benchmark, NpuConfig, Simulator, TraceConfig};
 use abdex::traffic::TrafficLevel;
+use abdex::{outln, stdio};
 
-fn main() {
-    println!("Fig. 3 — event and annotation types");
-    println!("  events     : pipeline (instruction bundle enters a pipeline),");
-    println!("               forward (an IP packet is forwarded),");
-    println!("               fifo (an IP packet enters the processing queue)");
-    println!("  annotations: cycle, time(us), energy(uJ), total_pkt, total_bit\n");
+fn main() -> std::process::ExitCode {
+    outln!("Fig. 3 — event and annotation types");
+    outln!("  events     : pipeline (instruction bundle enters a pipeline),");
+    outln!("               forward (an IP packet is forwarded),");
+    outln!("               fifo (an IP packet enters the processing queue)");
+    outln!("  annotations: cycle, time(us), energy(uJ), total_pkt, total_bit\n");
 
     let config = NpuConfig::builder()
         .benchmark(Benchmark::Ipfwdr)
@@ -24,13 +25,14 @@ fn main() {
     let _ = sim.run_cycles(20_000);
     let trace = sim.into_trace();
 
-    println!(
+    outln!(
         "Fig. 4 — a snapshot of a NePSim simulation trace ({} records total)",
         trace.len()
     );
     let text = trace.to_text();
     for line in text.lines().take(24) {
-        println!("  {line}");
+        outln!("  {line}");
     }
-    println!("  ...");
+    outln!("  ...");
+    stdio::exit_status(stdio::flush_stdout())
 }

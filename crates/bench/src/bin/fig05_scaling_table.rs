@@ -2,8 +2,9 @@
 //! thresholds for a 1000 Mbps top threshold.
 
 use abdex::dvs::{Tdvs, TdvsConfig, VfLadder};
+use abdex::{out, outln, stdio};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let ladder = VfLadder::xscale_npu();
     let tdvs = Tdvs::new(
         TdvsConfig {
@@ -13,23 +14,24 @@ fn main() {
         ladder.clone(),
     );
 
-    println!("Fig. 5 — The detailed scaling values (top threshold 1000 Mbps)");
-    print!("{:<24}", "Frequency (MHz)");
+    outln!("Fig. 5 — The detailed scaling values (top threshold 1000 Mbps)");
+    out!("{:<24}", "Frequency (MHz)");
     for p in ladder.iter().rev() {
-        print!(" {:>6}", p.freq_mhz);
+        out!(" {:>6}", p.freq_mhz);
     }
-    print!("\n{:<24}", "Voltage (V)");
+    out!("\n{:<24}", "Voltage (V)");
     for p in ladder.iter().rev() {
-        print!(" {:>6.2}", p.voltage());
+        out!(" {:>6.2}", p.voltage());
     }
-    print!("\n{:<24}", "Traffic Threshold (Mbps)");
+    out!("\n{:<24}", "Traffic Threshold (Mbps)");
     for idx in (0..ladder.len()).rev() {
-        print!(" {:>6.0}", tdvs.threshold_at(idx));
+        out!(" {:>6.0}", tdvs.threshold_at(idx));
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "\nswitch penalty: 10 us ({} cycles at 600 MHz); \
          monitor adder: one 32-bit add per arriving packet",
         abdex::desim::Frequency::from_mhz(600).time_to_cycles(abdex::dvs::SWITCH_PENALTY)
     );
+    stdio::exit_status(stdio::flush_stdout())
 }

@@ -1,20 +1,17 @@
 //! Paper Fig. 8: the 3-D surface of the power value below which 80 % of
 //! formula-(2) instances fall, over the threshold × window grid.
 
-use std::io::Write;
-
 use abdex::nepsim::Benchmark;
 use abdex::sweep::power_surface;
 use abdex::tables::render_surface;
 use abdex::traffic::TrafficLevel;
-use abdex::{run_grid, Grid, Runner, TdvsGrid};
+use abdex::{errln, outln, run_grid, stdio, Grid, Runner, TdvsGrid};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let cycles = cycles_from_args();
     let grid = TdvsGrid::default();
-    let _ = writeln!(
-        std::io::stderr(),
+    errln!(
         "fig08: sweeping {} cells at {cycles} cycles each...",
         grid.len()
     );
@@ -31,8 +28,9 @@ fn main() {
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     let cells = run.plain().expect("one seed per cell");
-    println!(
+    outln!(
         "Fig. 8 — {}",
         render_surface(&power_surface(cells), "80th-percentile power (W)")
     );
+    stdio::exit_status(stdio::flush_stdout())
 }

@@ -1,20 +1,17 @@
 //! Paper Fig. 9: the 3-D surface of the throughput above which 80 % of
 //! formula-(3) instances fall, over the threshold × window grid.
 
-use std::io::Write;
-
 use abdex::nepsim::Benchmark;
 use abdex::sweep::throughput_surface;
 use abdex::tables::render_surface;
 use abdex::traffic::TrafficLevel;
-use abdex::{optimal_tdvs, run_grid, DesignPriority, Grid, Runner, TdvsGrid};
+use abdex::{errln, optimal_tdvs, outln, run_grid, stdio, DesignPriority, Grid, Runner, TdvsGrid};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let cycles = cycles_from_args();
     let grid = TdvsGrid::default();
-    let _ = writeln!(
-        std::io::stderr(),
+    errln!(
         "fig09: sweeping {} cells at {cycles} cycles each...",
         grid.len()
     );
@@ -31,7 +28,7 @@ fn main() {
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     let cells = run.plain().expect("one seed per cell");
-    println!(
+    outln!(
         "Fig. 9 — {}",
         render_surface(
             &throughput_surface(cells),
@@ -45,9 +42,10 @@ fn main() {
     ] {
         let best = optimal_tdvs(cells, priority).expect("non-empty sweep");
         let (threshold, window) = best.experiment.tdvs_point().expect("a TDVS cell");
-        println!(
+        outln!(
             "optimal ({label} priority): threshold {threshold:.0} Mbps, window {}k cycles",
             window / 1000
         );
     }
+    stdio::exit_status(stdio::flush_stdout())
 }

@@ -1,25 +1,22 @@
 //! Paper Fig. 11: power-distribution comparison of noDVS / EDVS / TDVS
 //! across all four benchmarks and the three traffic levels (12 subplots).
 
-use std::io::Write;
-
 use abdex::compare::ComparisonConfig;
 use abdex::dvs::PolicyKind;
 use abdex::nepsim::Benchmark;
 use abdex::tables::render_grid;
 use abdex::traffic::{TrafficLevel, TrafficSpec};
-use abdex::{run_grid, ConfidenceLevel, Grid, Runner};
+use abdex::{errln, out, outln, run_grid, stdio, ConfidenceLevel, Grid, Runner};
 use abdex_bench::{cycles_from_args, FIG_SEED};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let cycles = cycles_from_args();
     let cfg = ComparisonConfig {
         cycles,
         seed: FIG_SEED,
         ..ComparisonConfig::default()
     };
-    let _ = writeln!(
-        std::io::stderr(),
+    errln!(
         "fig11: running {} cells at {cycles} cycles each...",
         Benchmark::ALL.len() * TrafficLevel::ALL.len() * 3
     );
@@ -32,25 +29,26 @@ fn main() {
     // paper's 0.4..1.8 W axis.
     for benchmark in Benchmark::ALL {
         for traffic in TrafficLevel::ALL {
-            println!("\n{benchmark} -- power(W) -- {traffic} traffic (fraction of instances <= x)");
-            print!("{:>8}", "x(W)");
+            outln!("\n{benchmark} -- power(W) -- {traffic} traffic (fraction of instances <= x)");
+            out!("{:>8}", "x(W)");
             for kind in [PolicyKind::NoDvs, PolicyKind::Edvs, PolicyKind::Tdvs] {
-                print!(" {:>8}", kind.to_string());
+                out!(" {:>8}", kind.to_string());
             }
-            println!();
+            outln!();
             for k in 0..=7 {
                 let x = 0.4 + 0.2 * f64::from(k);
-                print!("{x:>8.1}");
+                out!("{x:>8.1}");
                 for kind in [PolicyKind::NoDvs, PolicyKind::Edvs, PolicyKind::Tdvs] {
                     let row = cmp
                         .position(benchmark, &traffic.into(), kind)
                         .expect("row exists");
-                    print!(" {:>8.3}", cells[row].power.fraction_le(x));
+                    out!(" {:>8.3}", cells[row].power.fraction_le(x));
                 }
-                println!();
+                outln!();
             }
         }
     }
 
-    println!("\n{}", render_grid(&cmp, ConfidenceLevel::default()));
+    outln!("\n{}", render_grid(&cmp, ConfidenceLevel::default()));
+    stdio::exit_status(stdio::flush_stdout())
 }

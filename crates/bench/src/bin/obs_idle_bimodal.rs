@@ -4,19 +4,15 @@
 //! simulation, samples per-ME idle fractions at every 40k-cycle window,
 //! and bins them through LOC distribution analyzers.
 
-use std::io::Write;
-
 use abdex::loc::{parse, Analyzer, Annotations, TraceRecord};
 use abdex::nepsim::{AnalyzerBank, Benchmark, MeRole, NpuConfig, Simulator};
 use abdex::traffic::TrafficLevel;
+use abdex::{errln, outln, stdio};
 use abdex_bench::{bar, cycles_from_args, FIG_SEED};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let cycles = cycles_from_args();
-    let _ = writeln!(
-        std::io::stderr(),
-        "obs_idle_bimodal: simulating ipfwdr/high for {cycles} cycles..."
-    );
+    errln!("obs_idle_bimodal: simulating ipfwdr/high for {cycles} cycles...");
     let config = NpuConfig::builder()
         .benchmark(Benchmark::Ipfwdr)
         .traffic(TrafficLevel::High)
@@ -43,13 +39,13 @@ fn main() {
     let rx = rx.finish();
     let tx = tx.finish();
 
-    println!(
+    outln!(
         "per-window idle fractions over {} windows x 6 MEs\n",
         report.windows
     );
-    println!("receiving MEs (paper: <5% or 30-40% for ~90% of time):");
+    outln!("receiving MEs (paper: <5% or 30-40% for ~90% of time):");
     for b in rx.bins() {
-        println!(
+        outln!(
             "  ({:>5.2}, {:>5.2}] {:>6.1}%  {}",
             b.lo,
             b.hi,
@@ -59,7 +55,7 @@ fn main() {
     }
     let low_mode = rx.fraction_le(0.05);
     let high_mode = rx.fraction_le(0.45) - rx.fraction_le(0.20);
-    println!(
+    outln!(
         "  -> {:.0}% of rx windows under 5% idle, {:.0}% between 20% and 45%; \
          together {:.0}%",
         low_mode * 100.0,
@@ -67,10 +63,10 @@ fn main() {
         (low_mode + high_mode) * 100.0
     );
 
-    println!("\ntransmitting MEs (paper: almost always under 5%):");
+    outln!("\ntransmitting MEs (paper: almost always under 5%):");
     for b in tx.bins() {
         if b.count > 0 {
-            println!(
+            outln!(
                 "  ({:>5.2}, {:>5.2}] {:>6.1}%  {}",
                 b.lo,
                 b.hi,
@@ -79,8 +75,9 @@ fn main() {
             );
         }
     }
-    println!(
+    outln!(
         "  -> {:.1}% of tx windows under 5% idle",
         tx.fraction_le(0.05) * 100.0
     );
+    stdio::exit_status(stdio::flush_stdout())
 }

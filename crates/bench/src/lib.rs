@@ -12,14 +12,16 @@
 //! The crate's one measuring binary, `bench_obs`, gates the span
 //! profiler's armed overhead at 5 %. Every other performance number
 //! comes from the repository benchmark, `perfbench/`.
+//!
+//! Every binary prints through [`abdex::stdio`], as `abdex` does: a
+//! closed stdout ends the output, a full one is an `error:` line and
+//! exit status 1, and a failed stderr write is dropped.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 
-use std::io::Write;
-
-use abdex::PAPER_RUN_CYCLES;
+use abdex::{errln, PAPER_RUN_CYCLES};
 
 /// Reads the per-configuration cycle budget from `argv[1]`: the paper's
 /// 8×10⁶ when it is absent. A budget that is not a whole number of
@@ -28,7 +30,7 @@ use abdex::PAPER_RUN_CYCLES;
 #[must_use]
 pub fn cycles_from_args() -> u64 {
     parse_cycles(std::env::args().nth(1).as_deref()).unwrap_or_else(|e| {
-        let _ = writeln!(std::io::stderr(), "error: {e}");
+        errln!("error: {e}");
         std::process::exit(1)
     })
 }

@@ -10,9 +10,9 @@
 //! command is a table edit. Rules that depend on values stay in the
 //! handlers: `--ci` needs `--seeds >= 2`, the legacy `--threshold` and
 //! `--window` need a bare `tdvs`/`edvs` policy, a sweep takes one axis,
-//! and `--cache` contradicts `--no-cache`. Stdout goes through one
-//! writer, which stops writing, without a panic, once the reader closes
-//! the pipe; stderr goes through another, which drops a failed write.
+//! and `--cache` contradicts `--no-cache`. Stdout and stderr go through
+//! [`abdex::stdio`], so a closed pipe ends the output without a panic
+//! and a failed stderr write is dropped.
 //!
 //! ```text
 //! abdex run       --benchmark ipfwdr --traffic high --policy queue:high=0.8 --cycles 2000000
@@ -38,9 +38,7 @@
 //! their file, so stdout stays byte-identical to a plain invocation.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
-use std::sync::OnceLock;
 
 use abdex::ccache::write_atomic;
 use abdex::compare::ComparisonConfig;
@@ -54,6 +52,7 @@ use abdex::record::{
     RecordedSeries,
 };
 use abdex::scenario::{self, Scenario};
+use abdex::stdio::{exit_status, flush_stdout, write_stderr};
 use abdex::sweep::{power_surface, throughput_surface};
 use abdex::tables::{
     render_fleet, render_grid, render_replicated_run, render_scenario, render_surface,
@@ -62,35 +61,11 @@ use abdex::tables::{
 use abdex::traceio::{analyze_trace, generate_trace};
 use abdex::traffic::RecordedTrace;
 use abdex::{
-    optimal_tdvs, run_grid, run_replicated_experiments, Axis, ConfidenceLevel, DesignPriority,
-    Experiment, Grid, JobError, PolicySpec, ProgressMode, Runner, TdvsGrid, TrafficSpec,
-    PAPER_RUN_CYCLES, POLICIES, TRAFFIC_MODELS,
+    errln, optimal_tdvs, out, outln, run_grid, run_replicated_experiments, Axis, ConfidenceLevel,
+    DesignPriority, Experiment, Grid, JobError, PolicySpec, ProgressMode, Runner, TdvsGrid,
+    TrafficSpec, PAPER_RUN_CYCLES, POLICIES, TRAFFIC_MODELS,
 };
 use loc::{parse, Analyzer, Checker, Trace};
-
-/// `print!` through [`write_stdout`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*))
-    };
-}
-
-/// `println!` through [`write_stdout`].
-macro_rules! outln {
-    () => {
-        write_stdout(format_args!("\n"))
-    };
-    ($($arg:tt)*) => {
-        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// `eprintln!` through [`write_stderr`].
-macro_rules! errln {
-    ($($arg:tt)*) => {
-        write_stderr(&format!("{}\n", format_args!($($arg)*)))
-    };
-}
 
 /// A flag of the flag table: its name without the leading `--`, the
 /// placeholder of its value (`None` for a switch), its help text, and
@@ -273,46 +248,6 @@ const COMMANDS: &[Command] = &[
         about: "print this help (also --help, -h)" },
 ];
 
-/// The first stdout write that failed; see [`write_stdout`].
-static STDOUT_ERROR: OnceLock<std::io::Error> = OnceLock::new();
-
-/// Writes to stdout for [`out!`] and [`outln!`]. Unlike `print!`, which
-/// panics when a write fails, this keeps the first failure and drops
-/// every later write. A reader that closed the pipe (`abdex policies |
-/// head -1`) just ends the output, and the invocation ends with the
-/// exit status its work earned; any other failure, such as a full disk
-/// behind a redirect, is an error ([`flush_stdout`]).
-fn write_stdout(args: std::fmt::Arguments) {
-    if STDOUT_ERROR.get().is_some() {
-        return;
-    }
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        let _ = STDOUT_ERROR.set(e);
-    }
-}
-
-/// Flushes stdout; the first stdout failure that was not a closed pipe
-/// is the error.
-fn flush_stdout() -> Result<(), String> {
-    if STDOUT_ERROR.get().is_none() {
-        if let Err(e) = std::io::stdout().lock().flush() {
-            let _ = STDOUT_ERROR.set(e);
-        }
-    }
-    match STDOUT_ERROR.get() {
-        Some(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
-        _ => Ok(()),
-    }
-}
-
-/// Writes `text` to stderr in one write for [`errln!`]. Unlike
-/// `eprint!`, which panics when a write fails, this drops a failed
-/// write: stderr is where a failure would be reported, so its own
-/// failure changes no exit status.
-fn write_stderr(text: &str) {
-    let _ = std::io::stderr().lock().write_all(text.as_bytes());
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Arm the profiler before any work so the `parse` span and every
@@ -337,16 +272,8 @@ fn main() -> ExitCode {
             result = result.and(Err(e));
         }
     }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // An empty message means usage was already printed.
-            if !e.is_empty() {
-                errln!("error: {e}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    // An empty message means usage was already printed.
+    exit_status(result)
 }
 
 /// Writes the drained profile: the Chrome trace to the `--profile`

@@ -61,6 +61,7 @@ pub mod optimal;
 pub mod record;
 pub mod reference;
 pub mod replicate;
+pub mod stdio;
 pub mod summarize;
 pub mod sweep;
 pub mod tables;
