@@ -11,7 +11,7 @@
 use desim::Frequency;
 use dvs::{PolicySpec, VfLadder};
 use serde::{Deserialize, Serialize};
-use traffic::{ArrivalConfig, TrafficLevel, TrafficSpec};
+use traffic::{TrafficLevel, TrafficSpec};
 
 use crate::memory::MemoryParams;
 use crate::workload::Benchmark;
@@ -203,13 +203,6 @@ impl NpuConfigBuilder {
         self
     }
 
-    /// Sets a fully custom MMPP arrival process (shorthand for
-    /// `.traffic(TrafficSpec::Mmpp(arrivals))`).
-    #[must_use]
-    pub fn arrivals(self, arrivals: ArrivalConfig) -> Self {
-        self.traffic(TrafficSpec::Mmpp(arrivals))
-    }
-
     /// Sets the DVS policy.
     #[must_use]
     pub fn policy(mut self, policy: PolicySpec) -> Self {
@@ -229,29 +222,6 @@ impl NpuConfigBuilder {
     #[must_use]
     pub fn trace(mut self, trace: TraceConfig) -> Self {
         self.config.trace = trace;
-        self
-    }
-
-    /// Sets the power-model calibration.
-    #[must_use]
-    pub fn power(mut self, power: PowerParams) -> Self {
-        self.config.power = power;
-        self
-    }
-
-    /// Sets the memory timing/energy parameters.
-    #[must_use]
-    pub fn memory(mut self, memory: MemoryParams) -> Self {
-        self.config.memory = memory;
-        self
-    }
-
-    /// Sets the ME topology.
-    #[must_use]
-    pub fn topology(mut self, rx_mes: usize, tx_mes: usize, threads_per_me: usize) -> Self {
-        self.config.rx_mes = rx_mes;
-        self.config.tx_mes = tx_mes;
-        self.config.threads_per_me = threads_per_me;
         self
     }
 
@@ -351,7 +321,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "receive ME")]
     fn build_rejects_no_rx_mes() {
-        let _ = NpuConfig::builder().topology(0, 2, 4).build();
+        let config = NpuConfig {
+            rx_mes: 0,
+            ..NpuConfig::default()
+        };
+        config.validate();
     }
 
     #[test]

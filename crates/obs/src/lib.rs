@@ -10,7 +10,7 @@
 //!   keeps every sample in emission order and hands back a
 //!   [`Recording`].
 //! - **Sketching**: a fixed-bin log2 [`HistogramSketch`] giving
-//!   p50/p90/p99 over any channel. Bins are a pure function of the
+//!   p50/p95/p99 over any channel. Bins are a pure function of the
 //!   value's bit pattern and [`HistogramSketch::merge`] just adds
 //!   counts, so folds are exact and order-free — percentiles are
 //!   bit-identical for any worker count, exactly like `stats::Summary`

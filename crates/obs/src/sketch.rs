@@ -132,12 +132,6 @@ impl HistogramSketch {
         self.quantile(0.50)
     }
 
-    /// 90th percentile (lower bin edge).
-    #[must_use]
-    pub fn p90(&self) -> Option<f64> {
-        self.quantile(0.90)
-    }
-
     /// 95th percentile (lower bin edge).
     #[must_use]
     pub fn p95(&self) -> Option<f64> {
