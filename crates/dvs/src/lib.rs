@@ -195,6 +195,38 @@ mod tests {
     }
 }
 
+/// The paper's automata as [`PolicySpec::build`] adapts them to the
+/// [`DvsPolicy`] trait object the platform drives.
+#[cfg(test)]
+mod adapters {
+    mod tests {
+        use crate::test_window::Window;
+        use crate::ScalingDecision::{Down, Hold};
+        use crate::{CombinedConfig, EdvsConfig, PolicySpec, VfLadder};
+
+        #[test]
+        fn combined_adapter_needs_both_signals_to_scale_down() {
+            let spec = PolicySpec::Combined(CombinedConfig::default());
+            let mut p = spec.build(&VfLadder::xscale_npu());
+            // Idle but heavy traffic: hold (at top).
+            assert_eq!(Window::new(2000.0, &[0.5]).decide(p.as_mut()), [Hold]);
+            // Idle and light traffic: down.
+            assert_eq!(Window::new(100.0, &[0.5]).decide(p.as_mut()), [Down]);
+            assert!(p.monitors_traffic());
+        }
+
+        #[test]
+        #[should_panic(expected = "idle threshold")]
+        fn edvs_adapter_validates_eagerly() {
+            let bad = EdvsConfig {
+                idle_threshold: 2.0,
+                window_cycles: 40_000,
+            };
+            let _ = PolicySpec::Edvs(bad).build(&VfLadder::xscale_npu());
+        }
+    }
+}
+
 /// The observation builder of the policies' unit tests.
 #[cfg(test)]
 pub(crate) mod test_window {
